@@ -6,6 +6,13 @@ forcing are explicit.  imex-cn is second order: a Strang-symmetrized
 Crank-Nicolson x-diffusion split around a two-stage midpoint predictor/
 corrector in y.  imex-be is the first-order single-stage variant.
 
+Layout: the tridiagonal kernels solve along the first axis, so row j of
+every system is one contiguous slab, and the matrix rows broadcast over
+the trailing axes.  Each implicit stage stacks rho, u and h on a trailing
+axis — (nx, ny, 3) for an x half-step, (ny, nx, 3) for a y stage — and
+does one elimination for all three; the periodic x-solve also carries its
+Sherman-Morrison correction vector through that same elimination.
+
 Boundary closure: Neumann rows (d_y rho = d_y h = 0 at the wall) use a
 second-order mirror ghost inside the implicit solve; Dirichlet rows (u at
 the wall, all fields at the top) are clamped to their initial traces,
@@ -18,14 +25,15 @@ The -mu e^{-y} background forcing is discretized as -mu * D_y^2(e^{-y})
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import Field, GridSpec
 from .norms import weighted_linf
 from .operators import _d2y_coeffs, d2y, dx, dy
-from .pde import DENSITY_FLOOR, ZERO_FORCING, ZERO_SOURCES, DensityFloorError
+from .pde import DENSITY_FLOOR, ZERO_FORCING, DensityFloorError
 from .sources import zero_bundle
 from .state import State, derive_secondary
 
@@ -129,42 +137,42 @@ class Trajectory:
 
 
 def thomas_batched(lo, di, up, rhs):
-    """Solve independent tridiagonal systems along the last axis.
+    """Solve independent tridiagonal systems along the first axis.
 
-    lo[..., 0] and up[..., -1] are ignored.  Standard forward elimination
-    and back substitution, vectorized over the leading axes."""
-    n = rhs.shape[-1]
-    cp = np.empty_like(rhs)
-    dp = np.empty_like(rhs)
-    cp[..., 0] = up[..., 0] / di[..., 0]
-    dp[..., 0] = rhs[..., 0] / di[..., 0]
-    for j in range(1, n):
-        denom = di[..., j] - lo[..., j] * cp[..., j - 1]
-        cp[..., j] = up[..., j] / denom
-        dp[..., j] = (rhs[..., j] - lo[..., j] * dp[..., j - 1]) / denom
-    out = np.empty_like(rhs)
-    out[..., -1] = dp[..., -1]
-    for j in range(n - 2, -1, -1):
-        out[..., j] = dp[..., j] - cp[..., j] * out[..., j + 1]
-    return out
+    Equation j reads lo[j] w[j-1] + di[j] w[j] + up[j] w[j+1] = rhs[j].
+    The matrix arrays broadcast against rhs over the trailing axes, so
+    right-hand sides that share a matrix share one elimination.  lo[0] and
+    up[-1] are ignored."""
+    cp = np.empty(np.broadcast_shapes(lo.shape, di.shape, up.shape))
+    dp = np.empty(np.broadcast_shapes(cp.shape, rhs.shape))
+    cp[0] = up[0] / di[0]
+    dp[0] = rhs[0] / di[0]
+    for j in range(1, rhs.shape[0]):
+        denom = di[j] - lo[j] * cp[j - 1]
+        cp[j] = up[j] / denom
+        dp[j] = (rhs[j] - lo[j] * dp[j - 1]) / denom
+    for j in range(rhs.shape[0] - 2, -1, -1):
+        dp[j] -= cp[j] * dp[j + 1]
+    return dp
 
 
 def periodic_thomas_batched(lo, di, up, rhs):
-    """Solve periodic tridiagonal systems along the last axis via the
-    Sherman-Morrison correction of the open-chain Thomas solve."""
-    n = rhs.shape[-1]
-    gamma = -di[..., 0]
+    """Solve periodic tridiagonal systems along the first axis via the
+    Sherman-Morrison correction of the open-chain Thomas solve; the rhs
+    solve and the correction-vector solve share one elimination."""
+    gamma = -di[0]
     dmod = di.copy()
-    dmod[..., 0] = di[..., 0] - gamma
-    dmod[..., -1] = di[..., -1] - lo[..., 0] * up[..., -1] / gamma
-    u = np.zeros_like(rhs)
-    u[..., 0] = gamma
-    u[..., -1] = up[..., -1]
-    y = thomas_batched(lo, dmod, up, rhs)
-    q = thomas_batched(lo, dmod, up, u)
-    num = y[..., 0] + lo[..., 0] * y[..., -1] / gamma
-    den = 1.0 + q[..., 0] + lo[..., 0] * q[..., -1] / gamma
-    return y - (num / den)[..., None] * q
+    dmod[0] = di[0] - gamma
+    dmod[-1] = di[-1] - lo[0] * up[-1] / gamma
+    pair = np.zeros(rhs.shape + (2,))
+    pair[..., 0] = rhs
+    pair[0, ..., 1] = gamma
+    pair[-1, ..., 1] = up[-1]
+    sol = thomas_batched(lo[..., None], dmod[..., None], up[..., None], pair)
+    y, q = sol[..., 0], sol[..., 1]
+    num = y[0] + lo[0] * y[-1] / gamma
+    den = 1.0 + q[0] + lo[0] * q[-1] / gamma
+    return y - (num / den) * q
 
 
 # ---------------------------------------------------------------------------
@@ -173,42 +181,43 @@ def periodic_thomas_batched(lo, di, up, rhs):
 
 
 def _solve_x_cn(w: np.ndarray, coeff: np.ndarray, step: float, dx_: float) -> np.ndarray:
-    """Crank-Nicolson step of d_t w = coeff(x, y) d_x^2 w, periodic in x.
+    """Crank-Nicolson step of d_t w = coeff(x, y) d_x^2 w, periodic in x
+    (axis 0).
 
-    Second-order three-point stencil; coeff may vary over the grid."""
+    Second-order three-point stencil; coeff may vary over the grid and
+    over any trailing axes that stack several fields."""
     a = 0.5 * step / dx_**2
     wp = np.roll(w, -1, axis=0)
     wm = np.roll(w, 1, axis=0)
     rhs = w + a * coeff * (wp - 2.0 * w + wm)
-    # systems run along x: transpose to (ny, nx)
-    c = (a * coeff).T
-    lo = -c
-    up = -c
-    di = 1.0 + 2.0 * c
-    sol = periodic_thomas_batched(lo, di, up, rhs.T)
-    return sol.T
+    c = a * coeff
+    off = -c
+    return periodic_thomas_batched(off, 1.0 + 2.0 * c, off, rhs)
 
 
-def _y_matrix(grid: GridSpec, coeff: np.ndarray, a: float, wall_bc: str):
-    """Rows of (I - a * coeff * D_y^2) per x-line.
+# Wall closure of the y-systems, in (rho, u, h) order.
+_WALL_BCS = ("neumann", "dirichlet", "neumann")
 
-    wall_bc 'neumann': mirror-ghost second-order closure at j=0;
-    'dirichlet': identity row at j=0.  The top row is always identity."""
-    ny = grid.ny
+
+def _y_matrix(grid: GridSpec, coeff: np.ndarray, a: float):
+    """Rows of (I - a * coeff * D_y^2) with y on axis 0.
+
+    coeff is (ny, nx, 3) in (rho, u, h) order.  The wall row (j=0) follows
+    _WALL_BCS: 'neumann' is the mirror-ghost second-order closure,
+    'dirichlet' an identity row.  The top row is always identity."""
     lo2, di2, up2, _, _ = _d2y_coeffs(grid)
-    lo = np.zeros((grid.nx, ny))
-    di = np.ones((grid.nx, ny))
-    up = np.zeros((grid.nx, ny))
     ac = a * coeff
-    lo[:, 1:-1] = -ac[:, 1:-1] * lo2
-    di[:, 1:-1] = 1.0 - ac[:, 1:-1] * di2
-    up[:, 1:-1] = -ac[:, 1:-1] * up2
-    if wall_bc == "neumann":
-        h1 = grid.y[1] - grid.y[0]
-        di[:, 0] = 1.0 + ac[:, 0] * 2.0 / h1**2
-        up[:, 0] = -ac[:, 0] * 2.0 / h1**2
-    elif wall_bc != "dirichlet":
-        raise ValueError(f"unknown wall_bc {wall_bc!r}")
+    lo = np.zeros_like(ac)
+    di = np.ones_like(ac)
+    up = np.zeros_like(ac)
+    lo[1:-1] = -ac[1:-1] * lo2[:, None, None]
+    di[1:-1] = 1.0 - ac[1:-1] * di2[:, None, None]
+    up[1:-1] = -ac[1:-1] * up2[:, None, None]
+    h1 = grid.y[1] - grid.y[0]
+    for c, wall_bc in enumerate(_WALL_BCS):
+        if wall_bc == "neumann":
+            di[0, :, c] = 1.0 + ac[0, :, c] * 2.0 / h1**2
+            up[0, :, c] = -ac[0, :, c] * 2.0 / h1**2
     return lo, di, up
 
 
@@ -227,22 +236,17 @@ def _apply_dyy(grid: GridSpec, w: np.ndarray, wall_bc: str) -> np.ndarray:
     return out
 
 
-def _solve_y_implicit(
-    grid: GridSpec,
-    coeff: np.ndarray,
-    a: float,
-    rhs: np.ndarray,
-    wall_bc: str,
-    wall_trace: np.ndarray,
-    top_trace: np.ndarray,
-) -> np.ndarray:
-    """Solve (I - a coeff D_y^2) w = rhs with the stated boundary rows."""
-    lo, di, up = _y_matrix(grid, coeff, a, wall_bc)
-    b = rhs.copy()
-    if wall_bc == "dirichlet":
-        b[:, 0] = wall_trace
-    b[:, -1] = top_trace
-    return thomas_batched(lo, di, up, b)
+def _solve_y_implicit(grid: GridSpec, coeff, a: float, rhs, traces: dict):
+    """Solve (I - a coeff D_y^2) w = rhs for (rho, u, h) in one elimination.
+
+    coeff and rhs are (rho, u, h) triples of (nx, ny) arrays, stacked here
+    as (ny, nx, 3).  Walls follow _WALL_BCS with u clamped to
+    traces['u_wall']; every top row is clamped to its top trace."""
+    b = np.stack([f.T for f in rhs], axis=-1)
+    b[0, :, 1] = traces["u_wall"]
+    b[-1] = np.stack([traces["rho_top"], traces["u_top"], traces["h_top"]], axis=-1)
+    lo, di, up = _y_matrix(grid, np.stack([c.T for c in coeff], axis=-1), a)
+    return tuple(thomas_batched(lo, di, up, b).transpose(2, 1, 0).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +254,22 @@ def _solve_y_implicit(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _background(grid: GridSpec):
+    """The shear profile E = e^{-y} (as a (1, ny) row) and its discrete
+    D_y^2 on the full grid, W, the well-balanced background forcing."""
+    E = np.exp(-grid.y)[None, :]
+    W = d2y(Field(np.broadcast_to(E, (grid.nx, grid.ny)), grid)).values
+    E.setflags(write=False)
+    return E, W
+
+
 def _explicit_terms(state: State, cfg: SolverConfig, bundle, forcing, t: float):
     """Explicit tendencies N for (rho, u, h): advection, coupling, sources,
     forcing, and the well-balanced background term; the u tendency is
     already divided by the density."""
     grid = state.grid
-    E = np.exp(-grid.y)[None, :]
-    W = d2y(Field(np.broadcast_to(E, (grid.nx, grid.ny)), grid)).values
+    E, W = _background(grid)
     r = state.rho_shift.values
     u = state.u_shift.values
     h = state.h_shift.values
@@ -272,11 +285,10 @@ def _explicit_terms(state: State, cfg: SolverConfig, bundle, forcing, t: float):
     Fr, Fu, Fh = (s.values for s in forcing.fields(grid, t, deriv=0))
     eps = cfg.eps
 
-    n_rho = -U * rx - v * ry - eps * (dx(Field(r1, grid)).values + dy(Field(r2, grid)).values) + Fr
+    div_src = dx(Field(r1, grid)).values + dy(Field(r2, grid)).values
+    n_rho = -U * rx - v * ry - eps * div_src + Fr
     transport_scale = float(np.max(np.abs(U * rx)) + np.max(np.abs(v * ry)))
-    source_scale = eps * float(
-        np.max(np.abs(dx(Field(r1, grid)).values + dy(Field(r2, grid)).values))
-    )
+    source_scale = eps * float(np.max(np.abs(div_src)))
     src_flag = bool(source_scale > 0.01 * transport_scale) if transport_scale > 0 else bool(
         source_scale > 0
     )
@@ -317,10 +329,6 @@ def _cfl_substeps(state: State, cfg: SolverConfig) -> int:
         return 1
     dt_cfl = cfg.cfl_safety * min(limits)
     return max(1, int(math.ceil(cfg.dt / dt_cfl)))
-
-
-def _traces(field_vals: np.ndarray):
-    return field_vals[:, 0].copy(), field_vals[:, -1].copy()
 
 
 def step(
@@ -376,108 +384,53 @@ def _substep(state, cfg, bundle, forcing, k, traces):
     grid = state.grid
     eps, mu, kappa = cfg.eps, cfg.mu, cfg.kappa
     t = state.time
+    cn = cfg.scheme == "imex-cn"
+    # imex-cn: x half-steps around theta = 1/2 y stages; imex-be: one x step
+    # and theta = 1.  a = theta * k is also the x step.
+    a = k / 2.0 if cn else k
 
-    r = state.rho_shift.values
-    u = state.u_shift.values
-    h = state.h_shift.values
+    def with_fields(fields, time):
+        r, u, h = fields
+        return derive_secondary(
+            replace(
+                state,
+                rho_shift=Field(r, grid),
+                u_shift=Field(u, grid),
+                h_shift=Field(h, grid),
+                time=time,
+            )
+        )
 
-    def x_half(rv, uv, hv, step_):
+    def x_half(fields, step_):
         if eps == 0.0:
-            return rv, uv, hv
-        ones = np.ones_like(rv)
-        rho_tot = rv + 1.0
-        rv = _solve_x_cn(rv, eps * ones, step_, grid.dx)
-        uv = _solve_x_cn(uv, eps / rho_tot, step_, grid.dx)
-        hv = _solve_x_cn(hv, eps * ones, step_, grid.dx)
-        return rv, uv, hv
+            return fields
+        r = fields[0]
+        coeff = [np.full_like(r, eps), eps / (r + 1.0), np.full_like(r, eps)]
+        w = _solve_x_cn(np.stack(fields, axis=-1), np.stack(coeff, axis=-1), step_, grid.dx)
+        return tuple(np.moveaxis(w, -1, 0).copy())
 
-    if cfg.scheme == "imex-cn":
-        r, u, h = x_half(r, u, h, k / 2.0)
-        st0 = derive_secondary(
-            replace(
-                state,
-                rho_shift=Field(r, grid),
-                u_shift=Field(u, grid),
-                h_shift=Field(h, grid),
-            )
-        )
-        rho_n = r + 1.0
-        n_r, n_u, n_h, flag1 = _explicit_terms(st0, cfg, bundle, forcing, t)
-        ones = np.ones_like(r)
+    def y_stage(base, lagged, time):
+        """Implicit y stage from base; the explicit terms and u's viscosity
+        mu / rho are evaluated at the fields lagged."""
+        *n_exp, flag = _explicit_terms(with_fields(lagged, time), cfg, bundle, forcing, time)
+        r = base[0]
+        coeff = (np.full_like(r, eps), mu / (lagged[0] + 1.0), np.full_like(r, kappa))
+        rhs = [b + k * n for b, n in zip(base, n_exp)]
+        if cn:
+            rhs = [
+                f + a * c * _apply_dyy(grid, b, wall_bc)
+                for f, c, b, wall_bc in zip(rhs, coeff, base, _WALL_BCS)
+            ]
+        return _solve_y_implicit(grid, coeff, a, rhs, traces), flag
 
-        def y_solve(base, coeff, nexp, wall_bc, wall, top, a):
-            rhs = base + k * nexp + a * coeff * _apply_dyy(grid, base, wall_bc)
-            return _solve_y_implicit(grid, coeff, a, rhs, wall_bc, wall, top)
-
-        a = k / 2.0
-        zeros_w = np.zeros(grid.nx)
-        r_star = y_solve(r, eps * ones, n_r, "neumann", zeros_w, traces["rho_top"], a)
-        u_star = y_solve(
-            u, mu / rho_n, n_u, "dirichlet", traces["u_wall"], traces["u_top"], a
-        )
-        h_star = y_solve(h, kappa * ones, n_h, "neumann", zeros_w, traces["h_top"], a)
-
-        r_mid = 0.5 * (r + r_star)
-        u_mid = 0.5 * (u + u_star)
-        h_mid = 0.5 * (h + h_star)
-        st_mid = derive_secondary(
-            replace(
-                state,
-                rho_shift=Field(r_mid, grid),
-                u_shift=Field(u_mid, grid),
-                h_shift=Field(h_mid, grid),
-                time=t + k / 2.0,
-            )
-        )
-        n_r, n_u, n_h, flag2 = _explicit_terms(st_mid, cfg, bundle, forcing, t + k / 2.0)
-        rho_mid = r_mid + 1.0
-        r_new = y_solve(r, eps * ones, n_r, "neumann", zeros_w, traces["rho_top"], a)
-        u_new = y_solve(
-            u, mu / rho_mid, n_u, "dirichlet", traces["u_wall"], traces["u_top"], a
-        )
-        h_new = y_solve(h, kappa * ones, n_h, "neumann", zeros_w, traces["h_top"], a)
-        r_new, u_new, h_new = x_half(r_new, u_new, h_new, k / 2.0)
-        flag = flag1 or flag2
-    else:  # imex-be
-        r, u, h = x_half(r, u, h, k)
-        st0 = derive_secondary(
-            replace(
-                state,
-                rho_shift=Field(r, grid),
-                u_shift=Field(u, grid),
-                h_shift=Field(h, grid),
-            )
-        )
-        rho_n = r + 1.0
-        n_r, n_u, n_h, flag = _explicit_terms(st0, cfg, bundle, forcing, t)
-        ones = np.ones_like(r)
-        zeros_w = np.zeros(grid.nx)
-        r_new = _solve_y_implicit(
-            grid, eps * ones, k, r + k * n_r, "neumann", zeros_w, traces["rho_top"]
-        )
-        u_new = _solve_y_implicit(
-            grid,
-            mu / rho_n,
-            k,
-            u + k * n_u,
-            "dirichlet",
-            traces["u_wall"],
-            traces["u_top"],
-        )
-        h_new = _solve_y_implicit(
-            grid, kappa * ones, k, h + k * n_h, "neumann", zeros_w, traces["h_top"]
-        )
-
-    new = derive_secondary(
-        replace(
-            state,
-            rho_shift=Field(r_new, grid),
-            u_shift=Field(u_new, grid),
-            h_shift=Field(h_new, grid),
-            time=t + k,
-        )
-    )
-    return new, flag
+    w = x_half((state.rho_shift.values, state.u_shift.values, state.h_shift.values), a)
+    new, flag = y_stage(w, w, t)
+    if cn:
+        mid = tuple(0.5 * (b + s) for b, s in zip(w, new))
+        new, flag2 = y_stage(w, mid, t + k / 2.0)
+        new = x_half(new, a)
+        flag = flag or flag2
+    return with_fields(new, t + k), flag
 
 
 def run(

@@ -4,13 +4,19 @@ import pytest
 
 from blmhd.grid import GridSpec, field_from_function
 from blmhd.manufactured import ManufacturedSolution
+from blmhd.operators import _d2y_coeffs
 from blmhd.solver import (
+    _WALL_BCS,
     SolverConfig,
     SolverError,
+    _apply_dyy,
+    _y_matrix,
     monitor,
     pde_residual,
+    periodic_thomas_batched,
     run,
     step,
+    thomas_batched,
 )
 from conftest import equilibrium_state
 
@@ -54,6 +60,36 @@ def test_equilibrium_is_discretely_steady(grid_small, state_equilibrium):
     assert (new.u_shift - state_equilibrium.u_shift).max_abs() < 1e-12
     assert (new.h_shift - state_equilibrium.h_shift).max_abs() < 1e-12
     assert not mon.breached
+
+
+def test_equilibrium_is_discretely_steady_imex_be(grid_small, state_equilibrium):
+    cfg = SolverConfig(eps=0.01, dt=1e-3, t_end=5e-3, scheme="imex-be")
+    new, mon = step(state_equilibrium, cfg)
+    assert (new.rho_shift - state_equilibrium.rho_shift).max_abs() < 1e-12
+    assert (new.u_shift - state_equilibrium.u_shift).max_abs() < 1e-12
+    assert (new.h_shift - state_equilibrium.h_shift).max_abs() < 1e-12
+    assert not mon.breached
+
+
+def test_imex_be_is_first_order_in_time(grid_small, state_perturbed):
+    # error against a fine-dt reference at a common time halves with dt
+    t_end = 0.04
+
+    def final(dt):
+        cfg = SolverConfig(eps=0.01, dt=dt, t_end=t_end, scheme="imex-be")
+        traj = run(state_perturbed, cfg, output_stride=10**6)
+        assert not traj.breached and traj.times[-1] == pytest.approx(t_end)
+        last = traj.states[-1]
+        return np.concatenate(
+            [last.rho_shift.values, last.u_shift.values, last.h_shift.values]
+        )
+
+    ref = final(2.5e-4)
+    e1 = np.max(np.abs(final(4e-3) - ref))
+    e2 = np.max(np.abs(final(2e-3) - ref))
+    assert e1 > 1e-8  # the comparison measures time error, not round-off
+    # first order: e ~ C (dt - dt_ref), so e1 / e2 = 15 / 7 ~ 2.1
+    assert 1.7 < e1 / e2 < 2.6
 
 
 def test_step_is_deterministic(grid_small, state_perturbed):
@@ -173,3 +209,98 @@ def test_boundary_incompatible_manufactured_rejected():
     st = bad.state_at(grid, 0.1)
     with pytest.raises(ValueError):
         pde_residual(st, bad)
+
+
+# ---------------------------------------------------------------------------
+# Tridiagonal kernels against dense solves
+# ---------------------------------------------------------------------------
+
+
+def _dense(lo, di, up, periodic=False):
+    """Dense matrix of one system given its three length-n diagonals."""
+    a = np.diag(di) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
+    if periodic:
+        a[0, -1] = lo[0]
+        a[-1, 0] = up[-1]
+    return a
+
+
+def _dominant_diagonals(rng, shape):
+    lo = rng.uniform(-1.0, 1.0, shape)
+    up = rng.uniform(-1.0, 1.0, shape)
+    di = 2.5 + rng.uniform(0.0, 1.0, shape)
+    return lo, di, up
+
+
+def test_thomas_matches_dense_solve():
+    rng = np.random.default_rng(0)
+    n, batch = 12, (5, 3)
+    lo, di, up = _dominant_diagonals(rng, (n,) + batch)
+    rhs = rng.standard_normal((n,) + batch)
+    sol = thomas_batched(lo, di, up, rhs)
+    assert sol.shape == rhs.shape
+    for idx in np.ndindex(*batch):
+        i = (slice(None),) + idx
+        exact = np.linalg.solve(_dense(lo[i], di[i], up[i]), rhs[i])
+        np.testing.assert_allclose(sol[i], exact, rtol=1e-12, atol=1e-13)
+
+
+def test_thomas_shares_one_matrix_across_right_hand_sides():
+    # matrix rows of shape (4, 1) broadcast against rhs rows of shape (4, 3)
+    rng = np.random.default_rng(1)
+    n = 10
+    lo, di, up = _dominant_diagonals(rng, (n, 4, 1))
+    rhs = rng.standard_normal((n, 4, 3))
+    sol = thomas_batched(lo, di, up, rhs)
+    for b in range(4):
+        a = _dense(lo[:, b, 0], di[:, b, 0], up[:, b, 0])
+        np.testing.assert_allclose(
+            sol[:, b, :], np.linalg.solve(a, rhs[:, b, :]), rtol=1e-12, atol=1e-13
+        )
+    # the shared elimination performs each solve's arithmetic unchanged
+    for c in range(3):
+        alone = thomas_batched(lo[..., 0], di[..., 0], up[..., 0], rhs[..., c])
+        assert np.array_equal(sol[..., c], alone)
+
+
+def test_periodic_thomas_matches_dense_solve_with_corners():
+    rng = np.random.default_rng(2)
+    n, batch = 9, (4, 2)
+    lo, di, up = _dominant_diagonals(rng, (n,) + batch)
+    rhs = rng.standard_normal((n,) + batch)
+    sol = periodic_thomas_batched(lo, di, up, rhs)
+    assert sol.shape == rhs.shape
+    for idx in np.ndindex(*batch):
+        i = (slice(None),) + idx
+        a = _dense(lo[i], di[i], up[i], periodic=True)
+        assert a[0, -1] != 0.0 and a[-1, 0] != 0.0
+        np.testing.assert_allclose(sol[i], np.linalg.solve(a, rhs[i]), rtol=1e-12, atol=1e-13)
+
+
+def test_y_matrix_rows_match_apply_dyy_and_dense_solve(grid_small):
+    grid = grid_small
+    rng = np.random.default_rng(3)
+    a = 0.05
+    coeff = rng.uniform(0.5, 1.5, (grid.ny, grid.nx, 3))
+    lo, di, up = _y_matrix(grid, coeff, a)
+    lo2, _, _, _, _ = _d2y_coeffs(grid)
+    w = rng.standard_normal((grid.nx, grid.ny))
+    rhs = rng.standard_normal((grid.ny, grid.nx, 3))
+    sol = thomas_batched(lo, di, up, rhs)
+    for c, wall_bc in enumerate(_WALL_BCS):
+        for x in (0, grid.nx // 2):
+            m = _dense(lo[:, x, c], di[:, x, c], up[:, x, c])
+            # rows act as I - a coeff D_y^2, with D_y^2 as _apply_dyy closes it
+            ac = a * coeff[:, x, c]
+            expected = w[x] - ac * _apply_dyy(grid, w, wall_bc)[x]
+            np.testing.assert_allclose(m @ w[x], expected, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(m[-1], np.eye(grid.ny)[-1])
+            if wall_bc == "dirichlet":
+                np.testing.assert_array_equal(m[0], np.eye(grid.ny)[0])
+            else:
+                assert m[0, 1] < 0.0 and m[0, 0] == pytest.approx(1.0 - m[0, 1])
+            assert m[1, 0] == pytest.approx(-ac[1] * lo2[0])
+            np.testing.assert_allclose(
+                sol[:, x, c], np.linalg.solve(m, rhs[:, x, c]), rtol=1e-12, atol=1e-12
+            )
+    assert set(_WALL_BCS) == {"neumann", "dirichlet"}  # both closures covered
