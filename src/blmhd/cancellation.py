@@ -23,7 +23,7 @@ import numpy as np
 from .grid import Field
 from .norms import weighted_l2, weighted_linf
 from .operators import d2x, d2y, dx, dy, integrate_y, z2
-from .pde import ZERO_FORCING, TimeTower
+from .pde import ZERO_FORCING, TimeTower, apply_spatial
 from .sources import zero_bundle
 from .state import MultiIndex, State
 
@@ -69,10 +69,7 @@ def _check_h_floor(state: State, delta_floor: float) -> np.ndarray:
 
 
 def _zt(tower: TimeTower, name: str, t_count: int, x_count: int) -> np.ndarray:
-    out = tower.field(name, t_count)
-    for _ in range(x_count):
-        out = dx(out)
-    return out.values
+    return apply_spatial(tower.field(name, t_count), MultiIndex(x_count=x_count)).values
 
 
 def eta_fields(state: State) -> tuple[Field, Field, Field]:

@@ -168,7 +168,6 @@ def parse_config(text: str) -> RunConfig:
             ny=g["ny"],
             y_max=g["y_max"],
             stretch=g["stretch"],
-            dt=values["solver"]["dt"],
             x_scheme=g["x_scheme"],
         )
         solver = SolverConfig(

@@ -25,9 +25,8 @@ from .norms import (
     weighted_l2,
     weighted_linf,
 )
-from .norms import _apply_spatial
 from .operators import d2y, dx, dy, phi
-from .pde import TimeTower, map_family, tower_family
+from .pde import TimeTower, apply_spatial, map_family, tower_family
 from .solver import MonitorStatus, monitor
 from .state import MultiIndex, State
 
@@ -200,19 +199,19 @@ def _slice_functionals(
     dx_cap = dy_cap = 0.0
     for idx in index_set(m, "tangential-capped"):
         for fam, coef in coefs:
-            zf = _apply_spatial(fam(idx.t_count), idx)
+            zf = apply_spatial(fam(idx.t_count), idx)
             dx_cap += eps * weighted_l2(dx(zf), l) ** 2
             dy_cap += coef * weighted_l2(dy(zf), l) ** 2
     ix1 = iy1 = 0.0
     for idx in index_set(m, "full"):
         for fam, coef in coefs:
-            zf = _apply_spatial(fam(idx.t_count), idx)
+            zf = apply_spatial(fam(idx.t_count), idx)
             ix1 += eps * weighted_l2(dx(zf), l) ** 2
             iy1 += coef * weighted_l2(dy(zf), l) ** 2
     ix2 = iy2 = 0.0
     for idx in index_set(m - 1, "full"):
         for fam, coef in coefs:
-            zf = _apply_spatial(fam(idx.t_count), idx)
+            zf = apply_spatial(fam(idx.t_count), idx)
             ix2 += eps * weighted_l2(dy(dx(zf)), l) ** 2
             iy2 += coef * weighted_l2(d2y(zf), l) ** 2
 

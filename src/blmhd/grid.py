@@ -26,7 +26,6 @@ class GridSpec:
     ny: points in y, including the wall y=0 and the top y=y_max
     y_max: truncation height of the half line
     stretch: exponential grading parameter sigma (0 = uniform)
-    dt: time step used by the solver
     x_scheme: 'fd4' (default) or 'spectral' for x-differentiation
     """
 
@@ -34,7 +33,6 @@ class GridSpec:
     ny: int
     y_max: float = 15.0
     stretch: float = 0.0
-    dt: float = 1e-3
     x_scheme: str = "fd4"
 
     def __post_init__(self):
@@ -46,8 +44,6 @@ class GridSpec:
             raise GridError(f"y_max must be >= 10, got {self.y_max}")
         if self.stretch < 0:
             raise GridError(f"stretch must be >= 0, got {self.stretch}")
-        if self.dt <= 0:
-            raise GridError(f"dt must be positive, got {self.dt}")
         if self.x_scheme not in ("fd4", "spectral"):
             raise GridError(f"unknown x_scheme {self.x_scheme!r}")
 
@@ -94,11 +90,6 @@ def build_y(ny: int, y_max: float, stretch: float) -> np.ndarray:
     if not np.all(np.diff(y) > 0):
         raise GridError("y coordinates are not strictly increasing")
     return y
-
-
-def build_grid(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return (x, y, wx, wy) coordinate arrays and quadrature weights."""
-    return spec.x, spec.y, spec.wx, spec.wy
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import numpy as np
 from .grid import Field
 from .norms import NormSpec, conormal_norm, weighted_l2, weighted_linf
 from .operators import dx, dy
+from .pde import apply_spatial
 from .state import MultiIndex
 
 WALL_TOL = 1e-13
@@ -93,12 +94,6 @@ def sobolev_check(f: Field, cstar: float = SOBOLEV_CSTAR, tol: float = 0.0) -> I
     return _make_report("sobolev", lhs, rhs, cstar, tol, {"raw_ratio": raw})
 
 
-def _apply_spatial(f: Field, idx: MultiIndex) -> Field:
-    from .norms import _apply_spatial as apply
-
-    return apply(f, idx)
-
-
 def moser_check(
     f_series: list[Field],
     g_series: list[Field],
@@ -130,7 +125,7 @@ def moser_check(
     times = np.asarray(times, dtype=float)
     prod_sq = np.array(
         [
-            weighted_l2(_apply_spatial(f, beta) * _apply_spatial(g, gamma), l) ** 2
+            weighted_l2(apply_spatial(f, beta) * apply_spatial(g, gamma), l) ** 2
             for f, g in zip(f_series, g_series)
         ]
     )

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field
-from .operators import d2x, d2y, dx, dy, z2
-from .pde import TimeTower, map_family, static_family, tower_family
+from .operators import d2x, d2y, dx, dy
+from .pde import TimeTower, apply_spatial, map_family, static_family, tower_family
 from .state import MultiIndex, State, initial_state
 
 _MODES = ("full", "tangential-capped", "tangential-only")
@@ -73,14 +73,6 @@ def weighted_linf(f: Field, l: float, y_cap: float | None = None) -> float:
     return float(vals.max())
 
 
-def _apply_spatial(f: Field, idx: MultiIndex) -> Field:
-    for _ in range(idx.x_count):
-        f = dx(f)
-    for _ in range(idx.z2_count):
-        f = z2(f)
-    return f
-
-
 def _families(obj, pde_context):
     """Resolve the input into a list of field families (callables k -> Field)."""
     if isinstance(obj, Field):
@@ -117,7 +109,7 @@ def conormal_norm(obj, spec: NormSpec, pde_context=None) -> float:
     total = 0.0
     for idx in index_set(spec.m, spec.mode):
         for fam in fams:
-            total += weighted_l2(_apply_spatial(fam(idx.t_count), idx), spec.l) ** 2
+            total += weighted_l2(apply_spatial(fam(idx.t_count), idx), spec.l) ** 2
     return float(np.sqrt(total))
 
 
@@ -128,7 +120,7 @@ def conormal_linf(obj, spec: NormSpec, pde_context=None, y_cap=None) -> float:
     for idx in index_set(spec.m, spec.mode):
         for fam in fams:
             total += (
-                weighted_linf(_apply_spatial(fam(idx.t_count), idx), spec.l, y_cap)
+                weighted_linf(apply_spatial(fam(idx.t_count), idx), spec.l, y_cap)
                 ** 2
             )
     return float(np.sqrt(total))

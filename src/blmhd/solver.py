@@ -6,6 +6,9 @@ forcing are explicit.  imex-cn is second order: a Strang-symmetrized
 Crank-Nicolson x-diffusion split around a two-stage midpoint predictor/
 corrector in y.  imex-be is the first-order single-stage variant.
 
+The explicit terms come from pde: TimeTower.explicit at level 0, the same
+right-hand-side kernel the time-derivative tower differentiates.
+
 Layout: the tridiagonal kernels solve along the first axis, so row j of
 every system is one contiguous slab, and the matrix rows broadcast over
 the trailing axes.  Each implicit stage stacks rho, u and h on a trailing
@@ -26,14 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .grid import Field, GridSpec
 from .norms import weighted_linf
-from .operators import _d2y_coeffs, d2y, dx, dy
-from .pde import DENSITY_FLOOR, ZERO_FORCING, DensityFloorError
+from .operators import _d2y_coeffs, dy
+from .pde import ZERO_FORCING, TimeTower, background
 from .sources import zero_bundle
 from .state import State, derive_secondary
 
@@ -92,7 +94,7 @@ def monitor(state: State, delta0: float, l: float, source_flag: bool = False) ->
     1/2 <= rho <= 3/2."""
     delta = delta0 / 2.0
     grid = state.grid
-    E = np.exp(-grid.y)[None, :]
+    E, _ = background(grid)
     h_floor = float((state.h_shift.values + 1.0).min())
     rho_sup = weighted_linf(state.rho_shift, 0.0)
     shear = Field(dy(state.u_shift).values + E, grid)
@@ -254,69 +256,28 @@ def _solve_y_implicit(grid: GridSpec, coeff, a: float, rhs, traces: dict):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _background(grid: GridSpec):
-    """The shear profile E = e^{-y} (as a (1, ny) row) and its discrete
-    D_y^2 on the full grid, W, the well-balanced background forcing."""
-    E = np.exp(-grid.y)[None, :]
-    W = d2y(Field(np.broadcast_to(E, (grid.nx, grid.ny)), grid)).values
-    E.setflags(write=False)
-    return E, W
+def _explicit_terms(state: State, cfg: SolverConfig, bundle, forcing):
+    """Explicit tendencies N for (rho, u, h): the non-diffusive right-hand
+    sides of pde.TimeTower.explicit at level 0 with cfg's eps and mu; the u
+    tendency is already divided by the density.
 
-
-def _explicit_terms(state: State, cfg: SolverConfig, bundle, forcing, t: float):
-    """Explicit tendencies N for (rho, u, h): advection, coupling, sources,
-    forcing, and the well-balanced background term; the u tendency is
-    already divided by the density."""
-    grid = state.grid
-    E, W = _background(grid)
-    r = state.rho_shift.values
-    u = state.u_shift.values
-    h = state.h_shift.values
-    v = state.v.values
-    g = state.g.values
-    rho = r + 1.0
-    if rho.min() < DENSITY_FLOOR:
-        raise DensityFloorError(f"density floor breached: min(rho) = {rho.min():.4g}")
-    U = u + 1.0 - E
-    rx, ux, hx = dx(state.rho_shift).values, dx(state.u_shift).values, dx(state.h_shift).values
-    ry, uy, hy = dy(state.rho_shift).values, dy(state.u_shift).values, dy(state.h_shift).values
-    r1, r2, ru, rh = (s.values for s in bundle.fields(grid, t, deriv=0))
-    Fr, Fu, Fh = (s.values for s in forcing.fields(grid, t, deriv=0))
-    eps = cfg.eps
-
-    div_src = dx(Field(r1, grid)).values + dy(Field(r2, grid)).values
-    n_rho = -U * rx - v * ry - eps * div_src + Fr
-    transport_scale = float(np.max(np.abs(U * rx)) + np.max(np.abs(v * ry)))
-    source_scale = eps * float(np.max(np.abs(div_src)))
-    src_flag = bool(source_scale > 0.01 * transport_scale) if transport_scale > 0 else bool(
-        source_scale > 0
+    The flag is raised when the source divergence eps |dx r1 + dy r2|
+    exceeds 1% of the density transport |U dx r| + |v dy r| (max norms)."""
+    tower = TimeTower(state, bundle, forcing, max_depth=0)
+    n_rho, n_h, B = tower.explicit(0, cfg.eps, cfg.mu, (0.0, 0.0, 0.0))
+    rx, ry = tower.deriv("x", "rho", 0).values, tower.deriv("y", "rho", 0).values
+    div_src = tower.deriv("x", "r1", 0).values + tower.deriv("y", "r2", 0).values
+    transport_scale = float(
+        np.max(np.abs(tower.U(0) * rx)) + np.max(np.abs(state.v.values * ry))
     )
-
-    n_u = (
-        (h + 1.0) * hx
-        + g * hy
-        - eps * dx(Field(ru, grid)).values
-        - cfg.mu * W
-        - rho * (U * ux + v * uy + v * E)
-        + Fu
-    ) / rho
-
-    n_h = (
-        -U * hx
-        - v * hy
-        + (h + 1.0) * ux
-        + g * (uy + E)
-        - eps * dx(Field(rh, grid)).values
-        + Fh
-    )
-    return n_rho, n_u, n_h, src_flag
+    source_scale = cfg.eps * float(np.max(np.abs(div_src)))
+    return n_rho, B / state.rho_total, n_h, bool(source_scale > 0.01 * transport_scale)
 
 
 def _cfl_substeps(state: State, cfg: SolverConfig) -> int:
     """Deterministic number of substeps so each satisfies the advective CFL."""
     grid = state.grid
-    E = np.exp(-grid.y)[None, :]
+    E, _ = background(grid)
     u_max = float(np.max(np.abs(state.u_shift.values + 1.0 - E)))
     v_max = float(np.max(np.abs(state.v.values)))
     dy_min = float(np.min(np.diff(grid.y)))
@@ -412,7 +373,7 @@ def _substep(state, cfg, bundle, forcing, k, traces):
     def y_stage(base, lagged, time):
         """Implicit y stage from base; the explicit terms and u's viscosity
         mu / rho are evaluated at the fields lagged."""
-        *n_exp, flag = _explicit_terms(with_fields(lagged, time), cfg, bundle, forcing, time)
+        *n_exp, flag = _explicit_terms(with_fields(lagged, time), cfg, bundle, forcing)
         r = base[0]
         coeff = (np.full_like(r, eps), mu / (lagged[0] + 1.0), np.full_like(r, kappa))
         rhs = [b + k * n for b, n in zip(base, n_exp)]

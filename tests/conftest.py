@@ -11,7 +11,7 @@ from blmhd.state import State, initial_state
 @pytest.fixture
 def grid_small() -> GridSpec:
     """Cheap graded grid for solver-facing tests."""
-    return GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, dt=2e-3)
+    return GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0)
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ from blmhd.grid import (
     Field,
     GridError,
     GridSpec,
-    build_grid,
     build_y,
     field_from_function,
     zero_field,
@@ -33,15 +32,6 @@ def test_x_coordinates_uniform_periodic():
     assert grid.dx == pytest.approx(np.pi / 4.0)
 
 
-def test_build_grid_returns_coordinates_and_weights():
-    spec = GridSpec(nx=8, ny=16, y_max=12.0, stretch=1.0)
-    x, y, wx, wy = build_grid(spec)
-    assert x.shape == (8,) and y.shape == (16,)
-    assert wx.shape == (8,) and wy.shape == (16,)
-    assert np.sum(wx) == pytest.approx(2.0 * np.pi)
-    assert np.sum(wy) == pytest.approx(12.0)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -49,7 +39,6 @@ def test_build_grid_returns_coordinates_and_weights():
         {"nx": 16, "ny": 4},
         {"nx": 16, "ny": 16, "y_max": 5.0},
         {"nx": 16, "ny": 16, "stretch": -1.0},
-        {"nx": 16, "ny": 16, "dt": 0.0},
         {"nx": 16, "ny": 16, "x_scheme": "fd2"},
     ],
 )

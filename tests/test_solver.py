@@ -2,14 +2,16 @@
 import numpy as np
 import pytest
 
-from blmhd.grid import GridSpec, field_from_function
+from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.manufactured import ManufacturedSolution
-from blmhd.operators import _d2y_coeffs
+from blmhd.operators import _d2y_coeffs, d2x, d2y
+from blmhd.pde import pde_rhs
 from blmhd.solver import (
     _WALL_BCS,
     SolverConfig,
     SolverError,
     _apply_dyy,
+    _explicit_terms,
     _y_matrix,
     monitor,
     pde_residual,
@@ -18,7 +20,8 @@ from blmhd.solver import (
     step,
     thomas_batched,
 )
-from conftest import equilibrium_state
+from blmhd.sources import bootstrap_time_derivatives, zero_bundle
+from conftest import equilibrium_state, perturbed_state
 
 
 def test_monitor_equilibrium_passes(grid_small, state_equilibrium):
@@ -209,6 +212,54 @@ def test_boundary_incompatible_manufactured_rejected():
     st = bad.state_at(grid, 0.1)
     with pytest.raises(ValueError):
         pde_residual(st, bad)
+
+
+def _bootstrapped(state, m):
+    """Compatibility sources bootstrapped from the state's physical triple."""
+    grid = state.grid
+    E = np.exp(-grid.y)[None, :]
+    return bootstrap_time_derivatives(
+        Field(state.rho_shift.values + 1.0, grid),
+        Field(state.u_shift.values + 1.0 - E, grid),
+        Field(state.h_shift.values + 1.0, grid),
+        m=m,
+        mu=state.mu,
+        kappa=state.kappa,
+    )
+
+
+@pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])
+def test_explicit_terms_plus_diffusion_equal_pde_rhs(x_scheme):
+    # the solver's explicit tendencies plus the diffusion it treats
+    # implicitly are the tower's instantaneous d_t (rho, u, h)
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme)
+    eps, mu, kappa = 0.05, 0.7, 1.3
+    st = perturbed_state(grid, eps=eps, mu=mu, kappa=kappa)
+    bundle = _bootstrapped(st, m=2)
+    forcing = ManufacturedSolution(mu=mu, kappa=kappa, eps=eps)
+    cfg = SolverConfig(eps=eps, mu=mu, kappa=kappa)
+    n_rho, n_u, n_h, _ = _explicit_terms(st, cfg, bundle, forcing)
+    r, u, h = st.rho_shift, st.u_shift, st.h_shift
+    solver_rhs = (
+        n_rho + eps * (d2x(r).values + d2y(r).values),
+        n_u + (eps * d2x(u).values + mu * d2y(u).values) / st.rho_total,
+        n_h + eps * d2x(h).values + kappa * d2y(h).values,
+    )
+    for ours, ref in zip(solver_rhs, pde_rhs(st, bundle, forcing)):
+        assert np.max(np.abs(ours - ref.values)) <= 1e-12 * ref.max_abs()
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 1.0])
+def test_source_flag(grid_small, eps):
+    # bootstrapped sources on perturbed data dominate the 1% threshold;
+    # without sources, or on the equilibrium (whose sources vanish), the
+    # flag stays down
+    st = perturbed_state(grid_small, eps=eps)
+    cfg = SolverConfig(eps=eps, dt=1e-3, t_end=1e-3)
+    assert step(st, cfg, _bootstrapped(st, m=1))[1].source_flag
+    assert not step(st, cfg, zero_bundle(grid_small))[1].source_flag
+    eq = equilibrium_state(grid_small, eps=eps)
+    assert not step(eq, cfg, _bootstrapped(eq, m=1))[1].source_flag
 
 
 # ---------------------------------------------------------------------------
