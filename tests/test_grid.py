@@ -39,6 +39,7 @@ def test_x_coordinates_uniform_periodic():
         {"nx": 16, "ny": 4},
         {"nx": 16, "ny": 16, "y_max": 5.0},
         {"nx": 16, "ny": 16, "stretch": -1.0},
+        {"nx": 7, "ny": 16},
         {"nx": 16, "ny": 16, "x_scheme": "fd2"},
     ],
 )
