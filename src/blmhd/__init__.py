@@ -37,7 +37,7 @@ from .inequalities import (
 from .io import RunManifest, read_snapshot, write_csv, write_json, write_snapshot
 from .manufactured import ManufacturedSolution
 from .norms import NormSpec, b_norms, conormal_linf, conormal_norm, weighted_l2, weighted_linf
-from .pde import DensityFloorError, TimeTower, pde_rhs, time_derivative_via_pde
+from .pde import DensityFloorError, Physics, TimeTower, pde_rhs, time_derivative_via_pde
 from .solver import (
     MonitorStatus,
     SolverConfig,
@@ -67,6 +67,7 @@ __all__ = [
     "MonitorStatus",
     "MultiIndex",
     "NormSpec",
+    "Physics",
     "RunConfig",
     "RunManifest",
     "SolverConfig",

@@ -23,7 +23,7 @@ import numpy as np
 from .grid import Field
 from .norms import weighted_l2, weighted_linf
 from .operators import d2x, d2y, dx, dy, integrate_y, z2
-from .pde import ZERO_FORCING, TimeTower, apply_spatial
+from .pde import ZERO_FORCING, Physics, TimeTower, apply_spatial, background
 from .sources import zero_bundle
 from .state import MultiIndex, State
 
@@ -75,10 +75,9 @@ def _zt(tower: TimeTower, name: str, t_count: int, x_count: int) -> np.ndarray:
 def eta_fields(state: State) -> tuple[Field, Field, Field]:
     """The three quotient weights (no floor check)."""
     grid = state.grid
-    E = np.exp(-grid.y)[None, :]
     hp1 = state.h_shift.values + 1.0
     eta_r = dy(state.rho_shift).values / hp1
-    eta_u = (dy(state.u_shift).values + E) / hp1
+    eta_u = (dy(state.u_shift).values + background(grid)[0]) / hp1
     eta_h = dy(state.h_shift).values / hp1
     return Field(eta_r, grid), Field(eta_u, grid), Field(eta_h, grid)
 
@@ -90,13 +89,15 @@ def good_unknowns(
     sources=None,
     forcing=None,
     tower: TimeTower | None = None,
+    physics=Physics(),
 ) -> GoodUnknowns:
-    """Build the good unknowns; time parts of Z^a1 via PDE substitution."""
+    """Build the good unknowns; time parts of Z^a1 via PDE substitution
+    (through tower if given, else through one built with physics)."""
     _check_alpha1(alpha1)
     _check_h_floor(state, delta_floor)
     grid = state.grid
     if tower is None:
-        tower = TimeTower(state, sources=sources, forcing=forcing)
+        tower = TimeTower(state, sources=sources, forcing=forcing, physics=physics)
     eta_r, eta_u, eta_h = eta_fields(state)
     a, b = alpha1.t_count, alpha1.x_count
     z_rho = _zt(tower, "rho", a, b)
@@ -126,7 +127,7 @@ def good_unknowns(
 def _tf_field(tower: TimeTower, name: str, const0: float = 0.0, sub_exp0: bool = False):
     """Tangential function (t_count, x_count) -> array for a state field,
     optionally plus a constant / minus e^{-y} contributing only at (0, 0)."""
-    E = np.exp(-tower.state.grid.y)[None, :]
+    E = tower._E
 
     def f(a: int, b: int) -> np.ndarray:
         out = _zt(tower, name, a, b)
@@ -170,7 +171,7 @@ def _index_splits(alpha1: MultiIndex, exclude_full: bool):
 class _Residual:
     """Shared machinery for one state slice of a residual evaluation."""
 
-    def __init__(self, state, alpha1, delta_floor, bundle, forcing):
+    def __init__(self, state, alpha1, delta_floor, bundle, forcing, physics):
         _check_alpha1(alpha1)
         self.state = state
         self.grid = state.grid
@@ -179,10 +180,9 @@ class _Residual:
         self.forcing = forcing
         self.hp1 = _check_h_floor(state, delta_floor)
         self.tower = TimeTower(
-            state, sources=bundle, forcing=forcing, max_depth=alpha1.t_count + 1
+            state, bundle, forcing, max_depth=alpha1.t_count + 1, physics=physics
         )
-        g = self.grid
-        self.E = np.exp(-g.y)[None, :]
+        self.E = self.tower._E
         self.r = state.rho_shift.values
         self.u = state.u_shift.values
         self.h = state.h_shift.values
@@ -290,7 +290,8 @@ def cancellation_residual(
     delta_floor: float | None = None,
 ) -> list[Field]:
     """LHS - RHS of the evolution equation of the chosen good unknown,
-    evaluated discretely on every stored state of the trajectory."""
+    evaluated discretely on every stored state of the trajectory, with the
+    trajectory config's eps, mu and kappa."""
     if which not in ("rho_m", "u_m", "h_m"):
         raise ValueError(f"which must be rho_m, u_m or h_m, got {which!r}")
     cfg = trajectory.config
@@ -302,7 +303,7 @@ def cancellation_residual(
         bundle = zero_bundle(trajectory.states[0].grid)
     out = []
     for st in trajectory.states:
-        res = _Residual(st, alpha1, delta_floor, bundle, forcing)
+        res = _Residual(st, alpha1, delta_floor, bundle, forcing, cfg)
         if which == "h_m":
             out.append(_residual_hm(res, cfg))
         elif which == "rho_m":
@@ -546,8 +547,7 @@ def norm_equivalence_check(
     # b22 (triple, Minkowski form): ||Z^a1 (rho,u,h)||_l
     #      <= ||(rho_m,u_m,h_m)||_l + (2/delta(2l-1)) G ||h_m||_l,
     #      G^2 = ||dy rho||^2_{inf,1} + ||dy(u-e^{-y})||^2_{inf,1} + ||dy h||^2_{inf,1}
-    E = np.exp(-grid.y)[None, :]
-    shear = Field(dy(state.u_shift).values + E, grid)
+    shear = Field(dy(state.u_shift).values + background(grid)[0], grid)
     G = np.sqrt(
         weighted_linf(dy(state.rho_shift), 1.0) ** 2
         + weighted_linf(shear, 1.0) ** 2

@@ -28,6 +28,7 @@ from .inequalities import (
 )
 from .io import RunManifest, config_digest, write_csv, write_json, write_snapshot
 from .norms import b_norms
+from .pde import background
 from .sources import bootstrap_time_derivatives, zero_bundle
 from .solver import run
 from .state import MultiIndex, State, initial_state
@@ -45,16 +46,8 @@ VERBS = (
 
 def _equilibrium_state(cfg: RunConfig) -> State:
     grid = cfg.grid
-    E = np.exp(-grid.y)[None, :]
-    u = Field(np.broadcast_to(E, (grid.nx, grid.ny)).copy(), grid)
-    return initial_state(
-        grid,
-        u_shift=u,
-        mu=cfg.solver.mu,
-        kappa=cfg.solver.kappa,
-        eps=cfg.solver.eps,
-        delta0=cfg.solver.delta0,
-    )
+    u = Field(np.broadcast_to(background(grid)[0], (grid.nx, grid.ny)).copy(), grid)
+    return initial_state(grid, u_shift=u)
 
 
 def _perturbed_state(cfg: RunConfig, seed: int, amplitude=None) -> State:
@@ -66,7 +59,7 @@ def _perturbed_state(cfg: RunConfig, seed: int, amplitude=None) -> State:
     amp = cfg.amplitude if amplitude is None else amplitude
     rng = np.random.default_rng(seed)
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-    E = np.exp(-grid.y)[None, :]
+    E = background(grid)[0]
 
     def modes():
         acc = np.zeros_like(X)
@@ -84,10 +77,6 @@ def _perturbed_state(cfg: RunConfig, seed: int, amplitude=None) -> State:
         rho_shift=Field(rho, grid),
         u_shift=Field(u, grid),
         h_shift=Field(h, grid),
-        mu=cfg.solver.mu,
-        kappa=cfg.solver.kappa,
-        eps=cfg.solver.eps,
-        delta0=cfg.solver.delta0,
     )
 
 
@@ -99,10 +88,9 @@ def build_initial_state(cfg: RunConfig, seed: int) -> State:
 
 def _physical_triple(state: State):
     grid = state.grid
-    E = np.exp(-grid.y)[None, :]
     return (
         Field(state.rho_shift.values + 1.0, grid),
-        Field(state.u_shift.values + 1.0 - E, grid),
+        Field(state.u_shift.values + 1.0 - background(grid)[0], grid),
         Field(state.h_shift.values + 1.0, grid),
     )
 
@@ -221,7 +209,7 @@ def _verb_cancellation(cfg: RunConfig, out: str, seed: int, strict: bool):
     state = _perturbed_state(cfg, seed)
     delta = cfg.solver.delta0 / 2.0
     alpha1 = MultiIndex(0, cfg.m, 0)
-    gu = good_unknowns(state, alpha1, delta)
+    gu = good_unknowns(state, alpha1, delta, physics=cfg.solver)
     recon = float(
         np.max(
             np.abs(
@@ -294,10 +282,6 @@ def _verb_stability(cfg: RunConfig, out: str, seed: int, strict: bool):
         rho_shift=Field(s1.rho_shift.values + bump, grid),
         u_shift=s1.u_shift,
         h_shift=s1.h_shift,
-        mu=cfg.solver.mu,
-        kappa=cfg.solver.kappa,
-        eps=cfg.solver.eps,
-        delta0=cfg.solver.delta0,
     )
     result = stability_pair(s1, s2, cfg.solver, output_stride=cfg.output_stride)
     write_csv(
@@ -325,7 +309,9 @@ def _verb_norms(cfg: RunConfig, out: str, seed: int, strict: bool):
     bar, hat, details = b_norms(
         rho, u1, h1, m=cfg.m, l=cfg.solver.l, mu=cfg.solver.mu, kappa=cfg.solver.kappa
     )
-    rep = instantaneous_functionals(state, m=cfg.m, l=cfg.solver.l, delta0=cfg.solver.delta0)
+    rep = instantaneous_functionals(
+        state, m=cfg.m, l=cfg.solver.l, delta0=cfg.solver.delta0, physics=cfg.solver
+    )
     rows = [
         ["b_bar", bar],
         ["b_hat", hat],

@@ -26,7 +26,7 @@ from .norms import (
     weighted_linf,
 )
 from .operators import d2y, dx, dy, phi
-from .pde import TimeTower, apply_spatial, map_family, tower_family
+from .pde import Physics, TimeTower, apply_spatial, map_family, tower_family
 from .solver import MonitorStatus, monitor
 from .state import MultiIndex, State
 
@@ -128,13 +128,15 @@ def _slice_functionals(
     delta0: float,
     sources=None,
     forcing=None,
+    physics=Physics(),
 ) -> dict:
-    """Every instantaneous piece at one slice, plus the Theta/Xi integrands."""
+    """Every instantaneous piece at one slice, plus the Theta/Xi integrands;
+    the tower and the dissipation weights use physics' eps, mu, kappa."""
     if m < 1:
         raise ValueError(f"energy functionals require m >= 1, got {m}")
     grid = state.grid
-    eps, mu, kappa = state.eps, state.mu, state.kappa
-    tower = TimeTower(state, sources=sources, forcing=forcing)
+    eps, mu, kappa = physics.eps, physics.mu, physics.kappa
+    tower = TimeTower(state, sources=sources, forcing=forcing, physics=physics)
     fr = tower_family(tower, "rho")
     fu = tower_family(tower, "u")
     fh = tower_family(tower, "h")
@@ -143,8 +145,7 @@ def _slice_functionals(
     dyr = map_family(dy, fr)
     dyu = map_family(dy, fu)
     dyh = map_family(dy, fh)
-    E = np.exp(-grid.y)[None, :]
-    E_field = Field(np.broadcast_to(E, (grid.nx, grid.ny)).copy(), grid)
+    E_field = Field(np.broadcast_to(tower._E, (grid.nx, grid.ny)).copy(), grid)
 
     # plain deviation u - e^{-y} (zero at the rest state) and its normal
     # derivative; all weighted-L2 functionals use the deviation so that the
@@ -236,10 +237,11 @@ def instantaneous_functionals(
     delta0: float,
     sources=None,
     forcing=None,
+    physics=Physics(),
 ) -> EnergyReport:
     """EnergyReport for one slice; the time-integral slots are zero, so
     theta_ml equals y_ml and xi_ml equals x_ml."""
-    p = _slice_functionals(state, m, l, delta0, sources=sources, forcing=forcing)
+    p = _slice_functionals(state, m, l, delta0, sources, forcing, physics)
     return EnergyReport(
         time=state.time,
         e_ml=p["e_ml"],
@@ -265,7 +267,8 @@ def trajectory_report(
 
     theta_ml(t_k) = sup_{j<=k} Y + accumulated dissipation integrals;
     xi_ml(t_k) = sup_{j<=k} X + its integrals; q_sup is the running sup
-    of q_inst.  Requires a uniform output stride."""
+    of q_inst.  The physics is the trajectory's config.  Requires a
+    uniform output stride."""
     cfg = trajectory.config
     if delta0 is None:
         delta0 = cfg.delta0
@@ -281,7 +284,7 @@ def trajectory_report(
     use_stored = len(trajectory.monitors) == len(trajectory.states)
     for k, st in enumerate(trajectory.states):
         p = _slice_functionals(
-            st, m, l, delta0, sources=trajectory.bundle, forcing=trajectory.forcing
+            st, m, l, delta0, trajectory.bundle, trajectory.forcing, physics=cfg
         )
         sup_y = max(sup_y, p["y_ml"])
         sup_x = max(sup_x, p["x_ml"])

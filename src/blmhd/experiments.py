@@ -20,6 +20,7 @@ import sympy as sp
 from .grid import Field
 from .norms import NormSpec, conormal_norm, weighted_l2
 from .operators import dy, integrate_y
+from .pde import background
 from .solver import SolverConfig, Trajectory, run
 from .sources import zero_bundle
 from .state import State
@@ -80,9 +81,8 @@ def eps_sweep(
     valid = []
     for eps in ladder:
         cfg_k = replace(cfg, eps=eps)
-        st_k = replace(state, eps=eps)
         b = bundle if bundle is not None else zero_bundle(state.grid)
-        traj = run(st_k, cfg_k, b, forcing=forcing, output_stride=output_stride)
+        traj = run(state, cfg_k, b, forcing=forcing, output_stride=output_stride)
         trajectories.append(traj)
         valid.append(not traj.breached)
     n_times = min(len(t.states) for t in trajectories)
@@ -154,13 +154,12 @@ def diff_good_unknowns(state1: State, state2: State, delta: float) -> DiffGoodUn
     m = float(h2.min())
     if m < delta:
         raise ValueError(f"h2-floor violation: min h2 = {m:.4g} < {delta}")
-    E = np.exp(-grid.y)[None, :]
     # physical fields; the constant parts cancel in every difference
     rho_bar = state1.rho_shift - state2.rho_shift
     u_bar = state1.u_shift - state2.u_shift
     h_bar = state1.h_shift - state2.h_shift
     rho2 = state2.rho_shift.values + 1.0
-    u2_phys = state2.u_shift.values + 1.0 - E
+    u2_phys = state2.u_shift.values + 1.0 - background(grid)[0]
     eta1 = Field(dy(state2.rho_shift).values / h2, grid)
     eta2 = Field(dy(Field(u2_phys, grid)).values / h2, grid)
     eta3 = Field(dy(state2.h_shift).values / h2, grid)

@@ -30,7 +30,8 @@ def _default_expressions(a_rho=0.05, a_u=0.1, a_h=0.1):
 
 
 class ManufacturedSolution:
-    """Symbolic exact solution of the forced shifted system."""
+    """Symbolic exact solution of the forced shifted system; its mu, kappa
+    and eps also serve as the physics of a tower or of pde_rhs."""
 
     def __init__(
         self,
@@ -111,14 +112,8 @@ class ManufacturedSolution:
             rho_shift=self.eval("rho", grid, t),
             u_shift=self.eval("u", grid, t),
             h_shift=self.eval("h", grid, t),
-            mu=self.mu,
-            kappa=self.kappa,
-            eps=self.eps,
             time=t,
         )
-
-    def exact_fields(self, grid: GridSpec, t: float):
-        return tuple(self.eval(n, grid, t) for n in ("rho", "u", "h"))
 
     def exact_time_derivatives(self, grid: GridSpec, t: float, order: int = 1):
         return tuple(self.eval(n, grid, t, t_deriv=order) for n in ("rho", "u", "h"))

@@ -14,7 +14,9 @@ import numpy as np
 
 from .grid import Field
 from .operators import d2x, d2y, dx, dy
-from .pde import TimeTower, apply_spatial, map_family, static_family, tower_family
+from .pde import (
+    Physics, TimeTower, apply_spatial, background, map_family, static_family, tower_family
+)
 from .state import MultiIndex, State, initial_state
 
 _MODES = ("full", "tangential-capped", "tangential-only")
@@ -74,7 +76,10 @@ def weighted_linf(f: Field, l: float, y_cap: float | None = None) -> float:
 
 
 def _families(obj, pde_context):
-    """Resolve the input into a list of field families (callables k -> Field)."""
+    """Resolve the input into a list of field families (callables k -> Field).
+
+    A State (as input or as context) gets a tower with the Physics()
+    defaults; callers who need other physics pass a TimeTower."""
     if isinstance(obj, Field):
         return [static_family(obj)]
     if callable(obj):
@@ -129,10 +134,9 @@ def conormal_linf(obj, spec: NormSpec, pde_context=None, y_cap=None) -> float:
 def shift_physical(rho: Field, u1: Field, h1: Field) -> tuple[Field, Field, Field]:
     """Convert the physical triple to the decaying shifted unknowns."""
     grid = rho.grid
-    E = np.exp(-grid.y)[None, :]
     return (
         Field(rho.values - 1.0, grid),
-        Field(u1.values - 1.0 + E, grid),
+        Field(u1.values - 1.0 + background(grid)[0], grid),
         Field(h1.values - 1.0, grid),
     )
 
@@ -160,11 +164,10 @@ def b_norms(
     if m < 1:
         raise ValueError("b_norms requires m >= 1")
     grid = rho.grid
-    E = np.exp(-grid.y)[None, :]
-    E_field = Field(np.broadcast_to(E, (grid.nx, grid.ny)), grid)
+    E_field = Field(np.broadcast_to(background(grid)[0], (grid.nx, grid.ny)), grid)
     r, us, hs = shift_physical(rho, u1, h1)
-    state = initial_state(grid, r, us, hs, mu=mu, kappa=kappa, eps=0.0)
-    tower = TimeTower(state, max_depth=2 * m + 1)
+    state = initial_state(grid, r, us, hs)
+    tower = TimeTower(state, max_depth=2 * m + 1, physics=Physics(mu, kappa, eps=0.0))
     fr = tower_family(tower, "rho")
     fu = tower_family(tower, "u")
     fh = tower_family(tower, "h")

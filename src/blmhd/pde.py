@@ -27,6 +27,7 @@ the diffusion to the end of the sums shifted one of them by 7e-9 relative.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -49,6 +50,20 @@ def _check_density(rho_total: np.ndarray) -> None:
         raise DensityFloorError(
             f"density floor breached: min(rho) = {m:.4g} < {DENSITY_FLOOR}"
         )
+
+
+@dataclass(frozen=True)
+class Physics:
+    """The diffusion coefficients of the shifted system; SolverConfig
+    extends it, so a run's config is the physics of its towers."""
+
+    mu: float = 1.0
+    kappa: float = 1.0
+    eps: float = 0.01
+
+    def __post_init__(self):
+        if min(self.mu, self.kappa, self.eps) < 0:
+            raise ValueError("mu, kappa, eps must be nonnegative")
 
 
 class ZeroSources:
@@ -93,14 +108,18 @@ class TimeTower:
     the governing equations i times (Leibniz rule for products), with the
     derived fields recomputed from the divergence-free relations at each
     level.  sources/forcing must expose fields(grid, t, deriv=i) returning
-    the i-th time derivative of their tuple at the state's time.
+    the i-th time derivative of their tuple at the state's time; physics
+    supplies eps, mu and kappa (any object with those attributes).
 
     dx and dy of each (field, level) are computed once and kept, for the
     level fields and for the sources r1, r2, ru, rh alike.
     """
 
-    def __init__(self, state: State, sources=None, forcing=None, max_depth: int = 6):
+    def __init__(
+        self, state: State, sources=None, forcing=None, max_depth: int = 6, physics=Physics()
+    ):
         self.state = state
+        self.physics = physics
         self.sources = sources if sources is not None else ZERO_SOURCES
         self.forcing = forcing if forcing is not None else ZERO_FORCING
         self.max_depth = max_depth
@@ -137,14 +156,16 @@ class TimeTower:
         """d_t^j of the advection velocity U = u + 1 - e^{-y}."""
         return self._levels[j]["u"] + (1.0 - self._E if j == 0 else 0.0)
 
-    def explicit(self, i: int, eps: float, mu: float, diffusion) -> tuple:
+    def explicit(self, i: int, diffusion) -> tuple:
         """d_t^i of the non-diffusive right-hand sides: advection, coupling,
-        sources, forcing and, at i = 0, the background term -mu W.
+        sources, forcing and, at i = 0, the background term -mu W (eps and
+        mu are the tower's).
 
         Each sum is accumulated onto its starting value in diffusion =
         (r0, h0, B0); returns the r and h tendencies and the momentum
         right-hand side B, where rho d_t u = B.  Levels 0..i must exist."""
         grid, L, E, W = self.state.grid, self._levels, self._E, self._W
+        eps, mu = self.physics.eps, self.physics.mu
 
         def DX(name, j):
             return self.deriv("x", name, j).values
@@ -212,22 +233,20 @@ class TimeTower:
         return out
 
     def _next_level(self) -> dict:
-        st, grid = self.state, self.state.grid
+        grid = self.state.grid
         i = len(self._levels) - 1
         L = self._levels
-        eps = st.eps
+        eps, mu, kappa = self.physics.eps, self.physics.mu, self.physics.kappa
         rho_i, u_i, h_i = (self._operand(name, i) for name in ("rho", "u", "h"))
 
         # the diffusion terms start each sum: this order of summation is
         # what the diagnostics are pinned to, so it must not change
         drho, dh, B = self.explicit(
             i,
-            eps,
-            st.mu,
             (
                 eps * (d2x(rho_i).values + d2y(rho_i).values),
-                eps * d2x(h_i).values + st.kappa * d2y(h_i).values,
-                eps * d2x(u_i).values + st.mu * d2y(u_i).values,
+                eps * d2x(h_i).values + kappa * d2y(h_i).values,
+                eps * d2x(u_i).values + mu * d2y(u_i).values,
             ),
         )
         rho_phys = L[0]["rho"] + 1.0
@@ -253,9 +272,11 @@ class TimeTower:
         }
 
 
-def pde_rhs(state: State, sources=None, forcing=None) -> tuple[Field, Field, Field]:
+def pde_rhs(
+    state: State, sources=None, forcing=None, physics=Physics()
+) -> tuple[Field, Field, Field]:
     """Instantaneous (d_t rho_shift, d_t u_shift, d_t h_shift)."""
-    tower = TimeTower(state, sources=sources, forcing=forcing, max_depth=1)
+    tower = TimeTower(state, sources, forcing, max_depth=1, physics=physics)
     return tuple(tower.field(name, 1) for name in ("rho", "u", "h"))
 
 
@@ -275,13 +296,13 @@ _SELECTORS = {
 
 
 def time_derivative_via_pde(
-    state: State, which: str, order: int = 1, sources=None, forcing=None
+    state: State, which: str, order: int = 1, sources=None, forcing=None, physics=Physics()
 ) -> Field:
     """d_t^order of the selected field, by substituting the equations."""
     name = _SELECTORS.get(which)
     if name is None:
         raise ValueError(f"unknown field selector {which!r}")
-    tower = TimeTower(state, sources=sources, forcing=forcing, max_depth=order)
+    tower = TimeTower(state, sources, forcing, max_depth=order, physics=physics)
     return tower.field(name, order)
 
 
@@ -290,7 +311,8 @@ def zderiv(f, idx: MultiIndex, pde_context=None) -> Field:
 
     f may be a Field (then idx.t_count must be 0 unless a pde_context is
     given) or a field-selector string resolved through the context.  The
-    context is a TimeTower or a State (a tower is built on demand)."""
+    context is a TimeTower or a State; a State gets a tower with the
+    Physics() defaults, so callers who need other physics pass a TimeTower."""
     tower = None
     if isinstance(pde_context, TimeTower):
         tower = pde_context

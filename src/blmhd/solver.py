@@ -35,7 +35,7 @@ import numpy as np
 from .grid import Field, GridSpec
 from .norms import weighted_linf
 from .operators import _d2y_coeffs, dy
-from .pde import ZERO_FORCING, TimeTower, background
+from .pde import ZERO_FORCING, Physics, TimeTower, background, pde_rhs
 from .sources import zero_bundle
 from .state import State, derive_secondary
 
@@ -47,12 +47,11 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Physical parameters and time-stepping controls."""
+class SolverConfig(Physics):
+    """Physical parameters (mu, kappa, eps, declared on Physics), time-stepping
+    controls and monitor constants; run() and the diagnostics of its
+    Trajectory read the parameters from here, never from a State."""
 
-    mu: float = 1.0
-    kappa: float = 1.0
-    eps: float = 0.01
     dt: float = 1e-3
     t_end: float = 0.1
     scheme: str = "imex-cn"
@@ -61,14 +60,13 @@ class SolverConfig:
     l: float = 2.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if min(self.mu, self.kappa, self.eps) < 0:
-            raise ValueError("mu, kappa, eps must be nonnegative")
         if self.delta0 <= 0:
             raise ValueError("delta0 must be positive")
 
@@ -263,8 +261,8 @@ def _explicit_terms(state: State, cfg: SolverConfig, bundle, forcing):
 
     The flag is raised when the source divergence eps |dx r1 + dy r2|
     exceeds 1% of the density transport |U dx r| + |v dy r| (max norms)."""
-    tower = TimeTower(state, bundle, forcing, max_depth=0)
-    n_rho, n_h, B = tower.explicit(0, cfg.eps, cfg.mu, (0.0, 0.0, 0.0))
+    tower = TimeTower(state, bundle, forcing, max_depth=0, physics=cfg)
+    n_rho, n_h, B = tower.explicit(0, (0.0, 0.0, 0.0))
     rx, ry = tower.deriv("x", "rho", 0).values, tower.deriv("y", "rho", 0).values
     div_src = tower.deriv("x", "r1", 0).values + tower.deriv("y", "r2", 0).values
     transport_scale = float(
@@ -435,12 +433,10 @@ def pde_residual(state: State, manufactured):
     """Residual of the manufactured solution in the discrete spatial
     operator: (discrete tendency with exact forcing) - (exact tendency).
 
-    manufactured must provide state_at(grid, t, ...) and exact time
-    derivatives (see manufactured.ManufacturedSolution); state should be
-    the manufactured state sampled at its time."""
-    from .pde import pde_rhs
-
+    manufactured must provide state_at(grid, t), exact time derivatives
+    and its physics mu, kappa, eps (see manufactured.ManufacturedSolution);
+    state should be the manufactured state sampled at its time."""
     manufactured.check_boundary_compatibility(state.grid)
-    dr, du, dh = pde_rhs(state, forcing=manufactured)
+    dr, du, dh = pde_rhs(state, forcing=manufactured, physics=manufactured)
     er, eu, eh = manufactured.exact_time_derivatives(state.grid, state.time)
     return dr - er, du - eu, dh - eh

@@ -19,7 +19,7 @@ import numpy as np
 from .grid import Field, GridSpec, zero_field
 from .norms import shift_physical
 from .operators import dx, dy
-from .pde import DENSITY_FLOOR, DensityFloorError, TimeTower
+from .pde import DENSITY_FLOOR, DensityFloorError, Physics, TimeTower
 from .state import initial_state
 
 
@@ -78,8 +78,8 @@ def bootstrap_time_derivatives(
         )
     grid = rho0.grid
     r, us, hs = shift_physical(rho0, u10, h10)
-    state = initial_state(grid, r, us, hs, mu=mu, kappa=kappa, eps=0.0)
-    tower = TimeTower(state, max_depth=m)
+    state = initial_state(grid, r, us, hs)
+    tower = TimeTower(state, max_depth=m, physics=Physics(mu, kappa, eps=0.0))
     levels = []
     for i in range(m):
         fr = tower.field("rho", i)

@@ -41,7 +41,8 @@ class MultiIndex:
 
 @dataclass(frozen=True)
 class State:
-    """Shifted unknowns plus derived fields and physical parameters."""
+    """Shifted unknowns, derived fields and the time of the slice; the
+    physical parameters live in pde.Physics (SolverConfig), not here."""
 
     rho_shift: Field
     u_shift: Field
@@ -49,11 +50,7 @@ class State:
     v: Field
     g: Field
     psi: Field
-    mu: float = 1.0
-    kappa: float = 1.0
-    eps: float = 0.01
     time: float = 0.0
-    delta0: float = 0.25
 
     @property
     def grid(self) -> GridSpec:
@@ -64,17 +61,13 @@ class State:
         """Physical density rho = rho_shift + 1."""
         return self.rho_shift.values + 1.0
 
-    def background(self) -> np.ndarray:
-        """The e^{-y} background profile on the grid."""
-        return np.exp(-self.grid.y)
-
 
 def initial_state(
     grid: GridSpec,
     rho_shift: Field | None = None,
     u_shift: Field | None = None,
     h_shift: Field | None = None,
-    **params,
+    time: float = 0.0,
 ) -> State:
     """Build a State from primary fields, filling derived quantities."""
     z = zero_field(grid)
@@ -85,7 +78,7 @@ def initial_state(
         v=z,
         g=z,
         psi=z,
-        **params,
+        time=time,
     )
     return derive_secondary(st)
 

@@ -20,11 +20,13 @@ def grid_fine() -> GridSpec:
     return GridSpec(nx=32, ny=512, y_max=15.0, stretch=2.0)
 
 
-def equilibrium_state(grid: GridSpec, **params) -> State:
-    """Uniform physical state (rho, u1, h1) = (1, 1, 1): shifted u = e^{-y}."""
+def equilibrium_state(grid: GridSpec, **fields) -> State:
+    """Uniform physical state (rho, u1, h1) = (1, 1, 1): shifted u = e^{-y}.
+
+    Keyword arguments (rho_shift, h_shift, time) go to initial_state."""
     E = np.exp(-grid.y)[None, :]
     u = Field(np.broadcast_to(E, (grid.nx, grid.ny)).copy(), grid)
-    return initial_state(grid, u_shift=u, **params)
+    return initial_state(grid, u_shift=u, **fields)
 
 
 def perturbed_state(
@@ -32,7 +34,6 @@ def perturbed_state(
     a_rho: float = 0.005,
     a_u: float = 0.03,
     a_h: float = 0.05,
-    **params,
 ) -> State:
     """Equilibrium plus smooth decaying perturbations.
 
@@ -44,9 +45,7 @@ def perturbed_state(
     rho = a_rho * np.cos(X) * g
     u = E + a_u * np.sin(X) * Y**2 * g
     h = a_h * (1.0 - 2.0 * Y**2) * g * np.sin(X)
-    return initial_state(
-        grid, Field(rho, grid), Field(u, grid), Field(h, grid), **params
-    )
+    return initial_state(grid, Field(rho, grid), Field(u, grid), Field(h, grid))
 
 
 @pytest.fixture

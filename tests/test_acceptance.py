@@ -16,7 +16,7 @@ from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.inequalities import HeatProblem, hardy_check, heat_bound_check, heat_solve
 from blmhd.manufactured import ManufacturedSolution
 from blmhd.norms import weighted_l2
-from blmhd.pde import time_derivative_via_pde
+from blmhd.pde import Physics, time_derivative_via_pde
 from blmhd.solver import SolverConfig, Trajectory, monitor, run
 from blmhd.sources import bootstrap_time_derivatives
 from blmhd.state import MultiIndex, initial_state
@@ -283,7 +283,7 @@ def test_criterion_7_cancellation_reconstruction_and_residual():
         errs = []
         for nx, ny in ((24, 96), (48, 192), (96, 384)):
             g = GridSpec(nx=nx, ny=ny, y_max=15.0, stretch=2.0)
-            s = perturbed_state(g, eps=cfg.eps, kappa=cfg.kappa, mu=cfg.mu)
+            s = perturbed_state(g)
             traj = Trajectory(
                 states=[s],
                 monitors=[monitor(s, cfg.delta0, cfg.l)],
@@ -316,7 +316,7 @@ def test_criterion_8_persistence_uniform_in_eps():
     intervals = []
     h_floor_ok = True
     for eps in (0.1, 0.01, 0.001):
-        st = perturbed_state(grid, a_rho=0.005, a_u=0.03, a_h=0.05, eps=eps)
+        st = perturbed_state(grid, a_rho=0.005, a_u=0.03, a_h=0.05)
         h_floor_ok = h_floor_ok and float(
             (st.h_shift.values + 1.0).min()
         ) >= 2.0 * 0.25
@@ -386,7 +386,6 @@ def _bumped(state, grid, amp):
         rho_shift=state.rho_shift,
         u_shift=Field(state.u_shift.values + bump, grid),
         h_shift=state.h_shift,
-        eps=state.eps,
     )
 
 
@@ -453,18 +452,19 @@ def test_criterion_11_source_bootstrap():
         u_phys = Field(u_s.values + 1.0 - E, grid)
         h_phys = Field(h_s.values + 1.0, grid)
         bundle = bootstrap_time_derivatives(rho_phys, u_phys, h_phys, m=2)
-        init = initial_state(grid, rho_shift=rho_s, u_shift=u_s, h_shift=h_s, eps=0.01)
+        init = initial_state(grid, rho_shift=rho_s, u_shift=u_s, h_shift=h_s)
         cfg = SolverConfig(eps=0.01, dt=dt, t_end=2 * dt)
         traj = run(init, cfg, bundle=bundle, output_stride=1)
         assert not traj.breached and len(traj.states) == 3
-        ref = initial_state(grid, rho_shift=rho_s, u_shift=u_s, h_shift=h_s, eps=0.0)
         err = 0.0
         for name in ("rho", "u", "h"):
             w0, w1, w2 = (
                 getattr(s, f"{name}_shift").values for s in traj.states
             )
             fd = (-3.0 * w0 + 4.0 * w1 - w2) / (2.0 * dt)
-            exact = time_derivative_via_pde(ref, name, order=1).values
+            exact = time_derivative_via_pde(
+                init, name, order=1, physics=Physics(eps=0.0)
+            ).values
             err = max(err, float(np.sqrt(np.mean((fd - exact) ** 2))))
         errs.append(err)
     slopes = [np.log2(a / b) for a, b in zip(errs, errs[1:])]

@@ -88,7 +88,7 @@ def test_residual_refines_under_grid_doubling(which):
     errs = []
     for nx, ny in ((24, 96), (48, 192)):
         grid = GridSpec(nx=nx, ny=ny, y_max=15.0, stretch=2.0)
-        st = perturbed_state(grid, eps=cfg.eps, kappa=cfg.kappa, mu=cfg.mu)
+        st = perturbed_state(grid)
         traj = _single_state_trajectory(st, cfg)
         res = cancellation_residual(traj, MultiIndex(0, 2, 0), which)
         errs.append(res[0].max_abs())
@@ -101,7 +101,7 @@ def test_residual_with_time_index_refines():
     errs = []
     for nx, ny in ((24, 96), (48, 192)):
         grid = GridSpec(nx=nx, ny=ny, y_max=15.0, stretch=2.0)
-        st = perturbed_state(grid, eps=cfg.eps, kappa=cfg.kappa, mu=cfg.mu)
+        st = perturbed_state(grid)
         traj = _single_state_trajectory(st, cfg)
         res = cancellation_residual(traj, MultiIndex(1, 1, 0), "h_m")
         errs.append(res[0].max_abs())

@@ -117,3 +117,13 @@ def test_nonuniform_stride_rejected(grid_small, state_equilibrium):
 def test_m_zero_rejected(state_equilibrium):
     with pytest.raises(ValueError):
         instantaneous_functionals(state_equilibrium, 0, 2.0, 0.25)
+
+
+def test_trajectory_report_uses_the_run_physics(grid_small):
+    # the dissipation functionals are weighted by the run's eps, mu and
+    # kappa, the coefficients the solver integrated with
+    state = perturbed_state(grid_small)
+    cfg = SolverConfig(eps=0.05, mu=0.7, kappa=1.3, dt=1e-3, t_end=2e-3)
+    traj = run(state, cfg)
+    expected = instantaneous_functionals(state, 2, 2.0, 0.25, physics=cfg).dy_ml
+    assert trajectory_report(traj, 2, 2.0)[0].dy_ml == pytest.approx(expected, rel=1e-12)

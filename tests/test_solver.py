@@ -214,7 +214,7 @@ def test_boundary_incompatible_manufactured_rejected():
         pde_residual(st, bad)
 
 
-def _bootstrapped(state, m):
+def _bootstrapped(state, m, mu=1.0, kappa=1.0):
     """Compatibility sources bootstrapped from the state's physical triple."""
     grid = state.grid
     E = np.exp(-grid.y)[None, :]
@@ -223,8 +223,8 @@ def _bootstrapped(state, m):
         Field(state.u_shift.values + 1.0 - E, grid),
         Field(state.h_shift.values + 1.0, grid),
         m=m,
-        mu=state.mu,
-        kappa=state.kappa,
+        mu=mu,
+        kappa=kappa,
     )
 
 
@@ -234,8 +234,8 @@ def test_explicit_terms_plus_diffusion_equal_pde_rhs(x_scheme):
     # implicitly are the tower's instantaneous d_t (rho, u, h)
     grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme)
     eps, mu, kappa = 0.05, 0.7, 1.3
-    st = perturbed_state(grid, eps=eps, mu=mu, kappa=kappa)
-    bundle = _bootstrapped(st, m=2)
+    st = perturbed_state(grid)
+    bundle = _bootstrapped(st, m=2, mu=mu, kappa=kappa)
     forcing = ManufacturedSolution(mu=mu, kappa=kappa, eps=eps)
     cfg = SolverConfig(eps=eps, mu=mu, kappa=kappa)
     n_rho, n_u, n_h, _ = _explicit_terms(st, cfg, bundle, forcing)
@@ -245,7 +245,7 @@ def test_explicit_terms_plus_diffusion_equal_pde_rhs(x_scheme):
         n_u + (eps * d2x(u).values + mu * d2y(u).values) / st.rho_total,
         n_h + eps * d2x(h).values + kappa * d2y(h).values,
     )
-    for ours, ref in zip(solver_rhs, pde_rhs(st, bundle, forcing)):
+    for ours, ref in zip(solver_rhs, pde_rhs(st, bundle, forcing, physics=cfg)):
         assert np.max(np.abs(ours - ref.values)) <= 1e-12 * ref.max_abs()
 
 
@@ -254,11 +254,11 @@ def test_source_flag(grid_small, eps):
     # bootstrapped sources on perturbed data dominate the 1% threshold;
     # without sources, or on the equilibrium (whose sources vanish), the
     # flag stays down
-    st = perturbed_state(grid_small, eps=eps)
+    st = perturbed_state(grid_small)
     cfg = SolverConfig(eps=eps, dt=1e-3, t_end=1e-3)
     assert step(st, cfg, _bootstrapped(st, m=1))[1].source_flag
     assert not step(st, cfg, zero_bundle(grid_small))[1].source_flag
-    eq = equilibrium_state(grid_small, eps=eps)
+    eq = equilibrium_state(grid_small)
     assert not step(eq, cfg, _bootstrapped(eq, m=1))[1].source_flag
 
 

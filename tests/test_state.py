@@ -40,7 +40,6 @@ def test_equilibrium_secondary_fields_vanish():
     assert st.g.max_abs() == 0.0
     assert st.psi.max_abs() == 0.0
     assert np.allclose(st.rho_total, 1.0)
-    assert np.allclose(st.background(), np.exp(-grid.y))
 
 
 def test_stream_function_erf_oracle():
