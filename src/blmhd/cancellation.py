@@ -23,7 +23,7 @@ import numpy as np
 from .grid import Field
 from .norms import weighted_l2, weighted_linf
 from .operators import d2x, d2y, dx, dy, integrate_y, z2
-from .pde import ZERO_FORCING, Physics, TimeTower, apply_spatial, background
+from .pde import ZERO_FORCING, Physics, TimeTower, apply_spatial, exp_minus_y
 from .sources import zero_bundle
 from .state import MultiIndex, State
 
@@ -77,7 +77,7 @@ def eta_fields(state: State) -> tuple[Field, Field, Field]:
     grid = state.grid
     hp1 = state.h_shift.values + 1.0
     eta_r = dy(state.rho_shift).values / hp1
-    eta_u = (dy(state.u_shift).values + background(grid)[0]) / hp1
+    eta_u = (dy(state.u_shift).values + exp_minus_y(grid)) / hp1
     eta_h = dy(state.h_shift).values / hp1
     return Field(eta_r, grid), Field(eta_u, grid), Field(eta_h, grid)
 
@@ -89,15 +89,14 @@ def good_unknowns(
     sources=None,
     forcing=None,
     tower: TimeTower | None = None,
-    physics=Physics(),
 ) -> GoodUnknowns:
     """Build the good unknowns; time parts of Z^a1 via PDE substitution
-    (through tower if given, else through one built with physics)."""
+    through tower, else through a tower with the Physics() defaults."""
     _check_alpha1(alpha1)
     _check_h_floor(state, delta_floor)
     grid = state.grid
     if tower is None:
-        tower = TimeTower(state, sources=sources, forcing=forcing, physics=physics)
+        tower = TimeTower(state, sources=sources, forcing=forcing, physics=Physics())
     eta_r, eta_u, eta_h = eta_fields(state)
     a, b = alpha1.t_count, alpha1.x_count
     z_rho = _zt(tower, "rho", a, b)
@@ -127,7 +126,7 @@ def good_unknowns(
 def _tf_field(tower: TimeTower, name: str, const0: float = 0.0, sub_exp0: bool = False):
     """Tangential function (t_count, x_count) -> array for a state field,
     optionally plus a constant / minus e^{-y} contributing only at (0, 0)."""
-    E = tower._E
+    E = exp_minus_y(tower.state.grid)
 
     def f(a: int, b: int) -> np.ndarray:
         out = _zt(tower, name, a, b)
@@ -182,7 +181,7 @@ class _Residual:
         self.tower = TimeTower(
             state, bundle, forcing, max_depth=alpha1.t_count + 1, physics=physics
         )
-        self.E = self.tower._E
+        self.E = exp_minus_y(self.grid)
         self.r = state.rho_shift.values
         self.u = state.u_shift.values
         self.h = state.h_shift.values
@@ -493,17 +492,19 @@ def norm_equivalence_check(
     delta: float,
     sources=None,
     forcing=None,
+    tower: TimeTower | None = None,
     tol: float = 1e-2,
 ) -> dict:
     """The four explicit-constant inequalities relating raw tangential
-    derivatives to good unknowns, plus the combined triple bound.
+    derivatives to good unknowns (built as in good_unknowns), plus the
+    combined triple bound.
 
     Returns {name: {lhs, rhs, ratio, passed}} for b11..b14 and b22."""
     if l < 1:
         raise ValueError(f"norm equivalence requires l >= 1, got {l}")
     hp1 = _check_h_floor(state, delta)
     grid = state.grid
-    gu = good_unknowns(state, alpha1, delta, sources=sources, forcing=forcing)
+    gu = good_unknowns(state, alpha1, delta, sources=sources, forcing=forcing, tower=tower)
     c_hardy = 2.0 / (delta * (2.0 * l - 1.0))
     h_m_norm = weighted_l2(gu.h_m, l)
     results = {}
@@ -547,7 +548,7 @@ def norm_equivalence_check(
     # b22 (triple, Minkowski form): ||Z^a1 (rho,u,h)||_l
     #      <= ||(rho_m,u_m,h_m)||_l + (2/delta(2l-1)) G ||h_m||_l,
     #      G^2 = ||dy rho||^2_{inf,1} + ||dy(u-e^{-y})||^2_{inf,1} + ||dy h||^2_{inf,1}
-    shear = Field(dy(state.u_shift).values + background(grid)[0], grid)
+    shear = Field(dy(state.u_shift).values + exp_minus_y(grid), grid)
     G = np.sqrt(
         weighted_linf(dy(state.rho_shift), 1.0) ** 2
         + weighted_linf(shear, 1.0) ** 2

@@ -19,7 +19,7 @@ from . import __version__
 from .cancellation import good_unknowns, norm_equivalence_check
 from .config import ConfigError, RunConfig, canonical_text, load_config
 from .energy import CSV_COLUMNS, instantaneous_functionals, trajectory_report
-from .grid import Field, GridSpec
+from .grid import Field
 from .inequalities import (
     hardy_check,
     heat_bound_check,
@@ -28,8 +28,8 @@ from .inequalities import (
 )
 from .io import RunManifest, config_digest, write_csv, write_json, write_snapshot
 from .norms import b_norms
-from .pde import background
-from .sources import bootstrap_time_derivatives, zero_bundle
+from .pde import exp_minus_y
+from .sources import bootstrap_time_derivatives
 from .solver import run
 from .state import MultiIndex, State, initial_state
 from .experiments import eps_sweep, stability_pair
@@ -46,7 +46,7 @@ VERBS = (
 
 def _equilibrium_state(cfg: RunConfig) -> State:
     grid = cfg.grid
-    u = Field(np.broadcast_to(background(grid)[0], (grid.nx, grid.ny)).copy(), grid)
+    u = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)).copy(), grid)
     return initial_state(grid, u_shift=u)
 
 
@@ -59,7 +59,7 @@ def _perturbed_state(cfg: RunConfig, seed: int, amplitude=None) -> State:
     amp = cfg.amplitude if amplitude is None else amplitude
     rng = np.random.default_rng(seed)
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-    E = background(grid)[0]
+    E = exp_minus_y(grid)
 
     def modes():
         acc = np.zeros_like(X)
@@ -90,7 +90,7 @@ def _physical_triple(state: State):
     grid = state.grid
     return (
         Field(state.rho_shift.values + 1.0, grid),
-        Field(state.u_shift.values + 1.0 - background(grid)[0], grid),
+        Field(state.u_shift.values + 1.0 - exp_minus_y(grid), grid),
         Field(state.h_shift.values + 1.0, grid),
     )
 
@@ -209,7 +209,7 @@ def _verb_cancellation(cfg: RunConfig, out: str, seed: int, strict: bool):
     state = _perturbed_state(cfg, seed)
     delta = cfg.solver.delta0 / 2.0
     alpha1 = MultiIndex(0, cfg.m, 0)
-    gu = good_unknowns(state, alpha1, delta, physics=cfg.solver)
+    gu = good_unknowns(state, alpha1, delta)
     recon = float(
         np.max(
             np.abs(

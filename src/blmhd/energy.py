@@ -26,7 +26,7 @@ from .norms import (
     weighted_linf,
 )
 from .operators import d2y, dx, dy, phi
-from .pde import Physics, TimeTower, apply_spatial, map_family, tower_family
+from .pde import Physics, TimeTower, apply_spatial, exp_minus_y, map_family, tower_family
 from .solver import MonitorStatus, monitor
 from .state import MultiIndex, State
 
@@ -122,13 +122,7 @@ def _v_over_phi_family(state: State, fv):
 
 
 def _slice_functionals(
-    state: State,
-    m: int,
-    l: float,
-    delta0: float,
-    sources=None,
-    forcing=None,
-    physics=Physics(),
+    state: State, m: int, l: float, delta0: float, sources, forcing, physics
 ) -> dict:
     """Every instantaneous piece at one slice, plus the Theta/Xi integrands;
     the tower and the dissipation weights use physics' eps, mu, kappa."""
@@ -145,7 +139,7 @@ def _slice_functionals(
     dyr = map_family(dy, fr)
     dyu = map_family(dy, fu)
     dyh = map_family(dy, fh)
-    E_field = Field(np.broadcast_to(tower._E, (grid.nx, grid.ny)).copy(), grid)
+    E_field = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)).copy(), grid)
 
     # plain deviation u - e^{-y} (zero at the rest state) and its normal
     # derivative; all weighted-L2 functionals use the deviation so that the

@@ -20,7 +20,7 @@ import sympy as sp
 from .grid import Field
 from .norms import NormSpec, conormal_norm, weighted_l2
 from .operators import dy, integrate_y
-from .pde import background
+from .pde import exp_minus_y
 from .solver import SolverConfig, Trajectory, run
 from .sources import zero_bundle
 from .state import State
@@ -159,7 +159,7 @@ def diff_good_unknowns(state1: State, state2: State, delta: float) -> DiffGoodUn
     u_bar = state1.u_shift - state2.u_shift
     h_bar = state1.h_shift - state2.h_shift
     rho2 = state2.rho_shift.values + 1.0
-    u2_phys = state2.u_shift.values + 1.0 - background(grid)[0]
+    u2_phys = state2.u_shift.values + 1.0 - exp_minus_y(grid)
     eta1 = Field(dy(state2.rho_shift).values / h2, grid)
     eta2 = Field(dy(Field(u2_phys, grid)).values / h2, grid)
     eta3 = Field(dy(state2.h_shift).values / h2, grid)

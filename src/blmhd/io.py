@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import Field, GridSpec
 from .state import State
 
 SNAPSHOT_MAGIC = b"BLMHD1"

@@ -15,7 +15,7 @@ import numpy as np
 from .grid import Field
 from .operators import d2x, d2y, dx, dy
 from .pde import (
-    Physics, TimeTower, apply_spatial, background, map_family, static_family, tower_family
+    Physics, TimeTower, apply_spatial, exp_minus_y, map_family, static_family, tower_family
 )
 from .state import MultiIndex, State, initial_state
 
@@ -76,22 +76,22 @@ def weighted_linf(f: Field, l: float, y_cap: float | None = None) -> float:
 
 
 def _families(obj, pde_context):
-    """Resolve the input into a list of field families (callables k -> Field).
-
-    A State (as input or as context) gets a tower with the Physics()
-    defaults; callers who need other physics pass a TimeTower."""
+    """Resolve the input into a list of field families (callables k -> Field);
+    a State gets a tower with the Physics() defaults (pass a TimeTower for others)."""
     if isinstance(obj, Field):
         return [static_family(obj)]
     if callable(obj):
         return [obj]
     if isinstance(obj, State):
-        tower = pde_context if isinstance(pde_context, TimeTower) else TimeTower(obj)
+        tower = pde_context
+        if not isinstance(tower, TimeTower):
+            tower = TimeTower(obj, physics=Physics())
         return [tower_family(tower, n) for n in ("rho", "u", "h")]
     if isinstance(obj, str):
         if isinstance(pde_context, TimeTower):
             tower = pde_context
         elif isinstance(pde_context, State):
-            tower = TimeTower(pde_context)
+            tower = TimeTower(pde_context, physics=Physics())
         else:
             raise ValueError("field-selector norm requires a pde context")
         return [tower_family(tower, obj)]
@@ -136,7 +136,7 @@ def shift_physical(rho: Field, u1: Field, h1: Field) -> tuple[Field, Field, Fiel
     grid = rho.grid
     return (
         Field(rho.values - 1.0, grid),
-        Field(u1.values - 1.0 + background(grid)[0], grid),
+        Field(u1.values - 1.0 + exp_minus_y(grid), grid),
         Field(h1.values - 1.0, grid),
     )
 
@@ -164,7 +164,7 @@ def b_norms(
     if m < 1:
         raise ValueError("b_norms requires m >= 1")
     grid = rho.grid
-    E_field = Field(np.broadcast_to(background(grid)[0], (grid.nx, grid.ny)), grid)
+    E_field = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
     r, us, hs = shift_physical(rho, u1, h1)
     state = initial_state(grid, r, us, hs)
     tower = TimeTower(state, max_depth=2 * m + 1, physics=Physics(mu, kappa, eps=0.0))

@@ -87,13 +87,19 @@ ZERO_FORCING = ZeroForcing()
 
 
 @lru_cache(maxsize=64)
-def background(grid):
-    """The shear profile E = e^{-y} (as a (1, ny) row) and its discrete
-    D_y^2 on the full grid, W, the well-balanced background forcing."""
+def exp_minus_y(grid) -> np.ndarray:
+    """The shear profile E = e^{-y} as a read-only (1, ny) row."""
     E = np.exp(-grid.y)[None, :]
-    W = d2y(Field(np.broadcast_to(E, (grid.nx, grid.ny)), grid)).values
     E.setflags(write=False)
-    return E, W
+    return E
+
+
+@lru_cache(maxsize=64)
+def background(grid):
+    """E = exp_minus_y(grid) and its discrete D_y^2 on the full grid, W,
+    the well-balanced background forcing."""
+    E = exp_minus_y(grid)
+    return E, d2y(Field(np.broadcast_to(E, (grid.nx, grid.ny)), grid)).values
 
 
 # level-0 tower fields are the state's own Field objects
@@ -109,15 +115,13 @@ class TimeTower:
     derived fields recomputed from the divergence-free relations at each
     level.  sources/forcing must expose fields(grid, t, deriv=i) returning
     the i-th time derivative of their tuple at the state's time; physics
-    supplies eps, mu and kappa (any object with those attributes).
+    (required) is any object with the attributes eps, mu and kappa.
 
     dx and dy of each (field, level) are computed once and kept, for the
     level fields and for the sources r1, r2, ru, rh alike.
     """
 
-    def __init__(
-        self, state: State, sources=None, forcing=None, max_depth: int = 6, physics=Physics()
-    ):
+    def __init__(self, state: State, sources=None, forcing=None, max_depth: int = 6, *, physics):
         self.state = state
         self.physics = physics
         self.sources = sources if sources is not None else ZERO_SOURCES
@@ -158,8 +162,7 @@ class TimeTower:
 
     def explicit(self, i: int, diffusion) -> tuple:
         """d_t^i of the non-diffusive right-hand sides: advection, coupling,
-        sources, forcing and, at i = 0, the background term -mu W (eps and
-        mu are the tower's).
+        sources, forcing and, at i = 0, the background term -mu W.
 
         Each sum is accumulated onto its starting value in diffusion =
         (r0, h0, B0); returns the r and h tendencies and the momentum
@@ -317,7 +320,7 @@ def zderiv(f, idx: MultiIndex, pde_context=None) -> Field:
     if isinstance(pde_context, TimeTower):
         tower = pde_context
     elif isinstance(pde_context, State):
-        tower = TimeTower(pde_context)
+        tower = TimeTower(pde_context, physics=Physics())
     elif pde_context is not None:
         raise TypeError("pde_context must be a State or TimeTower")
 

@@ -35,7 +35,7 @@ import numpy as np
 from .grid import Field, GridSpec
 from .norms import weighted_linf
 from .operators import _d2y_coeffs, dy
-from .pde import ZERO_FORCING, Physics, TimeTower, background, pde_rhs
+from .pde import ZERO_FORCING, Physics, TimeTower, exp_minus_y, pde_rhs
 from .sources import zero_bundle
 from .state import State, derive_secondary
 
@@ -92,7 +92,7 @@ def monitor(state: State, delta0: float, l: float, source_flag: bool = False) ->
     1/2 <= rho <= 3/2."""
     delta = delta0 / 2.0
     grid = state.grid
-    E, _ = background(grid)
+    E = exp_minus_y(grid)
     h_floor = float((state.h_shift.values + 1.0).min())
     rho_sup = weighted_linf(state.rho_shift, 0.0)
     shear = Field(dy(state.u_shift).values + E, grid)
@@ -275,7 +275,7 @@ def _explicit_terms(state: State, cfg: SolverConfig, bundle, forcing):
 def _cfl_substeps(state: State, cfg: SolverConfig) -> int:
     """Deterministic number of substeps so each satisfies the advective CFL."""
     grid = state.grid
-    E, _ = background(grid)
+    E = exp_minus_y(grid)
     u_max = float(np.max(np.abs(state.u_shift.values + 1.0 - E)))
     v_max = float(np.max(np.abs(state.v.values)))
     dy_min = float(np.min(np.diff(grid.y)))

@@ -9,7 +9,7 @@ from blmhd.energy import (
     trajectory_report,
 )
 from blmhd.norms import NormSpec, conormal_norm
-from blmhd.pde import TimeTower, tower_family
+from blmhd.pde import Physics, TimeTower, tower_family
 from blmhd.solver import SolverConfig, Trajectory, monitor, run
 
 from conftest import perturbed_state
@@ -38,7 +38,7 @@ def test_energy_scales_quadratically(grid_small):
 
 def test_energy_matches_direct_norm_recomputation(grid_small, state_perturbed):
     rep = instantaneous_functionals(state_perturbed, 2, 2.0, 0.25)
-    tower = TimeTower(state_perturbed)
+    tower = TimeTower(state_perturbed, physics=Physics())
     fr = tower_family(tower, "rho")
     fu = tower_family(tower, "u")
     fh = tower_family(tower, "h")

@@ -7,6 +7,7 @@ from blmhd.manufactured import ManufacturedSolution
 from blmhd.operators import dx, z2
 from blmhd.pde import (
     DensityFloorError,
+    Physics,
     TimeTower,
     map_family,
     pde_rhs,
@@ -54,7 +55,7 @@ def test_tower_level_one_matches_manufactured_tendency():
 
 def test_tower_depth_cap_and_level_validation(grid_small):
     st = equilibrium_state(grid_small)
-    tower = TimeTower(st, max_depth=2)
+    tower = TimeTower(st, max_depth=2, physics=Physics())
     with pytest.raises(ValueError):
         tower.level(3)
     with pytest.raises(ValueError):
