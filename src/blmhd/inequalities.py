@@ -1,11 +1,13 @@
 """Executable checks of the calculus inequalities used by the estimates:
 the sharp-constant Hardy inequality, a Sobolev embedding, a Moser product
 inequality, and a diffusion-parameter-uniform weighted bound for the heat
-equation on the half line solved by exact kernel convolution.
+equation on the half line.  The heat solver works on a uniform x grid: it
+convolves the Gaussian kernel exactly with the piecewise-linear interpolant
+of the odd extension, through one table of node weights per lag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -158,8 +160,8 @@ def moser_check(
 class HeatProblem:
     """d_t F - eps d_x^2 F = G on x > 0, F(t, 0) = 0, F(0, x) = f0.
 
-    x: increasing 1D coordinates with x[0] = 0; f0 sampled on x with
-    f0[0] = 0; forcing: callable (t, x-array) -> array, or None."""
+    x: uniform 1D grid of at least 2 nodes with x[0] = 0; f0 sampled on x
+    with f0[0] = 0; forcing: callable (t, x-array) -> array, or None."""
 
     eps: float
     x: np.ndarray
@@ -174,8 +176,13 @@ class HeatProblem:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.t_end <= 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if x.ndim != 1 or x.size < 2:
+            raise ValueError(f"x must be a 1D grid of at least 2 nodes, got shape {x.shape}")
         if x[0] != 0.0 or np.any(np.diff(x) <= 0):
             raise ValueError("x must be increasing with x[0] = 0")
+        h = x[-1] / (x.size - 1)
+        if np.max(np.abs(np.diff(x) - h)) > 1e-9 * h:
+            raise ValueError("x must be uniform (relative spacing tolerance 1e-9)")
         if f0.shape != x.shape:
             raise ValueError("f0 must be sampled on x")
         if abs(f0[0]) > WALL_TOL:
@@ -183,11 +190,13 @@ class HeatProblem:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "f0", f0)
 
+    @property
+    def h(self) -> float:
+        return self.x[-1] / (self.x.size - 1)
 
-def _odd_extension(x: np.ndarray, f: np.ndarray):
-    xe = np.concatenate([-x[:0:-1], x])
-    fe = np.concatenate([-f[:0:-1], f])
-    return xe, fe
+
+def _odd_extension(f: np.ndarray) -> np.ndarray:
+    return np.concatenate([-f[:0:-1], f])
 
 
 def _trap_weights(x: np.ndarray) -> np.ndarray:
@@ -198,45 +207,38 @@ def _trap_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _kernel_convolve(eps: float, t: float, x_out: np.ndarray, xe, fe) -> np.ndarray:
-    """Convolution of the extended data with the Gaussian heat kernel at
-    time t, integrated exactly against the piecewise-linear interpolant of
-    (xe, fe).  Closed-form segment integrals keep the result accurate even
-    when the kernel is much narrower than the node spacing."""
+def _kernel_convolve(eps: float, t: float, h: float, fe: np.ndarray) -> np.ndarray:
+    """Convolution at time t of the Gaussian heat kernel with the odd
+    extension fe (2n - 1 values, node spacing h), integrated exactly
+    against its piecewise-linear interpolant and returned at the n
+    half-line nodes.  Closed-form segment integrals keep the result
+    accurate even when the kernel is much narrower than the node spacing."""
+    n = (fe.size + 1) // 2
     if t == 0.0:
-        return np.interp(x_out, xe, fe)
+        return fe[n - 1 :]
     from scipy import special
 
     sigma = np.sqrt(2.0 * eps * t)
-    # segments farther than ~8 sigma from an output point contribute
-    # nothing (both endpoint CDFs saturate), so restrict to a node band
-    m = xe.size
-    half = int(np.ceil(8.0 * sigma / float(np.min(np.diff(xe))))) + 2
-    if 2 * half + 1 >= m:
-        cols = np.broadcast_to(np.arange(m), (x_out.size, m))
-    else:
-        centers = np.searchsorted(xe, x_out)
-        cols = np.clip(
-            centers[:, None] + np.arange(-half, half + 1)[None, :], 0, m - 1
-        )
-    xs = xe[cols]
-    fs = fe[cols]
-    z = (xs - x_out[:, None]) / sigma
+    # segments farther than ~8 sigma from an output node contribute nothing
+    # (both endpoint CDFs saturate), and no lag beyond fe.size meets one
+    half = min(int(np.ceil(8.0 * sigma / h)) + 2, fe.size)
+    lags = np.arange(-half, half + 1)
+    z = lags * h / sigma
     cdf = special.ndtr(z)
     with np.errstate(under="ignore"):
         pdf = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
-    seg = np.diff(xs, axis=1)
-    # clipped duplicate columns give zero-width segments with zero dCDF,
-    # so their (arbitrary) slope never contributes
-    slope = np.divide(
-        np.diff(fs, axis=1), seg, out=np.zeros_like(seg), where=seg != 0.0
-    )
-    # on [xe_j, xe_{j+1}]: f(xi) = fe_j + slope_j (xi - xe_j), and
-    # int K(x - xi) f(xi) dxi = (fe_j + slope_j (x - xe_j)) dCDF
-    #                           + slope_j sigma (pdf_j - pdf_{j+1})
-    const = fs[:, :-1] + slope * (x_out[:, None] - xs[:, :-1])
-    dcdf = cdf[:, 1:] - cdf[:, :-1]
-    return np.sum(const * dcdf + slope * sigma * (pdf[:, :-1] - pdf[:, 1:]), axis=1)
+    # the segment at lag k (left node k h, right node (k + 1) h from the
+    # output node) carries f_l + (f_r - f_l) s / h; against the kernel it
+    # integrates to f_l dcdf + (f_r - f_l) w_r with
+    # w_r = (sigma / h) (pdf_k - pdf_{k+1}) - k dcdf
+    dcdf = np.diff(cdf)
+    w_r = sigma / h * (pdf[:-1] - pdf[1:]) - lags[:-1] * dcdf
+    # no segments beyond the ends of the extension: pad with zeros, and
+    # keep only the inputs the half-line outputs read
+    pad = np.zeros(half)
+    left = np.concatenate([pad, fe[:-1], pad])[n - 1 :]
+    right = np.concatenate([pad, fe[1:], pad])[n - 1 :]
+    return np.correlate(left, dcdf - w_r, "valid") + np.correlate(right, w_r, "valid")
 
 
 def heat_solve(p: HeatProblem, n_times: int = 8, n_quad: int = 64):
@@ -246,11 +248,11 @@ def heat_solve(p: HeatProblem, n_times: int = 8, n_quad: int = 64):
     Returns (times, F) with F.shape == (n_times + 1, len(p.x)); F[k] is the
     solution at times[k], and F[:, 0] = 0 to quadrature accuracy."""
     x = p.x
-    xe, fe = _odd_extension(x, p.f0)
+    fe = _odd_extension(p.f0)
     times = np.linspace(0.0, p.t_end, n_times + 1)
     out = np.empty((n_times + 1, x.size))
     for k, t in enumerate(times):
-        F = _kernel_convolve(p.eps, t, x, xe, fe)
+        F = _kernel_convolve(p.eps, t, p.h, fe)
         if p.forcing is not None and t > 0.0:
             s_nodes = np.linspace(0.0, t, n_quad + 1)
             ws = _trap_weights(s_nodes)
@@ -261,8 +263,7 @@ def heat_solve(p: HeatProblem, n_times: int = 8, n_quad: int = 64):
                     # kernel limit: convolution tends to the data itself
                     acc += w * gs
                 else:
-                    _, ge = _odd_extension(x, gs)
-                    acc += w * _kernel_convolve(p.eps, t - s, x, xe, ge)
+                    acc += w * _kernel_convolve(p.eps, t - s, p.h, _odd_extension(gs))
             F = F + acc
         out[k] = F
     out[:, 0] = 0.0
@@ -324,14 +325,4 @@ def heat_bound_check(
         tol,
         {"ratios": ratios, "spread": spread, "spread_max": spread_max},
     )
-    passed = rep.passed and spread <= spread_max
-    return InequalityReport(
-        name=rep.name,
-        lhs=rep.lhs,
-        rhs=rep.rhs,
-        constant=rep.constant,
-        ratio=rep.ratio,
-        passed=passed,
-        tol=rep.tol,
-        metadata=rep.metadata,
-    )
+    return replace(rep, passed=rep.passed and spread <= spread_max)

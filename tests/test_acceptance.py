@@ -7,7 +7,6 @@ survive in the captured output of a full run.
 import time
 
 import numpy as np
-import pytest
 
 from blmhd.cancellation import cancellation_residual, good_unknowns, norm_equivalence_check
 from blmhd.energy import instantaneous_functionals

@@ -10,7 +10,7 @@ from blmhd.cancellation import (
 )
 from blmhd.grid import GridSpec, field_from_function
 from blmhd.solver import SolverConfig, Trajectory, monitor
-from blmhd.state import MultiIndex, initial_state
+from blmhd.state import MultiIndex
 
 from conftest import equilibrium_state, perturbed_state
 

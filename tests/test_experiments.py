@@ -15,7 +15,7 @@ from blmhd.experiments import (
 from blmhd.grid import GridSpec
 from blmhd.solver import SolverConfig
 
-from conftest import equilibrium_state, perturbed_state
+from conftest import perturbed_state
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Calculus-inequality checks: Hardy, Sobolev, Moser, and the heat bound."""
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from blmhd.grid import GridSpec, field_from_function, zero_field
 from blmhd.inequalities import (
@@ -161,6 +162,11 @@ def test_heat_problem_validation():
         HeatProblem(eps=0.1, x=x + 1.0, f0=f0)
     with pytest.raises(ValueError):
         HeatProblem(eps=0.1, x=x, f0=f0 + 1.0)
+    with pytest.raises(ValueError, match="2 nodes"):
+        HeatProblem(eps=0.1, x=[0.0], f0=[0.0])
+    xq = np.linspace(0.0, 1.0, 11) ** 2
+    with pytest.raises(ValueError, match="uniform"):
+        HeatProblem(eps=0.1, x=xq, f0=xq * np.exp(-xq))
 
 
 def test_heat_solve_zero_data():
@@ -190,6 +196,46 @@ def test_heat_solve_duhamel_bound():
     for k, t in enumerate(times):
         if t > 0:
             assert np.max(np.abs(F[k])) <= t * np.exp(-1.0) * (1.0 + 1e-6)
+
+
+def _free_solution(eps, t, x, a=1.0):
+    # x e^{-x^2/4a} is odd, so the whole-line heat flow keeps F(t, 0) = 0:
+    # S(t, x) = x (a / (a + eps t))^{3/2} e^{-x^2 / 4 (a + eps t)}
+    b = a + eps * t
+    return x * (a / b) ** 1.5 * np.exp(-(x**2) / (4.0 * b))
+
+
+def _oracle_error(n, eps):
+    """Max error over the free case and the Duhamel case: f0 = 0 with
+    forcing G = S has the solution F(t) = t S(t)."""
+    x = np.linspace(0.0, 12.0, n)
+    S = lambda t, xs: _free_solution(eps, t, xs)
+    times, F = heat_solve(HeatProblem(eps=eps, x=x, f0=S(0.0, x)))
+    _, Fd = heat_solve(HeatProblem(eps=eps, x=x, f0=np.zeros_like(x), forcing=S))
+    exact = np.array([S(t, x) for t in times])
+    return max(np.max(np.abs(F - exact)), np.max(np.abs(Fd - times[:, None] * exact)))
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-4])
+def test_heat_solve_exact_solution_oracle(eps):
+    coarse, fine = _oracle_error(241, eps), _oracle_error(481, eps)
+    assert coarse <= 3e-4
+    assert coarse / fine >= 3.0
+
+
+def test_heat_solve_exact_for_linear_data_up_to_the_ends():
+    # the interpolant of f0 = x is exact and the odd extension stops at
+    # |x| = L, so F(t, x) = int_{-L}^{L} K(x - xi) xi dxi in closed form
+    x = _x_axis()
+    L = x[-1]
+    pdf = lambda z: np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+    for eps in (1e-1, 1e-3):
+        times, F = heat_solve(HeatProblem(eps=eps, x=x, f0=x.copy()))
+        for t, Ft in zip(times[1:], F[1:]):
+            sigma = np.sqrt(2.0 * eps * t)
+            a, b = (-L - x) / sigma, (L - x) / sigma
+            exact = x * (ndtr(b) - ndtr(a)) + sigma * (pdf(a) - pdf(b))
+            assert np.max(np.abs(Ft - exact)) <= 1e-12 * L
 
 
 def test_heat_data_functional_calculus_oracle():

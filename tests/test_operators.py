@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from blmhd.grid import Field, GridSpec, field_from_function
+from blmhd.grid import GridSpec, field_from_function
 from blmhd.operators import d2x, d2y, dx, dy, integrate_y, phi, z1, z2
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from blmhd.grid import Field, GridSpec, field_from_function, zero_field
+from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.state import (
     MultiIndex,
     divergence_defects,

@@ -1,0 +1,41 @@
+"""No module in src/ or tests/ imports a name it never uses.
+
+A stdlib `ast` scan: a name bound by `import` or `from ... import` counts
+as used when it appears as a name anywhere in the module or is listed in
+the module's `__all__`; `from __future__` imports are skipped."""
+import ast
+from pathlib import Path
+
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+_FILES = sorted(p for d in ("src", "tests") for p in (_ROOT / d).rglob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    unused = sorted((imported[n], n) for n in set(imported) - used)
+    return [f"line {line}: {n}" for line, n in unused]
+
+
+def test_scan_flags_an_unused_import():
+    tree = ast.parse("from __future__ import annotations\nimport os, sys\nimport a.b\nsys.exit()\n")
+    assert _unused_imports(tree) == ["line 2: os", "line 3: a"]
+
+
+@pytest.mark.parametrize("path", _FILES, ids=lambda p: str(p.relative_to(_ROOT)))
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
