@@ -46,7 +46,7 @@ VERBS = (
 
 def _equilibrium_state(cfg: RunConfig) -> State:
     grid = cfg.grid
-    u = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)).copy(), grid)
+    u = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
     return initial_state(grid, u_shift=u)
 
 

@@ -139,7 +139,7 @@ def _slice_functionals(
     dyr = map_family(dy, fr)
     dyu = map_family(dy, fu)
     dyh = map_family(dy, fh)
-    E_field = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)).copy(), grid)
+    E_field = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
 
     # plain deviation u - e^{-y} (zero at the rest state) and its normal
     # derivative; all weighted-L2 functionals use the deviation so that the

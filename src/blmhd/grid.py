@@ -94,7 +94,14 @@ def build_y(ny: int, y_max: float, stretch: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """A real scalar field sampled on a GridSpec, shape (nx, ny)."""
+    """A real scalar field sampled on a GridSpec, shape (nx, ny).
+
+    values is read-only and C-contiguous.  A C-contiguous float64 array
+    that owns its data (base is None) is adopted, not copied: its write
+    flag is turned off in place, so a later write to it through any other
+    name raises ValueError instead of changing the field.  A view,
+    broadcasts included, is copied, since its base could still be written
+    to; so is a non-contiguous array."""
 
     values: np.ndarray
     grid: GridSpec = field(repr=False)
@@ -106,9 +113,10 @@ class Field:
                 f"field shape {v.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny})"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("field contains non-finite entries")
-        v = v.copy()
+        if v.base is not None or not v.flags.c_contiguous:
+            v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -1,9 +1,11 @@
 """Discrete differential and conormal operators on grid fields.
 
 x-derivatives: 4th-order central periodic differences by default, spectral
-behind the grid's x_scheme flag.  y-derivatives: 2nd-order three-point
-stencils on the (possibly graded) y grid, one-sided at the two boundary
-rows.  The conormal operator Z2 = phi(y) d/dy with phi(y) = y/(1+y)
+behind the grid's x_scheme flag.  The difference stencils read their four
+shifted operands as slices of one copy of the field padded with two
+periodic ghost rows at each end of axis 0.  y-derivatives: 2nd-order
+three-point stencils on the (possibly graded) y grid, one-sided at the two
+boundary rows.  The conormal operator Z2 = phi(y) d/dy with phi(y) = y/(1+y)
 vanishes identically on the wall row because phi(0) = 0.
 """
 from __future__ import annotations
@@ -24,15 +26,21 @@ def phi(y: np.ndarray) -> np.ndarray:
 # x direction (axis 0, periodic)
 # ---------------------------------------------------------------------------
 
+def _shifts(v: np.ndarray):
+    """v[i-2], v[i-1], v[i+1], v[i+2] (indices mod nx along axis 0), as
+    slices of one array padded with two periodic ghost rows at each end."""
+    n = v.shape[0]
+    p = np.concatenate((v[-2:], v, v[:2]), axis=0)
+    return p[:n], p[1:n + 1], p[3:n + 3], p[4:]
+
+
 def _dx_fd4(v: np.ndarray, dx: float) -> np.ndarray:
-    vp1, vm1 = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
-    vp2, vm2 = np.roll(v, -2, axis=0), np.roll(v, 2, axis=0)
+    vm2, vm1, vp1, vp2 = _shifts(v)
     return (8.0 * (vp1 - vm1) - (vp2 - vm2)) / (12.0 * dx)
 
 
 def _d2x_fd4(v: np.ndarray, dx: float) -> np.ndarray:
-    vp1, vm1 = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
-    vp2, vm2 = np.roll(v, -2, axis=0), np.roll(v, 2, axis=0)
+    vm2, vm1, vp1, vp2 = _shifts(v)
     return (-vp2 + 16.0 * vp1 - 30.0 * v + 16.0 * vm1 - vm2) / (12.0 * dx * dx)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .grid import Field, GridSpec
 from .norms import weighted_linf
 from .operators import _d2y_coeffs, dy
-from .pde import ZERO_FORCING, Physics, TimeTower, exp_minus_y, pde_rhs
+from .pde import ZERO_FORCING, DensityFloorError, Physics, TimeTower, exp_minus_y, pde_rhs
 from .sources import zero_bundle
 from .state import State, derive_secondary
 
@@ -241,12 +241,15 @@ def _solve_y_implicit(grid: GridSpec, coeff, a: float, rhs, traces: dict):
 
     coeff and rhs are (rho, u, h) triples of (nx, ny) arrays, stacked here
     as (ny, nx, 3).  Walls follow _WALL_BCS with u clamped to
-    traces['u_wall']; every top row is clamped to its top trace."""
+    traces['u_wall']; every top row is clamped to its top trace.  Each
+    field comes back as its own C-contiguous array, which Field adopts
+    without a copy."""
     b = np.stack([f.T for f in rhs], axis=-1)
     b[0, :, 1] = traces["u_wall"]
     b[-1] = np.stack([traces["rho_top"], traces["u_top"], traces["h_top"]], axis=-1)
     lo, di, up = _y_matrix(grid, np.stack([c.T for c in coeff], axis=-1), a)
-    return tuple(thomas_batched(lo, di, up, b).transpose(2, 1, 0).copy())
+    sol = thomas_batched(lo, di, up, b)
+    return tuple(np.ascontiguousarray(sol[..., c].T) for c in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +369,8 @@ def _substep(state, cfg, bundle, forcing, k, traces):
         r = fields[0]
         coeff = [np.full_like(r, eps), eps / (r + 1.0), np.full_like(r, eps)]
         w = _solve_x_cn(np.stack(fields, axis=-1), np.stack(coeff, axis=-1), step_, grid.dx)
-        return tuple(np.moveaxis(w, -1, 0).copy())
+        # one owned array per field, so that Field adopts it without a copy
+        return tuple(np.ascontiguousarray(w[..., c]) for c in range(3))
 
     def y_stage(base, lagged, time):
         """Implicit y stage from base; the explicit terms and u's viscosity
@@ -400,8 +404,10 @@ def run(
     output_stride: int = 1,
 ) -> Trajectory:
     """Integrate to t_end (or monitor breach), storing every output_stride-th
-    state.  The initial state is always stored; on breach the trajectory is
-    returned with breached = True and ends at the last healthy state."""
+    state.  The initial state is always stored; on breach (a SolverError,
+    or a DensityFloorError from a substep whose density fell below the
+    floor) the trajectory is returned with breached = True and ends at the
+    last healthy state."""
     if bundle is None:
         bundle = zero_bundle(initial.grid)
     if forcing is None:
@@ -420,7 +426,7 @@ def run(
     for n in range(1, n_steps + 1):
         try:
             cur, mon = step(cur, cfg, bundle, forcing, traces)
-        except SolverError:
+        except (SolverError, DensityFloorError):
             traj.breached = True
             return traj
         if n % output_stride == 0 or n == n_steps:

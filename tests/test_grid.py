@@ -75,6 +75,32 @@ def test_field_is_immutable_and_supports_arithmetic():
     assert f.max_abs() == 1.0
 
 
+def test_field_adopts_owned_arrays_and_copies_views():
+    grid = GridSpec(nx=8, ny=8, y_max=10.0)
+    # an owned array is adopted: a later write through the caller raises
+    a = np.ones((8, 8))
+    f = Field(a, grid)
+    with pytest.raises(ValueError):
+        a[0, 0] = 2.0
+    assert f.values[0, 0] == 1.0
+    # a view is copied: writing through its base leaves the field unchanged
+    base = np.ones((8, 16))
+    g = Field(base[:, ::2], grid)
+    base[:, :] = 5.0
+    assert np.all(g.values == 1.0)
+    # a broadcast is copied into a read-only array of its own
+    row = np.arange(8.0)
+    b = Field(np.broadcast_to(row, (8, 8)), grid)
+    assert b.values.base is None and not b.values.flags.writeable
+    row[0] = 9.0
+    assert b.values[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        b.values[0, 0] = 1.0
+    # an owned array of another layout is copied to C order
+    fo = np.asfortranarray(np.ones((8, 8)))
+    assert Field(fo, grid).values.flags.c_contiguous and fo.flags.writeable
+
+
 def test_field_from_function_and_zero_field():
     grid = GridSpec(nx=8, ny=8, y_max=10.0)
     f = field_from_function(grid, lambda x, y: np.sin(x) * np.exp(-y))

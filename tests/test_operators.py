@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from blmhd.grid import GridSpec, field_from_function
-from blmhd.operators import d2x, d2y, dx, dy, integrate_y, phi, z1, z2
+from blmhd.operators import _d2x_fd4, _dx_fd4, d2x, d2y, dx, dy, integrate_y, phi, z1, z2
 
 
 def _grid(nx=16, ny=512, stretch=2.0, **kw):
@@ -60,6 +60,20 @@ def test_dx_fd4_and_spectral_accuracy():
         assert err < tol, scheme
         err2 = np.max(np.abs(d2x(f).values + np.sin(grid.x)[:, None]))
         assert err2 < 100 * tol, scheme
+
+
+@pytest.mark.parametrize("nx", [8, 13, 64])
+def test_fd4_stencils_equal_the_roll_formula_bitwise(nx):
+    # the reference: the four shifted operands as np.roll copies, summed in
+    # the stencil's order; the padded-slice kernels must match bit for bit
+    v = np.random.default_rng(nx).standard_normal((nx, 7))
+    h = 2.0 * np.pi / nx
+    vp1, vm1 = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
+    vp2, vm2 = np.roll(v, -2, axis=0), np.roll(v, 2, axis=0)
+    d1 = (8.0 * (vp1 - vm1) - (vp2 - vm2)) / (12.0 * h)
+    d2 = (-vp2 + 16.0 * vp1 - 30.0 * v + 16.0 * vm1 - vm2) / (12.0 * h * h)
+    assert np.array_equal(_dx_fd4(v, h), d1)
+    assert np.array_equal(_d2x_fd4(v, h), d2)
 
 
 def test_dy_and_d2y_exact_on_quadratics():

@@ -145,6 +145,16 @@ def test_run_initially_breached(grid_small):
     assert len(traj.states) == 1
 
 
+def test_run_stops_on_density_floor_breach():
+    # a 50-unit step drives the density below the floor inside a substep;
+    # run() must report the breach and keep only the last healthy state
+    st = perturbed_state(GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0))
+    traj = run(st, SolverConfig(dt=50.0, t_end=50.0))
+    assert traj.breached
+    assert len(traj.states) == 1 and traj.states[0] is st
+    assert len(traj.monitors) == 1 and not traj.monitors[0].breached
+
+
 def test_step_raises_when_breached(grid_small):
     grid = grid_small
     rho = field_from_function(grid, lambda x, y: 0.4 * np.exp(-(y**2)))
