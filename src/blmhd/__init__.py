@@ -48,7 +48,7 @@ from .solver import (
     run,
     step,
 )
-from .sources import SourceBundle, assemble_sources, bootstrap_time_derivatives, zero_bundle
+from .sources import SourceBundle, bootstrap_time_derivatives
 from .state import MultiIndex, State, initial_state
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "SweepResult",
     "TimeTower",
     "Trajectory",
-    "assemble_sources",
     "b_norms",
     "bootstrap_time_derivatives",
     "cancellation_residual",
@@ -113,6 +112,5 @@ __all__ = [
     "write_csv",
     "write_json",
     "write_snapshot",
-    "zero_bundle",
     "zero_field",
 ]

@@ -23,8 +23,7 @@ import numpy as np
 from .grid import Field
 from .norms import weighted_l2, weighted_linf
 from .operators import d2x, d2y, dx, dy, integrate_y, z2
-from .pde import ZERO_FORCING, Physics, TimeTower, apply_spatial, exp_minus_y
-from .sources import zero_bundle
+from .pde import Physics, TimeTower, apply_spatial, exp_minus_y, provided_terms
 from .state import MultiIndex, State
 
 T_DEPTH_CAP = 2
@@ -86,17 +85,16 @@ def good_unknowns(
     state: State,
     alpha1: MultiIndex,
     delta_floor: float,
-    sources=None,
-    forcing=None,
     tower: TimeTower | None = None,
 ) -> GoodUnknowns:
     """Build the good unknowns; time parts of Z^a1 via PDE substitution
-    through tower, else through a tower with the Physics() defaults."""
+    through tower (which carries any sources and forcing), else through a
+    tower with the Physics() defaults and neither."""
     _check_alpha1(alpha1)
     _check_h_floor(state, delta_floor)
     grid = state.grid
     if tower is None:
-        tower = TimeTower(state, sources=sources, forcing=forcing, physics=Physics())
+        tower = TimeTower(state, physics=Physics())
     eta_r, eta_u, eta_h = eta_fields(state)
     a, b = alpha1.t_count, alpha1.x_count
     z_rho = _zt(tower, "rho", a, b)
@@ -168,15 +166,17 @@ def _index_splits(alpha1: MultiIndex, exclude_full: bool):
 
 
 class _Residual:
-    """Shared machinery for one state slice of a residual evaluation."""
+    """Shared machinery for one state slice of a residual evaluation.
+
+    src and frc are the arrays of d_t^{t_count} of the source terms
+    (dx r1, dy r2, dx ru, dx rh) and of the forcing (F_r, F_u, F_h) at the
+    slice, or None where absent or vanishing."""
 
     def __init__(self, state, alpha1, delta_floor, bundle, forcing, physics):
         _check_alpha1(alpha1)
         self.state = state
         self.grid = state.grid
         self.alpha1 = alpha1
-        self.bundle = bundle
-        self.forcing = forcing
         self.hp1 = _check_h_floor(state, delta_floor)
         self.tower = TimeTower(
             state, bundle, forcing, max_depth=alpha1.t_count + 1, physics=physics
@@ -192,6 +192,8 @@ class _Residual:
         self.gu = good_unknowns(state, alpha1, delta_floor, tower=self.tower)
         # d_t of the state fields (level 1 of the tower)
         self.dt = self.tower.level(1)
+        self.src = provided_terms(bundle, state, alpha1.t_count)
+        self.frc = provided_terms(forcing, state, alpha1.t_count)
 
     def F(self, vals) -> Field:
         return Field(vals, self.grid)
@@ -255,20 +257,12 @@ class _Residual:
 
     # -- sources and forcing at the slice ------------------------------------
 
-    def source_fields(self, deriv: int):
-        return [s.values for s in self.bundle.fields(self.grid, self.state.time, deriv)]
+    def zt_of(self, arr: np.ndarray) -> np.ndarray:
+        """Z^a1 of a source or forcing term, given its d_t^{t_count} arr."""
+        return apply_spatial(self.F(arr), MultiIndex(x_count=self.alpha1.x_count)).values
 
-    def forcing_fields(self, deriv: int):
-        return [s.values for s in self.forcing.fields(self.grid, self.state.time, deriv)]
-
-    def zt_of(self, arrays_by_deriv, extra_dx: int = 0) -> np.ndarray:
-        """Z^a1 (optionally with extra d_x) of a time-polynomial field given
-        by its time-derivative accessor arrays_by_deriv(i) -> array."""
-        a, b = self.alpha1.t_count, self.alpha1.x_count
-        out = self.F(arrays_by_deriv(a))
-        for _ in range(b + extra_dx):
-            out = dx(out)
-        return out.values
+    def inv_dy(self, arr: np.ndarray) -> np.ndarray:
+        return integrate_y(self.F(arr)).values
 
 
 def _dt_good_unknown(res: _Residual, which: str) -> np.ndarray:
@@ -296,13 +290,9 @@ def cancellation_residual(
     cfg = trajectory.config
     if delta_floor is None:
         delta_floor = cfg.delta0 / 2.0
-    forcing = trajectory.forcing if trajectory.forcing is not None else ZERO_FORCING
-    bundle = trajectory.bundle
-    if bundle is None:
-        bundle = zero_bundle(trajectory.states[0].grid)
     out = []
     for st in trajectory.states:
-        res = _Residual(st, alpha1, delta_floor, bundle, forcing, cfg)
+        res = _Residual(st, alpha1, delta_floor, trajectory.bundle, trajectory.forcing, cfg)
         if which == "h_m":
             out.append(_residual_hm(res, cfg))
         elif which == "rho_m":
@@ -370,29 +360,27 @@ def _residual_hm(res: _Residual, cfg) -> Field:
         - _zt(res.tower, "g", res.alpha1.t_count, res.alpha1.x_count)
         * (dy(res.F(res.u)).values + res.E)
     )
-    rh_by_deriv = lambda i: res.source_fields(i)[3]
-    z_dx_rh = res.zt_of(rh_by_deriv, extra_dx=1)
-    inv_dy_z_dx_rh = integrate_y(res.F(z_dx_rh)).values
-    fh_by_deriv = lambda i: res.forcing_fields(i)[2]
-    z_Fh = res.zt_of(fh_by_deriv)
-    inv_dy_z_Fh = integrate_y(res.F(z_Fh)).values
     eta_ops = (
         res.eta_dt("h")
         + res.advect(eta_h)
         - eps * d2x(eta_h_f).values
         - kappa * d2y(eta_h_f).values
     )
+    rhs = 0.0
+    if res.src is not None:
+        z_dx_rh = res.zt_of(res.src[3])
+        rhs = -eps * z_dx_rh + eps * eta_h * res.inv_dy(z_dx_rh)
     rhs = (
-        -eps * z_dx_rh
-        + eps * eta_h * inv_dy_z_dx_rh
+        rhs
         + _f_h(res)
         - eta_h * res.f_psi()
         + 2.0 * eps * dx(eta_h_f).values * dx(gu.z_psi).values
         + 2.0 * kappa * dy(eta_h_f).values * dy(gu.z_psi).values
         - z_psi * eta_ops
-        + z_Fh
-        - eta_h * inv_dy_z_Fh
     )
+    if res.frc is not None:
+        z_Fh = res.zt_of(res.frc[2])
+        rhs = rhs + z_Fh - eta_h * res.inv_dy(z_Fh)
     return res.F(lhs - rhs)
 
 
@@ -409,17 +397,6 @@ def _residual_rhom(res: _Residual, cfg) -> Field:
         - eps * d2x(gu.rho_m).values
         - eps * d2y(gu.rho_m).values
     )
-    src = res.source_fields
-    div_by_deriv = lambda i: (
-        dx(res.F(src(i)[0])).values + dy(res.F(src(i)[1])).values
-    )
-    z_div = res.zt_of(div_by_deriv)
-    rh_by_deriv = lambda i: src(i)[3]
-    inv_dy_z_dx_rh = integrate_y(res.F(res.zt_of(rh_by_deriv, extra_dx=1))).values
-    fr_by_deriv = lambda i: res.forcing_fields(i)[0]
-    fh_by_deriv = lambda i: res.forcing_fields(i)[2]
-    z_Fr = res.zt_of(fr_by_deriv)
-    inv_dy_z_Fh = integrate_y(res.F(res.zt_of(fh_by_deriv))).values
     eta_ops = res.eta_dt("rho") + res.advect(eta_r) - eps * d2x(eta_r_f).values
     rhs = (
         _f_rho(res)
@@ -428,11 +405,14 @@ def _residual_rhom(res: _Residual, cfg) -> Field:
         - kappa * eta_r * d2y(gu.z_psi).values
         + eps * d2y(res.F(eta_r * z_psi)).values
         - z_psi * eta_ops
-        - eps * z_div
-        + eps * eta_r * inv_dy_z_dx_rh
-        + z_Fr
-        - eta_r * inv_dy_z_Fh
     )
+    if res.src is not None:
+        z_div = res.zt_of(res.src[0] + res.src[1])
+        inv_dy_z_dx_rh = res.inv_dy(res.zt_of(res.src[3]))
+        rhs = rhs - eps * z_div + eps * eta_r * inv_dy_z_dx_rh
+    if res.frc is not None:
+        inv_dy_z_Fh = res.inv_dy(res.zt_of(res.frc[2]))
+        rhs = rhs + res.zt_of(res.frc[0]) - eta_r * inv_dy_z_Fh
     return res.F(lhs - rhs)
 
 
@@ -454,14 +434,6 @@ def _residual_um(res: _Residual, cfg) -> Field:
         - res.g_f * dy(gu.z_h).values
         - res.zt("g", a, b) * dy(res.F(res.h)).values
     )
-    ru_by_deriv = lambda i: res.source_fields(i)[2]
-    rh_by_deriv = lambda i: res.source_fields(i)[3]
-    z_dx_ru = res.zt_of(ru_by_deriv, extra_dx=1)
-    inv_dy_z_dx_rh = integrate_y(res.F(res.zt_of(rh_by_deriv, extra_dx=1))).values
-    fu_by_deriv = lambda i: res.forcing_fields(i)[1]
-    fh_by_deriv = lambda i: res.forcing_fields(i)[2]
-    z_Fu = res.zt_of(fu_by_deriv)
-    inv_dy_z_Fh = integrate_y(res.F(res.zt_of(fh_by_deriv))).values
     eta_transport = rho * res.eta_dt("u") + rho * res.advect(eta_u)
     rhs = (
         _f_u(res)
@@ -472,11 +444,13 @@ def _residual_um(res: _Residual, cfg) -> Field:
         + 2.0 * eps * dx(eta_u_f).values * dx(gu.z_psi).values
         + eps * d2x(eta_u_f).values * z_psi
         + mu * d2y(res.F(eta_u * z_psi)).values
-        - eps * z_dx_ru
-        + eps * rho * eta_u * inv_dy_z_dx_rh
-        + z_Fu
-        - rho * eta_u * inv_dy_z_Fh
     )
+    if res.src is not None:
+        inv_dy_z_dx_rh = res.inv_dy(res.zt_of(res.src[3]))
+        rhs = rhs - eps * res.zt_of(res.src[2]) + eps * rho * eta_u * inv_dy_z_dx_rh
+    if res.frc is not None:
+        inv_dy_z_Fh = res.inv_dy(res.zt_of(res.frc[2]))
+        rhs = rhs + res.zt_of(res.frc[1]) - rho * eta_u * inv_dy_z_Fh
     return res.F(lhs - rhs)
 
 
@@ -490,8 +464,6 @@ def norm_equivalence_check(
     alpha1: MultiIndex,
     l: float,
     delta: float,
-    sources=None,
-    forcing=None,
     tower: TimeTower | None = None,
     tol: float = 1e-2,
 ) -> dict:
@@ -504,7 +476,7 @@ def norm_equivalence_check(
         raise ValueError(f"norm equivalence requires l >= 1, got {l}")
     hp1 = _check_h_floor(state, delta)
     grid = state.grid
-    gu = good_unknowns(state, alpha1, delta, sources=sources, forcing=forcing, tower=tower)
+    gu = good_unknowns(state, alpha1, delta, tower=tower)
     c_hardy = 2.0 / (delta * (2.0 * l - 1.0))
     h_m_norm = weighted_l2(gu.h_m, l)
     results = {}

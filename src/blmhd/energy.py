@@ -229,13 +229,12 @@ def instantaneous_functionals(
     m: int,
     l: float,
     delta0: float,
-    sources=None,
-    forcing=None,
     physics=Physics(),
 ) -> EnergyReport:
-    """EnergyReport for one slice; the time-integral slots are zero, so
-    theta_ml equals y_ml and xi_ml equals x_ml."""
-    p = _slice_functionals(state, m, l, delta0, sources, forcing, physics)
+    """EnergyReport for one slice, without sources or forcing; the
+    time-integral slots are zero, so theta_ml equals y_ml and xi_ml equals
+    x_ml."""
+    p = _slice_functionals(state, m, l, delta0, None, None, physics)
     return EnergyReport(
         time=state.time,
         e_ml=p["e_ml"],

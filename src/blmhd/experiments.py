@@ -22,7 +22,6 @@ from .norms import NormSpec, conormal_norm, weighted_l2
 from .operators import dy, integrate_y
 from .pde import exp_minus_y
 from .solver import SolverConfig, Trajectory, run
-from .sources import zero_bundle
 from .state import State
 
 GRONWALL_FLOOR = 1e-28
@@ -81,8 +80,7 @@ def eps_sweep(
     valid = []
     for eps in ladder:
         cfg_k = replace(cfg, eps=eps)
-        b = bundle if bundle is not None else zero_bundle(state.grid)
-        traj = run(state, cfg_k, b, forcing=forcing, output_stride=output_stride)
+        traj = run(state, cfg_k, bundle, forcing=forcing, output_stride=output_stride)
         trajectories.append(traj)
         valid.append(not traj.breached)
     n_times = min(len(t.states) for t in trajectories)
@@ -210,9 +208,8 @@ def stability_pair(
     weighted-difference norm growth."""
     if delta is None:
         delta = cfg.delta0 / 2.0
-    b = bundle if bundle is not None else zero_bundle(state1.grid)
-    t1 = run(state1, cfg, b, forcing=forcing, output_stride=output_stride)
-    t2 = run(state2, cfg, b, forcing=forcing, output_stride=output_stride)
+    t1 = run(state1, cfg, bundle, forcing=forcing, output_stride=output_stride)
+    t2 = run(state2, cfg, bundle, forcing=forcing, output_stride=output_stride)
     n = min(len(t1.states), len(t2.states))
     times = tuple(float(t) for t in t1.times[:n])
     series = []

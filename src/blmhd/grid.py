@@ -18,6 +18,10 @@ class GridError(ValueError):
     """Invalid grid specification."""
 
 
+class NonFiniteError(ValueError):
+    """A Field was given NaN or infinite entries."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Resolution and geometry of the computational domain.
@@ -114,7 +118,7 @@ class Field:
                 f"({self.grid.nx}, {self.grid.ny})"
             )
         if not np.isfinite(v).all():
-            raise ValueError("field contains non-finite entries")
+            raise NonFiniteError("field contains non-finite entries")
         if v.base is not None or not v.flags.c_contiguous:
             v = v.copy()
         v.setflags(write=False)

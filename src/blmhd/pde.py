@@ -66,26 +66,6 @@ class Physics:
             raise ValueError("mu, kappa, eps must be nonnegative")
 
 
-class ZeroSources:
-    """Source provider returning zero fields at every time-derivative level."""
-
-    def fields(self, grid, t: float, deriv: int = 0):
-        z = zero_field(grid)
-        return z, z, z, z
-
-
-class ZeroForcing:
-    """Forcing provider returning zero fields at every level."""
-
-    def fields(self, grid, t: float, deriv: int = 0):
-        z = zero_field(grid)
-        return z, z, z
-
-
-ZERO_SOURCES = ZeroSources()
-ZERO_FORCING = ZeroForcing()
-
-
 @lru_cache(maxsize=64)
 def exp_minus_y(grid) -> np.ndarray:
     """The shear profile E = e^{-y} as a read-only (1, ny) row."""
@@ -102,9 +82,18 @@ def background(grid):
     return E, d2y(Field(np.broadcast_to(E, (grid.nx, grid.ny)), grid)).values
 
 
+def provided_terms(provider, state: State, i: int):
+    """The arrays of a source or forcing provider's i-th time derivative at
+    the state's time, or None if the provider is absent (None) or that
+    derivative vanishes."""
+    if provider is None:
+        return None
+    out = provider.fields(state.grid, state.time, deriv=i)
+    return None if out is None else [f.values for f in out]
+
+
 # level-0 tower fields are the state's own Field objects
 _STATE_FIELDS = dict(rho="rho_shift", u="u_shift", h="h_shift", v="v", g="g", psi="psi")
-_SOURCE_NAMES = ("r1", "r2", "ru", "rh")
 
 
 class TimeTower:
@@ -113,25 +102,29 @@ class TimeTower:
     Level 0 is the state itself; level i+1 is obtained by applying d_t to
     the governing equations i times (Leibniz rule for products), with the
     derived fields recomputed from the divergence-free relations at each
-    level.  sources/forcing must expose fields(grid, t, deriv=i) returning
-    the i-th time derivative of their tuple at the state's time; physics
-    (required) is any object with the attributes eps, mu and kappa.
+    level.  physics (required) is any object with the attributes eps, mu
+    and kappa.
 
-    dx and dy of each (field, level) are computed once and kept, for the
-    level fields and for the sources r1, r2, ru, rh alike.
+    sources and forcing are providers with fields(grid, t, deriv=i): the
+    i-th time derivative, at the state's time, of the source terms
+    (dx r1, dy r2, dx ru, dx rh) (a sources.SourceBundle) or of the forcing
+    (F_r, F_u, F_h), as Fields, or None where that derivative vanishes.
+    None as the provider itself means absent; an absent term is skipped,
+    never added as zeros.
+
+    dx and dy of each (level field, level) are computed once and kept.
     """
 
     def __init__(self, state: State, sources=None, forcing=None, max_depth: int = 6, *, physics):
         self.state = state
         self.physics = physics
-        self.sources = sources if sources is not None else ZERO_SOURCES
-        self.forcing = forcing if forcing is not None else ZERO_FORCING
+        self.sources = sources
+        self.forcing = forcing
         self.max_depth = max_depth
         self._E, self._W = background(state.grid)
         _check_density(state.rho_total)
         self._levels = [{name: getattr(state, a).values for name, a in _STATE_FIELDS.items()}]
         self._fields = {}
-        self._source_levels = {}
         self._derivs = {}
 
     def level(self, i: int) -> dict:
@@ -148,8 +141,8 @@ class TimeTower:
         return self._operand(name, i)
 
     def deriv(self, axis: str, name: str, i: int) -> Field:
-        """dx (axis "x") or dy (axis "y") of a level field or of a source
-        (r1, r2, ru, rh) at level i, computed once per tower."""
+        """dx (axis "x") or dy (axis "y") of a level field at level i,
+        computed once per tower."""
         out = self._derivs.get((axis, name, i))
         if out is None:
             op = dx if axis == "x" else dy
@@ -165,9 +158,10 @@ class TimeTower:
         sources, forcing and, at i = 0, the background term -mu W.
 
         Each sum is accumulated onto its starting value in diffusion =
-        (r0, h0, B0); returns the r and h tendencies and the momentum
-        right-hand side B, where rho d_t u = B.  Levels 0..i must exist."""
-        grid, L, E, W = self.state.grid, self._levels, self._E, self._W
+        (r0, h0, B0), scalars or arrays that may be updated in place;
+        returns the r and h tendencies and the momentum right-hand side B, where
+        rho d_t u = B.  Levels 0..i must exist."""
+        L, E, W = self._levels, self._E, self._W
         eps, mu = self.physics.eps, self.physics.mu
 
         def DX(name, j):
@@ -180,19 +174,24 @@ class TimeTower:
         Us = [self.U(j) for j in range(i + 1)]
         RHO = [L[j]["rho"] + (1.0 if j == 0 else 0.0) for j in range(i + 1)]
         HP1 = [L[j]["h"] + (1.0 if j == 0 else 0.0) for j in range(i + 1)]
-        Fr, Fu, Fh = (s.values for s in self.forcing.fields(grid, self.state.time, deriv=i))
+        src = provided_terms(self.sources, self.state, i)
+        frc = provided_terms(self.forcing, self.state, i)
         drho, dh, B = diffusion
 
         # --- density -------------------------------------------------------
-        drho = drho - (eps * DX("r1", i) + eps * DY("r2", i))
-        drho += Fr
+        if src is not None:
+            drho = drho - (eps * src[0] + eps * src[1])
+        if frc is not None:
+            drho = drho + frc[0]
         for j in range(i + 1):
             c = comb(i, j)
             drho -= c * (Us[j] * DX("rho", i - j) + L[j]["v"] * DY("rho", i - j))
 
         # --- magnetic field --------------------------------------------------
-        dh = dh - eps * DX("rh", i)
-        dh += Fh
+        if src is not None:
+            dh = dh - eps * src[3]
+        if frc is not None:
+            dh = dh + frc[2]
         for j in range(i + 1):
             c = comb(i, j)
             dh -= c * (Us[j] * DX("h", i - j) + L[j]["v"] * DY("h", i - j))
@@ -203,8 +202,10 @@ class TimeTower:
         # --- momentum: d_t^i of (rho d_t u) = d_t^i B ----------------------
         if i == 0:
             B = B - mu * W
-        B = B - eps * DX("ru", i)
-        B += Fu
+        if src is not None:
+            B = B - eps * src[2]
+        if frc is not None:
+            B = B + frc[1]
         for j in range(i + 1):
             c = comb(i, j)
             B += c * HP1[j] * DX("h", i - j)
@@ -221,13 +222,6 @@ class TimeTower:
     # -- internals ---------------------------------------------------------
 
     def _operand(self, name: str, i: int) -> Field:
-        if name in _SOURCE_NAMES:
-            src = self._source_levels.get(i)
-            if src is None:
-                src = self._source_levels[i] = self.sources.fields(
-                    self.state.grid, self.state.time, deriv=i
-                )
-            return src[_SOURCE_NAMES.index(name)]
         if i == 0:
             return getattr(self.state, _STATE_FIELDS[name])
         out = self._fields.get((name, i))

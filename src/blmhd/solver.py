@@ -32,11 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, NonFiniteError
 from .norms import weighted_linf
-from .operators import _d2y_coeffs, dy
-from .pde import ZERO_FORCING, DensityFloorError, Physics, TimeTower, exp_minus_y, pde_rhs
-from .sources import zero_bundle
+from .operators import _d2y_coeffs, _shifts, dy
+from .pde import DensityFloorError, Physics, TimeTower, exp_minus_y, pde_rhs, provided_terms
 from .state import State, derive_secondary
 
 _SCHEMES = ("imex-be", "imex-cn")
@@ -117,12 +116,14 @@ def monitor(state: State, delta0: float, l: float, source_flag: bool = False) ->
 
 @dataclass
 class Trajectory:
-    """Output of run(): stored states with monitor history."""
+    """Output of run(): stored states with monitor history, and the run's
+    config, source bundle and forcing (None when absent), which the
+    diagnostics of the trajectory read."""
 
     states: list
     monitors: list
     config: SolverConfig
-    bundle: object
+    bundle: object = None
     forcing: object = None
     breached: bool = False
 
@@ -187,8 +188,7 @@ def _solve_x_cn(w: np.ndarray, coeff: np.ndarray, step: float, dx_: float) -> np
     Second-order three-point stencil; coeff may vary over the grid and
     over any trailing axes that stack several fields."""
     a = 0.5 * step / dx_**2
-    wp = np.roll(w, -1, axis=0)
-    wm = np.roll(w, 1, axis=0)
+    _, wm, wp, _ = _shifts(w)
     rhs = w + a * coeff * (wp - 2.0 * w + wm)
     c = a * coeff
     off = -c
@@ -260,14 +260,19 @@ def _solve_y_implicit(grid: GridSpec, coeff, a: float, rhs, traces: dict):
 def _explicit_terms(state: State, cfg: SolverConfig, bundle, forcing):
     """Explicit tendencies N for (rho, u, h): the non-diffusive right-hand
     sides of pde.TimeTower.explicit at level 0 with cfg's eps and mu; the u
-    tendency is already divided by the density.
+    tendency is already divided by the density.  bundle and forcing may be
+    None (absent).
 
     The flag is raised when the source divergence eps |dx r1 + dy r2|
-    exceeds 1% of the density transport |U dx r| + |v dy r| (max norms)."""
+    exceeds 1% of the density transport |U dx r| + |v dy r| (max norms);
+    without sources it is down."""
     tower = TimeTower(state, bundle, forcing, max_depth=0, physics=cfg)
     n_rho, n_h, B = tower.explicit(0, (0.0, 0.0, 0.0))
+    src = provided_terms(bundle, state, 0)
+    if src is None:
+        return n_rho, B / state.rho_total, n_h, False
     rx, ry = tower.deriv("x", "rho", 0).values, tower.deriv("y", "rho", 0).values
-    div_src = tower.deriv("x", "r1", 0).values + tower.deriv("y", "r2", 0).values
+    div_src = src[0] + src[1]
     transport_scale = float(
         np.max(np.abs(tower.U(0) * rx)) + np.max(np.abs(state.v.values * ry))
     )
@@ -304,11 +309,9 @@ def step(
     rule), returning the new state and its monitor status.
 
     traces holds the Dirichlet clamp values per field; when omitted they
-    are taken from the incoming state."""
-    if bundle is None:
-        bundle = zero_bundle(state.grid)
-    if forcing is None:
-        forcing = ZERO_FORCING
+    are taken from the incoming state.  bundle and forcing may be None
+    (absent).  A substep that produces a non-finite field raises
+    SolverError."""
     if traces is None:
         traces = make_traces(state)
     mon = monitor(state, cfg.delta0, cfg.l)
@@ -318,14 +321,12 @@ def step(
     k = cfg.dt / n_sub
     cur = state
     src_flag = False
-    for _ in range(n_sub):
-        cur, flag = _substep(cur, cfg, bundle, forcing, k, traces)
-        src_flag = src_flag or flag
-    vals = np.concatenate(
-        [cur.rho_shift.values, cur.u_shift.values, cur.h_shift.values]
-    )
-    if not np.all(np.isfinite(vals)):
-        raise SolverError("solver diverged (non-finite fields)")
+    try:
+        for _ in range(n_sub):
+            cur, flag = _substep(cur, cfg, bundle, forcing, k, traces)
+            src_flag = src_flag or flag
+    except NonFiniteError as exc:
+        raise SolverError(f"solver diverged at t = {cur.time:.6g}: {exc}") from exc
     mon = monitor(cur, cfg.delta0, cfg.l, source_flag=src_flag)
     if mon.breached:
         raise SolverError(f"monitor breached at t = {cur.time:.6g}: {mon}")
@@ -407,11 +408,7 @@ def run(
     state.  The initial state is always stored; on breach (a SolverError,
     or a DensityFloorError from a substep whose density fell below the
     floor) the trajectory is returned with breached = True and ends at the
-    last healthy state."""
-    if bundle is None:
-        bundle = zero_bundle(initial.grid)
-    if forcing is None:
-        forcing = ZERO_FORCING
+    last healthy state.  bundle and forcing may be None (absent)."""
     traces = make_traces(initial)
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
     states = [initial]

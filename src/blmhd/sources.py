@@ -8,15 +8,18 @@ system, polynomial-in-time sources are built from the initial data:
 
 where the time derivatives at t = 0 are bootstrapped through the
 unregularized equations (eps = 0), never by time differencing.
+
+The equations read the sources only as eps (dx r1 + dy r2), eps dx ru and
+eps dx rh, so a SourceBundle differentiates each Taylor coefficient once
+and hands out those terms.  Absent sources are None, never a bundle of
+zeros.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 
-import numpy as np
-
-from .grid import Field, GridSpec, zero_field
+from .grid import Field, GridSpec
 from .norms import shift_physical
 from .operators import dx, dy
 from .pde import DENSITY_FLOOR, DensityFloorError, Physics, TimeTower
@@ -25,34 +28,39 @@ from .state import initial_state
 
 @dataclass(frozen=True)
 class SourceBundle:
-    """Taylor coefficients of the four sources.
+    """Taylor coefficients of the four sources and of the terms the
+    equations read.
 
     levels[i] = (d_t^i dx rho, d_t^i dy rho, d_t^i dx u1, d_t^i dx h1) at
-    t = 0; m = number of levels."""
+    t = 0, i.e. d_t^i (r1, r2, ru, rh) at t = 0; m = number of levels.
+    terms[i] = (dx r1, dy r2, dx ru, dx rh) of levels[i], taken once at
+    construction."""
 
     levels: tuple
     m: int
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m != len(self.levels):
             raise ValueError("m must equal the number of levels")
+        terms = tuple((dx(r1), dy(r2), dx(ru), dx(rh)) for r1, r2, ru, rh in self.levels)
+        object.__setattr__(self, "terms", terms)
 
     def fields(self, grid: GridSpec, t: float, deriv: int = 0):
-        """The deriv-th time derivative of (r1, r2, ru, rh) at time t."""
-        out = []
-        for comp in range(4):
-            acc = np.zeros((grid.nx, grid.ny))
-            for i in range(deriv, self.m):
-                acc += t ** (i - deriv) / factorial(i - deriv) * self.levels[i][
-                    comp
-                ].values
-            out.append(Field(acc, grid))
-        return tuple(out)
+        """The deriv-th time derivative of (dx r1, dy r2, dx ru, dx rh) at
+        time t >= 0, or None for deriv >= m, where every one vanishes.
 
-
-def zero_bundle(grid: GridSpec, m: int = 1) -> SourceBundle:
-    z = zero_field(grid)
-    return SourceBundle(levels=tuple((z, z, z, z) for _ in range(m)), m=m)
+        The Taylor sum starts from the coefficient of level deriv itself,
+        so a one-term sum (deriv = m - 1) is the stored term."""
+        if t < 0:
+            raise ValueError(f"t must be nonnegative, got {t}")
+        if deriv >= self.m:
+            return None
+        out = self.terms[deriv]
+        for i in range(deriv + 1, self.m):
+            c = t ** (i - deriv) / factorial(i - deriv)
+            out = tuple(Field(a.values + c * b.values, grid) for a, b in zip(out, self.terms[i]))
+        return out
 
 
 def bootstrap_time_derivatives(
@@ -87,10 +95,3 @@ def bootstrap_time_derivatives(
         fh = tower.field("h", i)
         levels.append((dx(fr), dy(fr), dx(fu), dx(fh)))
     return SourceBundle(levels=tuple(levels), m=m)
-
-
-def assemble_sources(bundle: SourceBundle, grid: GridSpec, t: float):
-    """Evaluate (r1, r2, ru, rh) at time t (truncated Taylor sums)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return bundle.fields(grid, t, deriv=0)

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
+from blmhd import solver
 from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.manufactured import ManufacturedSolution
 from blmhd.operators import _d2y_coeffs, d2x, d2y
-from blmhd.pde import pde_rhs
+from blmhd.pde import TimeTower, pde_rhs
 from blmhd.solver import (
     _WALL_BCS,
     SolverConfig,
@@ -20,7 +21,7 @@ from blmhd.solver import (
     step,
     thomas_batched,
 )
-from blmhd.sources import bootstrap_time_derivatives, zero_bundle
+from blmhd.sources import SourceBundle, bootstrap_time_derivatives
 from conftest import equilibrium_state, perturbed_state
 
 
@@ -155,6 +156,27 @@ def test_run_stops_on_density_floor_breach():
     assert len(traj.monitors) == 1 and not traj.monitors[0].breached
 
 
+def test_non_finite_substep_is_recorded_as_a_breach(grid_small, monkeypatch):
+    # a NaN in the u tendency must stop the run as a divergence, not
+    # escape run() as the ValueError of the Field that first holds it
+    real = solver._explicit_terms
+
+    def poisoned(*args):
+        n_rho, n_u, n_h, flag = real(*args)
+        n_u = n_u.copy()
+        n_u[3, 5] = np.nan
+        return n_rho, n_u, n_h, flag
+
+    monkeypatch.setattr(solver, "_explicit_terms", poisoned)
+    st = perturbed_state(grid_small)
+    cfg = SolverConfig(dt=1e-3, t_end=3e-3)
+    with pytest.raises(SolverError, match="diverged"):
+        step(st, cfg)
+    traj = run(st, cfg)
+    assert traj.breached
+    assert len(traj.states) == 1 and traj.states[0] is st
+
+
 def test_step_raises_when_breached(grid_small):
     grid = grid_small
     rho = field_from_function(grid, lambda x, y: 0.4 * np.exp(-(y**2)))
@@ -259,6 +281,38 @@ def test_explicit_terms_plus_diffusion_equal_pde_rhs(x_scheme):
         assert np.max(np.abs(ours - ref.values)) <= 1e-12 * ref.max_abs()
 
 
+class _ForcingOfZeros:
+    """An explicit all-zero forcing provider."""
+
+    def fields(self, grid, t, deriv=0):
+        z = Field(np.zeros((grid.nx, grid.ny)), grid)
+        return z, z, z
+
+
+def _bundle_of_zeros(grid, m):
+    z = Field(np.zeros((grid.nx, grid.ny)), grid)
+    return SourceBundle(levels=((z, z, z, z),) * m, m=m)
+
+
+@pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])
+def test_absent_sources_and_forcing_equal_explicit_zeros(x_scheme):
+    # None skips a term that explicit zeros would add: every tower level
+    # and the solver's explicit terms agree as floats
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme)
+    st = perturbed_state(grid)
+    cfg = SolverConfig(eps=0.05, mu=0.7, kappa=1.3)
+    absent = TimeTower(st, None, None, max_depth=3, physics=cfg)
+    zeros = TimeTower(st, _bundle_of_zeros(grid, 2), _ForcingOfZeros(), max_depth=3, physics=cfg)
+    for i in range(4):
+        for name, arr in absent.level(i).items():
+            assert np.array_equal(arr, zeros.level(i)[name]), (i, name)
+    ours = _explicit_terms(st, cfg, None, None)
+    ref = _explicit_terms(st, cfg, _bundle_of_zeros(grid, 1), _ForcingOfZeros())
+    for a, b in zip(ours[:3], ref[:3]):
+        assert np.array_equal(a, b)
+    assert ours[3] is ref[3] is False
+
+
 @pytest.mark.parametrize("eps", [0.01, 0.1, 1.0])
 def test_source_flag(grid_small, eps):
     # bootstrapped sources on perturbed data dominate the 1% threshold;
@@ -267,7 +321,7 @@ def test_source_flag(grid_small, eps):
     st = perturbed_state(grid_small)
     cfg = SolverConfig(eps=eps, dt=1e-3, t_end=1e-3)
     assert step(st, cfg, _bootstrapped(st, m=1))[1].source_flag
-    assert not step(st, cfg, zero_bundle(grid_small))[1].source_flag
+    assert not step(st, cfg, None)[1].source_flag
     eq = equilibrium_state(grid_small)
     assert not step(eq, cfg, _bootstrapped(eq, m=1))[1].source_flag
 

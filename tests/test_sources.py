@@ -1,16 +1,12 @@
-"""Compatibility-source bootstrap and Taylor assembly."""
+"""Compatibility-source bootstrap and the Taylor evaluation of the source
+terms the equations read."""
 import numpy as np
 import pytest
 
 from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.operators import dx, dy
 from blmhd.pde import DensityFloorError
-from blmhd.sources import (
-    SourceBundle,
-    assemble_sources,
-    bootstrap_time_derivatives,
-    zero_bundle,
-)
+from blmhd.sources import SourceBundle, bootstrap_time_derivatives
 
 
 def _grid(nx=32, ny=128):
@@ -21,6 +17,18 @@ def _ones(grid):
     return Field(np.ones((grid.nx, grid.ny)), grid)
 
 
+def _derivative_terms(r1, r2, ru, rh):
+    """(dx r1, dy r2, dx ru, dx rh): what the equations read of the sources."""
+    return dx(r1), dy(r2), dx(ru), dx(rh)
+
+
+def _varying_bundle(grid, m):
+    rho = field_from_function(grid, lambda x, y: 1.0 + 0.05 * np.exp(-(y**2)) * np.cos(x))
+    u1 = field_from_function(grid, lambda x, y: 1.0 + 0.05 * y**2 * np.exp(-(y**2)) * np.sin(x))
+    h1 = field_from_function(grid, lambda x, y: 1.0 + 0.03 * np.exp(-(y**2)) * np.cos(x))
+    return bootstrap_time_derivatives(rho, u1, h1, m=m)
+
+
 def test_equilibrium_bundle_is_identically_zero():
     grid = _grid(nx=8, ny=48)
     one = _ones(grid)
@@ -29,7 +37,7 @@ def test_equilibrium_bundle_is_identically_zero():
         for comp in level:
             assert comp.max_abs() < 1e-12
     for t in (0.0, 0.3, 5.0):
-        for f in assemble_sources(bundle, grid, t):
+        for f in bundle.fields(grid, t):
             assert f.max_abs() < 1e-11
 
 
@@ -80,54 +88,52 @@ def test_x_independent_data_kills_x_derivative_entries():
 
 def test_assemble_collapses_at_t_zero():
     grid = _grid(nx=16, ny=64)
-    rho = field_from_function(grid, lambda x, y: 1.0 + 0.05 * np.exp(-(y**2)) * np.cos(x))
-    u1 = field_from_function(grid, lambda x, y: 1.0 + 0.05 * y**2 * np.exp(-(y**2)) * np.sin(x))
-    h1 = field_from_function(grid, lambda x, y: 1.0 + 0.03 * np.exp(-(y**2)) * np.cos(x))
-    bundle = bootstrap_time_derivatives(rho, u1, h1, m=2)
-    r1, r2, ru, rh = assemble_sources(bundle, grid, 0.0)
-    assert np.array_equal(r1.values, bundle.levels[0][0].values)
-    assert np.array_equal(r2.values, bundle.levels[0][1].values)
-    assert np.array_equal(ru.values, bundle.levels[0][2].values)
-    assert np.array_equal(rh.values, bundle.levels[0][3].values)
+    bundle = _varying_bundle(grid, m=2)
+    expected = _derivative_terms(*bundle.levels[0])
+    for f, e in zip(bundle.fields(grid, 0.0), expected):
+        assert np.array_equal(f.values, e.values)
 
 
 def test_single_level_bundle_has_no_time_dependence():
+    # an m = 1 bundle is constant in t: at every t its terms are dx/dy of
+    # the raw level, bit for bit
     grid = _grid(nx=16, ny=64)
-    rho = field_from_function(grid, lambda x, y: 1.0 + 0.05 * np.exp(-(y**2)) * np.cos(x))
-    one = _ones(grid)
-    bundle = bootstrap_time_derivatives(rho, one, one, m=1)
-    at0 = assemble_sources(bundle, grid, 0.0)
-    at5 = assemble_sources(bundle, grid, 5.0)
-    for f0, f5 in zip(at0, at5):
-        assert np.array_equal(f0.values, f5.values)
+    bundle = _varying_bundle(grid, m=1)
+    expected = _derivative_terms(*bundle.levels[0])
+    for t in (0.0, 5.0):
+        for f, e in zip(bundle.fields(grid, t), expected):
+            assert np.array_equal(f.values, e.values)
+    assert bundle.fields(grid, 5.0, deriv=1) is None
 
 
 def test_polynomial_evaluation_is_exact():
+    # the Taylor sum of the stored terms equals the terms of the Taylor
+    # sum of the raw levels up to round-off
     grid = _grid(nx=16, ny=64)
-    rho = field_from_function(grid, lambda x, y: 1.0 + 0.05 * np.exp(-(y**2)) * np.cos(x))
-    u1 = field_from_function(grid, lambda x, y: 1.0 + 0.05 * y**2 * np.exp(-(y**2)) * np.sin(x))
-    one = _ones(grid)
-    bundle = bootstrap_time_derivatives(rho, u1, one, m=2)
+    bundle = _varying_bundle(grid, m=2)
     t = 0.37
-    vals = assemble_sources(bundle, grid, t)
-    for comp, f in enumerate(vals):
-        expected = bundle.levels[0][comp].values + t * bundle.levels[1][comp].values
-        assert np.max(np.abs(f.values - expected)) < 1e-15
-    # deriv = 1 returns the constant level-1 coefficients
-    d1 = bundle.fields(grid, t, deriv=1)
-    for comp, f in enumerate(d1):
-        assert np.array_equal(f.values, bundle.levels[1][comp].values)
+    raw = [
+        Field(bundle.levels[0][comp].values + t * bundle.levels[1][comp].values, grid)
+        for comp in range(4)
+    ]
+    for f, e in zip(bundle.fields(grid, t), _derivative_terms(*raw)):
+        assert np.max(np.abs(f.values - e.values)) <= 1e-13 * e.max_abs()
+    # deriv = 1 returns the constant level-1 terms; deriv = m vanishes
+    for f, e in zip(bundle.fields(grid, t, deriv=1), _derivative_terms(*bundle.levels[1])):
+        assert np.array_equal(f.values, e.values)
+    assert bundle.fields(grid, t, deriv=2) is None
 
 
-def test_zero_bundle_and_validation():
+def test_bundle_of_zeros_and_validation():
     grid = _grid(nx=8, ny=48)
-    zb = zero_bundle(grid, m=2)
-    for f in assemble_sources(zb, grid, 1.7):
+    z = Field(np.zeros((grid.nx, grid.ny)), grid)
+    zb = SourceBundle(levels=((z, z, z, z),) * 2, m=2)
+    for f in zb.fields(grid, 1.7):
         assert f.max_abs() == 0.0
     with pytest.raises(ValueError):
         SourceBundle(levels=zb.levels, m=3)
     with pytest.raises(ValueError):
-        assemble_sources(zb, grid, -1.0)
+        zb.fields(grid, -1.0)
     one = _ones(grid)
     with pytest.raises(ValueError):
         bootstrap_time_derivatives(one, one, one, m=0)

@@ -1,12 +1,17 @@
-"""No module in src/ or tests/ imports a name it never uses.
+"""No module in src/ or tests/ imports a name it never uses, and every
+name the package exports exists.
 
 A stdlib `ast` scan: a name bound by `import` or `from ... import` counts
 as used when it appears as a name anywhere in the module or is listed in
-the module's `__all__`; `from __future__` imports are skipped."""
+the module's `__all__`; `from __future__` imports are skipped.  Since a
+listed name counts as used, a stale `__all__` entry passes the scan, so a
+second test checks that the package binds every name in `__all__`."""
 import ast
 from pathlib import Path
 
 import pytest
+
+import blmhd
 
 _ROOT = Path(__file__).resolve().parents[1]
 _FILES = sorted(p for d in ("src", "tests") for p in (_ROOT / d).rglob("*.py"))
@@ -39,3 +44,10 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", _FILES, ids=lambda p: str(p.relative_to(_ROOT)))
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_every_exported_name_is_bound():
+    assert [n for n in blmhd.__all__ if not hasattr(blmhd, n)] == []
+    namespace = {}
+    exec("from blmhd import *", namespace)
+    assert set(blmhd.__all__) <= set(namespace)
