@@ -68,7 +68,15 @@ def _check_h_floor(state: State, delta_floor: float) -> np.ndarray:
 
 
 def _zt(tower: TimeTower, name: str, t_count: int, x_count: int) -> np.ndarray:
-    return apply_spatial(tower.field(name, t_count), MultiIndex(x_count=x_count)).values
+    """d_t^t_count Z1^x_count of a tower field; the first dx is the
+    tower's own."""
+    if x_count == 0:
+        return tower.field(name, t_count).values
+    tower.level(t_count)
+    out = tower.deriv("x", name, t_count)
+    for _ in range(x_count - 1):
+        out = dx(out)
+    return out.values
 
 
 def eta_fields(state: State) -> tuple[Field, Field, Field]:
@@ -192,7 +200,7 @@ class _Residual:
         self.gu = good_unknowns(state, alpha1, delta_floor, tower=self.tower)
         # d_t of the state fields (level 1 of the tower)
         self.dt = self.tower.level(1)
-        self.src = provided_terms(bundle, state, alpha1.t_count)
+        self.src = self.tower.source_terms(alpha1.t_count)
         self.frc = provided_terms(forcing, state, alpha1.t_count)
 
     def F(self, vals) -> Field:

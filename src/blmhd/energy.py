@@ -17,16 +17,9 @@ import numpy as np
 
 from .cancellation import T_DEPTH_CAP, good_unknowns
 from .grid import Field
-from .norms import (
-    NormSpec,
-    conormal_linf,
-    conormal_norm,
-    index_set,
-    weighted_l2,
-    weighted_linf,
-)
+from .norms import NormSpec, conormal_linf, conormal_walk, index_set, weighted_l2, weighted_linf
 from .operators import d2y, dx, dy, phi
-from .pde import Physics, TimeTower, apply_spatial, exp_minus_y, map_family, tower_family
+from .pde import Physics, TimeTower, exp_minus_y, map_family, tower_family
 from .solver import MonitorStatus, monitor
 from .state import MultiIndex, State
 
@@ -121,6 +114,12 @@ def _v_over_phi_family(state: State, fv):
     return fam
 
 
+def _norm_sq(total: float) -> float:
+    """float(sqrt(total)) ** 2: the round trip keeps a functional bitwise
+    equal to the square of conormal_norm over the same index set."""
+    return float(np.sqrt(total)) ** 2
+
+
 def _slice_functionals(
     state: State, m: int, l: float, delta0: float, sources, forcing, physics
 ) -> dict:
@@ -153,11 +152,49 @@ def _slice_functionals(
         out = dyu(k)
         return out + E_field if k == 0 else out
 
-    e_ml = conormal_norm((fr, fu_dev, fh), NormSpec(m, l, "tangential-capped")) ** 2
-    triple_full = conormal_norm((fr, fu_dev, fh), NormSpec(m, l, "full")) ** 2
-    dy_tail = conormal_norm((dyr, fshear, dyh), NormSpec(m - 1, l, "full")) ** 2
-    linf_tail = conormal_linf(dyr, NormSpec(1, 1.0, "full")) ** 2
-    y_ml = 1.0 + triple_full + dy_tail + linf_tail
+    # one walk of the deviation triple: E over the tangential-capped set,
+    # the full-set norm, and the dissipation sums (capped set for D_x, D_y;
+    # full set, and order <= m-1 for the second derivatives, for the
+    # Theta/Xi integrands)
+    capped = set(index_set(m, "tangential-capped"))
+    e_sum = full_sum = 0.0
+    dx_cap = dy_cap = ix1 = iy1 = ix2 = iy2 = 0.0
+    for idx, zs in conormal_walk((fr, fu_dev, fh), m):
+        for zf, coef in zip(zs, (eps, mu, kappa)):
+            sq = weighted_l2(zf, l) ** 2
+            zx = dx(zf)
+            x_sq = eps * weighted_l2(zx, l) ** 2
+            y_sq = coef * weighted_l2(dy(zf), l) ** 2
+            full_sum += sq
+            ix1 += x_sq
+            iy1 += y_sq
+            if idx in capped:
+                e_sum += sq
+                dx_cap += x_sq
+                dy_cap += y_sq
+            if idx.order <= m - 1:
+                ix2 += eps * weighted_l2(dy(zx), l) ** 2
+                iy2 += coef * weighted_l2(d2y(zf), l) ** 2
+
+    # one walk of the normal derivatives and v/phi: the H^{m-1}_l tail of
+    # (dy r, shear, dy h), and the order-1 weighted sups of dy r alone and
+    # of all four (the last part of Q)
+    tail_sum = linf_sum = q4_sum = 0.0
+    vphi = _v_over_phi_family(state, fv)
+    for idx, zs in conormal_walk((dyr, fshear, dyh, vphi), max(m - 1, 1)):
+        if idx.order <= m - 1:
+            for zf in zs[:3]:
+                tail_sum += weighted_l2(zf, l) ** 2
+        if idx.order <= 1:
+            sups = [weighted_linf(zf, 1.0) ** 2 for zf in zs]
+            linf_sum += sups[0]
+            for sq in sups:
+                q4_sum += sq
+
+    e_ml = _norm_sq(e_sum)
+    dy_tail = _norm_sq(tail_sum)
+    linf_tail = _norm_sq(linf_sum)
+    y_ml = 1.0 + _norm_sq(full_sum) + dy_tail + linf_tail
 
     # good-unknown contributions over the top tangential indices
     gm_sq = 0.0
@@ -174,41 +211,12 @@ def _slice_functionals(
 
     # L-infinity aggregate
     q1 = (
-        weighted_linf(dx(fr(0)), 0.0) ** 2
+        weighted_linf(tower.deriv("x", "rho", 0), 0.0) ** 2
         + weighted_linf(fr(1), 0.0) ** 2
     )
     q2 = conormal_linf((fu, fh), NormSpec(1, 0.0, "tangential-only")) ** 2
     q3 = conormal_linf((fv, fg), NormSpec(1, 1.0, "tangential-only")) ** 2
-    q4 = (
-        conormal_linf(
-            (dyr, fshear, dyh, _v_over_phi_family(state, fv)),
-            NormSpec(1, 1.0, "full"),
-        )
-        ** 2
-    )
-    q_inst = q1 + q2 + q3 + q4
-
-    # dissipation functionals (tangential-capped index set) and the
-    # full-set integrands feeding Theta and Xi
-    coefs = ((fr, eps), (fu_dev, mu), (fh, kappa))
-    dx_cap = dy_cap = 0.0
-    for idx in index_set(m, "tangential-capped"):
-        for fam, coef in coefs:
-            zf = apply_spatial(fam(idx.t_count), idx)
-            dx_cap += eps * weighted_l2(dx(zf), l) ** 2
-            dy_cap += coef * weighted_l2(dy(zf), l) ** 2
-    ix1 = iy1 = 0.0
-    for idx in index_set(m, "full"):
-        for fam, coef in coefs:
-            zf = apply_spatial(fam(idx.t_count), idx)
-            ix1 += eps * weighted_l2(dx(zf), l) ** 2
-            iy1 += coef * weighted_l2(dy(zf), l) ** 2
-    ix2 = iy2 = 0.0
-    for idx in index_set(m - 1, "full"):
-        for fam, coef in coefs:
-            zf = apply_spatial(fam(idx.t_count), idx)
-            ix2 += eps * weighted_l2(dy(dx(zf)), l) ** 2
-            iy2 += coef * weighted_l2(d2y(zf), l) ** 2
+    q_inst = q1 + q2 + q3 + _norm_sq(q4_sum)
 
     dx_ml = dx_cap + dx_good
     dy_ml = dy_cap + dy_good

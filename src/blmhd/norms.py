@@ -1,10 +1,16 @@
 """Weighted Lebesgue norms, conormal Sobolev norms, and the composite
 data norms for the physical (unshifted) triple.
 
+A conormal norm sums ||<y>^l Z^alpha f|| over multi-indices alpha =
+(t, x, z2), Z^alpha = d_t^t Z1^x Z2^z2.  Its input is a Field (static
+data, whose time derivatives are zero), a field family (a callable k ->
+d_t^k f, e.g. pde.tower_family), or a tuple of these.  conormal_walk visits
+the index set once: each Z^alpha is one dx or z2 of a derivative it has
+already produced, so no index is taken from scratch.
+
 All time-derivative contributions are evaluated by substituting the
 governing equations (see pde.TimeTower), never by differencing stored
-time levels.  A plain Field passed to conormal_norm is treated as static
-data: its time derivatives are zero.
+time levels.
 """
 from __future__ import annotations
 
@@ -13,11 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field
-from .operators import d2x, d2y, dx, dy
-from .pde import (
-    Physics, TimeTower, apply_spatial, exp_minus_y, map_family, static_family, tower_family
-)
-from .state import MultiIndex, State, initial_state
+from .operators import d2x, d2y, dx, dy, z2
+from .pde import Physics, TimeTower, exp_minus_y, map_family, tower_family
+from .state import MultiIndex, initial_state
 
 _MODES = ("full", "tangential-capped", "tangential-only")
 
@@ -75,60 +79,67 @@ def weighted_linf(f: Field, l: float, y_cap: float | None = None) -> float:
     return float(vals.max())
 
 
-def _families(obj, pde_context):
-    """Resolve the input into a list of field families (callables k -> Field);
-    a State gets a tower with the Physics() defaults (pass a TimeTower for others)."""
-    if isinstance(obj, Field):
-        return [static_family(obj)]
-    if callable(obj):
+def _families(obj) -> list:
+    """The input as a flat list of families: a Field (static data) or a
+    callable k -> Field giving d_t^k; tuples and lists are flattened."""
+    if isinstance(obj, Field) or callable(obj):
         return [obj]
-    if isinstance(obj, State):
-        tower = pde_context
-        if not isinstance(tower, TimeTower):
-            tower = TimeTower(obj, physics=Physics())
-        return [tower_family(tower, n) for n in ("rho", "u", "h")]
-    if isinstance(obj, str):
-        if isinstance(pde_context, TimeTower):
-            tower = pde_context
-        elif isinstance(pde_context, State):
-            tower = TimeTower(pde_context, physics=Physics())
-        else:
-            raise ValueError("field-selector norm requires a pde context")
-        return [tower_family(tower, obj)]
     if isinstance(obj, (tuple, list)):
-        fams = []
-        for o in obj:
-            fams.extend(_families(o, pde_context))
-        return fams
+        return [fam for o in obj for fam in _families(o)]
     raise TypeError(f"cannot take a conormal norm of {type(obj).__name__}")
 
 
-def conormal_norm(obj, spec: NormSpec, pde_context=None) -> float:
+def _each(op, fields: list) -> list:
+    return [None if f is None else op(f) for f in fields]
+
+
+def conormal_walk(fams, m: int):
+    """Yield (idx, [Z^idx fam(idx.t_count) for fam in fams]) for every idx
+    of index_set(m, "full"), in that order.
+
+    Each family is evaluated once per time order a.  Z^(a,b,0) is dx of
+    the row head Z^(a,b-1,0) and Z^(a,b,c) is z2 of Z^(a,b,c-1): the chain
+    pde.apply_spatial computes, so the values are the same bit for bit.
+    Only the current row head and chain element of each family are held."""
+    for a in range(m + 1):
+        # a Field is static data: its own d_t^0, and zero (None) above
+        head = [(f if a == 0 else None) if isinstance(f, Field) else f(a) for f in fams]
+        for b in range(m + 1 - a):
+            if b:
+                head = _each(dx, head)
+            chain = head
+            for c in range(m + 1 - a - b):
+                if c:
+                    chain = _each(z2, chain)
+                yield MultiIndex(a, b, c), chain
+
+
+def _conormal_sum(obj, spec: NormSpec, norm) -> float:
+    """sqrt of the sum of norm(Z^alpha f)^2 over spec's index set: index by
+    index, families inner, skipping the zero (None) entries."""
+    keep = set(index_set(spec.m, spec.mode))
+    total = 0.0
+    for idx, zs in conormal_walk(_families(obj), spec.m):
+        if idx in keep:
+            for z in zs:
+                if z is not None:
+                    total += norm(z) ** 2
+    return float(np.sqrt(total))
+
+
+def conormal_norm(obj, spec: NormSpec) -> float:
     """sqrt of the sum of squared weighted L^2_l norms of Z^alpha applied to
-    the input, over the index set selected by spec.mode.
+    the input, over the index set selected by spec.mode, taken from one
+    conormal_walk of order spec.m.
 
-    obj may be a Field (static data), a field family (callable k -> Field
-    giving d_t^k), a field-selector string with a State/TimeTower context,
-    a State (the shifted triple), or a tuple of any of these."""
-    fams = _families(obj, pde_context)
-    total = 0.0
-    for idx in index_set(spec.m, spec.mode):
-        for fam in fams:
-            total += weighted_l2(apply_spatial(fam(idx.t_count), idx), spec.l) ** 2
-    return float(np.sqrt(total))
+    obj is a Field (static data: only its t_count = 0 indices count), a
+    field family (callable k -> Field giving d_t^k), or a tuple of these."""
+    return _conormal_sum(obj, spec, lambda z: weighted_l2(z, spec.l))
 
 
-def conormal_linf(obj, spec: NormSpec, pde_context=None, y_cap=None) -> float:
+def conormal_linf(obj, spec: NormSpec, y_cap=None) -> float:
     """Like conormal_norm but with weighted L^infty_l norms per index."""
-    fams = _families(obj, pde_context)
-    total = 0.0
-    for idx in index_set(spec.m, spec.mode):
-        for fam in fams:
-            total += (
-                weighted_linf(apply_spatial(fam(idx.t_count), idx), spec.l, y_cap)
-                ** 2
-            )
-    return float(np.sqrt(total))
+    return _conormal_sum(obj, spec, lambda z: weighted_linf(z, spec.l, y_cap))
 
 
 def shift_physical(rho: Field, u1: Field, h1: Field) -> tuple[Field, Field, Field]:

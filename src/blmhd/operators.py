@@ -142,11 +142,6 @@ def d2y(f: Field) -> Field:
     return Field(out, f.grid)
 
 
-def z1(f: Field) -> Field:
-    """Tangential conormal derivative Z1 = d/dx."""
-    return dx(f)
-
-
 def z2(f: Field) -> Field:
     """Wall-degenerate conormal derivative Z2 = phi(y) d/dy.
 

@@ -33,7 +33,7 @@ from math import comb
 
 import numpy as np
 
-from .grid import Field, zero_field
+from .grid import Field
 from .operators import d2x, d2y, dx, dy, integrate_y, z2
 from .state import MultiIndex, State
 
@@ -126,6 +126,7 @@ class TimeTower:
         self._levels = [{name: getattr(state, a).values for name, a in _STATE_FIELDS.items()}]
         self._fields = {}
         self._derivs = {}
+        self._sources = {}
 
     def level(self, i: int) -> dict:
         if i < 0:
@@ -148,6 +149,12 @@ class TimeTower:
             op = dx if axis == "x" else dy
             out = self._derivs[(axis, name, i)] = op(self._operand(name, i))
         return out
+
+    def source_terms(self, i: int):
+        """provided_terms of the sources at level i, once per tower."""
+        if i not in self._sources:
+            self._sources[i] = provided_terms(self.sources, self.state, i)
+        return self._sources[i]
 
     def U(self, j: int) -> np.ndarray:
         """d_t^j of the advection velocity U = u + 1 - e^{-y}."""
@@ -174,7 +181,7 @@ class TimeTower:
         Us = [self.U(j) for j in range(i + 1)]
         RHO = [L[j]["rho"] + (1.0 if j == 0 else 0.0) for j in range(i + 1)]
         HP1 = [L[j]["h"] + (1.0 if j == 0 else 0.0) for j in range(i + 1)]
-        src = provided_terms(self.sources, self.state, i)
+        src = self.source_terms(i)
         frc = provided_terms(self.forcing, self.state, i)
         drho, dh, B = diffusion
 
@@ -303,38 +310,6 @@ def time_derivative_via_pde(
     return tower.field(name, order)
 
 
-def zderiv(f, idx: MultiIndex, pde_context=None) -> Field:
-    """Conormal derivative Z^idx = d_t^a Z1^b Z2^c, canonical order t, x, Z2.
-
-    f may be a Field (then idx.t_count must be 0 unless a pde_context is
-    given) or a field-selector string resolved through the context.  The
-    context is a TimeTower or a State; a State gets a tower with the
-    Physics() defaults, so callers who need other physics pass a TimeTower."""
-    tower = None
-    if isinstance(pde_context, TimeTower):
-        tower = pde_context
-    elif isinstance(pde_context, State):
-        tower = TimeTower(pde_context, physics=Physics())
-    elif pde_context is not None:
-        raise TypeError("pde_context must be a State or TimeTower")
-
-    if isinstance(f, str):
-        name = _SELECTORS.get(f)
-        if name is None:
-            raise ValueError(f"unknown field selector {f!r}")
-        if tower is None:
-            raise ValueError("field-selector zderiv requires a pde context")
-        out = tower.field(name, idx.t_count)
-    else:
-        if idx.t_count > 0:
-            raise ValueError(
-                "time derivatives require a pde context (supply the field "
-                "by name together with a State or TimeTower)"
-            )
-        out = f
-    return apply_spatial(out, idx)
-
-
 def apply_spatial(f: Field, idx: MultiIndex) -> Field:
     """The spatial part Z1^x_count Z2^z2_count f of a conormal derivative
     (idx.t_count is ignored)."""
@@ -343,15 +318,6 @@ def apply_spatial(f: Field, idx: MultiIndex) -> Field:
     for _ in range(idx.z2_count):
         f = z2(f)
     return f
-
-
-def static_family(f: Field):
-    """Field family for time-independent data: d_t^k f = 0 for k >= 1."""
-
-    def fam(k: int) -> Field:
-        return f if k == 0 else zero_field(f.grid)
-
-    return fam
 
 
 def tower_family(tower: TimeTower, name: str):

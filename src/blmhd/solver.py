@@ -35,7 +35,7 @@ import numpy as np
 from .grid import Field, GridSpec, NonFiniteError
 from .norms import weighted_linf
 from .operators import _d2y_coeffs, _shifts, dy
-from .pde import DensityFloorError, Physics, TimeTower, exp_minus_y, pde_rhs, provided_terms
+from .pde import DensityFloorError, Physics, TimeTower, exp_minus_y, pde_rhs
 from .state import State, derive_secondary
 
 _SCHEMES = ("imex-be", "imex-cn")
@@ -268,7 +268,7 @@ def _explicit_terms(state: State, cfg: SolverConfig, bundle, forcing):
     without sources it is down."""
     tower = TimeTower(state, bundle, forcing, max_depth=0, physics=cfg)
     n_rho, n_h, B = tower.explicit(0, (0.0, 0.0, 0.0))
-    src = provided_terms(bundle, state, 0)
+    src = tower.source_terms(0)
     if src is None:
         return n_rho, B / state.rho_total, n_h, False
     rx, ry = tower.deriv("x", "rho", 0).values, tower.deriv("y", "rho", 0).values

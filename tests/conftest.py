@@ -4,7 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from blmhd.grid import Field, GridSpec
+from blmhd.grid import Field, GridSpec, zero_field
+from blmhd.norms import index_set
+from blmhd.pde import apply_spatial
 from blmhd.state import State, initial_state
 
 
@@ -56,3 +58,18 @@ def state_equilibrium(grid_small) -> State:
 @pytest.fixture
 def state_perturbed(grid_small) -> State:
     return perturbed_state(grid_small)
+
+
+def per_index_norm(fams, spec, norm) -> float:
+    """The conormal norm by its per-index formula: each Z^alpha taken from
+    scratch with apply_spatial, a Field as static data with zero time
+    derivatives; the reference for the walked norms."""
+    total = 0.0
+    for idx in index_set(spec.m, spec.mode):
+        for fam in fams:
+            if isinstance(fam, Field):
+                f = fam if idx.t_count == 0 else zero_field(fam.grid)
+            else:
+                f = fam(idx.t_count)
+            total += norm(apply_spatial(f, idx)) ** 2
+    return float(np.sqrt(total))

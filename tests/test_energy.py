@@ -2,17 +2,23 @@
 import numpy as np
 import pytest
 
+from blmhd.cancellation import T_DEPTH_CAP, good_unknowns
 from blmhd.energy import (
     CSV_COLUMNS,
     EnergyReport,
+    _slice_functionals,
+    _v_over_phi_family,
     instantaneous_functionals,
     trajectory_report,
 )
-from blmhd.norms import NormSpec, conormal_norm
-from blmhd.pde import Physics, TimeTower, tower_family
+from blmhd.grid import Field
+from blmhd.norms import NormSpec, conormal_norm, index_set, weighted_l2, weighted_linf
+from blmhd.operators import d2y, dx, dy
+from blmhd.pde import Physics, TimeTower, apply_spatial, exp_minus_y, map_family, tower_family
 from blmhd.solver import SolverConfig, Trajectory, monitor, run
+from blmhd.state import MultiIndex
 
-from conftest import perturbed_state
+from conftest import per_index_norm, perturbed_state
 
 
 def test_rest_state_functional_values(state_equilibrium):
@@ -55,6 +61,84 @@ def test_energy_matches_direct_norm_recomputation(grid_small, state_perturbed):
 
     total = conormal_norm((fr, fu_dev, fh), NormSpec(2, 2.0, "tangential-capped")) ** 2
     assert rep.e_ml == pytest.approx(total, rel=1e-12)
+
+
+def _multi_pass_slice(state, m, l, delta0, physics):
+    """The slice functionals by separate passes over each index set, every
+    Z^alpha taken from scratch: the reference for the walked slice."""
+    eps, mu, kappa = physics.eps, physics.mu, physics.kappa
+    tower = TimeTower(state, physics=physics)
+    fr, fu, fh, fv, fg = (tower_family(tower, n) for n in ("rho", "u", "h", "v", "g"))
+    dyr, dyu, dyh = (map_family(dy, f) for f in (fr, fu, fh))
+    grid = state.grid
+    E = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
+
+    def fu_dev(k):
+        return fu(k) - E if k == 0 else fu(k)
+
+    def fshear(k):
+        return dyu(k) + E if k == 0 else dyu(k)
+
+    def l2(z):
+        return weighted_l2(z, l)
+
+    def sup(z):
+        return weighted_linf(z, 1.0)
+
+    triple = (fr, fu_dev, fh)
+    e_ml = per_index_norm(triple, NormSpec(m, l, "tangential-capped"), l2) ** 2
+    full = per_index_norm(triple, NormSpec(m, l), l2) ** 2
+    dy_tail = per_index_norm((dyr, fshear, dyh), NormSpec(m - 1, l), l2) ** 2
+    linf_tail = per_index_norm((dyr,), NormSpec(1, 1.0), sup) ** 2
+    gm_sq = dx_good = dy_good = 0.0
+    for a in range(min(m, T_DEPTH_CAP) + 1):
+        gu = good_unknowns(state, MultiIndex(a, m - a, 0), delta0 / 2.0, tower=tower)
+        for w, coef in ((gu.rho_m, eps), (gu.u_m, mu), (gu.h_m, kappa)):
+            gm_sq += l2(w) ** 2
+            dx_good += eps * l2(dx(w)) ** 2
+            dy_good += coef * l2(dy(w)) ** 2
+    q_inst = (
+        weighted_linf(dx(fr(0)), 0.0) ** 2
+        + weighted_linf(fr(1), 0.0) ** 2
+        + per_index_norm((fu, fh), NormSpec(1, 0.0, "tangential-only"),
+                         lambda z: weighted_linf(z, 0.0)) ** 2
+        + per_index_norm((fv, fg), NormSpec(1, 1.0, "tangential-only"), sup) ** 2
+        + per_index_norm((dyr, fshear, dyh, _v_over_phi_family(state, fv)),
+                         NormSpec(1, 1.0), sup) ** 2
+    )
+    coefs = ((fr, eps), (fu_dev, mu), (fh, kappa))
+    sums = {}
+    for key, mode, order in (("cap", "tangential-capped", m), ("1", "full", m), ("2", "full", m - 1)):
+        x_sum = y_sum = 0.0
+        for idx in index_set(order, mode):
+            for fam, coef in coefs:
+                zf = apply_spatial(fam(idx.t_count), idx)
+                if key == "2":
+                    x_sum += eps * l2(dy(dx(zf))) ** 2
+                    y_sum += coef * l2(d2y(zf)) ** 2
+                else:
+                    x_sum += eps * l2(dx(zf)) ** 2
+                    y_sum += coef * l2(dy(zf)) ** 2
+        sums[key] = (x_sum, y_sum)
+    (dx_cap, dy_cap), (ix1, iy1), (ix2, iy2) = sums["cap"], sums["1"], sums["2"]
+    dx_ml, dy_ml = dx_cap + dx_good, dy_cap + dy_good
+    return {
+        "e_ml": e_ml,
+        "y_ml": 1.0 + full + dy_tail + linf_tail,
+        "x_ml": 1.0 + e_ml + gm_sq + dy_tail + linf_tail,
+        "q_inst": q_inst,
+        "dx_ml": dx_ml,
+        "dy_ml": dy_ml,
+        "theta_integrand": ix1 + iy1 + ix2 + iy2,
+        "xi_integrand": iy2 + ix2 + dx_ml + dy_ml,
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_slice_functionals_equal_the_multi_pass_formula(state_perturbed, m):
+    physics = Physics(mu=0.7, kappa=1.3, eps=0.05)
+    got = _slice_functionals(state_perturbed, m, 2.0, 0.25, None, None, physics)
+    assert got == _multi_pass_slice(state_perturbed, m, 2.0, 0.25, physics)
 
 
 def test_theta_accumulates_along_trajectory(grid_small):

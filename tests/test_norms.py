@@ -11,13 +11,17 @@ from blmhd.norms import (
     b_norms,
     conormal_linf,
     conormal_norm,
+    conormal_walk,
     index_set,
     shift_physical,
     weighted_l2,
     weighted_linf,
 )
-from blmhd.operators import phi
+from blmhd.operators import dx, dy, phi, z2
+from blmhd.pde import Physics, TimeTower, apply_spatial, map_family, tower_family
 from blmhd.state import MultiIndex
+
+from conftest import per_index_norm, perturbed_state
 
 
 def _grid(nx=8, ny=512):
@@ -87,6 +91,43 @@ def test_conormal_linf_matches_weighted_linf_at_order_zero():
     assert conormal_linf(f, NormSpec(0, 1.0, "full")) == pytest.approx(
         weighted_linf(f, 1.0)
     )
+
+
+def _tower_families(grid):
+    tower = TimeTower(perturbed_state(grid), physics=Physics(eps=0.02))
+    return [tower_family(tower, n) for n in ("rho", "u", "h")]
+
+
+@pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])
+def test_conormal_walk_matches_apply_spatial(x_scheme):
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme)
+    fams = _tower_families(grid)
+    static = field_from_function(grid, lambda x, y: np.sin(x) * y * np.exp(-y))
+    walked = list(conormal_walk((*fams, static), 3))
+    assert [idx for idx, _ in walked] == index_set(3, "full")
+    for idx, zs in walked:
+        for fam, z in zip(fams, zs):
+            assert np.array_equal(z.values, apply_spatial(fam(idx.t_count), idx).values)
+        if idx.t_count == 0:
+            assert np.array_equal(zs[-1].values, apply_spatial(static, idx).values)
+        else:
+            assert zs[-1] is None  # static data: its time derivatives are zero
+    # canonical order t, x, Z2: Z^(0,1,1) f = Z2 Z1 f
+    assert np.array_equal(dict(walked)[MultiIndex(0, 1, 1)][-1].values, z2(dx(static)).values)
+
+
+@pytest.mark.parametrize("mode", ["full", "tangential-capped", "tangential-only"])
+def test_walked_norms_equal_the_per_index_formula(mode):
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0)
+    fr, fu, fh = _tower_families(grid)
+    static = field_from_function(grid, lambda x, y: np.cos(x) * np.exp(-(y**2)))
+    fams = (fr, static, map_family(dy, fh), fu)
+    spec = NormSpec(3, 1.5, mode)
+    assert conormal_norm(fams, spec) == per_index_norm(fams, spec, lambda z: weighted_l2(z, 1.5))
+    for y_cap in (None, 4.0):
+        assert conormal_linf(fams, spec, y_cap=y_cap) == per_index_norm(
+            fams, spec, lambda z: weighted_linf(z, 1.5, y_cap)
+        )
 
 
 def test_norm_spec_validation():

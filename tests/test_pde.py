@@ -2,20 +2,19 @@
 import numpy as np
 import pytest
 
-from blmhd.grid import Field, GridSpec, field_from_function
+from blmhd.grid import Field, GridSpec
 from blmhd.manufactured import ManufacturedSolution
-from blmhd.operators import dx, z2
+from blmhd.operators import dx
 from blmhd.pde import (
     DensityFloorError,
     Physics,
     TimeTower,
     map_family,
     pde_rhs,
-    static_family,
     time_derivative_via_pde,
-    zderiv,
+    tower_family,
 )
-from blmhd.state import MultiIndex, initial_state
+from blmhd.state import initial_state
 
 from conftest import equilibrium_state
 
@@ -68,33 +67,10 @@ def test_time_derivative_selector_validation(grid_small):
         time_derivative_via_pde(st, "vorticity")
 
 
-def test_zderiv_canonical_composition(grid_small):
-    grid = grid_small
-    f = field_from_function(grid, lambda x, y: np.sin(x) * y * np.exp(-y))
-    out = zderiv(f, MultiIndex(0, 1, 1))
-    manual = z2(dx(f))
-    assert np.array_equal(out.values, manual.values)
-
-
-def test_zderiv_time_derivative_requires_context(grid_small):
-    grid = grid_small
-    f = field_from_function(grid, lambda x, y: np.exp(-y))
-    with pytest.raises(ValueError):
-        zderiv(f, MultiIndex(1, 0, 0))
-    st = equilibrium_state(grid)
-    out = zderiv("u", MultiIndex(1, 1, 0), pde_context=st)
-    assert out.max_abs() < 1e-11  # equilibrium tendencies vanish
-    with pytest.raises(ValueError):
-        zderiv("unknown_field", MultiIndex(0, 0, 0), pde_context=st)
-    with pytest.raises(TypeError):
-        zderiv(f, MultiIndex(0, 1, 0), pde_context=3.14)
-
-
-def test_static_and_mapped_families(grid_small):
-    grid = grid_small
-    f = field_from_function(grid, lambda x, y: np.exp(-y))
-    fam = static_family(f)
-    assert np.array_equal(fam(0).values, f.values)
-    assert fam(3).max_abs() == 0.0
+def test_map_family_composes_a_spatial_operator(grid_small):
+    st = equilibrium_state(grid_small)
+    fam = tower_family(TimeTower(st, physics=Physics()), "u")
     dfam = map_family(dx, fam)
-    assert dfam(0).max_abs() < 1e-10
+    assert np.array_equal(dfam(0).values, dx(st.u_shift).values)
+    assert dfam(0).max_abs() < 1e-10  # e^{-y} does not vary in x
+    assert np.array_equal(dfam(1).values, dx(fam(1)).values)

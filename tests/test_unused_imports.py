@@ -1,12 +1,18 @@
-"""No module in src/ or tests/ imports a name it never uses, and every
-name the package exports exists.
+"""No module in src/ or tests/ imports a name it never uses, every name
+the package exports exists, and every module-level function or class in
+src/ has a caller.
 
 A stdlib `ast` scan: a name bound by `import` or `from ... import` counts
 as used when it appears as a name anywhere in the module or is listed in
 the module's `__all__`; `from __future__` imports are skipped.  Since a
 listed name counts as used, a stale `__all__` entry passes the scan, so a
-second test checks that the package binds every name in `__all__`."""
+second test checks that the package binds every name in `__all__`.
+
+A module-level definition in src/ is dead when no code in src/ outside its
+own body names it (as a name or an attribute) and the package does not
+export it; tests alone do not keep a definition alive."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +21,12 @@ import blmhd
 
 _ROOT = Path(__file__).resolve().parents[1]
 _FILES = sorted(p for d in ("src", "tests") for p in (_ROOT / d).rglob("*.py"))
+_SRC = sorted((_ROOT / "src").rglob("*.py"))
+
+# definitions kept without a caller in src/, each with its reason
+_KEPT = {
+    "divergence_defects": "the run telemetry of the divergence defects will call it",
+}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -51,3 +63,37 @@ def test_every_exported_name_is_bound():
     namespace = {}
     exec("from blmhd import *", namespace)
     assert set(blmhd.__all__) <= set(namespace)
+
+
+def _names(tree) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _dead_definitions(trees: list[ast.Module], exported: set[str]) -> list[str]:
+    used = sum((_names(t) for t in trees), Counter())
+    dead = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+                if used[name] == _names(node)[name] and name not in exported:
+                    dead.append(name)
+    return sorted(dead)
+
+
+def test_scan_flags_a_dead_definition():
+    trees = [
+        ast.parse("def f(n):\n    return f(n - 1)\ndef g():\n    pass\nclass C:\n    pass\n"),
+        ast.parse("import m\nm.g()\n"),
+    ]
+    assert _dead_definitions(trees, set()) == ["C", "f"]
+    assert _dead_definitions(trees, {"C"}) == ["f"]
+
+
+def test_no_dead_definitions_in_src():
+    trees = [ast.parse(p.read_text()) for p in _SRC]
+    assert _dead_definitions(trees, set(blmhd.__all__)) == sorted(_KEPT)
