@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import Field
 from .operators import d2x, d2y, dx, dy, z2
-from .pde import Physics, TimeTower, exp_minus_y, map_family, tower_family
+from .pde import Physics, TimeTower, deriv_family, exp_minus_y, map_family, tower_family
 from .state import MultiIndex, initial_state
 
 _MODES = ("full", "tangential-capped", "tangential-only")
@@ -93,22 +93,31 @@ def _each(op, fields: list) -> list:
     return [None if f is None else op(f) for f in fields]
 
 
-def conormal_walk(fams, m: int):
+def conormal_walk(fams, m: int, mode: str = "full"):
     """Yield (idx, [Z^idx fam(idx.t_count) for fam in fams]) for every idx
-    of index_set(m, "full"), in that order.
+    of index_set(m, mode), in that order.
 
-    Each family is evaluated once per time order a.  Z^(a,b,0) is dx of
-    the row head Z^(a,b-1,0) and Z^(a,b,c) is z2 of Z^(a,b,c-1): the chain
-    pde.apply_spatial computes, so the values are the same bit for bit.
-    Only the current row head and chain element of each family are held."""
+    Each family is evaluated once per time order a that the mode reads.
+    Z^(a,b,0) is dx of the row head Z^(a,b-1,0) and Z^(a,b,c) is z2 of
+    Z^(a,b,c-1): the chain pde.apply_spatial computes, so the values are
+    the same bit for bit.  No derivative is taken that no index of the mode
+    reads, and only the current row head and chain element of each family
+    are held."""
+    # depth[(a, b)]: how many chain elements Z^(a,b,0..) the mode reads
+    depth = {}
+    for idx in index_set(m, mode):
+        depth[idx.t_count, idx.x_count] = idx.z2_count + 1
     for a in range(m + 1):
+        rows = [b for (t, b) in depth if t == a]
+        if not rows:
+            continue
         # a Field is static data: its own d_t^0, and zero (None) above
         head = [(f if a == 0 else None) if isinstance(f, Field) else f(a) for f in fams]
-        for b in range(m + 1 - a):
+        for b in range(max(rows) + 1):
             if b:
                 head = _each(dx, head)
             chain = head
-            for c in range(m + 1 - a - b):
+            for c in range(depth.get((a, b), 0)):
                 if c:
                     chain = _each(z2, chain)
                 yield MultiIndex(a, b, c), chain
@@ -117,13 +126,11 @@ def conormal_walk(fams, m: int):
 def _conormal_sum(obj, spec: NormSpec, norm) -> float:
     """sqrt of the sum of norm(Z^alpha f)^2 over spec's index set: index by
     index, families inner, skipping the zero (None) entries."""
-    keep = set(index_set(spec.m, spec.mode))
     total = 0.0
-    for idx, zs in conormal_walk(_families(obj), spec.m):
-        if idx in keep:
-            for z in zs:
-                if z is not None:
-                    total += norm(z) ** 2
+    for _, zs in conormal_walk(_families(obj), spec.m, spec.mode):
+        for z in zs:
+            if z is not None:
+                total += norm(z) ** 2
     return float(np.sqrt(total))
 
 
@@ -188,9 +195,11 @@ def b_norms(
         out = fu(k)
         return out - E_field if k == 0 else out
 
-    # physical normal derivatives (d_y of the plain deviations)
-    dyr = map_family(dy, fr)
-    dyh = map_family(dy, fh)
+    # physical normal derivatives (d_y of the plain deviations); dx and dy
+    # of the tower levels come from the tower's derivative cache
+    dxr, dxu, dxh = (deriv_family(tower, "x", name) for name in ("rho", "u", "h"))
+    dyr = deriv_family(tower, "y", "rho")
+    dyh = deriv_family(tower, "y", "h")
     dyu = map_family(dy, fu1)
 
     full_m = NormSpec(m, l, "full")
@@ -207,12 +216,7 @@ def b_norms(
     hat_groups = []
     hat_linf_y5 = 0.0
     for i in range(m):
-        quad = (
-            map_family(dx, shifted_t(fr, i)),
-            map_family(dy, shifted_t(fr, i)),
-            map_family(dx, shifted_t(fu, i)),
-            map_family(dx, shifted_t(fh, i)),
-        )
+        quad = tuple(shifted_t(fam, i) for fam in (dxr, dyr, dxu, dxh))
         g1 = conormal_norm(quad, full_m) ** 2
         second = (
             lambda k, i=i: dy(d2x(fr(k + i))),

@@ -326,6 +326,18 @@ def tower_family(tower: TimeTower, name: str):
     return lambda k: tower.field(sel, k)
 
 
+def deriv_family(tower: TimeTower, axis: str, name: str):
+    """Field family k -> dx (axis "x") or dy (axis "y") of d_t^k of a named
+    state field, from the tower's derivative cache."""
+    sel = _SELECTORS[name]
+
+    def fam(k: int) -> Field:
+        tower.level(k)
+        return tower.deriv(axis, sel, k)
+
+    return fam
+
+
 def map_family(op, fam):
     """Compose a spatial operator with a family (spatial ops commute with d_t)."""
     return lambda k: op(fam(k))

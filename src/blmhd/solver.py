@@ -10,11 +10,16 @@ The explicit terms come from pde: TimeTower.explicit at level 0, the same
 right-hand-side kernel the time-derivative tower differentiates.
 
 Layout: the tridiagonal kernels solve along the first axis, so row j of
-every system is one contiguous slab, and the matrix rows broadcast over
-the trailing axes.  Each implicit stage stacks rho, u and h on a trailing
-axis — (nx, ny, 3) for an x half-step, (ny, nx, 3) for a y stage — and
-does one elimination for all three; the periodic x-solve also carries its
-Sherman-Morrison correction vector through that same elimination.
+every system is one contiguous slab, and the matrix arrays broadcast over
+the trailing axes.  The elimination has two halves: tridiag_factor (or
+periodic_thomas_batched) builds a matrix's forward factors and pivots, and
+thomas_batched sweeps right-hand sides with them.  The rho and h systems
+have constant coefficients, so their factors are built once per run (per
+grid, step and coefficient) and cached as read-only columns; u's rows
+(eps / rho in x, mu / rho in y) are factored at every stage.  Each
+implicit stage stacks its right-hand sides on the middle axis —
+(nx, 4, ny) for an x half-step: rho, u, h and u's Sherman-Morrison seed;
+(ny, 3, nx) for a y stage — and runs one in-place sweep over all of them.
 
 Boundary closure: Neumann rows (d_y rho = d_y h = 0 at the wall) use a
 second-order mirror ghost inside the implicit solve; Dirichlet rows (u at
@@ -29,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import Field, GridSpec, NonFiniteError
 from .norms import weighted_linf
-from .operators import _d2y_coeffs, _shifts, dy
+from .operators import _d2y_coeffs, dy
 from .pde import DensityFloorError, Physics, TimeTower, exp_minus_y, pde_rhs
 from .state import State, derive_secondary
 
@@ -137,43 +143,90 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def thomas_batched(lo, di, up, rhs):
-    """Solve independent tridiagonal systems along the first axis.
+def tridiag_factor(lo, di, up, out=None):
+    """Matrix half of the Thomas elimination along the first axis.
 
-    Equation j reads lo[j] w[j-1] + di[j] w[j] + up[j] w[j+1] = rhs[j].
-    The matrix arrays broadcast against rhs over the trailing axes, so
-    right-hand sides that share a matrix share one elimination.  lo[0] and
-    up[-1] are ignored."""
-    cp = np.empty(np.broadcast_shapes(lo.shape, di.shape, up.shape))
-    dp = np.empty(np.broadcast_shapes(cp.shape, rhs.shape))
-    cp[0] = up[0] / di[0]
-    dp[0] = rhs[0] / di[0]
-    for j in range(1, rhs.shape[0]):
-        denom = di[j] - lo[j] * cp[j - 1]
-        cp[j] = up[j] / denom
-        dp[j] = (rhs[j] - lo[j] * dp[j - 1]) / denom
-    for j in range(rhs.shape[0] - 2, -1, -1):
-        dp[j] -= cp[j] * dp[j + 1]
+    For the systems lo[j] w[j-1] + di[j] w[j] + up[j] w[j+1] = rhs[j]
+    (lo[0] and up[-1] ignored) it returns the forward factors cp and the
+    pivots piv: piv[0] = di[0], piv[j] = di[j] - lo[j] cp[j-1] and
+    cp[j] = up[j] / piv[j].  The arrays have at least one trailing axis;
+    out, when given, is the (cp, piv) pair of arrays to fill."""
+    shape = np.broadcast_shapes(lo.shape, di.shape, up.shape)
+    cp, piv = (np.empty(shape), np.empty(shape)) if out is None else out
+    c, p = list(cp), list(piv)
+    p[0][...] = di[0]
+    np.divide(up[0], p[0], c[0])
+    for j, (lo_j, di_j, up_j) in enumerate(zip(lo[1:], di[1:], up[1:]), 1):
+        np.multiply(lo_j, c[j - 1], p[j])
+        np.subtract(di_j, p[j], p[j])
+        np.divide(up_j, p[j], c[j])
+    return cp, piv
+
+
+def thomas_batched(lo, cp, piv, rhs, out=None):
+    """Right-hand-side sweep of the Thomas elimination along the first axis,
+    with the factors cp and piv of tridiag_factor.
+
+    The matrix arrays broadcast against rhs over the trailing axes (at
+    least one), so right-hand sides that share a matrix share one sweep.
+    out may be rhs itself, and the sweep then runs in place."""
+    dp = np.empty(np.broadcast_shapes(cp.shape, rhs.shape)) if out is None else out
+    d = list(dp)
+    tmp = np.empty(dp.shape[1:])
+    np.divide(rhs[0], piv[0], d[0])
+    for j, (lo_j, piv_j, rhs_j) in enumerate(zip(lo[1:], piv[1:], rhs[1:]), 1):
+        np.multiply(lo_j, d[j - 1], tmp)
+        np.subtract(rhs_j, tmp, d[j])
+        np.divide(d[j], piv_j, d[j])
+    for j in range(len(d) - 2, -1, -1):
+        np.multiply(cp[j], d[j + 1], tmp)
+        np.subtract(d[j], tmp, d[j])
     return dp
 
 
-def periodic_thomas_batched(lo, di, up, rhs):
-    """Solve periodic tridiagonal systems along the first axis via the
-    Sherman-Morrison correction of the open-chain Thomas solve; the rhs
-    solve and the correction-vector solve share one elimination."""
+def periodic_thomas_batched(lo, di, up, out=None):
+    """Matrix half of periodic tridiagonal systems along the first axis
+    (corner entries lo[0] and up[-1]), by the Sherman-Morrison correction
+    of the open chain.
+
+    Returns the chain's factors (cp, piv) for thomas_batched, filled into
+    out when given; the right-hand side `seed` whose chain solution is the
+    correction vector q; and gamma = -di[0].  _sherman_morrison turns the
+    chain solution of a right-hand side into the periodic one."""
     gamma = -di[0]
     dmod = di.copy()
     dmod[0] = di[0] - gamma
     dmod[-1] = di[-1] - lo[0] * up[-1] / gamma
-    pair = np.zeros(rhs.shape + (2,))
-    pair[..., 0] = rhs
-    pair[0, ..., 1] = gamma
-    pair[-1, ..., 1] = up[-1]
-    sol = thomas_batched(lo[..., None], dmod[..., None], up[..., None], pair)
-    y, q = sol[..., 0], sol[..., 1]
-    num = y[0] + lo[0] * y[-1] / gamma
-    den = 1.0 + q[0] + lo[0] * q[-1] / gamma
+    cp, piv = tridiag_factor(lo, dmod, up, out)
+    seed = np.zeros(cp.shape)
+    seed[0] = gamma
+    seed[-1] = up[-1]
+    return cp, piv, seed, gamma
+
+
+def _sherman_morrison(y, q, lo0, gamma):
+    """Periodic solution from the chain solutions y (of the right-hand side)
+    and q (of the seed) of periodic_thomas_batched; lo0 is the corner
+    entry lo[0]."""
+    num = y[0] + lo0 * y[-1] / gamma
+    den = 1.0 + q[0] + lo0 * q[-1] / gamma
     return y - (num / den) * q
+
+
+def _frozen(*arrays):
+    for v in arrays:
+        v.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=16)
+def _periodic_factors(n: int, c: float):
+    """Read-only lo, cp, piv, Sherman-Morrison vector q and gamma of the
+    constant periodic system (1 + 2c) w[i] - c (w[i-1] + w[i+1]) of n rows,
+    as (n, 1) columns (gamma (1,))."""
+    lo = np.full((n, 1), -c)
+    cp, piv, seed, gamma = periodic_thomas_batched(lo, np.full((n, 1), 1.0 + 2.0 * c), lo)
+    return _frozen(lo, cp, piv, thomas_batched(lo, cp, piv, seed), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -181,44 +234,83 @@ def periodic_thomas_batched(lo, di, up, rhs):
 # ---------------------------------------------------------------------------
 
 
-def _solve_x_cn(w: np.ndarray, coeff: np.ndarray, step: float, dx_: float) -> np.ndarray:
-    """Crank-Nicolson step of d_t w = coeff(x, y) d_x^2 w, periodic in x
-    (axis 0).
+def _solve_x_cn(w, coeff, step: float, dx_: float):
+    """Crank-Nicolson step of d_t w = coeff d_x^2 w, periodic in x (axis 0),
+    for a triple w of (nx, ny) arrays.
 
-    Second-order three-point stencil; coeff may vary over the grid and
-    over any trailing axes that stack several fields."""
+    Second-order three-point stencil.  A scalar coefficient (eps, for rho
+    and h) gives a constant system, factored once per (nx, step, eps) in a
+    cache; an (nx, ny) coefficient (eps / rho, for u) is factored here, and
+    its Sherman-Morrison seed rides along as one more right-hand side of
+    the one sweep.  Each field comes back as its own C-contiguous array."""
     a = 0.5 * step / dx_**2
-    _, wm, wp, _ = _shifts(w)
-    rhs = w + a * coeff * (wp - 2.0 * w + wm)
-    c = a * coeff
-    off = -c
-    return periodic_thomas_batched(off, 1.0 + 2.0 * c, off, rhs)
+    n, m = w[0].shape
+    k = len(w)
+    varying = [c for c in range(k) if np.ndim(coeff[c])]
+    # w with one periodic ghost row at each end
+    p = np.empty((n + 2, k, m))
+    for c, f in enumerate(w):
+        p[1:-1, c] = f
+    p[0], p[-1] = p[-2], p[1]
+    wm, ws, wp = p[:-2], p[1:-1], p[2:]
+    b, lo, cp, piv = np.empty((4, n, k + len(varying), m))
+    # rhs = w + (a coeff) ((w[i+1] - 2 w[i]) + w[i-1]), built in place in
+    # this operation order, on which the outputs' bits depend
+    lap = b[:, :k]
+    np.multiply(2.0, ws, out=lap)
+    np.subtract(wp, lap, out=lap)
+    lap += wm
+    corr = []
+    for c in range(k):
+        ac = a * coeff[c]
+        b[:, c] *= ac
+        b[:, c] += ws[:, c]
+        if np.ndim(ac) == 0:
+            lo_c, cp_c, piv_c, q, gamma = _periodic_factors(n, ac)
+            lo[:, c], cp[:, c], piv[:, c] = lo_c, cp_c, piv_c
+            corr.append((q, lo_c[0], gamma))
+            continue
+        s = k + varying.index(c)
+        lo_c = -ac
+        _, _, seed, gamma = periodic_thomas_batched(
+            lo_c, 1.0 + 2.0 * ac, lo_c, out=(cp[:, c], piv[:, c])
+        )
+        b[:, s] = seed
+        lo[:, c] = lo[:, s] = lo_c
+        cp[:, s], piv[:, s] = cp[:, c], piv[:, c]
+        corr.append((b[:, s], lo_c[0], gamma))
+    thomas_batched(lo, cp, piv, b, out=b)
+    return tuple(_sherman_morrison(b[:, c], *corr[c]) for c in range(k))
 
 
 # Wall closure of the y-systems, in (rho, u, h) order.
 _WALL_BCS = ("neumann", "dirichlet", "neumann")
 
 
-def _y_matrix(grid: GridSpec, coeff: np.ndarray, a: float):
-    """Rows of (I - a * coeff * D_y^2) with y on axis 0.
+def _y_matrix(grid: GridSpec, ac: np.ndarray, wall_bc: str):
+    """Rows of (I - ac D_y^2) for one field, with y on axis 0.
 
-    coeff is (ny, nx, 3) in (rho, u, h) order.  The wall row (j=0) follows
-    _WALL_BCS: 'neumann' is the mirror-ghost second-order closure,
-    'dirichlet' an identity row.  The top row is always identity."""
+    ac is (ny, 1) or (ny, nx).  The wall row (j=0) is the mirror-ghost
+    second-order closure for 'neumann', an identity row for 'dirichlet';
+    the top row is always identity."""
     lo2, di2, up2, _, _ = _d2y_coeffs(grid)
-    ac = a * coeff
-    lo = np.zeros_like(ac)
-    di = np.ones_like(ac)
-    up = np.zeros_like(ac)
-    lo[1:-1] = -ac[1:-1] * lo2[:, None, None]
-    di[1:-1] = 1.0 - ac[1:-1] * di2[:, None, None]
-    up[1:-1] = -ac[1:-1] * up2[:, None, None]
-    h1 = grid.y[1] - grid.y[0]
-    for c, wall_bc in enumerate(_WALL_BCS):
-        if wall_bc == "neumann":
-            di[0, :, c] = 1.0 + ac[0, :, c] * 2.0 / h1**2
-            up[0, :, c] = -ac[0, :, c] * 2.0 / h1**2
+    col = (slice(None),) + (None,) * (ac.ndim - 1)
+    lo, di, up = np.zeros_like(ac), np.ones_like(ac), np.zeros_like(ac)
+    lo[1:-1] = -ac[1:-1] * lo2[col]
+    di[1:-1] = 1.0 - ac[1:-1] * di2[col]
+    up[1:-1] = -ac[1:-1] * up2[col]
+    if wall_bc == "neumann":
+        h1 = grid.y[1] - grid.y[0]
+        di[0] = 1.0 + ac[0] * 2.0 / h1**2
+        up[0] = -ac[0] * 2.0 / h1**2
     return lo, di, up
+
+
+@lru_cache(maxsize=16)
+def _y_factors(grid: GridSpec, ac: float, wall_bc: str):
+    """Read-only lo, cp and piv of the constant system I - ac D_y^2."""
+    lo, di, up = _y_matrix(grid, np.full((grid.ny, 1), ac), wall_bc)
+    return _frozen(lo, *tridiag_factor(lo, di, up))
 
 
 def _apply_dyy(grid: GridSpec, w: np.ndarray, wall_bc: str) -> np.ndarray:
@@ -237,19 +329,30 @@ def _apply_dyy(grid: GridSpec, w: np.ndarray, wall_bc: str) -> np.ndarray:
 
 
 def _solve_y_implicit(grid: GridSpec, coeff, a: float, rhs, traces: dict):
-    """Solve (I - a coeff D_y^2) w = rhs for (rho, u, h) in one elimination.
+    """Solve (I - a coeff D_y^2) w = rhs for (rho, u, h) in one sweep.
 
-    coeff and rhs are (rho, u, h) triples of (nx, ny) arrays, stacked here
-    as (ny, nx, 3).  Walls follow _WALL_BCS with u clamped to
-    traces['u_wall']; every top row is clamped to its top trace.  Each
-    field comes back as its own C-contiguous array, which Field adopts
-    without a copy."""
-    b = np.stack([f.T for f in rhs], axis=-1)
-    b[0, :, 1] = traces["u_wall"]
-    b[-1] = np.stack([traces["rho_top"], traces["u_top"], traces["h_top"]], axis=-1)
-    lo, di, up = _y_matrix(grid, np.stack([c.T for c in coeff], axis=-1), a)
-    sol = thomas_batched(lo, di, up, b)
-    return tuple(np.ascontiguousarray(sol[..., c].T) for c in range(3))
+    coeff and rhs are (rho, u, h) triples; rhs holds (nx, ny) arrays,
+    stacked here as (ny, 3, nx).  A scalar coefficient (eps for rho, kappa
+    for h) gives a constant system, factored once per (grid, a, coefficient)
+    in a cache; an (nx, ny) coefficient (mu / rho for u) is factored here.
+    Walls follow _WALL_BCS with u clamped to traces['u_wall']; every top
+    row is clamped to its top trace.  Each field comes back as its own
+    C-contiguous array, which Field adopts without a copy."""
+    b, lo, cp, piv = np.empty((4, grid.ny, 3, grid.nx))
+    for c, f in enumerate(rhs):
+        b[:, c] = f.T
+    b[0, 1] = traces["u_wall"]
+    b[-1] = (traces["rho_top"], traces["u_top"], traces["h_top"])
+    for c, (k, wall_bc) in enumerate(zip(coeff, _WALL_BCS)):
+        if np.ndim(k) == 0:
+            lo_c, cp_c, piv_c = _y_factors(grid, a * k, wall_bc)
+            lo[:, c], cp[:, c], piv[:, c] = lo_c, cp_c, piv_c
+            continue
+        lo_c, di_c, up_c = _y_matrix(grid, a * k.T, wall_bc)
+        lo[:, c] = lo_c
+        tridiag_factor(lo_c, di_c, up_c, out=(cp[:, c], piv[:, c]))
+    thomas_batched(lo, cp, piv, b, out=b)
+    return tuple(np.ascontiguousarray(b[:, c].T) for c in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +470,13 @@ def _substep(state, cfg, bundle, forcing, k, traces):
     def x_half(fields, step_):
         if eps == 0.0:
             return fields
-        r = fields[0]
-        coeff = [np.full_like(r, eps), eps / (r + 1.0), np.full_like(r, eps)]
-        w = _solve_x_cn(np.stack(fields, axis=-1), np.stack(coeff, axis=-1), step_, grid.dx)
-        # one owned array per field, so that Field adopts it without a copy
-        return tuple(np.ascontiguousarray(w[..., c]) for c in range(3))
+        return _solve_x_cn(fields, (eps, eps / (fields[0] + 1.0), eps), step_, grid.dx)
 
     def y_stage(base, lagged, time):
         """Implicit y stage from base; the explicit terms and u's viscosity
         mu / rho are evaluated at the fields lagged."""
         *n_exp, flag = _explicit_terms(with_fields(lagged, time), cfg, bundle, forcing)
-        r = base[0]
-        coeff = (np.full_like(r, eps), mu / (lagged[0] + 1.0), np.full_like(r, kappa))
+        coeff = (eps, mu / (lagged[0] + 1.0), kappa)
         rhs = [b + k * n for b, n in zip(base, n_exp)]
         if cn:
             rhs = [

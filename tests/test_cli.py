@@ -1,5 +1,9 @@
 """End-to-end command-line runs on tiny configurations."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,3 +101,22 @@ def test_missing_config_file_exits_2(tmp_path):
 def test_missing_verb_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_simulate_does_not_import_scipy_linalg(tmp_path):
+    # importing scipy.linalg alone adds ~21 MiB of resident memory, more than
+    # the benchmark's peak-RSS bound allows; the solver stays numpy-only
+    cfg = _write_cfg(tmp_path)
+    code = (
+        "import sys\n"
+        "from blmhd.cli import main\n"
+        f"assert main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[-1] == "False"

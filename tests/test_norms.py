@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from blmhd import norms
 from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.norms import (
     NormSpec,
@@ -114,6 +115,44 @@ def test_conormal_walk_matches_apply_spatial(x_scheme):
             assert zs[-1] is None  # static data: its time derivatives are zero
     # canonical order t, x, Z2: Z^(0,1,1) f = Z2 Z1 f
     assert np.array_equal(dict(walked)[MultiIndex(0, 1, 1)][-1].values, z2(dx(static)).values)
+
+
+@pytest.mark.parametrize("mode", ["full", "tangential-capped", "tangential-only"])
+def test_conormal_walk_takes_only_what_the_mode_reads(mode, monkeypatch):
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0)
+    towers = _tower_families(grid)
+    levels = []
+    calls = {"dx": 0, "z2": 0}
+
+    def counted_family(fam):
+        def counted(k):
+            levels.append(k)
+            return fam(k)
+
+        return counted
+
+    def counted_op(name):
+        op = getattr(norms, name)
+
+        def counted(f):
+            calls[name] += 1
+            return op(f)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(norms, name, counted_op(name))
+    fams = [counted_family(f) for f in towers]
+    walked = list(conormal_walk(fams, 3, mode))
+    wanted = index_set(3, mode)
+    assert [idx for idx, _ in walked] == wanted
+    for idx, zs in walked:
+        for fam, z in zip(towers, zs):
+            assert np.array_equal(z.values, apply_spatial(fam(idx.t_count), idx).values)
+    # one dx per row head and one z2 per chain element the mode reads
+    heads = sum(1 for i in wanted if i.z2_count == 0 and i.x_count > 0)
+    assert calls == {"dx": 3 * heads, "z2": 3 * sum(1 for i in wanted if i.z2_count > 0)}
+    assert sorted(levels) == sorted(3 * sorted({i.t_count for i in wanted}))
 
 
 @pytest.mark.parametrize("mode", ["full", "tangential-capped", "tangential-only"])

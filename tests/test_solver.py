@@ -13,6 +13,11 @@ from blmhd.solver import (
     SolverError,
     _apply_dyy,
     _explicit_terms,
+    _periodic_factors,
+    _sherman_morrison,
+    _solve_x_cn,
+    _solve_y_implicit,
+    _y_factors,
     _y_matrix,
     monitor,
     pde_residual,
@@ -20,6 +25,7 @@ from blmhd.solver import (
     run,
     step,
     thomas_batched,
+    tridiag_factor,
 )
 from blmhd.sources import SourceBundle, bootstrap_time_derivatives
 from conftest import equilibrium_state, perturbed_state
@@ -352,7 +358,7 @@ def test_thomas_matches_dense_solve():
     n, batch = 12, (5, 3)
     lo, di, up = _dominant_diagonals(rng, (n,) + batch)
     rhs = rng.standard_normal((n,) + batch)
-    sol = thomas_batched(lo, di, up, rhs)
+    sol = thomas_batched(lo, *tridiag_factor(lo, di, up), rhs)
     assert sol.shape == rhs.shape
     for idx in np.ndindex(*batch):
         i = (slice(None),) + idx
@@ -366,7 +372,7 @@ def test_thomas_shares_one_matrix_across_right_hand_sides():
     n = 10
     lo, di, up = _dominant_diagonals(rng, (n, 4, 1))
     rhs = rng.standard_normal((n, 4, 3))
-    sol = thomas_batched(lo, di, up, rhs)
+    sol = thomas_batched(lo, *tridiag_factor(lo, di, up), rhs)
     for b in range(4):
         a = _dense(lo[:, b, 0], di[:, b, 0], up[:, b, 0])
         np.testing.assert_allclose(
@@ -374,7 +380,8 @@ def test_thomas_shares_one_matrix_across_right_hand_sides():
         )
     # the shared elimination performs each solve's arithmetic unchanged
     for c in range(3):
-        alone = thomas_batched(lo[..., 0], di[..., 0], up[..., 0], rhs[..., c])
+        one = (lo[..., 0], di[..., 0], up[..., 0])
+        alone = thomas_batched(one[0], *tridiag_factor(*one), rhs[..., c])
         assert np.array_equal(sol[..., c], alone)
 
 
@@ -383,7 +390,9 @@ def test_periodic_thomas_matches_dense_solve_with_corners():
     n, batch = 9, (4, 2)
     lo, di, up = _dominant_diagonals(rng, (n,) + batch)
     rhs = rng.standard_normal((n,) + batch)
-    sol = periodic_thomas_batched(lo, di, up, rhs)
+    cp, piv, seed, gamma = periodic_thomas_batched(lo, di, up)
+    y, q = thomas_batched(lo, cp, piv, rhs), thomas_batched(lo, cp, piv, seed)
+    sol = _sherman_morrison(y, q, lo[0], gamma)
     assert sol.shape == rhs.shape
     for idx in np.ndindex(*batch):
         i = (slice(None),) + idx
@@ -397,14 +406,14 @@ def test_y_matrix_rows_match_apply_dyy_and_dense_solve(grid_small):
     rng = np.random.default_rng(3)
     a = 0.05
     coeff = rng.uniform(0.5, 1.5, (grid.ny, grid.nx, 3))
-    lo, di, up = _y_matrix(grid, coeff, a)
     lo2, _, _, _, _ = _d2y_coeffs(grid)
     w = rng.standard_normal((grid.nx, grid.ny))
     rhs = rng.standard_normal((grid.ny, grid.nx, 3))
-    sol = thomas_batched(lo, di, up, rhs)
     for c, wall_bc in enumerate(_WALL_BCS):
+        lo, di, up = _y_matrix(grid, a * coeff[..., c], wall_bc)
+        sol = thomas_batched(lo, *tridiag_factor(lo, di, up), rhs[..., c])
         for x in (0, grid.nx // 2):
-            m = _dense(lo[:, x, c], di[:, x, c], up[:, x, c])
+            m = _dense(lo[:, x], di[:, x], up[:, x])
             # rows act as I - a coeff D_y^2, with D_y^2 as _apply_dyy closes it
             ac = a * coeff[:, x, c]
             expected = w[x] - ac * _apply_dyy(grid, w, wall_bc)[x]
@@ -416,6 +425,71 @@ def test_y_matrix_rows_match_apply_dyy_and_dense_solve(grid_small):
                 assert m[0, 1] < 0.0 and m[0, 0] == pytest.approx(1.0 - m[0, 1])
             assert m[1, 0] == pytest.approx(-ac[1] * lo2[0])
             np.testing.assert_allclose(
-                sol[:, x, c], np.linalg.solve(m, rhs[:, x, c]), rtol=1e-12, atol=1e-12
+                sol[:, x], np.linalg.solve(m, rhs[:, x, c]), rtol=1e-12, atol=1e-12
             )
     assert set(_WALL_BCS) == {"neumann", "dirichlet"}  # both closures covered
+
+
+def _periodic_laplacian(n):
+    lap = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    lap[0, -1] = lap[-1, 0] = 1.0
+    return lap
+
+
+def test_cached_factors_follow_coefficients_and_step(grid_small):
+    """Each call of _solve_y_implicit and _solve_x_cn, in the order A, B, A
+    of (eps, kappa, step), equals a dense solve of that stage's matrices;
+    the factors cached along the way are read-only."""
+    grid = grid_small
+    nx, ny = grid.nx, grid.ny
+    rng = np.random.default_rng(4)
+    w = tuple(rng.standard_normal((nx, ny)) for _ in range(3))
+    rho = 0.1 * rng.standard_normal((nx, ny))
+    traces = {
+        "u_wall": rng.standard_normal(nx),
+        "rho_top": rng.standard_normal(nx),
+        "u_top": rng.standard_normal(nx),
+        "h_top": rng.standard_normal(nx),
+    }
+    # D_y^2 with the closures the y rows use, built from _apply_dyy
+    dyy = {bc: _apply_dyy(grid, np.eye(ny), bc).T for bc in set(_WALL_BCS)}
+    lap_x = _periodic_laplacian(nx)
+    cases = {"A": (0.02, 0.5, 1e-3), "B": (0.02, 0.5, 4e-3)}
+    _y_factors.cache_clear()
+    _periodic_factors.cache_clear()
+    for name in ("A", "B", "A"):
+        eps, kappa, k = cases[name]
+        coeff = (eps, 1.0 / (rho + 1.0), kappa)
+        out = _solve_y_implicit(grid, coeff, k, w, traces)
+        tops = (traces["rho_top"], traces["u_top"], traces["h_top"])
+        for c, wall_bc in enumerate(_WALL_BCS):
+            ac = k * np.broadcast_to(coeff[c], (nx, ny))
+            for x in range(nx):
+                m = np.eye(ny) - ac[x][:, None] * dyy[wall_bc]
+                b = w[c][x].copy()
+                b[-1] = tops[c][x]
+                if wall_bc == "dirichlet":
+                    b[0] = traces["u_wall"][x]
+                np.testing.assert_allclose(
+                    out[c][x], np.linalg.solve(m, b), rtol=1e-12, atol=1e-12, err_msg=name
+                )
+        # x: distinct scalars on rho and h, so that a swap shows
+        coeff = (eps, eps / (rho + 1.0), kappa)
+        out = _solve_x_cn(w, coeff, k, grid.dx)
+        a = 0.5 * k / grid.dx**2
+        for c in range(3):
+            ac = a * np.broadcast_to(coeff[c], (nx, ny))
+            for y in range(ny):
+                dl = ac[:, y][:, None] * lap_x
+                exact = np.linalg.solve(np.eye(nx) - dl, w[c][:, y] + dl @ w[c][:, y])
+                np.testing.assert_allclose(
+                    out[c][:, y], exact, rtol=1e-12, atol=1e-12, err_msg=name
+                )
+    assert _y_factors.cache_info().currsize == 4  # (eps, kappa) x 2 steps
+    assert _periodic_factors.cache_info().currsize == 4
+    factors = [*_y_factors(grid, 1e-3 * 0.02, "neumann")]
+    factors += _periodic_factors(nx, 0.5 * 1e-3 / grid.dx**2 * 0.02)
+    assert _y_factors.cache_info().currsize == _periodic_factors.cache_info().currsize == 4
+    for arr in factors:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
