@@ -132,7 +132,7 @@ def good_unknowns(
 def _tf_field(tower: TimeTower, name: str, const0: float = 0.0, sub_exp0: bool = False):
     """Tangential function (t_count, x_count) -> array for a state field,
     optionally plus a constant / minus e^{-y} contributing only at (0, 0)."""
-    E = exp_minus_y(tower.state.grid)
+    E = exp_minus_y(tower.grid)
 
     def f(a: int, b: int) -> np.ndarray:
         out = _zt(tower, name, a, b)
@@ -201,7 +201,7 @@ class _Residual:
         # d_t of the state fields (level 1 of the tower)
         self.dt = self.tower.level(1)
         self.src = self.tower.source_terms(alpha1.t_count)
-        self.frc = provided_terms(forcing, state, alpha1.t_count)
+        self.frc = provided_terms(forcing, state.grid, state.time, alpha1.t_count)
 
     def F(self, vals) -> Field:
         return Field(vals, self.grid)

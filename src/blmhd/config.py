@@ -11,10 +11,12 @@ Sections and keys (defaults in parentheses; nx and ny are required):
              ladder (0.1,0.05,0.025,0.0125), perturbation (1e-6)
 
 Unknown sections or keys are errors; duplicate keys are errors citing both
-line numbers; range violations name the offending "section.key".
+line numbers; range violations name the offending "section.key".  Floats
+and ladder rungs must be finite, rungs nonnegative (a final 0 is allowed).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .grid import GridSpec
@@ -159,7 +161,8 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"missing required key {section}.{key}")
     for section, keys in values.items():
         for key, val in keys.items():
-            if not _RANGES[f"{section}.{key}"](val):
+            non_finite = isinstance(val, float) and not math.isfinite(val)
+            if non_finite or not _RANGES[f"{section}.{key}"](val):
                 raise ConfigError(f"out-of-range value for {section}.{key}: {val!r}")
     g = values["grid"]
     try:
@@ -186,6 +189,8 @@ def parse_config(text: str) -> RunConfig:
     e = values["experiment"]
     try:
         ladder = tuple(float(s) for s in e["ladder"].split(",") if s.strip())
+        if not all(math.isfinite(r) and r >= 0.0 for r in ladder):
+            raise ValueError
     except ValueError:
         raise ConfigError(
             f"out-of-range value for experiment.ladder: {e['ladder']!r}"

@@ -19,7 +19,7 @@ from .cancellation import T_DEPTH_CAP, good_unknowns
 from .grid import Field
 from .norms import NormSpec, conormal_linf, conormal_walk, index_set, weighted_l2, weighted_linf
 from .operators import d2y, dx, dy, phi
-from .pde import Physics, TimeTower, exp_minus_y, map_family, tower_family
+from .pde import Physics, TimeTower, deriv_family, exp_minus_y, tower_family
 from .solver import MonitorStatus, monitor
 from .state import MultiIndex, State
 
@@ -135,9 +135,7 @@ def _slice_functionals(
     fh = tower_family(tower, "h")
     fv = tower_family(tower, "v")
     fg = tower_family(tower, "g")
-    dyr = map_family(dy, fr)
-    dyu = map_family(dy, fu)
-    dyh = map_family(dy, fh)
+    dyr, dyu, dyh = (deriv_family(tower, "y", name) for name in ("rho", "u", "h"))
     E_field = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
 
     # plain deviation u - e^{-y} (zero at the rest state) and its normal

@@ -16,7 +16,8 @@ sources and optional manufactured forcings (F_r, F_u, F_h) may be added.
 
 Time derivatives of any order are obtained by repeatedly differentiating
 these equations in time (Leibniz recursion), never by differencing stored
-time levels; TimeTower implements the recursion.
+time levels; TimeTower implements the recursion, and each level takes its
+v, g and psi from state.closure, the one home of the divergence-free closure.
 
 TimeTower.explicit is the one kernel for the non-diffusive terms: the tower
 builds each level from it, and the solver takes its explicit tendencies
@@ -34,8 +35,8 @@ from math import comb
 import numpy as np
 
 from .grid import Field
-from .operators import d2x, d2y, dx, dy, integrate_y, z2
-from .state import MultiIndex, State
+from .operators import d2x, d2y, dx, dy, z2
+from .state import MultiIndex, State, closure
 
 DENSITY_FLOOR = 0.1
 
@@ -82,51 +83,60 @@ def background(grid):
     return E, d2y(Field(np.broadcast_to(E, (grid.nx, grid.ny)), grid)).values
 
 
-def provided_terms(provider, state: State, i: int):
+def provided_terms(provider, grid, t: float, i: int):
     """The arrays of a source or forcing provider's i-th time derivative at
-    the state's time, or None if the provider is absent (None) or that
-    derivative vanishes."""
+    time t, or None if the provider is absent (None) or that derivative
+    vanishes."""
     if provider is None:
         return None
-    out = provider.fields(state.grid, state.time, deriv=i)
+    out = provider.fields(grid, t, deriv=i)
     return None if out is None else [f.values for f in out]
 
 
-# level-0 tower fields are the state's own Field objects
+# the State attribute of each tower field; a field is selected by either name
 _STATE_FIELDS = dict(rho="rho_shift", u="u_shift", h="h_shift", v="v", g="g", psi="psi")
+_SELECTORS = {**{name: name for name in _STATE_FIELDS}, **{a: n for n, a in _STATE_FIELDS.items()}}
 
 
 class TimeTower:
     """Lazy tower of time derivatives of (r, u, h, v, g, psi).
 
-    Level 0 is the state itself; level i+1 is obtained by applying d_t to
-    the governing equations i times (Leibniz rule for products), with the
-    derived fields recomputed from the divergence-free relations at each
-    level.  physics (required) is any object with the attributes eps, mu
-    and kappa.
+    Level 0 is a State, whose Fields the tower holds, or a solver stage's
+    (grid, t, (rho, u, h)) arrays at time t; level i+1 is obtained by
+    applying d_t to the governing equations i times (Leibniz rule for
+    products).  Each level but a State's takes v, g, psi from its (u, h)
+    by state.closure.  physics (required) is any object with the
+    attributes eps, mu and kappa.
 
     sources and forcing are providers with fields(grid, t, deriv=i): the
-    i-th time derivative, at the state's time, of the source terms
+    i-th time derivative, at the tower's time, of the source terms
     (dx r1, dy r2, dx ru, dx rh) (a sources.SourceBundle) or of the forcing
     (F_r, F_u, F_h), as Fields, or None where that derivative vanishes.
     None as the provider itself means absent; an absent term is skipped,
     never added as zeros.
 
-    dx and dy of each (level field, level) are computed once and kept.
+    dx and dy of each (level field, level) are computed once and kept;
+    the closure's dx u and dx h seed that cache.
     """
 
-    def __init__(self, state: State, sources=None, forcing=None, max_depth: int = 6, *, physics):
-        self.state = state
+    def __init__(self, state, sources=None, forcing=None, max_depth: int = 6, *, physics):
         self.physics = physics
         self.sources = sources
         self.forcing = forcing
         self.max_depth = max_depth
-        self._E, self._W = background(state.grid)
-        _check_density(state.rho_total)
-        self._levels = [{name: getattr(state, a).values for name, a in _STATE_FIELDS.items()}]
-        self._fields = {}
         self._derivs = {}
         self._sources = {}
+        if isinstance(state, State):
+            self.grid, self.time = state.grid, state.time
+            self._fields = {(name, 0): getattr(state, a) for name, a in _STATE_FIELDS.items()}
+            level = {name: f.values for (name, _), f in self._fields.items()}
+        else:
+            self.grid, self.time, (rho, u, h) = state
+            self._fields = {("rho", 0): Field(rho, self.grid)}
+            level = self._close(0, self._fields[("rho", 0)].values, u, h)
+        self._E, self._W = background(self.grid)
+        _check_density(level["rho"] + 1.0)
+        self._levels = [level]
 
     def level(self, i: int) -> dict:
         if i < 0:
@@ -153,7 +163,7 @@ class TimeTower:
     def source_terms(self, i: int):
         """provided_terms of the sources at level i, once per tower."""
         if i not in self._sources:
-            self._sources[i] = provided_terms(self.sources, self.state, i)
+            self._sources[i] = provided_terms(self.sources, self.grid, self.time, i)
         return self._sources[i]
 
     def U(self, j: int) -> np.ndarray:
@@ -182,7 +192,7 @@ class TimeTower:
         RHO = [L[j]["rho"] + (1.0 if j == 0 else 0.0) for j in range(i + 1)]
         HP1 = [L[j]["h"] + (1.0 if j == 0 else 0.0) for j in range(i + 1)]
         src = self.source_terms(i)
-        frc = provided_terms(self.forcing, self.state, i)
+        frc = provided_terms(self.forcing, self.grid, self.time, i)
         drho, dh, B = diffusion
 
         # --- density -------------------------------------------------------
@@ -229,15 +239,22 @@ class TimeTower:
     # -- internals ---------------------------------------------------------
 
     def _operand(self, name: str, i: int) -> Field:
-        if i == 0:
-            return getattr(self.state, _STATE_FIELDS[name])
         out = self._fields.get((name, i))
         if out is None:
-            out = self._fields[(name, i)] = Field(self._levels[i][name], self.state.grid)
+            out = self._fields[(name, i)] = Field(self._levels[i][name], self.grid)
         return out
 
+    def _close(self, i: int, rho, u, h) -> dict:
+        """Level i from its (rho, u, h) arrays: v, g and psi by
+        state.closure, whose u, h and psi Fields and dx u, dx h are kept."""
+        u_f = self._fields[("u", i)] = Field(u, self.grid)
+        h_f = self._fields[("h", i)] = Field(h, self.grid)
+        ux, hx, v, g, psi = closure(u_f, h_f)
+        self._derivs[("x", "u", i)], self._derivs[("x", "h", i)] = ux, hx
+        self._fields[("psi", i)] = psi
+        return {"rho": rho, "u": u_f.values, "h": h_f.values, "v": v, "g": g, "psi": psi.values}
+
     def _next_level(self) -> dict:
-        grid = self.state.grid
         i = len(self._levels) - 1
         L = self._levels
         eps, mu, kappa = self.physics.eps, self.physics.mu, self.physics.kappa
@@ -253,27 +270,11 @@ class TimeTower:
                 eps * d2x(u_i).values + mu * d2y(u_i).values,
             ),
         )
-        rho_phys = L[0]["rho"] + 1.0
-        _check_density(rho_phys)
+        rho_phys = L[0]["rho"] + 1.0  # checked against the floor at construction
         acc = B
         for j in range(1, i + 1):
             acc = acc - comb(i, j) * L[j]["rho"] * L[i + 1 - j]["u"]
-        du = acc / rho_phys
-
-        # derived fields at the new level from the linear constraints; the
-        # x-derivatives of u and h are kept for the next level's sums
-        du_f = self._fields[("u", i + 1)] = Field(du, grid)
-        dh_f = self._fields[("h", i + 1)] = Field(dh, grid)
-        du_x = self._derivs[("x", "u", i + 1)] = dx(du_f)
-        dh_x = self._derivs[("x", "h", i + 1)] = dx(dh_f)
-        return {
-            "rho": drho,
-            "u": du_f.values,
-            "h": dh_f.values,
-            "v": -integrate_y(du_x).values,
-            "g": -integrate_y(dh_x).values,
-            "psi": integrate_y(dh_f).values,
-        }
+        return self._close(i + 1, drho, acc / rho_phys, dh)
 
 
 def pde_rhs(
@@ -282,21 +283,6 @@ def pde_rhs(
     """Instantaneous (d_t rho_shift, d_t u_shift, d_t h_shift)."""
     tower = TimeTower(state, sources, forcing, max_depth=1, physics=physics)
     return tuple(tower.field(name, 1) for name in ("rho", "u", "h"))
-
-
-_FIELD_NAMES = ("rho", "u", "h", "v", "g", "psi")
-
-_SELECTORS = {
-    "rho": "rho",
-    "rho_shift": "rho",
-    "u": "u",
-    "u_shift": "u",
-    "h": "h",
-    "h_shift": "h",
-    "v": "v",
-    "g": "g",
-    "psi": "psi",
-}
 
 
 def time_derivative_via_pde(

@@ -6,8 +6,10 @@ forcing are explicit.  imex-cn is second order: a Strang-symmetrized
 Crank-Nicolson x-diffusion split around a two-stage midpoint predictor/
 corrector in y.  imex-be is the first-order single-stage variant.
 
-The explicit terms come from pde: TimeTower.explicit at level 0, the same
-right-hand-side kernel the time-derivative tower differentiates.
+Stages pass (rho, u, h) arrays, and a step builds one State, at its end.
+Each y stage builds the level-0 TimeTower of its lagged arrays, which takes
+v, g, psi and dx u, dx h from state.closure; its TimeTower.explicit, the
+kernel the time-derivative tower differentiates, gives the explicit terms.
 
 Layout: the tridiagonal kernels solve along the first axis, so row j of
 every system is one contiguous slab, and the matrix arrays broadcast over
@@ -33,7 +35,7 @@ The -mu e^{-y} background forcing is discretized as -mu * D_y^2(e^{-y})
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +44,7 @@ from .grid import Field, GridSpec, NonFiniteError
 from .norms import weighted_linf
 from .operators import _d2y_coeffs, dy
 from .pde import DensityFloorError, Physics, TimeTower, exp_minus_y, pde_rhs
-from .state import State, derive_secondary
+from .state import State, initial_state
 
 _SCHEMES = ("imex-be", "imex-cn")
 
@@ -360,27 +362,25 @@ def _solve_y_implicit(grid: GridSpec, coeff, a: float, rhs, traces: dict):
 # ---------------------------------------------------------------------------
 
 
-def _explicit_terms(state: State, cfg: SolverConfig, bundle, forcing):
-    """Explicit tendencies N for (rho, u, h): the non-diffusive right-hand
-    sides of pde.TimeTower.explicit at level 0 with cfg's eps and mu; the u
-    tendency is already divided by the density.  bundle and forcing may be
-    None (absent).
+def _explicit_terms(tower: TimeTower):
+    """Explicit tendencies N for (rho, u, h) of a tower's level 0: the
+    non-diffusive right-hand sides of TimeTower.explicit with the eps and
+    mu of its physics; the u tendency is already divided by the density.
 
     The flag is raised when the source divergence eps |dx r1 + dy r2|
     exceeds 1% of the density transport |U dx r| + |v dy r| (max norms);
     without sources it is down."""
-    tower = TimeTower(state, bundle, forcing, max_depth=0, physics=cfg)
     n_rho, n_h, B = tower.explicit(0, (0.0, 0.0, 0.0))
+    L0 = tower.level(0)
+    rho = L0["rho"] + 1.0
     src = tower.source_terms(0)
     if src is None:
-        return n_rho, B / state.rho_total, n_h, False
+        return n_rho, B / rho, n_h, False
     rx, ry = tower.deriv("x", "rho", 0).values, tower.deriv("y", "rho", 0).values
     div_src = src[0] + src[1]
-    transport_scale = float(
-        np.max(np.abs(tower.U(0) * rx)) + np.max(np.abs(state.v.values * ry))
-    )
-    source_scale = cfg.eps * float(np.max(np.abs(div_src)))
-    return n_rho, B / state.rho_total, n_h, bool(source_scale > 0.01 * transport_scale)
+    transport_scale = float(np.max(np.abs(tower.U(0) * rx)) + np.max(np.abs(L0["v"] * ry)))
+    source_scale = tower.physics.eps * float(np.max(np.abs(div_src)))
+    return n_rho, B / rho, n_h, bool(source_scale > 0.01 * transport_scale)
 
 
 def _cfl_substeps(state: State, cfg: SolverConfig) -> int:
@@ -411,25 +411,30 @@ def step(
     """Advance one nominal dt (internally subdivided to satisfy the CFL
     rule), returning the new state and its monitor status.
 
-    traces holds the Dirichlet clamp values per field; when omitted they
-    are taken from the incoming state.  bundle and forcing may be None
-    (absent).  A substep that produces a non-finite field raises
-    SolverError."""
+    The substeps pass (rho, u, h) arrays; the new State is built once, at
+    the end, by initial_state.  traces holds the Dirichlet clamp values per
+    field; when omitted they are taken from the incoming state.  bundle
+    and forcing may be None (absent).  A substep that produces a
+    non-finite field raises SolverError."""
     if traces is None:
         traces = make_traces(state)
     mon = monitor(state, cfg.delta0, cfg.l)
     if mon.breached:
         raise SolverError(f"monitor breached before step: {mon}")
+    grid = state.grid
     n_sub = _cfl_substeps(state, cfg)
     k = cfg.dt / n_sub
-    cur = state
+    w = (state.rho_shift.values, state.u_shift.values, state.h_shift.values)
+    t = state.time
     src_flag = False
     try:
         for _ in range(n_sub):
-            cur, flag = _substep(cur, cfg, bundle, forcing, k, traces)
+            w, flag = _substep(grid, w, t, cfg, bundle, forcing, k, traces)
+            t += k
             src_flag = src_flag or flag
+        cur = initial_state(grid, *(Field(f, grid) for f in w), time=t)
     except NonFiniteError as exc:
-        raise SolverError(f"solver diverged at t = {cur.time:.6g}: {exc}") from exc
+        raise SolverError(f"solver diverged at t = {t:.6g}: {exc}") from exc
     mon = monitor(cur, cfg.delta0, cfg.l, source_flag=src_flag)
     if mon.breached:
         raise SolverError(f"monitor breached at t = {cur.time:.6g}: {mon}")
@@ -446,36 +451,25 @@ def make_traces(state: State) -> dict:
     }
 
 
-def _substep(state, cfg, bundle, forcing, k, traces):
-    grid = state.grid
+def _substep(grid, w, t, cfg, bundle, forcing, k, traces):
+    """One substep of length k from the (rho, u, h) arrays w at time t;
+    returns the new arrays and the source flag."""
     eps, mu, kappa = cfg.eps, cfg.mu, cfg.kappa
-    t = state.time
     cn = cfg.scheme == "imex-cn"
     # imex-cn: x half-steps around theta = 1/2 y stages; imex-be: one x step
     # and theta = 1.  a = theta * k is also the x step.
     a = k / 2.0 if cn else k
 
-    def with_fields(fields, time):
-        r, u, h = fields
-        return derive_secondary(
-            replace(
-                state,
-                rho_shift=Field(r, grid),
-                u_shift=Field(u, grid),
-                h_shift=Field(h, grid),
-                time=time,
-            )
-        )
-
-    def x_half(fields, step_):
+    def x_half(fields):
         if eps == 0.0:
             return fields
-        return _solve_x_cn(fields, (eps, eps / (fields[0] + 1.0), eps), step_, grid.dx)
+        return _solve_x_cn(fields, (eps, eps / (fields[0] + 1.0), eps), a, grid.dx)
 
     def y_stage(base, lagged, time):
         """Implicit y stage from base; the explicit terms and u's viscosity
         mu / rho are evaluated at the fields lagged."""
-        *n_exp, flag = _explicit_terms(with_fields(lagged, time), cfg, bundle, forcing)
+        tower = TimeTower((grid, time, lagged), bundle, forcing, max_depth=0, physics=cfg)
+        *n_exp, flag = _explicit_terms(tower)
         coeff = (eps, mu / (lagged[0] + 1.0), kappa)
         rhs = [b + k * n for b, n in zip(base, n_exp)]
         if cn:
@@ -485,14 +479,14 @@ def _substep(state, cfg, bundle, forcing, k, traces):
             ]
         return _solve_y_implicit(grid, coeff, a, rhs, traces), flag
 
-    w = x_half((state.rho_shift.values, state.u_shift.values, state.h_shift.values), a)
+    w = x_half(w)
     new, flag = y_stage(w, w, t)
     if cn:
         mid = tuple(0.5 * (b + s) for b, s in zip(w, new))
         new, flag2 = y_stage(w, mid, t + k / 2.0)
-        new = x_half(new, a)
+        new = x_half(new)
         flag = flag or flag2
-    return with_fields(new, t + k), flag
+    return new, flag
 
 
 def run(

@@ -3,7 +3,9 @@
 The shifted unknowns are rho_shift = rho - 1, u_shift = u1 - 1 + e^{-y},
 h_shift = h1 - 1; they decay at the top of the layer.  The derived fields
 v (vertical velocity), g (vertical magnetic field) and the stream function
-psi are recovered from the divergence-free constraints and d_y psi = h.
+psi are recovered from the divergence-free constraints and d_y psi = h by
+closure, their one home: derive_secondary, every pde.TimeTower level and
+every solver stage take them from it.
 """
 from __future__ import annotations
 
@@ -83,14 +85,19 @@ def initial_state(
     return derive_secondary(st)
 
 
-def derive_secondary(state: State) -> State:
-    """Fill v = -int_0^y dx(u), g = -int_0^y dx(h), psi = int_0^y h.
+def closure(u: Field, h: Field):
+    """(dx u, dx h, v, g, psi) of one time slice, with v = -int_0^y dx u,
+    g = -int_0^y dx h and psi = int_0^y h, all three zero on the wall row.
+    v and g are arrays, negated as arrays so that the sign builds no Field;
+    the rest are Fields."""
+    ux, hx = dx(u), dx(h)
+    return ux, hx, -integrate_y(ux).values, -integrate_y(hx).values, integrate_y(h)
 
-    All three vanish identically on the wall row by construction."""
-    v = -integrate_y(dx(state.u_shift))
-    g = -integrate_y(dx(state.h_shift))
-    psi = integrate_y(state.h_shift)
-    return replace(state, v=v, g=g, psi=psi)
+
+def derive_secondary(state: State) -> State:
+    """Fill v, g and psi of a state by closure."""
+    _, _, v, g, psi = closure(state.u_shift, state.h_shift)
+    return replace(state, v=Field(v, state.grid), g=Field(g, state.grid), psi=psi)
 
 
 def divergence_defects(state: State) -> tuple[float, float, float]:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from blmhd import cli
 from blmhd.config import ConfigError, canonical_text, load_config, parse_config
 from blmhd.io import (
     SNAPSHOT_MAGIC,
@@ -63,6 +64,34 @@ def test_non_decreasing_ladder_rejected():
     text = MINIMAL + "[experiment]\nladder = 0.1,0.1\n"
     with pytest.raises(ConfigError, match="decreasing"):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("solver", "t_end=inf"),
+        ("physics", "mu=nan"),
+        ("grid", "y_max=inf"),
+        ("experiment", "amplitude=nan"),
+        ("experiment", "ladder=nan"),
+        ("experiment", "ladder=inf,0.1"),
+        ("experiment", "ladder=0.01,-0.01"),
+    ],
+)
+def test_non_finite_values_and_negative_rungs_are_config_errors(tmp_path, section, line):
+    # each is a ConfigError naming its key, so the CLI exits 2 before any run
+    text = MINIMAL + f"[{section}]\n{line}\n"
+    key = f"{section}.{line.split('=')[0]}"
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        parse_config(text)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_zero_is_a_valid_final_rung():
+    cfg = parse_config(MINIMAL + "[experiment]\nladder = 0.01,0\n")
+    assert cfg.ladder == (0.01, 0.0)
 
 
 def test_type_error_cites_line():

@@ -16,7 +16,7 @@ from blmhd.pde import (
 )
 from blmhd.state import initial_state
 
-from conftest import equilibrium_state
+from conftest import equilibrium_state, perturbed_state
 
 
 def test_equilibrium_time_derivatives_vanish(grid_small):
@@ -74,3 +74,15 @@ def test_map_family_composes_a_spatial_operator(grid_small):
     assert np.array_equal(dfam(0).values, dx(st.u_shift).values)
     assert dfam(0).max_abs() < 1e-10  # e^{-y} does not vary in x
     assert np.array_equal(dfam(1).values, dx(fam(1)).values)
+
+
+@pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])
+def test_homogeneous_density_vanishes_on_every_tower_level(x_scheme):
+    # rho_shift = 0 with no sources: every term of d_t^i r carries a
+    # derivative of some level of r, so each level is exactly zero
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme)
+    st = perturbed_state(grid, a_rho=0.0, a_u=0.5, a_h=0.3)
+    tower = TimeTower(st, max_depth=4, physics=Physics(eps=0.01))
+    for i in range(5):
+        assert np.all(tower.level(i)["rho"] == 0.0), i
+        assert np.max(np.abs(tower.level(i)["u"])) > 0.0, i

@@ -1,8 +1,11 @@
 """Time integrator: monitors, steady state, CFL subdivision, residuals."""
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from blmhd import solver
+from blmhd import operators, solver, state
 from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.manufactured import ManufacturedSolution
 from blmhd.operators import _d2y_coeffs, d2x, d2y
@@ -81,12 +84,14 @@ def test_equilibrium_is_discretely_steady_imex_be(grid_small, state_equilibrium)
     assert not mon.breached
 
 
-def test_imex_be_is_first_order_in_time(grid_small, state_perturbed):
-    # error against a fine-dt reference at a common time halves with dt
+@pytest.mark.parametrize("scheme", ["imex-be", "imex-cn"])
+def test_imex_order_in_time(grid_small, state_perturbed, scheme):
+    # error against a fine-dt reference at a common time falls with dt at
+    # the scheme's order
     t_end = 0.04
 
     def final(dt):
-        cfg = SolverConfig(eps=0.01, dt=dt, t_end=t_end, scheme="imex-be")
+        cfg = SolverConfig(eps=0.01, dt=dt, t_end=t_end, scheme=scheme)
         traj = run(state_perturbed, cfg, output_stride=10**6)
         assert not traj.breached and traj.times[-1] == pytest.approx(t_end)
         last = traj.states[-1]
@@ -98,8 +103,53 @@ def test_imex_be_is_first_order_in_time(grid_small, state_perturbed):
     e1 = np.max(np.abs(final(4e-3) - ref))
     e2 = np.max(np.abs(final(2e-3) - ref))
     assert e1 > 1e-8  # the comparison measures time error, not round-off
-    # first order: e ~ C (dt - dt_ref), so e1 / e2 = 15 / 7 ~ 2.1
-    assert 1.7 < e1 / e2 < 2.6
+    # first order: e ~ C (dt - dt_ref), so e1 / e2 = 15 / 7 ~ 2.1; second
+    # order: e ~ C (dt^2 - dt_ref^2), so e1 / e2 = (16 - 1/16) / (4 - 1/16) ~ 4.05
+    lo, hi = {"imex-be": (1.7, 2.6), "imex-cn": (3.5, 4.6)}[scheme]
+    assert lo < e1 / e2 < hi
+
+
+@pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])
+@pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
+def test_homogeneous_run_keeps_rho_shift_zero(scheme, x_scheme):
+    # with rho_shift = 0 and no sources, d_t rho_shift = 0 exactly, and
+    # each x and y solve maps the zero density to itself
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme)
+    st = perturbed_state(grid, a_rho=0.0, a_u=0.5, a_h=0.3)
+    traj = run(st, SolverConfig(eps=0.01, dt=1e-3, t_end=0.05, scheme=scheme), output_stride=10)
+    assert not traj.breached and traj.times[-1] == pytest.approx(0.05)
+    assert len(traj.states) == 6
+    for s in traj.states:
+        assert np.all(s.rho_shift.values == 0.0), s.time
+    assert np.max(np.abs(traj.states[-1].u_shift.values - st.u_shift.values)) > 1e-4
+
+
+@pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
+def test_a_step_builds_one_state(monkeypatch, state_perturbed, scheme):
+    """The substeps pass arrays: a step of 3 substeps derives one State, at
+    its end, and each stage's level-0 tower takes dx u and dx h from the
+    closure, so a stage takes only dx rho besides them (imex-cn: two
+    stages per substep, imex-be: one)."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in (("derive_secondary", state.derive_secondary), ("dx", operators.dx)):
+        wrapper = counted(name, fn)
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "blmhd"]:
+            if vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+    monkeypatch.setattr(TimeTower, "__init__", counted("tower", TimeTower.__init__))
+    monkeypatch.setattr(solver, "_cfl_substeps", lambda st, cfg: 3)
+    new, _ = step(state_perturbed, SolverConfig(eps=0.01, dt=1e-3, scheme=scheme))
+    calls = {"imex-cn": (1, 20, 6), "imex-be": (1, 11, 3)}[scheme]
+    assert (counts["derive_secondary"], counts["dx"], counts["tower"]) == calls
+    assert new.time == pytest.approx(1e-3)
 
 
 def test_step_is_deterministic(grid_small, state_perturbed):
@@ -266,6 +316,12 @@ def _bootstrapped(state, m, mu=1.0, kappa=1.0):
     )
 
 
+def _stage_tower(st, cfg, bundle, forcing):
+    """The level-0 tower a solver stage builds from the arrays of st."""
+    w = (st.rho_shift.values, st.u_shift.values, st.h_shift.values)
+    return TimeTower((st.grid, st.time, w), bundle, forcing, max_depth=0, physics=cfg)
+
+
 @pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])
 def test_explicit_terms_plus_diffusion_equal_pde_rhs(x_scheme):
     # the solver's explicit tendencies plus the diffusion it treats
@@ -276,7 +332,7 @@ def test_explicit_terms_plus_diffusion_equal_pde_rhs(x_scheme):
     bundle = _bootstrapped(st, m=2, mu=mu, kappa=kappa)
     forcing = ManufacturedSolution(mu=mu, kappa=kappa, eps=eps)
     cfg = SolverConfig(eps=eps, mu=mu, kappa=kappa)
-    n_rho, n_u, n_h, _ = _explicit_terms(st, cfg, bundle, forcing)
+    n_rho, n_u, n_h, _ = _explicit_terms(_stage_tower(st, cfg, bundle, forcing))
     r, u, h = st.rho_shift, st.u_shift, st.h_shift
     solver_rhs = (
         n_rho + eps * (d2x(r).values + d2y(r).values),
@@ -312,8 +368,8 @@ def test_absent_sources_and_forcing_equal_explicit_zeros(x_scheme):
     for i in range(4):
         for name, arr in absent.level(i).items():
             assert np.array_equal(arr, zeros.level(i)[name]), (i, name)
-    ours = _explicit_terms(st, cfg, None, None)
-    ref = _explicit_terms(st, cfg, _bundle_of_zeros(grid, 1), _ForcingOfZeros())
+    ours = _explicit_terms(_stage_tower(st, cfg, None, None))
+    ref = _explicit_terms(_stage_tower(st, cfg, _bundle_of_zeros(grid, 1), _ForcingOfZeros()))
     for a, b in zip(ours[:3], ref[:3]):
         assert np.array_equal(a, b)
     assert ours[3] is ref[3] is False
