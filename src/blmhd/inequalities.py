@@ -3,10 +3,12 @@ the sharp-constant Hardy inequality, a Sobolev embedding, a Moser product
 inequality, and a diffusion-parameter-uniform weighted bound for the heat
 equation on the half line.  The heat solver works on a uniform x grid: it
 convolves the Gaussian kernel exactly with the piecewise-linear interpolant
-of the odd extension, through one table of node weights per lag.
+of the odd extension.  Each output time builds one table of node weights
+over all its Duhamel quadrature lags and applies it as one matrix product.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -196,7 +198,7 @@ class HeatProblem:
 
 
 def _odd_extension(f: np.ndarray) -> np.ndarray:
-    return np.concatenate([-f[:0:-1], f])
+    return np.concatenate([-f[..., :0:-1], f], axis=-1)
 
 
 def _trap_weights(x: np.ndarray) -> np.ndarray:
@@ -207,64 +209,82 @@ def _trap_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _kernel_convolve(eps: float, t: float, h: float, fe: np.ndarray) -> np.ndarray:
-    """Convolution at time t of the Gaussian heat kernel with the odd
-    extension fe (2n - 1 values, node spacing h), integrated exactly
-    against its piecewise-linear interpolant and returned at the n
-    half-line nodes.  Closed-form segment integrals keep the result
-    accurate even when the kernel is much narrower than the node spacing."""
-    n = (fe.size + 1) // 2
-    if t == 0.0:
-        return fe[n - 1 :]
-    from scipy import special
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
-    sigma = np.sqrt(2.0 * eps * t)
+
+def _norm_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, 0.5 erfc(-z / sqrt 2): no cancellation in the
+    lower tail, where the segment weights are differences of tiny values."""
+    return 0.5 * _ERFC(z * -np.sqrt(0.5)).astype(float)
+
+
+def _kernel_convolve(
+    eps: float, tau: np.ndarray, h: float, fe: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """sum_j w_j (K(tau_j) * fe_j): the Gaussian heat kernel at lag tau_j
+    convolved with the odd extension in row j of fe (2n - 1 values per
+    row, node spacing h), integrated exactly against its piecewise-linear
+    interpolant and returned at the n half-line nodes.  Closed-form
+    segment integrals keep the result accurate even when the kernel is
+    much narrower than the node spacing.  The lags are all positive, or
+    the single lag 0, where the kernel is the identity."""
+    n = (fe.shape[1] + 1) // 2
+    if not tau.any():
+        return w @ fe[:, n - 1 :]
+    sigma = np.sqrt(2.0 * eps * tau)[:, None]
     # segments farther than ~8 sigma from an output node contribute nothing
-    # (both endpoint CDFs saturate), and no lag beyond fe.size meets one
-    half = min(int(np.ceil(8.0 * sigma / h)) + 2, fe.size)
+    # (both endpoint CDFs saturate), and no lag beyond the extension meets
+    # one; every row shares the widest row's window
+    half = min(int(np.ceil(8.0 * sigma.max() / h)) + 2, fe.shape[1])
     lags = np.arange(-half, half + 1)
     z = lags * h / sigma
-    cdf = special.ndtr(z)
+    cdf = _norm_cdf(z)
     with np.errstate(under="ignore"):
         pdf = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
     # the segment at lag k (left node k h, right node (k + 1) h from the
     # output node) carries f_l + (f_r - f_l) s / h; against the kernel it
     # integrates to f_l dcdf + (f_r - f_l) w_r with
     # w_r = (sigma / h) (pdf_k - pdf_{k+1}) - k dcdf
-    dcdf = np.diff(cdf)
-    w_r = sigma / h * (pdf[:-1] - pdf[1:]) - lags[:-1] * dcdf
+    dcdf = np.diff(cdf, axis=1)
+    w_r = sigma / h * (pdf[:, :-1] - pdf[:, 1:]) - lags[:-1] * dcdf
     # no segments beyond the ends of the extension: pad with zeros, and
     # keep only the inputs the half-line outputs read
-    pad = np.zeros(half)
-    left = np.concatenate([pad, fe[:-1], pad])[n - 1 :]
-    right = np.concatenate([pad, fe[1:], pad])[n - 1 :]
-    return np.correlate(left, dcdf - w_r, "valid") + np.correlate(right, w_r, "valid")
+    pad = np.zeros((fe.shape[0], half))
+    left = np.concatenate([pad, fe[:, :-1], pad], axis=1)[:, n - 1 :]
+    right = np.concatenate([pad, fe[:, 1:], pad], axis=1)[:, n - 1 :]
+    w = w[:, None]
+    # Q[k, m] = sum_j (segment weight of row j at lag k) x (input m of row
+    # j); output i reads input i + k at lag k, a diagonal of Q
+    Q = (w * (dcdf - w_r)).T @ left + (w * w_r).T @ right
+    diagonals = np.lib.stride_tricks.as_strided(
+        Q, shape=(2 * half, n), strides=(Q.strides[0] + Q.strides[1], Q.strides[1])
+    )
+    return diagonals.sum(axis=0)
 
 
 def heat_solve(p: HeatProblem, n_times: int = 8, n_quad: int = 64):
     """Solve the half-line heat problem by odd extension, exact Gaussian
-    kernel convolution, and Duhamel quadrature for the forcing.
+    kernel convolution, and Duhamel quadrature for the forcing: each
+    output time applies one kernel table over all its quadrature lags.
 
     Returns (times, F) with F.shape == (n_times + 1, len(p.x)); F[k] is the
     solution at times[k], and F[:, 0] = 0 to quadrature accuracy."""
     x = p.x
-    fe = _odd_extension(p.f0)
+    fe = _odd_extension(p.f0)[None, :]
+    one = np.ones(1)
     times = np.linspace(0.0, p.t_end, n_times + 1)
     out = np.empty((n_times + 1, x.size))
     for k, t in enumerate(times):
-        F = _kernel_convolve(p.eps, t, p.h, fe)
+        F = _kernel_convolve(p.eps, np.array([t]), p.h, fe, one)
         if p.forcing is not None and t > 0.0:
             s_nodes = np.linspace(0.0, t, n_quad + 1)
             ws = _trap_weights(s_nodes)
-            acc = np.zeros_like(x)
-            for s, w in zip(s_nodes, ws):
-                gs = np.asarray(p.forcing(s, x), dtype=float)
-                if s == t:
-                    # kernel limit: convolution tends to the data itself
-                    acc += w * gs
-                else:
-                    acc += w * _kernel_convolve(p.eps, t - s, p.h, _odd_extension(gs))
-            F = F + acc
+            G = np.array([p.forcing(s, x) for s in s_nodes], dtype=float)
+            duhamel = _kernel_convolve(
+                p.eps, t - s_nodes[:-1], p.h, _odd_extension(G[:-1]), ws[:-1]
+            )
+            # kernel limit at s = t: the convolution tends to the data itself
+            F = F + (duhamel + ws[-1] * G[-1])
         out[k] = F
     out[:, 0] = 0.0
     return times, out

@@ -12,6 +12,8 @@ d_y h = 0 at y = 0) and decay rapidly at the top.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import sympy as sp
 
@@ -19,6 +21,12 @@ from .grid import Field, GridSpec
 from .state import State, initial_state
 
 _T, _X, _Y = sp.symbols("t x y", real=True)
+_ERF = np.frompyfunc(math.erf, 1, 1)
+
+
+def _erf(a):
+    """Elementwise error function (psi of a Gaussian-decaying h has one)."""
+    return np.asarray(_ERF(a), dtype=float)
 
 
 def _default_expressions(a_rho=0.05, a_u=0.1, a_h=0.1):
@@ -93,10 +101,8 @@ class ManufacturedSolution:
             expr = sp.diff(self.exprs[name], _T, t_deriv) if t_deriv else self.exprs[
                 name
             ]
-            from scipy import special
-
             self._fns[key] = sp.lambdify(
-                (_T, _X, _Y), expr, modules=[{"erf": special.erf}, "numpy"]
+                (_T, _X, _Y), expr, modules=[{"erf": _erf}, "numpy"]
             )
         return self._fns[key]
 

@@ -71,18 +71,15 @@ def initial_state(
     h_shift: Field | None = None,
     time: float = 0.0,
 ) -> State:
-    """Build a State from primary fields, filling derived quantities."""
-    z = zero_field(grid)
-    st = State(
-        rho_shift=rho_shift or z,
-        u_shift=u_shift or z,
-        h_shift=h_shift or z,
-        v=z,
-        g=z,
-        psi=z,
-        time=time,
-    )
-    return derive_secondary(st)
+    """Build a State from primary fields, filling derived quantities; a
+    missing primary field is zero."""
+    primary = (rho_shift, u_shift, h_shift)
+    if any(f is None for f in primary):
+        z = zero_field(grid)
+        primary = tuple(z if f is None else f for f in primary)
+    rho, u, h = primary
+    # v, g and psi hold u until derive_secondary replaces them
+    return derive_secondary(State(rho, u, h, v=u, g=u, psi=u, time=time))
 
 
 def closure(u: Field, h: Field):

@@ -6,6 +6,7 @@ from scipy.special import ndtr
 from blmhd.grid import GridSpec, field_from_function, zero_field
 from blmhd.inequalities import (
     HeatProblem,
+    _norm_cdf,
     hardy_check,
     heat_bound_check,
     heat_data_functional,
@@ -236,6 +237,74 @@ def test_heat_solve_exact_for_linear_data_up_to_the_ends():
             a, b = (-L - x) / sigma, (L - x) / sigma
             exact = x * (ndtr(b) - ndtr(a)) + sigma * (pdf(a) - pdf(b))
             assert np.max(np.abs(Ft - exact)) <= 1e-12 * L
+
+
+def _reference_heat_solve(p, n_times=8, n_quad=64):
+    """Duhamel quadrature as one kernel convolution per quadrature node,
+    each with its own window and scipy's ndtr for the normal CDF."""
+    h = p.h
+
+    def convolve(t, fe):
+        n = (fe.size + 1) // 2
+        if t == 0.0:
+            return fe[n - 1 :]
+        sigma = np.sqrt(2.0 * p.eps * t)
+        half = min(int(np.ceil(8.0 * sigma / h)) + 2, fe.size)
+        lags = np.arange(-half, half + 1)
+        z = lags * h / sigma
+        cdf = ndtr(z)
+        with np.errstate(under="ignore"):
+            pdf = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+        dcdf = np.diff(cdf)
+        w_r = sigma / h * (pdf[:-1] - pdf[1:]) - lags[:-1] * dcdf
+        pad = np.zeros(half)
+        left = np.concatenate([pad, fe[:-1], pad])[n - 1 :]
+        right = np.concatenate([pad, fe[1:], pad])[n - 1 :]
+        return np.correlate(left, dcdf - w_r, "valid") + np.correlate(right, w_r, "valid")
+
+    odd = lambda f: np.concatenate([-f[:0:-1], f])
+    times = np.linspace(0.0, p.t_end, n_times + 1)
+    out = np.empty((n_times + 1, p.x.size))
+    for k, t in enumerate(times):
+        F = convolve(t, odd(p.f0))
+        if t > 0.0:
+            s_nodes = np.linspace(0.0, t, n_quad + 1)
+            d = 0.5 * np.diff(s_nodes)
+            ws = np.concatenate([d, [0.0]]) + np.concatenate([[0.0], d])
+            for s, w in zip(s_nodes, ws):
+                gs = p.forcing(s, p.x)
+                F = F + w * (gs if s == t else convolve(t - s, odd(gs)))
+        out[k] = F
+    out[:, 0] = 0.0
+    return times, out
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_heat_solve_duhamel_matches_per_node_reference(eps):
+    x = _x_axis()
+    p = HeatProblem(
+        eps=eps,
+        x=x,
+        f0=x * np.exp(-x),
+        forcing=lambda s, xs: np.cos(3.0 * s) * xs**2 * np.exp(-xs),
+        t_end=1.0,
+    )
+    times, F = heat_solve(p)
+    ref_times, ref = _reference_heat_solve(p)
+    assert np.array_equal(times, ref_times)
+    assert np.max(np.abs(F - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_norm_cdf_matches_ndtr():
+    z = np.linspace(-40.0, 40.0, 8001)
+    got, ref = _norm_cdf(z), ndtr(z)
+    err = np.abs(got - ref)
+    assert np.max(err) <= 1e-15
+    # relative accuracy in the lower tail, wherever ndtr is a normal float
+    tiny = np.finfo(float).tiny
+    lower = (z <= 0.0) & (ref >= tiny)
+    assert np.all(err[lower] <= 1e-13 * ref[lower])
+    assert np.all(err[ref < tiny] <= tiny)
 
 
 def test_heat_data_functional_calculus_oracle():
