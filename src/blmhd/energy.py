@@ -18,7 +18,7 @@ import numpy as np
 from .cancellation import T_DEPTH_CAP, good_unknowns
 from .grid import Field
 from .norms import NormSpec, conormal_linf, conormal_walk, index_set, weighted_l2, weighted_linf
-from .operators import d2y, dx, dy, phi
+from .operators import d2y, dx, dy, dy_wall, phi
 from .pde import Physics, TimeTower, deriv_family, exp_minus_y, tower_family
 from .solver import MonitorStatus, monitor
 from .state import MultiIndex, State
@@ -108,7 +108,7 @@ def _v_over_phi_family(state: State, fv):
         v = fv(k)
         out = np.empty_like(v.values)
         out[:, 1:] = v.values[:, 1:] / ph[None, 1:]
-        out[:, 0] = dy(v).values[:, 0] * (1.0 + grid.y[0])
+        out[:, 0] = dy_wall(v) * (1.0 + grid.y[0])
         return Field(out, grid)
 
     return fam

@@ -3,10 +3,20 @@
 x-derivatives: 4th-order central periodic differences by default, spectral
 behind the grid's x_scheme flag.  The difference stencils read their four
 shifted operands as slices of one copy of the field padded with two
-periodic ghost rows at each end of axis 0.  y-derivatives: 2nd-order
-three-point stencils on the (possibly graded) y grid, one-sided at the two
-boundary rows.  The conormal operator Z2 = phi(y) d/dy with phi(y) = y/(1+y)
-vanishes identically on the wall row because phi(0) = 0.
+periodic ghost rows at each end of axis 0; the spectral ones scale the
+rfft in place by cached wavenumber columns.
+
+y-derivatives: 2nd-order three-point stencils on the (possibly graded) y
+grid, one-sided at the two boundary rows.  A field is C-contiguous with y
+fastest, so flat index k = i ny + j holds (x_i, y_j) and its y neighbours
+sit at k - 1 and k + 1.  Every y three-point stencil (dy, d2y, Z2 and the
+solver's D_y^2 apply) is one pass of _stencil over the flat buffer: three
+contiguous slices, weighted by the interior coefficients tiled once per
+grid over the flat index with 0 on the wall and top columns, which each
+caller then overwrites with its own closure.  The conormal operator
+Z2 = phi(y) d/dy vanishes identically on the wall row because phi(0) = 0.
+
+Every cached coefficient array is read-only.
 """
 from __future__ import annotations
 
@@ -20,6 +30,13 @@ from .grid import Field, GridSpec
 def phi(y: np.ndarray) -> np.ndarray:
     """Wall-degenerate conormal weight y/(1+y)."""
     return y / (1.0 + y)
+
+
+def _frozen(*arrays):
+    """The arrays, write-protected in place (for caches that hand them out)."""
+    for v in arrays:
+        v.setflags(write=False)
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -45,20 +62,22 @@ def _d2x_fd4(v: np.ndarray, dx: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _wavenumbers(nx: int) -> np.ndarray:
-    return np.fft.rfftfreq(nx, d=1.0 / nx) * 1.0  # integer wavenumbers on [0, 2pi)
+def _wavenumbers(nx: int):
+    """Read-only columns i k and -k^2 of the integer wavenumbers on [0, 2pi)."""
+    k = np.fft.rfftfreq(nx, d=1.0 / nx)[:, None]
+    return _frozen(1j * k, -(k**2))
 
 
 def _dx_spectral(v: np.ndarray, nx: int) -> np.ndarray:
-    k = _wavenumbers(nx)
     vh = np.fft.rfft(v, axis=0)
-    return np.fft.irfft(1j * k[:, None] * vh, n=nx, axis=0)
+    vh *= _wavenumbers(nx)[0]
+    return np.fft.irfft(vh, n=nx, axis=0)
 
 
 def _d2x_spectral(v: np.ndarray, nx: int) -> np.ndarray:
-    k = _wavenumbers(nx)
     vh = np.fft.rfft(v, axis=0)
-    return np.fft.irfft(-(k ** 2)[:, None] * vh, n=nx, axis=0)
+    vh *= _wavenumbers(nx)[1]
+    return np.fft.irfft(vh, n=nx, axis=0)
 
 
 def dx(f: Field) -> Field:
@@ -96,7 +115,7 @@ def _dy_coeffs(grid: GridSpec):
     c0 = np.array([-(a + b) / (a * b), b / (a * (b - a)), -a / (b * (b - a))])
     a, b = y[-1] - y[-2], y[-1] - y[-3]
     cN = np.array([a / (b * (b - a)), -b / (a * (b - a)), (a + b) / (a * b)])
-    return lo, di, up, c0, cN
+    return _frozen(lo, di, up, c0, cN)
 
 
 @lru_cache(maxsize=64)
@@ -111,7 +130,7 @@ def _d2y_coeffs(grid: GridSpec):
     up = 2.0 / (h2 * (h1 + h2))
     c0 = _onesided_d2(y[:4] - y[0])
     cN = _onesided_d2(y[-4:] - y[-1])
-    return lo, di, up, c0, cN
+    return _frozen(lo, di, up, c0, cN)
 
 
 def _onesided_d2(t: np.ndarray) -> np.ndarray:
@@ -122,21 +141,64 @@ def _onesided_d2(t: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
+@lru_cache(maxsize=64)
+def _flat_rows(grid: GridSpec, order: int, lines: int):
+    """The interior (lo, di, up) of _dy_coeffs (order 1) or _d2y_coeffs
+    (order 2) tiled over the flat index of a (lines, ny) array (lines is
+    nx for a field): entry k - 1 weighs flat index k = i ny + j, and is 0
+    where j is the wall or top column.  Read-only, lines ny - 2 entries
+    each."""
+    coeffs = _dy_coeffs(grid) if order == 1 else _d2y_coeffs(grid)
+    rows = []
+    for c in coeffs[:3]:
+        line = np.zeros(grid.ny)
+        line[1:-1] = c
+        rows.append(np.tile(line, lines)[1:-1])
+    return _frozen(*rows)
+
+
+@lru_cache(maxsize=64)
+def _phi_row(grid: GridSpec) -> np.ndarray:
+    """phi(y) tiled over the flat index of an (nx, ny) field; read-only."""
+    return _frozen(np.tile(phi(grid.y), grid.nx))[0]
+
+
+def _stencil(v: np.ndarray, grid: GridSpec, order: int) -> np.ndarray:
+    """(lo v[j-1] + di v[j]) + up v[j+1] with the order-th y-derivative's
+    interior coefficients, as one pass over the flat buffer of v, whose
+    rows are y-lines of the grid.  Returns a new C-contiguous array whose
+    wall and top columns the caller must overwrite: they hold 0, except
+    the first and last entries, which are left uninitialised."""
+    lo, di, up = _flat_rows(grid, order, v.shape[0])
+    vf = v.reshape(-1)
+    out = np.empty(v.shape)
+    o = out.reshape(-1)[1:-1]
+    tmp = np.empty_like(o)
+    np.multiply(lo, vf[:-2], out=o)
+    np.multiply(di, vf[1:-1], out=tmp)
+    o += tmp
+    np.multiply(up, vf[2:], out=tmp)
+    o += tmp
+    return out
+
+
+def dy_wall(f: Field) -> np.ndarray:
+    """d_y f on the wall row: the one-sided stencil of dy at j = 0."""
+    return f.values[:, :3] @ _dy_coeffs(f.grid)[3]
+
+
 def dy(f: Field) -> Field:
-    lo, di, up, c0, cN = _dy_coeffs(f.grid)
     v = f.values
-    out = np.empty_like(v)
-    out[:, 1:-1] = lo * v[:, :-2] + di * v[:, 1:-1] + up * v[:, 2:]
-    out[:, 0] = v[:, :3] @ c0
-    out[:, -1] = v[:, -3:] @ cN
+    out = _stencil(v, f.grid, 1)
+    out[:, 0] = dy_wall(f)
+    out[:, -1] = v[:, -3:] @ _dy_coeffs(f.grid)[4]
     return Field(out, f.grid)
 
 
 def d2y(f: Field) -> Field:
-    lo, di, up, c0, cN = _d2y_coeffs(f.grid)
+    _, _, _, c0, cN = _d2y_coeffs(f.grid)
     v = f.values
-    out = np.empty_like(v)
-    out[:, 1:-1] = lo * v[:, :-2] + di * v[:, 1:-1] + up * v[:, 2:]
+    out = _stencil(v, f.grid, 2)
     out[:, 0] = v[:, :4] @ c0
     out[:, -1] = v[:, -4:] @ cN
     return Field(out, f.grid)
@@ -146,9 +208,13 @@ def z2(f: Field) -> Field:
     """Wall-degenerate conormal derivative Z2 = phi(y) d/dy.
 
     The wall row is exactly zero (phi(0) = 0), so no one-sided stencil is
-    needed there."""
-    out = phi(f.grid.y)[None, :] * dy(f).values
+    needed there; dy's values are scaled by phi in place."""
+    v = f.values
+    out = _stencil(v, f.grid, 1)
     out[:, 0] = 0.0
+    out[:, -1] = v[:, -3:] @ _dy_coeffs(f.grid)[4]
+    flat = out.reshape(-1)
+    np.multiply(flat, _phi_row(f.grid), out=flat)
     return Field(out, f.grid)
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .grid import Field, GridSpec, NonFiniteError
 from .norms import weighted_linf
-from .operators import _d2y_coeffs, dy
+from .operators import _d2y_coeffs, _frozen, _stencil, dy
 from .pde import DensityFloorError, Physics, TimeTower, exp_minus_y, pde_rhs
 from .state import State, initial_state
 
@@ -215,12 +215,6 @@ def _sherman_morrison(y, q, lo0, gamma):
     return y - (num / den) * q
 
 
-def _frozen(*arrays):
-    for v in arrays:
-        v.setflags(write=False)
-    return arrays
-
-
 @lru_cache(maxsize=16)
 def _periodic_factors(n: int, c: float):
     """Read-only lo, cp, piv, Sherman-Morrison vector q and gamma of the
@@ -316,11 +310,11 @@ def _y_factors(grid: GridSpec, ac: float, wall_bc: str):
 
 
 def _apply_dyy(grid: GridSpec, w: np.ndarray, wall_bc: str) -> np.ndarray:
-    """Discrete D_y^2 w consistent with _y_matrix (boundary rows zeroed;
-    Neumann wall uses the mirror-ghost closure)."""
-    lo2, di2, up2, _, _ = _d2y_coeffs(grid)
-    out = np.zeros_like(w)
-    out[:, 1:-1] = lo2 * w[:, :-2] + di2 * w[:, 1:-1] + up2 * w[:, 2:]
+    """Discrete D_y^2 w consistent with _y_matrix: the interior is d2y's
+    three-point stencil (operators._stencil, one pass over the flat
+    buffer); the top row is zeroed, and so is the wall row for
+    'dirichlet', while 'neumann' uses the mirror-ghost closure."""
+    out = _stencil(w, grid, 2)
     if wall_bc == "neumann":
         h1 = grid.y[1] - grid.y[0]
         out[:, 0] = 2.0 * (w[:, 1] - w[:, 0]) / h1**2
@@ -407,18 +401,22 @@ def step(
     bundle=None,
     forcing=None,
     traces: dict | None = None,
+    status: MonitorStatus | None = None,
 ) -> tuple[State, MonitorStatus]:
     """Advance one nominal dt (internally subdivided to satisfy the CFL
     rule), returning the new state and its monitor status.
 
     The substeps pass (rho, u, h) arrays; the new State is built once, at
     the end, by initial_state.  traces holds the Dirichlet clamp values per
-    field; when omitted they are taken from the incoming state.  bundle
-    and forcing may be None (absent).  A substep that produces a
-    non-finite field raises SolverError."""
+    field; when omitted they are taken from the incoming state.  status is
+    the incoming state's monitor status, which run() already holds; when
+    omitted the incoming state is monitored here.  Either way a breached
+    status raises SolverError before the step.  bundle and forcing may be
+    None (absent).  A substep that produces a non-finite field raises
+    SolverError."""
     if traces is None:
         traces = make_traces(state)
-    mon = monitor(state, cfg.delta0, cfg.l)
+    mon = monitor(state, cfg.delta0, cfg.l) if status is None else status
     if mon.breached:
         raise SolverError(f"monitor breached before step: {mon}")
     grid = state.grid
@@ -511,10 +509,10 @@ def run(
     if monitors[0].breached:
         traj.breached = True
         return traj
-    cur = initial
+    cur, mon = initial, monitors[0]
     for n in range(1, n_steps + 1):
         try:
-            cur, mon = step(cur, cfg, bundle, forcing, traces)
+            cur, mon = step(cur, cfg, bundle, forcing, traces, mon)
         except (SolverError, DensityFloorError):
             traj.breached = True
             return traj

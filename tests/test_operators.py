@@ -2,8 +2,25 @@
 import numpy as np
 import pytest
 
-from blmhd.grid import GridSpec, field_from_function
-from blmhd.operators import _d2x_fd4, _dx_fd4, d2x, d2y, dx, dy, integrate_y, phi, z2
+from blmhd.grid import Field, GridSpec, field_from_function
+from blmhd.operators import (
+    _d2x_fd4,
+    _d2y_coeffs,
+    _dx_fd4,
+    _dy_coeffs,
+    _flat_rows,
+    _phi_row,
+    _wavenumbers,
+    d2x,
+    d2y,
+    dx,
+    dy,
+    dy_wall,
+    integrate_y,
+    phi,
+    z2,
+)
+from blmhd.solver import _apply_dyy
 
 
 def _grid(nx=16, ny=512, stretch=2.0, **kw):
@@ -74,6 +91,88 @@ def test_fd4_stencils_equal_the_roll_formula_bitwise(nx):
     d2 = (-vp2 + 16.0 * vp1 - 30.0 * v + 16.0 * vm1 - vm2) / (12.0 * h * h)
     assert np.array_equal(_dx_fd4(v, h), d1)
     assert np.array_equal(_d2x_fd4(v, h), d2)
+
+
+# (nx, ny, stretch): the benchmark's grid and a small odd one, uniform and graded
+_STENCIL_GRIDS = [(64, 128, 0.0), (64, 128, 2.0), (9, 11, 0.0), (9, 11, 3.0)]
+
+
+def _random_field(nx, ny, stretch, x_scheme="fd4"):
+    grid = GridSpec(nx=nx, ny=ny, stretch=stretch, x_scheme=x_scheme)
+    v = np.random.default_rng(nx * ny).standard_normal((nx, ny))
+    return Field(v, grid)
+
+
+@pytest.mark.parametrize("nx, ny, stretch", _STENCIL_GRIDS)
+def test_y_stencils_equal_the_strided_formulas_bitwise(nx, ny, stretch):
+    # the reference: each interior stencil on three strided (nx, ny - 2)
+    # views, summed in the kernel's order, with the one-sided closures; the
+    # flat-buffer kernels must match bit for bit
+    f = _random_field(nx, ny, stretch)
+    v, y = f.values, f.grid.y
+    lo, di, up, c0, cN = _dy_coeffs(f.grid)
+    d1 = np.empty_like(v)
+    d1[:, 1:-1] = lo * v[:, :-2] + di * v[:, 1:-1] + up * v[:, 2:]
+    d1[:, 0] = v[:, :3] @ c0
+    d1[:, -1] = v[:, -3:] @ cN
+    lo2, di2, up2, c02, cN2 = _d2y_coeffs(f.grid)
+    d2 = np.empty_like(v)
+    d2[:, 1:-1] = lo2 * v[:, :-2] + di2 * v[:, 1:-1] + up2 * v[:, 2:]
+    d2[:, 0] = v[:, :4] @ c02
+    d2[:, -1] = v[:, -4:] @ cN2
+    zz = phi(y)[None, :] * d1
+    zz[:, 0] = 0.0
+    iy = np.zeros_like(v)
+    np.cumsum(0.5 * (v[:, 1:] + v[:, :-1]) * (y[1:] - y[:-1]), axis=1, out=iy[:, 1:])
+    assert np.array_equal(dy(f).values, d1)
+    assert np.array_equal(dy_wall(f), d1[:, 0])
+    assert np.array_equal(d2y(f).values, d2)
+    assert np.array_equal(z2(f).values, zz)
+    assert np.array_equal(integrate_y(f).values, iy)
+
+
+@pytest.mark.parametrize("lines", [None, 3])
+@pytest.mark.parametrize("nx, ny, stretch", _STENCIL_GRIDS)
+def test_apply_dyy_equals_the_strided_formula_bitwise(nx, ny, stretch, lines):
+    # the solver's D_y^2 apply on nx y-lines and on another line count
+    f = _random_field(nx, ny, stretch)
+    w = f.values if lines is None else f.values[:lines].copy()
+    y = f.grid.y
+    lo2, di2, up2, _, _ = _d2y_coeffs(f.grid)
+    interior = lo2 * w[:, :-2] + di2 * w[:, 1:-1] + up2 * w[:, 2:]
+    for wall_bc in ("neumann", "dirichlet"):
+        ref = np.zeros_like(w)
+        ref[:, 1:-1] = interior
+        if wall_bc == "neumann":
+            ref[:, 0] = 2.0 * (w[:, 1] - w[:, 0]) / (y[1] - y[0]) ** 2
+        assert np.array_equal(_apply_dyy(f.grid, w, wall_bc), ref), wall_bc
+
+
+@pytest.mark.parametrize("nx", [8, 9, 64])
+def test_spectral_x_derivatives_equal_the_out_of_place_formula_bitwise(nx):
+    # the rfft scaled by i k and -k^2 into a new array; the kernels scale it
+    # in place by cached columns (fd4: the roll-formula test above)
+    f = _random_field(nx, 11, 3.0, x_scheme="spectral")
+    k = np.fft.rfftfreq(nx, d=1.0 / nx) * 1.0
+    vh = np.fft.rfft(f.values, axis=0)
+    assert np.array_equal(dx(f).values, np.fft.irfft(1j * k[:, None] * vh, n=nx, axis=0))
+    assert np.array_equal(d2x(f).values, np.fft.irfft(-(k**2)[:, None] * vh, n=nx, axis=0))
+
+
+def test_cached_coefficient_rows_refuse_writes():
+    grid = GridSpec(nx=9, ny=11, stretch=3.0)
+    cached = [
+        *_dy_coeffs(grid),
+        *_d2y_coeffs(grid),
+        *_flat_rows(grid, 1, grid.nx),
+        *_flat_rows(grid, 2, grid.nx),
+        _phi_row(grid),
+        *_wavenumbers(grid.nx),
+    ]
+    for a in cached:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_dy_and_d2y_exact_on_quadratics():

@@ -152,6 +152,30 @@ def test_a_step_builds_one_state(monkeypatch, state_perturbed, scheme):
     assert new.time == pytest.approx(1e-3)
 
 
+@pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
+def test_run_monitors_each_state_once(monkeypatch, state_perturbed, scheme):
+    """run() hands each step the status it already holds for the step's
+    incoming state, so n steps monitor n + 1 states, each once; the stored
+    history is that of a step-by-step walk that monitors every input."""
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls["monitor"] += 1
+        return monitor(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "monitor", counted)
+    cfg = SolverConfig(eps=0.01, dt=1e-3, t_end=4e-3, scheme=scheme)
+    traj = run(state_perturbed, cfg, output_stride=1)
+    assert not traj.breached
+    assert calls["monitor"] == 4 + 1
+    traces = solver.make_traces(state_perturbed)
+    cur, walked = state_perturbed, [monitor(state_perturbed, cfg.delta0, cfg.l)]
+    for _ in range(4):
+        cur, mon = step(cur, cfg, traces=traces)
+        walked.append(mon)
+    assert traj.monitors == walked
+
+
 def test_step_is_deterministic(grid_small, state_perturbed):
     cfg = SolverConfig(eps=0.01, dt=2e-3, t_end=0.01)
     a, _ = step(state_perturbed, cfg)
