@@ -2,6 +2,10 @@
 layers: weighted conormal norms, calculus-inequality checks, compatibility
 sources, a semi-implicit solver with runtime monitors, good-unknown
 cancellation diagnostics, energy functionals, and trajectory experiments.
+
+The symbolic helpers, blmhd.manufactured.ManufacturedSolution and
+blmhd.experiments.matching_check, need the optional sympy and are not
+re-exported here, so that importing the package does not load sympy.
 """
 
 __version__ = "0.1.0"
@@ -21,7 +25,6 @@ from .experiments import (
     SweepResult,
     diff_good_unknowns,
     eps_sweep,
-    matching_check,
     stability_pair,
 )
 from .grid import Field, GridError, GridSpec, field_from_function, zero_field
@@ -35,7 +38,6 @@ from .inequalities import (
     sobolev_check,
 )
 from .io import RunManifest, read_snapshot, write_csv, write_json, write_snapshot
-from .manufactured import ManufacturedSolution
 from .norms import NormSpec, b_norms, conormal_linf, conormal_norm, weighted_l2, weighted_linf
 from .pde import DensityFloorError, Physics, TimeTower, pde_rhs, time_derivative_via_pde
 from .solver import (
@@ -63,7 +65,6 @@ __all__ = [
     "HFloorError",
     "HeatProblem",
     "InequalityReport",
-    "ManufacturedSolution",
     "MonitorStatus",
     "MultiIndex",
     "NormSpec",
@@ -93,7 +94,6 @@ __all__ = [
     "initial_state",
     "instantaneous_functionals",
     "load_config",
-    "matching_check",
     "monitor",
     "moser_check",
     "norm_equivalence_check",

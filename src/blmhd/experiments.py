@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import sympy as sp
 
 from .grid import Field
 from .norms import NormSpec, conormal_norm, weighted_l2
@@ -252,9 +251,6 @@ def stability_pair(
 # Outer-trace matching conditions
 # ---------------------------------------------------------------------------
 
-MATCH_T, MATCH_X = sp.symbols("t x")
-
-
 def matching_check(theta, U, H, P=None) -> dict:
     """Symbolic residuals of the three outer-trace relations:
 
@@ -262,11 +258,15 @@ def matching_check(theta, U, H, P=None) -> dict:
         theta d_t U + theta U d_x U + d_x P = H d_x H,
         d_t H + U d_x H - H d_x U = 0.
 
-    Inputs are sympy expressions in the symbols t, x (constants allowed);
-    P defaults to a constant.  Returns simplified residual expressions."""
+    Inputs are sympy expressions in the symbols t, x, i.e.
+    sympy.symbols("t x") (constants allowed); P defaults to a constant.
+    Returns simplified residual expressions.  sympy is imported here, not
+    with the module: it is an optional dependency that no CLI verb needs."""
+    import sympy as sp
+
     theta, U, H = sp.sympify(theta), sp.sympify(U), sp.sympify(H)
     P = sp.sympify(0) if P is None else sp.sympify(P)
-    t, x = MATCH_T, MATCH_X
+    t, x = sp.symbols("t x")
     res = {
         "density": sp.diff(theta, t) + U * sp.diff(theta, x),
         "momentum": theta * sp.diff(U, t)

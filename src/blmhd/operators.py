@@ -218,13 +218,22 @@ def z2(f: Field) -> Field:
     return Field(out, f.grid)
 
 
+@lru_cache(maxsize=64)
+def _half_dy(grid: GridSpec) -> np.ndarray:
+    """0.5 (y[j+1] - y[j]), the trapezoid weights of integrate_y; read-only."""
+    return _frozen(0.5 * np.diff(grid.y))[0]
+
+
 def integrate_y(f: Field) -> Field:
     """Antiderivative in y vanishing at the wall: (Iy f)(x, y) = int_0^y f.
 
-    Cumulative trapezoid on the graded grid."""
-    y = f.grid.y
+    Cumulative trapezoid on the graded grid.  Each segment is
+    (v[j] + v[j+1]) (0.5 dy), bitwise equal to 0.5 (v[j] + v[j+1]) dy: the
+    scaling by 0.5 is exact (barring subnormal sums)."""
     v = f.values
-    seg = 0.5 * (v[:, 1:] + v[:, :-1]) * (y[1:] - y[:-1])
-    out = np.zeros_like(v)
+    seg = v[:, 1:] + v[:, :-1]
+    seg *= _half_dy(f.grid)
+    out = np.empty(v.shape)
+    out[:, 0] = 0.0
     np.cumsum(seg, axis=1, out=out[:, 1:])
     return Field(out, f.grid)

@@ -11,17 +11,27 @@ Each y stage builds the level-0 TimeTower of its lagged arrays, which takes
 v, g, psi and dx u, dx h from state.closure; its TimeTower.explicit, the
 kernel the time-derivative tower differentiates, gives the explicit terms.
 
-Layout: the tridiagonal kernels solve along the first axis, so row j of
-every system is one contiguous slab, and the matrix arrays broadcast over
-the trailing axes.  The elimination has two halves: tridiag_factor (or
-periodic_thomas_batched) builds a matrix's forward factors and pivots, and
-thomas_batched sweeps right-hand sides with them.  The rho and h systems
-have constant coefficients, so their factors are built once per run (per
-grid, step and coefficient) and cached as read-only columns; u's rows
-(eps / rho in x, mu / rho in y) are factored at every stage.  Each
-implicit stage stacks its right-hand sides on the middle axis —
-(nx, 4, ny) for an x half-step: rho, u, h and u's Sherman-Morrison seed;
-(ny, 3, nx) for a y stage — and runs one in-place sweep over all of them.
+Layout: the tridiagonal kernels solve along the first axis, and eliminate
+from both ends at once.  Rows j and n-1-j of every system are folded into
+one contiguous (2, ...) slab j of a (ceil(n/2), 2, ...) array (_fold); for
+odd n the middle row is alone in the last slab, beside a zero.  In the
+same ufunc calls the top chain eliminates downward and the bottom chain
+upward, with lo and up swapping roles in the bottom chain; the last slab
+joins the chains (a 2x2 solve for even n, the middle row for odd n), and
+back substitution runs both halves outward.  So every loop takes
+ceil(n/2) numpy calls per operation, on slabs twice as wide, which cost
+almost nothing extra.  The matrix arrays broadcast over the trailing
+axes.  The elimination has two halves: tridiag_factor (or
+periodic_thomas_batched) builds a matrix's folded forward factors and
+pivots, and thomas_batched sweeps folded right-hand sides with them.  The
+rho and h systems have constant coefficients, so their factors are built
+once per run (per grid, step and coefficient) and cached read-only; u's
+rows (eps / rho in x, mu / rho in y) are factored at every stage.  Each
+implicit stage builds its right-hand sides directly in the folded layout,
+stacked on the axis after the fold — (ceil(nx/2), 2, 4, ny) for an x
+half-step: rho, u, h and u's Sherman-Morrison seed; (ceil(ny/2), 2, 3, nx)
+for a y stage — runs one in-place sweep over all of them, and unfolds
+each field straight into its own C-contiguous array.
 
 Boundary closure: Neumann rows (d_y rho = d_y h = 0 at the wall) use a
 second-order mirror ghost inside the implicit solve; Dirichlet rows (u at
@@ -145,33 +155,88 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def tridiag_factor(lo, di, up, out=None):
-    """Matrix half of the Thomas elimination along the first axis.
+def _fold(a, bottom=None, out=None):
+    """The rows of a (along the first axis) in the folded layout: slot (j, 0)
+    holds row j and slot (j, 1) row n - 1 - j, for j < ceil(n / 2); for odd
+    n the middle row sits in slot (-1, 0) and slot (-1, 1) is zero.  With
+    bottom given, slot (j, 1) holds row n - 1 - j of bottom instead."""
+    n = len(a)
+    m = (n + 1) // 2
+    bottom = a if bottom is None else bottom
+    if out is None:
+        out = np.empty((m, 2) + np.broadcast_shapes(a.shape, bottom.shape)[1:])
+    out[:, 0] = a[:m]
+    out[: n - m, 1] = bottom[::-1][: n - m]
+    if n % 2:
+        out[-1, 1] = 0.0
+    return out
 
-    For the systems lo[j] w[j-1] + di[j] w[j] + up[j] w[j+1] = rhs[j]
-    (lo[0] and up[-1] ignored) it returns the forward factors cp and the
-    pivots piv: piv[0] = di[0], piv[j] = di[j] - lo[j] cp[j-1] and
-    cp[j] = up[j] / piv[j].  The arrays have at least one trailing axis;
-    out, when given, is the (cp, piv) pair of arrays to fill."""
+
+def _unfold(f, n: int, out=None):
+    """Rows 0 .. n-1 of the folded array f, along the first axis: the inverse
+    of _fold, filled into out when given."""
+    m = (n + 1) // 2
+    if out is None:
+        out = np.empty((n,) + f.shape[2:])
+    out[:m] = f[:, 0]
+    out[m:] = f[: n - m, 1][::-1]
+    return out
+
+
+def tridiag_factor(lo, di, up):
+    """Matrix half of the two-ended Thomas elimination along the first axis.
+
+    For the systems lo[j] w[j-1] + di[j] w[j] + up[j] w[j+1] = rhs[j] of
+    n >= 2 rows (lo[0] and up[-1] ignored) it returns the folded factors
+    (lo, cp, piv) that thomas_batched sweeps with.  The top chain eliminates
+    rows 0, 1, ... downward and the bottom chain rows n-1, n-2, ... upward,
+    side by side in the slots (j, 0) and (j, 1) of _fold's layout; in the
+    bottom chain lo and up swap roles.  Per slot, piv[0] = di[0],
+    piv[j] = di[j] - lo[j] cp[j-1] and cp[j] = up[j] / piv[j].  The last slot
+    joins the chains: for even n its pivots carry the determinant
+    1 - cp[-1, 0] cp[-1, 1] of the 2x2 system of the two middle rows; for
+    odd n both its pivots are the middle row's, eliminated from both sides,
+    with cp = -1.  The arrays have at least one trailing axis.  The factors
+    are fresh C-contiguous arrays: the elimination's row slabs must be
+    contiguous, or each ufunc call in its loop costs about twice as much."""
+    n = len(di)
     shape = np.broadcast_shapes(lo.shape, di.shape, up.shape)
-    cp, piv = (np.empty(shape), np.empty(shape)) if out is None else out
-    c, p = list(cp), list(piv)
-    p[0][...] = di[0]
-    np.divide(up[0], p[0], c[0])
-    for j, (lo_j, di_j, up_j) in enumerate(zip(lo[1:], di[1:], up[1:]), 1):
-        np.multiply(lo_j, c[j - 1], p[j])
-        np.subtract(di_j, p[j], p[j])
-        np.divide(up_j, p[j], c[j])
-    return cp, piv
+    fshape = ((n + 1) // 2, 2) + shape[1:]
+    lof, cp, piv = (np.empty(fshape) for _ in range(3))
+    _fold(lo, up, lof)
+    dif, upf = _fold(di), _fold(up, lo)
+    c, p, l = list(cp), list(piv), list(lof)
+    p[0][...] = dif[0]
+    np.divide(upf[0], p[0], c[0])
+    for j in range(1, len(p) - n % 2):
+        np.multiply(l[j], c[j - 1], p[j])
+        np.subtract(dif[j], p[j], p[j])
+        np.divide(upf[j], p[j], c[j])
+    if n % 2:
+        # the middle row r: its up entry acts, in the sweep's last forward
+        # step, on the bottom chain's d, beside the zero of the right-hand
+        # side's padding slot
+        r = n // 2
+        l[-1][1] = up[r]
+        p[-1][...] = di[r] - lo[r] * c[-2][0] - up[r] * c[-2][1]
+        c[-1][...] = -1.0
+    else:
+        p[-1] *= 1.0 - c[-1][0] * c[-1][1]
+    return lof, cp, piv
 
 
 def thomas_batched(lo, cp, piv, rhs, out=None):
-    """Right-hand-side sweep of the Thomas elimination along the first axis,
-    with the factors cp and piv of tridiag_factor.
+    """Right-hand-side sweep of the two-ended Thomas elimination, with the
+    folded factors (lo, cp, piv) of tridiag_factor, on a right-hand side in
+    _fold's layout (for odd n its slot (-1, 1) is zero); the solution comes
+    back folded.
 
-    The matrix arrays broadcast against rhs over the trailing axes (at
-    least one), so right-hand sides that share a matrix share one sweep.
-    out may be rhs itself, and the sweep then runs in place."""
+    Forward, both chains run toward the middle in the same calls; the last
+    slot joins them, x[-1] = d[-1] - cp[-1] d[-1, ::-1], and back
+    substitution runs both halves outward.  The matrix arrays
+    broadcast against rhs over the trailing axes (at least one), so
+    right-hand sides that share a matrix share one sweep.  out may be rhs
+    itself, and the sweep then runs in place."""
     dp = np.empty(np.broadcast_shapes(cp.shape, rhs.shape)) if out is None else out
     d = list(dp)
     tmp = np.empty(dp.shape[1:])
@@ -180,49 +245,53 @@ def thomas_batched(lo, cp, piv, rhs, out=None):
         np.multiply(lo_j, d[j - 1], tmp)
         np.subtract(rhs_j, tmp, d[j])
         np.divide(d[j], piv_j, d[j])
+    np.multiply(cp[-1], d[-1][::-1], tmp)
+    np.subtract(d[-1], tmp, d[-1])
     for j in range(len(d) - 2, -1, -1):
         np.multiply(cp[j], d[j + 1], tmp)
         np.subtract(d[j], tmp, d[j])
     return dp
 
 
-def periodic_thomas_batched(lo, di, up, out=None):
+def periodic_thomas_batched(lo, di, up):
     """Matrix half of periodic tridiagonal systems along the first axis
     (corner entries lo[0] and up[-1]), by the Sherman-Morrison correction
     of the open chain.
 
-    Returns the chain's factors (cp, piv) for thomas_batched, filled into
-    out when given; the right-hand side `seed` whose chain solution is the
+    Returns the chain's folded factors (lo, cp, piv) for thomas_batched;
+    the folded right-hand side `seed` whose chain solution is the
     correction vector q; and gamma = -di[0].  _sherman_morrison turns the
     chain solution of a right-hand side into the periodic one."""
     gamma = -di[0]
     dmod = di.copy()
     dmod[0] = di[0] - gamma
     dmod[-1] = di[-1] - lo[0] * up[-1] / gamma
-    cp, piv = tridiag_factor(lo, dmod, up, out)
-    seed = np.zeros(cp.shape)
-    seed[0] = gamma
-    seed[-1] = up[-1]
-    return cp, piv, seed, gamma
+    factors = tridiag_factor(lo, dmod, up)
+    seed = np.zeros(factors[1].shape)
+    seed[0, 0] = gamma
+    seed[0, 1] = up[-1]
+    return (*factors, seed, gamma)
 
 
-def _sherman_morrison(y, q, lo0, gamma):
-    """Periodic solution from the chain solutions y (of the right-hand side)
-    and q (of the seed) of periodic_thomas_batched; lo0 is the corner
-    entry lo[0]."""
-    num = y[0] + lo0 * y[-1] / gamma
-    den = 1.0 + q[0] + lo0 * q[-1] / gamma
-    return y - (num / den) * q
+def _sherman_morrison(y, q, lo0, gamma, n: int):
+    """Periodic solution of n rows, unfolded into a new C-contiguous array,
+    from the folded chain solutions y (of the right-hand side; overwritten)
+    and q (of the seed) of periodic_thomas_batched; lo0 is the corner entry
+    lo[0]."""
+    num = y[0, 0] + lo0 * y[0, 1] / gamma
+    den = 1.0 + q[0, 0] + lo0 * q[0, 1] / gamma
+    y -= (num / den) * q
+    return _unfold(y, n)
 
 
 @lru_cache(maxsize=16)
 def _periodic_factors(n: int, c: float):
-    """Read-only lo, cp, piv, Sherman-Morrison vector q and gamma of the
-    constant periodic system (1 + 2c) w[i] - c (w[i-1] + w[i+1]) of n rows,
-    as (n, 1) columns (gamma (1,))."""
+    """Read-only folded lo, cp, piv, Sherman-Morrison vector q and gamma of
+    the constant periodic system (1 + 2c) w[i] - c (w[i-1] + w[i+1]) of n
+    rows, as (ceil(n / 2), 2, 1) arrays (gamma (1,))."""
     lo = np.full((n, 1), -c)
-    cp, piv, seed, gamma = periodic_thomas_batched(lo, np.full((n, 1), 1.0 + 2.0 * c), lo)
-    return _frozen(lo, cp, piv, thomas_batched(lo, cp, piv, seed), gamma)
+    lof, cp, piv, seed, gamma = periodic_thomas_batched(lo, np.full((n, 1), 1.0 + 2.0 * c), lo)
+    return _frozen(lof, cp, piv, thomas_batched(lof, cp, piv, seed), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -234,49 +303,57 @@ def _solve_x_cn(w, coeff, step: float, dx_: float):
     """Crank-Nicolson step of d_t w = coeff d_x^2 w, periodic in x (axis 0),
     for a triple w of (nx, ny) arrays.
 
-    Second-order three-point stencil.  A scalar coefficient (eps, for rho
-    and h) gives a constant system, factored once per (nx, step, eps) in a
-    cache; an (nx, ny) coefficient (eps / rho, for u) is factored here, and
-    its Sherman-Morrison seed rides along as one more right-hand side of
-    the one sweep.  Each field comes back as its own C-contiguous array."""
+    Second-order three-point stencil, applied in the folded layout of the
+    sweep.  A scalar coefficient (eps, for rho and h) gives a constant
+    system, factored once per (nx, step, eps) in a cache; an (nx, ny)
+    coefficient (eps / rho, for u) is factored here, and its
+    Sherman-Morrison seed rides along as one more right-hand side of the
+    one sweep.  Each field comes back as its own C-contiguous array."""
     a = 0.5 * step / dx_**2
     n, m = w[0].shape
     k = len(w)
     varying = [c for c in range(k) if np.ndim(coeff[c])]
-    # w with one periodic ghost row at each end
-    p = np.empty((n + 2, k, m))
+    # w folded, with a ghost slot at each end: the periodic neighbours of
+    # rows 0 and n-1 (slot 0 reversed), and those of the middle rows; for
+    # odd n the middle row also fills the padding slot, the bottom chain's
+    # neighbour of row n // 2 + 1
+    p = np.empty(((n + 1) // 2 + 2, 2, k, m))
     for c, f in enumerate(w):
-        p[1:-1, c] = f
-    p[0], p[-1] = p[-2], p[1]
+        _fold(f, out=p[1:-1, :, c])
+    p[0] = p[1, ::-1]
+    if n % 2:
+        p[-2, 1] = p[-2, 0]
+        p[-1] = p[-3, ::-1]
+    else:
+        p[-1] = p[-2, ::-1]
     wm, ws, wp = p[:-2], p[1:-1], p[2:]
-    b, lo, cp, piv = np.empty((4, n, k + len(varying), m))
-    # rhs = w + (a coeff) ((w[i+1] - 2 w[i]) + w[i-1]), built in place in
-    # this operation order, on which the outputs' bits depend
-    lap = b[:, :k]
+    b, lo, cp, piv = np.empty((4,) + ws.shape[:2] + (k + len(varying), m))
+    # lap = (w[i+1] - 2 w[i]) + w[i-1] in the top chain; the bottom chain
+    # reads its neighbours in the other order
+    lap = b[:, :, :k]
     np.multiply(2.0, ws, out=lap)
     np.subtract(wp, lap, out=lap)
     lap += wm
     corr = []
     for c in range(k):
         ac = a * coeff[c]
-        b[:, c] *= ac
-        b[:, c] += ws[:, c]
         if np.ndim(ac) == 0:
-            lo_c, cp_c, piv_c, q, gamma = _periodic_factors(n, ac)
-            lo[:, c], cp[:, c], piv[:, c] = lo_c, cp_c, piv_c
-            corr.append((q, lo_c[0], gamma))
-            continue
-        s = k + varying.index(c)
-        lo_c = -ac
-        _, _, seed, gamma = periodic_thomas_batched(
-            lo_c, 1.0 + 2.0 * ac, lo_c, out=(cp[:, c], piv[:, c])
-        )
-        b[:, s] = seed
-        lo[:, c] = lo[:, s] = lo_c
-        cp[:, s], piv[:, s] = cp[:, c], piv[:, c]
-        corr.append((b[:, s], lo_c[0], gamma))
+            *factors, q, gamma = _periodic_factors(n, ac)
+        else:
+            *factors, seed, gamma = periodic_thomas_batched(-ac, 1.0 + 2.0 * ac, -ac)
+            s = k + varying.index(c)
+            q = b[:, :, s]
+            q[...] = seed
+            lo[:, :, s], cp[:, :, s], piv[:, :, s] = factors
+        lo[:, :, c], cp[:, :, c], piv[:, :, c] = factors
+        corr.append((q, lo[0, 0, c], gamma))
+        # rhs = w + (a coeff) lap, with the folded lo = -(a coeff)
+        lap[:, :, c] *= lo[:, :, c]
+        np.subtract(ws[:, :, c], lap[:, :, c], out=lap[:, :, c])
+    if n % 2:
+        b[-1, 1] = 0.0
     thomas_batched(lo, cp, piv, b, out=b)
-    return tuple(_sherman_morrison(b[:, c], *corr[c]) for c in range(k))
+    return tuple(_sherman_morrison(b[:, :, c], *corr[c], n) for c in range(k))
 
 
 # Wall closure of the y-systems, in (rho, u, h) order.
@@ -304,9 +381,8 @@ def _y_matrix(grid: GridSpec, ac: np.ndarray, wall_bc: str):
 
 @lru_cache(maxsize=16)
 def _y_factors(grid: GridSpec, ac: float, wall_bc: str):
-    """Read-only lo, cp and piv of the constant system I - ac D_y^2."""
-    lo, di, up = _y_matrix(grid, np.full((grid.ny, 1), ac), wall_bc)
-    return _frozen(lo, *tridiag_factor(lo, di, up))
+    """Read-only folded lo, cp and piv of the constant system I - ac D_y^2."""
+    return _frozen(*tridiag_factor(*_y_matrix(grid, np.full((grid.ny, 1), ac), wall_bc)))
 
 
 def _apply_dyy(grid: GridSpec, w: np.ndarray, wall_bc: str) -> np.ndarray:
@@ -328,27 +404,30 @@ def _solve_y_implicit(grid: GridSpec, coeff, a: float, rhs, traces: dict):
     """Solve (I - a coeff D_y^2) w = rhs for (rho, u, h) in one sweep.
 
     coeff and rhs are (rho, u, h) triples; rhs holds (nx, ny) arrays,
-    stacked here as (ny, 3, nx).  A scalar coefficient (eps for rho, kappa
-    for h) gives a constant system, factored once per (grid, a, coefficient)
-    in a cache; an (nx, ny) coefficient (mu / rho for u) is factored here.
-    Walls follow _WALL_BCS with u clamped to traces['u_wall']; every top
-    row is clamped to its top trace.  Each field comes back as its own
-    C-contiguous array, which Field adopts without a copy."""
-    b, lo, cp, piv = np.empty((4, grid.ny, 3, grid.nx))
+    stacked here in the folded layout as (ceil(ny / 2), 2, 3, nx).  A
+    scalar coefficient (eps for rho, kappa for h) gives a constant system,
+    factored once per (grid, a, coefficient) in a cache; an (nx, ny)
+    coefficient (mu / rho for u) is factored here.  Walls follow _WALL_BCS
+    with u clamped to traces['u_wall']; every top row is clamped to its top
+    trace.  Each field comes back as its own C-contiguous array, which
+    Field adopts without a copy."""
+    ny, nx = grid.ny, grid.nx
+    b, lo, cp, piv = np.empty((4, (ny + 1) // 2, 2, 3, nx))
     for c, f in enumerate(rhs):
-        b[:, c] = f.T
-    b[0, 1] = traces["u_wall"]
-    b[-1] = (traces["rho_top"], traces["u_top"], traces["h_top"])
+        _fold(f.T, out=b[:, :, c])
+    b[0, 0, 1] = traces["u_wall"]
+    b[0, 1] = (traces["rho_top"], traces["u_top"], traces["h_top"])
     for c, (k, wall_bc) in enumerate(zip(coeff, _WALL_BCS)):
         if np.ndim(k) == 0:
-            lo_c, cp_c, piv_c = _y_factors(grid, a * k, wall_bc)
-            lo[:, c], cp[:, c], piv[:, c] = lo_c, cp_c, piv_c
-            continue
-        lo_c, di_c, up_c = _y_matrix(grid, a * k.T, wall_bc)
-        lo[:, c] = lo_c
-        tridiag_factor(lo_c, di_c, up_c, out=(cp[:, c], piv[:, c]))
+            factors = _y_factors(grid, a * k, wall_bc)
+        else:
+            factors = tridiag_factor(*_y_matrix(grid, a * k.T, wall_bc))
+        lo[:, :, c], cp[:, :, c], piv[:, :, c] = factors
     thomas_batched(lo, cp, piv, b, out=b)
-    return tuple(np.ascontiguousarray(b[:, c].T) for c in range(3))
+    out = tuple(np.empty((nx, ny)) for _ in range(3))
+    for c, f in enumerate(out):
+        _unfold(b[:, :, c], ny, f.T)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -106,13 +106,14 @@ def test_missing_verb_is_usage_error():
 @pytest.mark.parametrize("verb", VERBS)
 def test_verb_does_not_import_scipy(tmp_path, verb):
     # scipy is a test dependency only: importing scipy.special costs ~0.24 s
-    # and ~18 MiB, scipy.linalg ~21 MiB of resident memory
+    # and ~18 MiB, scipy.linalg ~21 MiB of resident memory.  sympy is an
+    # optional extra that no verb needs: it costs ~0.4 s and ~22 MiB
     cfg = _write_cfg(tmp_path)
     code = (
         "import sys\n"
         "from blmhd.cli import main\n"
         f"assert main([{verb!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -9,6 +9,7 @@ from blmhd.operators import (
     _dx_fd4,
     _dy_coeffs,
     _flat_rows,
+    _half_dy,
     _phi_row,
     _wavenumbers,
     d2x,
@@ -201,6 +202,20 @@ def test_integrate_y_oracles():
     assert np.max(np.abs(integrate_y(f).values - exact)) < 1e-4
     # antiderivative vanishes on the wall row
     assert np.all(integrate_y(f).values[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("stretch", [0.0, 2.0])
+def test_integrate_y_equals_the_trapezoid_formula_bitwise(stretch):
+    # the cached 0.5 dy row only moves an exact scaling by 0.5
+    grid = GridSpec(nx=9, ny=64, stretch=stretch)
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((9, 64)) * 10.0 ** rng.integers(-8, 8, (9, 64))
+    y = grid.y
+    iy = np.zeros_like(v)
+    np.cumsum(0.5 * (v[:, 1:] + v[:, :-1]) * (y[1:] - y[:-1]), axis=1, out=iy[:, 1:])
+    assert np.array_equal(integrate_y(Field(v, grid)).values, iy)
+    half = _half_dy(grid)
+    assert half is _half_dy(grid) and not half.flags.writeable
 
 
 def test_z2_wall_row_is_exactly_zero():

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from blmhd import operators, solver, state
 from blmhd.grid import Field, GridSpec, field_from_function
@@ -16,10 +18,12 @@ from blmhd.solver import (
     SolverError,
     _apply_dyy,
     _explicit_terms,
+    _fold,
     _periodic_factors,
     _sherman_morrison,
     _solve_x_cn,
     _solve_y_implicit,
+    _unfold,
     _y_factors,
     _y_matrix,
     monitor,
@@ -236,6 +240,26 @@ def test_run_stops_on_density_floor_breach():
     assert len(traj.monitors) == 1 and not traj.monitors[0].breached
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    dt=hst.floats(1e-4, 50.0),
+    amp=hst.floats(0.0, 2.0),
+    eps=hst.one_of(hst.just(0.0), hst.floats(1e-4, 0.1)),
+    scheme=hst.sampled_from(["imex-be", "imex-cn"]),
+)
+def test_run_never_raises_for_a_valid_config(dt, amp, eps, scheme):
+    # amplitudes past the monitor's density bound (a_rho > 0.023) breach at
+    # t = 0, and steps of 5 or more can end a run inside a substep (density
+    # floor or divergence); breached agrees with the stored monitors: a run
+    # stops at a breach, so only the initial state's may be breached
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0)
+    initial = perturbed_state(grid, a_rho=0.02 * amp, a_u=amp, a_h=amp)
+    traj = run(initial, SolverConfig(eps=eps, dt=dt, t_end=2 * dt, scheme=scheme))
+    flags = [m.breached for m in traj.monitors]
+    assert len(flags) == len(traj.states) and not any(flags[1:])
+    assert traj.breached == (flags[0] or len(traj.states) < 3)
+
+
 def test_non_finite_substep_is_recorded_as_a_breach(grid_small, monkeypatch):
     # a NaN in the u tendency must stop the run as a divergence, not
     # escape run() as the ValueError of the Field that first holds it
@@ -433,36 +457,58 @@ def _dominant_diagonals(rng, shape):
     return lo, di, up
 
 
+def _open_solve(lo, di, up, rhs):
+    """thomas_batched on natural-layout rows: fold in, unfold out."""
+    return _unfold(thomas_batched(*tridiag_factor(lo, di, up), _fold(rhs)), len(rhs))
+
+
+def _periodic_solve(lo, di, up, rhs):
+    lof, cp, piv, seed, gamma = periodic_thomas_batched(lo, di, up)
+    y, q = thomas_batched(lof, cp, piv, _fold(rhs)), thomas_batched(lof, cp, piv, seed)
+    return _sherman_morrison(y, q, lof[0, 0], gamma, len(rhs))
+
+
+def _assert_matches_dense(sol, lo, di, up, rhs, periodic=False):
+    assert sol.shape == rhs.shape
+    for idx in np.ndindex(*rhs.shape[1:]):
+        i = (slice(None),) + idx
+        m = (slice(None),) + tuple(0 if s == 1 else j for s, j in zip(lo.shape[1:], idx))
+        a = _dense(lo[m], di[m], up[m], periodic)
+        np.testing.assert_allclose(sol[i], np.linalg.solve(a, rhs[i]), rtol=1e-12, atol=1e-13)
+
+
+def test_fold_layout_and_round_trip():
+    for n in (4, 5):
+        a = np.arange(n * 2.0).reshape(n, 2) + 1.0
+        f = _fold(a)
+        assert f.shape == ((n + 1) // 2, 2, 2)
+        np.testing.assert_array_equal(f[:, 0], a[: (n + 1) // 2])
+        np.testing.assert_array_equal(f[: n // 2, 1], a[::-1][: n // 2])
+        if n % 2:
+            np.testing.assert_array_equal(f[-1, 1], 0.0)  # the padding slot
+        np.testing.assert_array_equal(_unfold(f, n), a)
+
+
 def test_thomas_matches_dense_solve():
     rng = np.random.default_rng(0)
     n, batch = 12, (5, 3)
     lo, di, up = _dominant_diagonals(rng, (n,) + batch)
     rhs = rng.standard_normal((n,) + batch)
-    sol = thomas_batched(lo, *tridiag_factor(lo, di, up), rhs)
-    assert sol.shape == rhs.shape
-    for idx in np.ndindex(*batch):
-        i = (slice(None),) + idx
-        exact = np.linalg.solve(_dense(lo[i], di[i], up[i]), rhs[i])
-        np.testing.assert_allclose(sol[i], exact, rtol=1e-12, atol=1e-13)
+    _assert_matches_dense(_open_solve(lo, di, up, rhs), lo, di, up, rhs)
 
 
 def test_thomas_shares_one_matrix_across_right_hand_sides():
     # matrix rows of shape (4, 1) broadcast against rhs rows of shape (4, 3)
     rng = np.random.default_rng(1)
-    n = 10
-    lo, di, up = _dominant_diagonals(rng, (n, 4, 1))
-    rhs = rng.standard_normal((n, 4, 3))
-    sol = thomas_batched(lo, *tridiag_factor(lo, di, up), rhs)
-    for b in range(4):
-        a = _dense(lo[:, b, 0], di[:, b, 0], up[:, b, 0])
-        np.testing.assert_allclose(
-            sol[:, b, :], np.linalg.solve(a, rhs[:, b, :]), rtol=1e-12, atol=1e-13
-        )
-    # the shared elimination performs each solve's arithmetic unchanged
-    for c in range(3):
-        one = (lo[..., 0], di[..., 0], up[..., 0])
-        alone = thomas_batched(one[0], *tridiag_factor(*one), rhs[..., c])
-        assert np.array_equal(sol[..., c], alone)
+    for n in (10, 11):
+        lo, di, up = _dominant_diagonals(rng, (n, 4, 1))
+        rhs = rng.standard_normal((n, 4, 3))
+        sol = _open_solve(lo, di, up, rhs)
+        _assert_matches_dense(sol, lo, di, up, rhs)
+        # the shared elimination performs each solve's arithmetic unchanged
+        for c in range(3):
+            one = (lo[..., 0], di[..., 0], up[..., 0])
+            assert np.array_equal(sol[..., c], _open_solve(*one, rhs[..., c]))
 
 
 def test_periodic_thomas_matches_dense_solve_with_corners():
@@ -470,15 +516,42 @@ def test_periodic_thomas_matches_dense_solve_with_corners():
     n, batch = 9, (4, 2)
     lo, di, up = _dominant_diagonals(rng, (n,) + batch)
     rhs = rng.standard_normal((n,) + batch)
-    cp, piv, seed, gamma = periodic_thomas_batched(lo, di, up)
-    y, q = thomas_batched(lo, cp, piv, rhs), thomas_batched(lo, cp, piv, seed)
-    sol = _sherman_morrison(y, q, lo[0], gamma)
-    assert sol.shape == rhs.shape
     for idx in np.ndindex(*batch):
         i = (slice(None),) + idx
         a = _dense(lo[i], di[i], up[i], periodic=True)
         assert a[0, -1] != 0.0 and a[-1, 0] != 0.0
-        np.testing.assert_allclose(sol[i], np.linalg.solve(a, rhs[i]), rtol=1e-12, atol=1e-13)
+    _assert_matches_dense(_periodic_solve(lo, di, up, rhs), lo, di, up, rhs, periodic=True)
+
+
+@hst.composite
+def _systems(draw, min_rows):
+    """Diagonally dominant systems of both row parities, with full (n, k, c)
+    or broadcast (n, k, 1) matrices against (n, k, c) right-hand sides."""
+    n = draw(hst.integers(min_rows, 40))
+    k, c = draw(hst.integers(1, 3)), draw(hst.integers(1, 3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    broadcast = draw(hst.booleans())
+    lo, di, up = _dominant_diagonals(rng, (n, k, 1 if broadcast else c))
+    return lo, di, up, rng.standard_normal((n, k, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems(min_rows=2))
+def test_folded_elimination_matches_dense_solve(system):
+    lo, di, up, rhs = system
+    sol = _open_solve(lo, di, up, rhs)
+    _assert_matches_dense(sol, lo, di, up, rhs)
+    if lo.shape[-1] == 1:
+        one = (lo[..., 0], di[..., 0], up[..., 0])
+        assert np.array_equal(sol[..., -1], _open_solve(*one, rhs[..., -1]))
+
+
+# n = 2 has no distinct corner entries: they coincide with the off-diagonals
+@settings(max_examples=60, deadline=None)
+@given(_systems(min_rows=3))
+def test_folded_periodic_elimination_matches_dense_solve(system):
+    lo, di, up, rhs = system
+    _assert_matches_dense(_periodic_solve(lo, di, up, rhs), lo, di, up, rhs, periodic=True)
 
 
 def test_y_matrix_rows_match_apply_dyy_and_dense_solve(grid_small):
@@ -491,7 +564,7 @@ def test_y_matrix_rows_match_apply_dyy_and_dense_solve(grid_small):
     rhs = rng.standard_normal((grid.ny, grid.nx, 3))
     for c, wall_bc in enumerate(_WALL_BCS):
         lo, di, up = _y_matrix(grid, a * coeff[..., c], wall_bc)
-        sol = thomas_batched(lo, *tridiag_factor(lo, di, up), rhs[..., c])
+        sol = _open_solve(lo, di, up, rhs[..., c])
         for x in (0, grid.nx // 2):
             m = _dense(lo[:, x], di[:, x], up[:, x])
             # rows act as I - a coeff D_y^2, with D_y^2 as _apply_dyy closes it
@@ -516,59 +589,67 @@ def _periodic_laplacian(n):
     return lap
 
 
+def _check_directional_solves(grid, eps, kappa, k, rng, err_msg=""):
+    """_solve_y_implicit and _solve_x_cn on random data equal dense solves of
+    the stage matrices (distinct scalars on rho and h, so that a swap shows)."""
+    nx, ny = grid.nx, grid.ny
+    w = tuple(rng.standard_normal((nx, ny)) for _ in range(3))
+    rho = 0.1 * rng.standard_normal((nx, ny))
+    traces = {key: rng.standard_normal(nx) for key in ("u_wall", "rho_top", "u_top", "h_top")}
+    # D_y^2 with the closures the y rows use, built from _apply_dyy
+    dyy = {bc: _apply_dyy(grid, np.eye(ny), bc).T for bc in set(_WALL_BCS)}
+    coeff = (eps, 1.0 / (rho + 1.0), kappa)
+    out = _solve_y_implicit(grid, coeff, k, w, traces)
+    tops = (traces["rho_top"], traces["u_top"], traces["h_top"])
+    for c, wall_bc in enumerate(_WALL_BCS):
+        assert out[c].flags.c_contiguous and out[c].base is None
+        ac = k * np.broadcast_to(coeff[c], (nx, ny))
+        for x in range(nx):
+            m = np.eye(ny) - ac[x][:, None] * dyy[wall_bc]
+            b = w[c][x].copy()
+            b[-1] = tops[c][x]
+            if wall_bc == "dirichlet":
+                b[0] = traces["u_wall"][x]
+            np.testing.assert_allclose(
+                out[c][x], np.linalg.solve(m, b), rtol=1e-12, atol=1e-12, err_msg=err_msg
+            )
+    coeff = (eps, eps / (rho + 1.0), kappa)
+    out = _solve_x_cn(w, coeff, k, grid.dx)
+    a = 0.5 * k / grid.dx**2
+    lap_x = _periodic_laplacian(nx)
+    for c in range(3):
+        assert out[c].flags.c_contiguous and out[c].base is None
+        ac = a * np.broadcast_to(coeff[c], (nx, ny))
+        for y in range(ny):
+            dl = ac[:, y][:, None] * lap_x
+            exact = np.linalg.solve(np.eye(nx) - dl, w[c][:, y] + dl @ w[c][:, y])
+            np.testing.assert_allclose(
+                out[c][:, y], exact, rtol=1e-12, atol=1e-12, err_msg=err_msg
+            )
+
+
+@pytest.mark.parametrize("nx, ny", [(9, 11), (9, 12), (10, 11)])
+def test_directional_solves_on_odd_grids(nx, ny):
+    """Odd row counts put the middle row in the folded padding slot's pair."""
+    grid = GridSpec(nx=nx, ny=ny, y_max=12.0, stretch=1.5)
+    _check_directional_solves(grid, 0.3, 0.5, 4e-2, np.random.default_rng(nx * ny))
+
+
 def test_cached_factors_follow_coefficients_and_step(grid_small):
     """Each call of _solve_y_implicit and _solve_x_cn, in the order A, B, A
     of (eps, kappa, step), equals a dense solve of that stage's matrices;
     the factors cached along the way are read-only."""
     grid = grid_small
-    nx, ny = grid.nx, grid.ny
     rng = np.random.default_rng(4)
-    w = tuple(rng.standard_normal((nx, ny)) for _ in range(3))
-    rho = 0.1 * rng.standard_normal((nx, ny))
-    traces = {
-        "u_wall": rng.standard_normal(nx),
-        "rho_top": rng.standard_normal(nx),
-        "u_top": rng.standard_normal(nx),
-        "h_top": rng.standard_normal(nx),
-    }
-    # D_y^2 with the closures the y rows use, built from _apply_dyy
-    dyy = {bc: _apply_dyy(grid, np.eye(ny), bc).T for bc in set(_WALL_BCS)}
-    lap_x = _periodic_laplacian(nx)
     cases = {"A": (0.02, 0.5, 1e-3), "B": (0.02, 0.5, 4e-3)}
     _y_factors.cache_clear()
     _periodic_factors.cache_clear()
     for name in ("A", "B", "A"):
-        eps, kappa, k = cases[name]
-        coeff = (eps, 1.0 / (rho + 1.0), kappa)
-        out = _solve_y_implicit(grid, coeff, k, w, traces)
-        tops = (traces["rho_top"], traces["u_top"], traces["h_top"])
-        for c, wall_bc in enumerate(_WALL_BCS):
-            ac = k * np.broadcast_to(coeff[c], (nx, ny))
-            for x in range(nx):
-                m = np.eye(ny) - ac[x][:, None] * dyy[wall_bc]
-                b = w[c][x].copy()
-                b[-1] = tops[c][x]
-                if wall_bc == "dirichlet":
-                    b[0] = traces["u_wall"][x]
-                np.testing.assert_allclose(
-                    out[c][x], np.linalg.solve(m, b), rtol=1e-12, atol=1e-12, err_msg=name
-                )
-        # x: distinct scalars on rho and h, so that a swap shows
-        coeff = (eps, eps / (rho + 1.0), kappa)
-        out = _solve_x_cn(w, coeff, k, grid.dx)
-        a = 0.5 * k / grid.dx**2
-        for c in range(3):
-            ac = a * np.broadcast_to(coeff[c], (nx, ny))
-            for y in range(ny):
-                dl = ac[:, y][:, None] * lap_x
-                exact = np.linalg.solve(np.eye(nx) - dl, w[c][:, y] + dl @ w[c][:, y])
-                np.testing.assert_allclose(
-                    out[c][:, y], exact, rtol=1e-12, atol=1e-12, err_msg=name
-                )
+        _check_directional_solves(grid, *cases[name], rng, err_msg=name)
     assert _y_factors.cache_info().currsize == 4  # (eps, kappa) x 2 steps
     assert _periodic_factors.cache_info().currsize == 4
     factors = [*_y_factors(grid, 1e-3 * 0.02, "neumann")]
-    factors += _periodic_factors(nx, 0.5 * 1e-3 / grid.dx**2 * 0.02)
+    factors += _periodic_factors(grid.nx, 0.5 * 1e-3 / grid.dx**2 * 0.02)
     assert _y_factors.cache_info().currsize == _periodic_factors.cache_info().currsize == 4
     for arr in factors:
         with pytest.raises(ValueError):

@@ -26,6 +26,10 @@ _SRC = sorted((_ROOT / "src").rglob("*.py"))
 # definitions kept without a caller in src/, each with its reason
 _KEPT = {
     "divergence_defects": "the run telemetry of the divergence defects will call it",
+    # symbolic (sympy) helpers, not exported so that `import blmhd` does not
+    # load the optional sympy
+    "ManufacturedSolution": "the exact-solution oracle of the residual and order tests",
+    "matching_check": "the symbolic outer-trace matching check of the paper's relations",
 }
 
 
