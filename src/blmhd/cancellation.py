@@ -12,6 +12,16 @@ cancel the loss.  This module builds them, evaluates the left-minus-right
 residual of their evolution equations discretely (with the commutator sums
 assembled term by term), and checks the explicit-constant norm-equivalence
 inequalities that relate raw and good-unknown norms.
+
+One evaluation per stored slice serves the residuals of all three good
+unknowns: a _Residual holds one tower, one good_unknowns result and one set
+of eta weights, and takes each Z^(a,b) and each term that more than one
+unknown reads once.  cancellation_residual returns the series asked for;
+the other two wait in a one-entry module slot, keyed by the trajectory's
+stored States (by identity), its bundle, forcing and config, alpha1 and
+the resolved delta_floor.  A call with the same key takes its series out
+of the slot, which is emptied when its last series is taken; any other
+call replaces it, so at most two series are held.
 """
 from __future__ import annotations
 
@@ -79,13 +89,19 @@ def _zt(tower: TimeTower, name: str, t_count: int, x_count: int) -> np.ndarray:
     return out.values
 
 
-def eta_fields(state: State) -> tuple[Field, Field, Field]:
-    """The three quotient weights (no floor check)."""
+def eta_fields(state: State, tower: TimeTower) -> tuple[Field, Field, Field]:
+    """The three quotient weights (no floor check).  dy rho, dy u and dy h
+    come from the tower's derivative cache when the tower was built from
+    this state, else they are taken here."""
     grid = state.grid
     hp1 = state.h_shift.values + 1.0
-    eta_r = dy(state.rho_shift).values / hp1
-    eta_u = (dy(state.u_shift).values + exp_minus_y(grid)) / hp1
-    eta_h = dy(state.h_shift).values / hp1
+    if tower.state is state:
+        dyr, dyu, dyh = (tower.deriv("y", n, 0).values for n in ("rho", "u", "h"))
+    else:
+        dyr, dyu, dyh = (dy(f).values for f in (state.rho_shift, state.u_shift, state.h_shift))
+    eta_r = dyr / hp1
+    eta_u = (dyu + exp_minus_y(grid)) / hp1
+    eta_h = dyh / hp1
     return Field(eta_r, grid), Field(eta_u, grid), Field(eta_h, grid)
 
 
@@ -103,7 +119,7 @@ def good_unknowns(
     grid = state.grid
     if tower is None:
         tower = TimeTower(state, physics=Physics())
-    eta_r, eta_u, eta_h = eta_fields(state)
+    eta_r, eta_u, eta_h = eta_fields(state, tower)
     a, b = alpha1.t_count, alpha1.x_count
     z_rho = _zt(tower, "rho", a, b)
     z_u = _zt(tower, "u", a, b)
@@ -129,18 +145,17 @@ def good_unknowns(
 # ---------------------------------------------------------------------------
 
 
-def _tf_field(tower: TimeTower, name: str, const0: float = 0.0, sub_exp0: bool = False):
+def _tf_field(res: _Residual, name: str, const0: float = 0.0, sub_exp0: bool = False):
     """Tangential function (t_count, x_count) -> array for a state field,
     optionally plus a constant / minus e^{-y} contributing only at (0, 0)."""
-    E = exp_minus_y(tower.grid)
 
     def f(a: int, b: int) -> np.ndarray:
-        out = _zt(tower, name, a, b)
+        out = res.zt(name, a, b)
         if a == 0 and b == 0:
             if const0:
                 out = out + const0
             if sub_exp0:
-                out = out - E
+                out = out - res.E
         return out
 
     return f
@@ -174,7 +189,13 @@ def _index_splits(alpha1: MultiIndex, exclude_full: bool):
 
 
 class _Residual:
-    """Shared machinery for one state slice of a residual evaluation.
+    """One state slice of a residual evaluation, shared by the three good
+    unknowns: one tower, one good_unknowns result (the eta weights and the
+    Z^a1 fields), and each term that more than one unknown reads, taken
+    once.  Each Z^(a,b) of a tower field is dx of its parent Z^(a,b-1), so
+    dx Z^(a,b) is Z^(a,b+1), and dy of a tower level is the tower's own.
+    What a single unknown reads stays local to its residual function, so
+    it is freed when that function returns.
 
     src and frc are the arrays of d_t^{t_count} of the source terms
     (dx r1, dy r2, dx ru, dx rh) and of the forcing (F_r, F_u, F_h) at the
@@ -182,7 +203,6 @@ class _Residual:
 
     def __init__(self, state, alpha1, delta_floor, bundle, forcing, physics):
         _check_alpha1(alpha1)
-        self.state = state
         self.grid = state.grid
         self.alpha1 = alpha1
         self.hp1 = _check_h_floor(state, delta_floor)
@@ -190,44 +210,83 @@ class _Residual:
             state, bundle, forcing, max_depth=alpha1.t_count + 1, physics=physics
         )
         self.E = exp_minus_y(self.grid)
-        self.r = state.rho_shift.values
-        self.u = state.u_shift.values
         self.h = state.h_shift.values
         self.v = state.v.values
         self.g_f = state.g.values
-        self.rho = self.r + 1.0
-        self.U = self.u + 1.0 - self.E
-        self.gu = good_unknowns(state, alpha1, delta_floor, tower=self.tower)
-        # d_t of the state fields (level 1 of the tower)
-        self.dt = self.tower.level(1)
-        self.src = self.tower.source_terms(alpha1.t_count)
-        self.frc = provided_terms(forcing, state.grid, state.time, alpha1.t_count)
+        self.rho = state.rho_shift.values + 1.0
+        self.U = state.u_shift.values + 1.0 - self.E
+        self.gu = gu = good_unknowns(state, alpha1, delta_floor, tower=self.tower)
+        a, b = alpha1.t_count, alpha1.x_count
+        self._z = {
+            ("rho", a, b): gu.z_rho,
+            ("u", a, b): gu.z_u,
+            ("h", a, b): gu.z_h,
+            ("psi", a, b): gu.z_psi,
+        }
+        self._dy = {}
+        self.shear = self.dyz("u", 0, 0) + self.E  # d_y(u - e^{-y})
+        self.f_psi = -self.commutator_a_dx(
+            _tf_field(self, "u", const0=1.0, sub_exp0=True), "psi"
+        ) - self.sum_b_dyg(_tf_field(self, "v"), "psi")
+        self.d2y_psi = d2y(gu.z_psi).values
+        # Z^a1 of dx rh and of F_h, and their int_0^y, read by every unknown
+        self.src = self.tower.source_terms(a)
+        if self.src is not None:
+            self.z_dx_rh = self.zt_of(self.src[3])
+            self.inv_dy_z_dx_rh = self.inv_dy(self.z_dx_rh)
+        self.frc = provided_terms(forcing, state.grid, state.time, a)
+        if self.frc is not None:
+            self.z_Fh = self.zt_of(self.frc[2])
+            self.inv_dy_z_Fh = self.inv_dy(self.z_Fh)
 
     def F(self, vals) -> Field:
         return Field(vals, self.grid)
 
-    def zt(self, name, a, b):
-        return _zt(self.tower, name, a, b)
+    # -- tower fields and their derivatives ---------------------------------
+
+    def zf(self, name: str, a: int, b: int) -> Field:
+        """d_t^a Z1^b of a tower field, taken once, from its parent."""
+        out = self._z.get((name, a, b))
+        if out is None:
+            if b == 0:
+                out = self.tower.field(name, a)
+            elif b == 1:
+                self.zf(name, a, 0)
+                out = self.tower.deriv("x", name, a)
+            else:
+                out = dx(self.zf(name, a, b - 1))
+            self._z[(name, a, b)] = out
+        return out
+
+    def zt(self, name: str, a: int, b: int) -> np.ndarray:
+        return self.zf(name, a, b).values
+
+    def dyz(self, name: str, a: int, b: int) -> np.ndarray:
+        """d_y of zt(name, a, b), taken once; at b = 0 the tower's own."""
+        if b == 0:
+            self.zf(name, a, 0)
+            return self.tower.deriv("y", name, a).values
+        out = self._dy.get((name, a, b))
+        if out is None:
+            out = self._dy[(name, a, b)] = dy(self.zf(name, a, b)).values
+        return out
 
     # -- eta weights and their derivatives ----------------------------------
 
     def eta(self, which: str) -> np.ndarray:
-        return {"rho": self.gu.eta_rho, "u": self.gu.eta_u, "h": self.gu.eta_h}[
-            which
-        ].values
+        return getattr(self.gu, "eta_" + which).values
 
     def eta_dt(self, which: str) -> np.ndarray:
         """d_t eta_w by the quotient rule through the tower."""
-        name = {"rho": "rho", "u": "u", "h": "h"}[which]
-        num = dy(self.F(self.dt[name])).values
-        h_t = self.dt["h"]
+        num = self.dyz(which, 1, 0)
+        h_t = self.zt("h", 1, 0)
         return num / self.hp1 - self.eta(which) * h_t / self.hp1
 
-    # -- transport-type operators applied to a numeric array ----------------
+    # -- transport-type operators --------------------------------------------
 
-    def advect(self, w: np.ndarray) -> np.ndarray:
-        f = self.F(w)
-        return self.U * dx(f).values + self.v * dy(f).values
+    def advect(self, w_x: np.ndarray, w_y: np.ndarray) -> np.ndarray:
+        """U dx w + v dy w, given dx w and dy w."""
+        return self.U * w_x + self.v * w_y
 
     # -- commutator sums -----------------------------------------------------
 
@@ -235,7 +294,7 @@ class _Residual:
         """[Z^a1, a d_x] w = sum C Z^b1 a  Z^g1 d_x w  over beta1 != 0."""
         acc = 0.0
         for (i, j), (p, q), c in self._splits(exclude_full):
-            acc = acc + c * A(i, j) * dx(self.F(self.zt(w_name, p, q))).values
+            acc = acc + c * A(i, j) * self.zt(w_name, p, q + 1)
         return acc
 
     def commutator_a_dt(self, A, w_name: str):
@@ -249,19 +308,11 @@ class _Residual:
         """sum C Z^b1 b  Z^g1 d_y w  over beta1 != 0 (and != alpha1)."""
         acc = 0.0
         for (i, j), (p, q), c in self._splits(exclude_full):
-            acc = acc + c * B(i, j) * dy(self.F(self.zt(w_name, p, q))).values
+            acc = acc + c * B(i, j) * self.dyz(w_name, p, q)
         return acc
 
     def _splits(self, exclude_full: bool):
         return _index_splits(self.alpha1, exclude_full)
-
-    # -- shared f_psi --------------------------------------------------------
-
-    def f_psi(self) -> np.ndarray:
-        tf_U = _tf_field(self.tower, "u", const0=1.0, sub_exp0=True)
-        return -self.commutator_a_dx(tf_U, "psi") - self.sum_b_dyg(
-            _tf_field(self.tower, "v"), "psi"
-        )
 
     # -- sources and forcing at the slice ------------------------------------
 
@@ -273,15 +324,28 @@ class _Residual:
         return integrate_y(self.F(arr)).values
 
 
-def _dt_good_unknown(res: _Residual, which: str) -> np.ndarray:
-    """d_t w_m = Z^{a1+e_t} w - (d_t eta_w) Z^a1 psi - eta_w Z^{a1+e_t} psi."""
+def _grad(f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(dx f, dy f) as arrays."""
+    return dx(f).values, dy(f).values
+
+
+def _dt_good_unknown(res: _Residual, which: str, eta_t: np.ndarray) -> np.ndarray:
+    """d_t w_m = Z^{a1+e_t} w - (d_t eta_w) Z^a1 psi - eta_w Z^{a1+e_t} psi,
+    given eta_t = d_t eta_w."""
     a, b = res.alpha1.t_count, res.alpha1.x_count
-    name = which
     return (
-        res.zt(name, a + 1, b)
-        - res.eta_dt(which) * res.gu.z_psi.values
+        res.zt(which, a + 1, b)
+        - eta_t * res.gu.z_psi.values
         - res.eta(which) * res.zt("psi", a + 1, b)
     )
+
+
+# The slot: (objects, values, {which: series}) for the series the last
+# evaluation's caller did not ask for.  objects (the trajectory's bundle,
+# forcing, config and stored States) match by identity; the slot holds
+# them, so their ids cannot be recycled.  values (alpha1 and the resolved
+# delta_floor) match by equality.
+_SLOT = None
 
 
 def cancellation_residual(
@@ -292,174 +356,182 @@ def cancellation_residual(
 ) -> list[Field]:
     """LHS - RHS of the evolution equation of the chosen good unknown,
     evaluated discretely on every stored state of the trajectory, with the
-    trajectory config's eps, mu and kappa."""
-    if which not in ("rho_m", "u_m", "h_m"):
+    trajectory config's eps, mu and kappa.  The series of the other two
+    unknowns are evaluated with it and wait in the module's slot (see the
+    module docstring)."""
+    global _SLOT
+    if which not in _RESIDUALS:
         raise ValueError(f"which must be rho_m, u_m or h_m, got {which!r}")
     cfg = trajectory.config
     if delta_floor is None:
         delta_floor = cfg.delta0 / 2.0
-    out = []
+    objects = (trajectory.bundle, trajectory.forcing, cfg, *trajectory.states)
+    values = (alpha1, delta_floor)
+    if _SLOT is not None:
+        held_objects, held_values, series = _SLOT
+        if (
+            which in series
+            and held_values == values
+            and len(held_objects) == len(objects)
+            and all(a is b for a, b in zip(held_objects, objects))
+        ):
+            out = series.pop(which)
+            if not series:
+                _SLOT = None
+            return out
+    _SLOT = None
+    series = {w: [] for w in _RESIDUALS}
     for st in trajectory.states:
         res = _Residual(st, alpha1, delta_floor, trajectory.bundle, trajectory.forcing, cfg)
-        if which == "h_m":
-            out.append(_residual_hm(res, cfg))
-        elif which == "rho_m":
-            out.append(_residual_rhom(res, cfg))
-        else:
-            out.append(_residual_um(res, cfg))
+        for w, residual in _RESIDUALS.items():
+            series[w].append(residual(res, cfg))
+        del res  # before the next slice's is built, so that two are never held
+    out = series.pop(which)
+    _SLOT = (objects, values, series)
     return out
 
 
 def _f_h(res: _Residual) -> np.ndarray:
-    tw = res.tower
-    tf_U = _tf_field(tw, "u", const0=1.0, sub_exp0=True)
-    tf_hp1 = _tf_field(tw, "h", const0=1.0)
+    tf_U = _tf_field(res, "u", const0=1.0, sub_exp0=True)
+    tf_hp1 = _tf_field(res, "h", const0=1.0)
     return (
         -res.commutator_a_dx(tf_U, "h")
         + res.commutator_a_dx(tf_hp1, "u")
-        - res.sum_b_dyg(_tf_field(tw, "v"), "h")
-        + res.sum_b_dyg(_tf_field(tw, "g"), "u")
+        - res.sum_b_dyg(_tf_field(res, "v"), "h")
+        + res.sum_b_dyg(_tf_field(res, "g"), "u")
     )
 
 
 def _f_rho(res: _Residual) -> np.ndarray:
-    tw = res.tower
-    tf_U = _tf_field(tw, "u", const0=1.0, sub_exp0=True)
-    return -res.commutator_a_dx(tf_U, "rho") - res.sum_b_dyg(
-        _tf_field(tw, "v"), "rho"
-    )
+    tf_U = _tf_field(res, "u", const0=1.0, sub_exp0=True)
+    return -res.commutator_a_dx(tf_U, "rho") - res.sum_b_dyg(_tf_field(res, "v"), "rho")
 
 
 def _f_u(res: _Residual) -> np.ndarray:
-    tw = res.tower
-    tf_rho = _tf_field(tw, "rho", const0=1.0)
-    tf_U = _tf_field(tw, "u", const0=1.0, sub_exp0=True)
-    tf_hp1 = _tf_field(tw, "h", const0=1.0)
+    tf_rho = _tf_field(res, "rho", const0=1.0)
+    tf_U = _tf_field(res, "u", const0=1.0, sub_exp0=True)
+    tf_hp1 = _tf_field(res, "h", const0=1.0)
     tf_rhoU = _tf_product(tf_rho, tf_U)
-    tf_rhov = _tf_product(tf_rho, _tf_field(tw, "v"))
-    shear = dy(res.F(res.u)).values + res.E  # d_y(u - e^{-y})
+    tf_rhov = _tf_product(tf_rho, _tf_field(res, "v"))
     acc = (
         -res.commutator_a_dt(tf_rho, "u")
         - res.commutator_a_dx(tf_rhoU, "u")
         + res.commutator_a_dx(tf_hp1, "h")
     )
     for (i, j), (p, q), c in res._splits(False):
-        acc = acc - c * tf_rho(i, j) * res.zt("v", p, q) * shear
-    acc = acc - res.sum_b_dyg(tf_rhov, "u") + res.sum_b_dyg(
-        _tf_field(tw, "g"), "h"
-    )
+        acc = acc - c * tf_rho(i, j) * res.zt("v", p, q) * res.shear
+    acc = acc - res.sum_b_dyg(tf_rhov, "u") + res.sum_b_dyg(_tf_field(res, "g"), "h")
     return acc
 
 
 def _residual_hm(res: _Residual, cfg) -> Field:
     eps, kappa = cfg.eps, cfg.kappa
     gu = res.gu
-    h_m = gu.h_m.values
+    a, b = res.alpha1.t_count, res.alpha1.x_count
     z_psi = gu.z_psi.values
     eta_h = res.eta("h")
-    eta_h_f = res.F(eta_h)
+    eta_t = res.eta_dt("h")
+    eta_x, eta_y = _grad(gu.eta_h)
     lhs = (
-        _dt_good_unknown(res, "h")
-        + res.advect(h_m)
+        _dt_good_unknown(res, "h", eta_t)
+        + res.advect(*_grad(gu.h_m))
         - eps * d2x(gu.h_m).values
         - kappa * d2y(gu.h_m).values
-        - (res.h + 1.0) * dx(gu.z_u).values
-        - res.g_f * dy(gu.z_u).values
-        - _zt(res.tower, "g", res.alpha1.t_count, res.alpha1.x_count)
-        * (dy(res.F(res.u)).values + res.E)
+        - (res.h + 1.0) * res.zt("u", a, b + 1)
+        - res.g_f * res.dyz("u", a, b)
+        - res.zt("g", a, b) * res.shear
     )
     eta_ops = (
-        res.eta_dt("h")
-        + res.advect(eta_h)
-        - eps * d2x(eta_h_f).values
-        - kappa * d2y(eta_h_f).values
+        eta_t
+        + res.advect(eta_x, eta_y)
+        - eps * d2x(gu.eta_h).values
+        - kappa * d2y(gu.eta_h).values
     )
     rhs = 0.0
     if res.src is not None:
-        z_dx_rh = res.zt_of(res.src[3])
-        rhs = -eps * z_dx_rh + eps * eta_h * res.inv_dy(z_dx_rh)
+        rhs = -eps * res.z_dx_rh + eps * eta_h * res.inv_dy_z_dx_rh
     rhs = (
         rhs
         + _f_h(res)
-        - eta_h * res.f_psi()
-        + 2.0 * eps * dx(eta_h_f).values * dx(gu.z_psi).values
-        + 2.0 * kappa * dy(eta_h_f).values * dy(gu.z_psi).values
+        - eta_h * res.f_psi
+        + 2.0 * eps * eta_x * res.zt("psi", a, b + 1)
+        + 2.0 * kappa * eta_y * res.dyz("psi", a, b)
         - z_psi * eta_ops
     )
     if res.frc is not None:
-        z_Fh = res.zt_of(res.frc[2])
-        rhs = rhs + z_Fh - eta_h * res.inv_dy(z_Fh)
+        rhs = rhs + res.z_Fh - eta_h * res.inv_dy_z_Fh
     return res.F(lhs - rhs)
 
 
 def _residual_rhom(res: _Residual, cfg) -> Field:
     eps, kappa = cfg.eps, cfg.kappa
     gu = res.gu
-    rho_m = gu.rho_m.values
+    a, b = res.alpha1.t_count, res.alpha1.x_count
     z_psi = gu.z_psi.values
     eta_r = res.eta("rho")
-    eta_r_f = res.F(eta_r)
+    eta_t = res.eta_dt("rho")
+    eta_x, eta_y = _grad(gu.eta_rho)
     lhs = (
-        _dt_good_unknown(res, "rho")
-        + res.advect(rho_m)
+        _dt_good_unknown(res, "rho", eta_t)
+        + res.advect(*_grad(gu.rho_m))
         - eps * d2x(gu.rho_m).values
         - eps * d2y(gu.rho_m).values
     )
-    eta_ops = res.eta_dt("rho") + res.advect(eta_r) - eps * d2x(eta_r_f).values
+    eta_ops = eta_t + res.advect(eta_x, eta_y) - eps * d2x(gu.eta_rho).values
     rhs = (
         _f_rho(res)
-        - eta_r * res.f_psi()
-        + 2.0 * eps * dx(eta_r_f).values * dx(gu.z_psi).values
-        - kappa * eta_r * d2y(gu.z_psi).values
+        - eta_r * res.f_psi
+        + 2.0 * eps * eta_x * res.zt("psi", a, b + 1)
+        - kappa * eta_r * res.d2y_psi
         + eps * d2y(res.F(eta_r * z_psi)).values
         - z_psi * eta_ops
     )
     if res.src is not None:
         z_div = res.zt_of(res.src[0] + res.src[1])
-        inv_dy_z_dx_rh = res.inv_dy(res.zt_of(res.src[3]))
-        rhs = rhs - eps * z_div + eps * eta_r * inv_dy_z_dx_rh
+        rhs = rhs - eps * z_div + eps * eta_r * res.inv_dy_z_dx_rh
     if res.frc is not None:
-        inv_dy_z_Fh = res.inv_dy(res.zt_of(res.frc[2]))
-        rhs = rhs + res.zt_of(res.frc[0]) - eta_r * inv_dy_z_Fh
+        rhs = rhs + res.zt_of(res.frc[0]) - eta_r * res.inv_dy_z_Fh
     return res.F(lhs - rhs)
 
 
 def _residual_um(res: _Residual, cfg) -> Field:
     eps, mu, kappa = cfg.eps, cfg.mu, cfg.kappa
     gu = res.gu
-    u_m = gu.u_m.values
+    a, b = res.alpha1.t_count, res.alpha1.x_count
     z_psi = gu.z_psi.values
     eta_u = res.eta("u")
-    eta_u_f = res.F(eta_u)
+    eta_t = res.eta_dt("u")
+    eta_x, eta_y = _grad(gu.eta_u)
     rho = res.rho
-    a, b = res.alpha1.t_count, res.alpha1.x_count
     lhs = (
-        rho * _dt_good_unknown(res, "u")
-        + rho * res.advect(u_m)
+        rho * _dt_good_unknown(res, "u", eta_t)
+        + rho * res.advect(*_grad(gu.u_m))
         - eps * d2x(gu.u_m).values
         - mu * d2y(gu.u_m).values
-        - (res.h + 1.0) * dx(gu.z_h).values
-        - res.g_f * dy(gu.z_h).values
-        - res.zt("g", a, b) * dy(res.F(res.h)).values
+        - (res.h + 1.0) * res.zt("h", a, b + 1)
+        - res.g_f * res.dyz("h", a, b)
+        - res.zt("g", a, b) * res.dyz("h", 0, 0)
     )
-    eta_transport = rho * res.eta_dt("u") + rho * res.advect(eta_u)
+    eta_transport = rho * eta_t + rho * res.advect(eta_x, eta_y)
     rhs = (
         _f_u(res)
-        - rho * eta_u * res.f_psi()
+        - rho * eta_u * res.f_psi
         - z_psi * eta_transport
         - eps * (rho - 1.0) * eta_u * d2x(gu.z_psi).values
-        - kappa * rho * eta_u * d2y(gu.z_psi).values
-        + 2.0 * eps * dx(eta_u_f).values * dx(gu.z_psi).values
-        + eps * d2x(eta_u_f).values * z_psi
+        - kappa * rho * eta_u * res.d2y_psi
+        + 2.0 * eps * eta_x * res.zt("psi", a, b + 1)
+        + eps * d2x(gu.eta_u).values * z_psi
         + mu * d2y(res.F(eta_u * z_psi)).values
     )
     if res.src is not None:
-        inv_dy_z_dx_rh = res.inv_dy(res.zt_of(res.src[3]))
-        rhs = rhs - eps * res.zt_of(res.src[2]) + eps * rho * eta_u * inv_dy_z_dx_rh
+        rhs = rhs - eps * res.zt_of(res.src[2]) + eps * rho * eta_u * res.inv_dy_z_dx_rh
     if res.frc is not None:
-        inv_dy_z_Fh = res.inv_dy(res.zt_of(res.frc[2]))
-        rhs = rhs + res.zt_of(res.frc[1]) - rho * eta_u * inv_dy_z_Fh
+        rhs = rhs + res.zt_of(res.frc[1]) - rho * eta_u * res.inv_dy_z_Fh
     return res.F(lhs - rhs)
+
+
+# every residual, by the good unknown it belongs to, in evaluation order
+_RESIDUALS = {"rho_m": _residual_rhom, "u_m": _residual_um, "h_m": _residual_hm}
 
 
 # ---------------------------------------------------------------------------

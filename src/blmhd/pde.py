@@ -101,12 +101,12 @@ _SELECTORS = {**{name: name for name in _STATE_FIELDS}, **{a: n for n, a in _STA
 class TimeTower:
     """Lazy tower of time derivatives of (r, u, h, v, g, psi).
 
-    Level 0 is a State, whose Fields the tower holds, or a solver stage's
-    (grid, t, (rho, u, h)) arrays at time t; level i+1 is obtained by
-    applying d_t to the governing equations i times (Leibniz rule for
-    products).  Each level but a State's takes v, g, psi from its (u, h)
-    by state.closure.  physics (required) is any object with the
-    attributes eps, mu and kappa.
+    Level 0 is a State, whose Fields the tower holds (state is that State,
+    else None), or a solver stage's (grid, t, (rho, u, h)) arrays at time
+    t; level i+1 is obtained by applying d_t to the governing equations i
+    times (Leibniz rule for products).  Each level but a State's takes v,
+    g, psi from its (u, h) by state.closure.  physics (required) is any
+    object with the attributes eps, mu and kappa.
 
     sources and forcing are providers with fields(grid, t, deriv=i): the
     i-th time derivative, at the tower's time, of the source terms
@@ -126,6 +126,7 @@ class TimeTower:
         self.max_depth = max_depth
         self._derivs = {}
         self._sources = {}
+        self.state = state if isinstance(state, State) else None
         if isinstance(state, State):
             self.grid, self.time = state.grid, state.time
             self._fields = {(name, 0): getattr(state, a) for name, a in _STATE_FIELDS.items()}

@@ -504,12 +504,15 @@ def step(
     w = (state.rho_shift.values, state.u_shift.values, state.h_shift.values)
     t = state.time
     src_flag = False
+    # a diverging step overflows on its way to the non-finite Field that
+    # ends it; that Field's check reports it, not numpy's warnings
     try:
-        for _ in range(n_sub):
-            w, flag = _substep(grid, w, t, cfg, bundle, forcing, k, traces)
-            t += k
-            src_flag = src_flag or flag
-        cur = initial_state(grid, *(Field(f, grid) for f in w), time=t)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(n_sub):
+                w, flag = _substep(grid, w, t, cfg, bundle, forcing, k, traces)
+                t += k
+                src_flag = src_flag or flag
+            cur = initial_state(grid, *(Field(f, grid) for f in w), time=t)
     except NonFiniteError as exc:
         raise SolverError(f"solver diverged at t = {t:.6g}: {exc}") from exc
     mon = monitor(cur, cfg.delta0, cfg.l, source_flag=src_flag)

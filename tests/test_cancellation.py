@@ -1,15 +1,24 @@
 """Good unknowns, their evolution residuals, and norm equivalence."""
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from blmhd import cancellation
 from blmhd.cancellation import (
     HFloorError,
+    _Residual,
     cancellation_residual,
     good_unknowns,
     norm_equivalence_check,
 )
-from blmhd.grid import GridSpec, field_from_function
-from blmhd.solver import SolverConfig, Trajectory, monitor
+from blmhd.grid import Field, GridSpec, field_from_function
+from blmhd.operators import dy
+from blmhd.pde import Physics, TimeTower
+from blmhd.solver import SolverConfig, Trajectory, monitor, run
+from blmhd.sources import bootstrap_time_derivatives
 from blmhd.state import MultiIndex
 
 from conftest import equilibrium_state, perturbed_state
@@ -40,6 +49,24 @@ def test_good_unknown_point_oracle():
     assert gu.eta_h.values[i, j] == pytest.approx(-0.2301903, rel=2e-3)
     assert gu.z_psi.values[i, j] == pytest.approx(0.2640428, rel=2e-3)
     assert gu.h_m.values[i, j] == pytest.approx(0.1908456, rel=2e-3)
+
+
+def test_eta_weights_read_dy_from_a_tower_of_the_same_state(monkeypatch, state_perturbed):
+    # a tower built from the State serves dy rho, dy u and dy h from its
+    # cache; for a stage tower built from the arrays good_unknowns takes
+    # them itself
+    st = state_perturbed
+    arrays = (st.rho_shift.values, st.u_shift.values, st.h_shift.values)
+    stage = TimeTower((st.grid, st.time, arrays), physics=Physics())
+    calls = []
+    monkeypatch.setattr(cancellation, "dy", lambda f: calls.append(f) or dy(f))
+    ref = good_unknowns(st, MultiIndex(1, 1, 0), 0.125, tower=stage)
+    assert len(calls) == 3
+    for tower in (TimeTower(st, physics=Physics()), None):
+        gu = good_unknowns(st, MultiIndex(1, 1, 0), 0.125, tower=tower)
+        assert len(calls) == 3
+        for name in ("eta_rho", "eta_u", "eta_h", "rho_m", "u_m", "h_m"):
+            assert np.array_equal(getattr(gu, name).values, getattr(ref, name).values), name
 
 
 def test_good_unknown_reconstruction_is_exact(grid_small, state_perturbed):
@@ -161,3 +188,135 @@ def test_norm_equivalence_validation(grid_small, state_equilibrium):
     low = equilibrium_state(grid_small, h_shift=h)
     with pytest.raises(HFloorError):
         norm_equivalence_check(low, MultiIndex(0, 1, 0), 2.0, 0.25)
+
+
+# ---------------------------------------------------------------------------
+# One evaluation per slice serves the three unknowns
+# ---------------------------------------------------------------------------
+
+ALPHAS = (MultiIndex(0, 1, 0), MultiIndex(0, 2, 0), MultiIndex(1, 1, 0), MultiIndex(2, 0, 0))
+
+
+def _sourced_trajectory(x_scheme, a_u=0.03):
+    """Three stored slices of a run with a bootstrapped SourceBundle."""
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme)
+    st = perturbed_state(grid, a_u=a_u)
+    E = np.exp(-grid.y)[None, :]
+    cfg = SolverConfig(eps=0.05, mu=0.7, kappa=1.3, dt=1e-3, t_end=2e-3)
+    bundle = bootstrap_time_derivatives(
+        Field(st.rho_shift.values + 1.0, grid),
+        Field(st.u_shift.values + 1.0 - E, grid),
+        Field(st.h_shift.values + 1.0, grid),
+        m=2,
+        mu=cfg.mu,
+        kappa=cfg.kappa,
+    )
+    traj = run(st, cfg, bundle, output_stride=1)
+    assert not traj.breached and len(traj.states) == 3
+    return traj
+
+
+def _fresh(traj, alpha1, which, delta_floor=None):
+    """The residual series from a fresh _Residual per slice for this one
+    unknown alone: the reference for the shared evaluation."""
+    cfg = traj.config
+    delta = cfg.delta0 / 2.0 if delta_floor is None else delta_floor
+    residual = cancellation._RESIDUALS[which]
+    return [
+        residual(_Residual(st, alpha1, delta, traj.bundle, traj.forcing, cfg), cfg).values
+        for st in traj.states
+    ]
+
+
+def _same(series, ref):
+    return len(series) == len(ref) and all(
+        np.array_equal(f.values, r) for f, r in zip(series, ref)
+    )
+
+
+@pytest.fixture
+def tower_builds(monkeypatch):
+    """A counter of TimeTower constructions."""
+    builds = [0]
+    init = TimeTower.__init__
+
+    def counted(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TimeTower, "__init__", counted)
+    return builds
+
+
+@pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])
+def test_shared_residuals_equal_one_evaluation_per_unknown(x_scheme):
+    traj = _sourced_trajectory(x_scheme)
+    for alpha1 in ALPHAS:
+        ref = {w: _fresh(traj, alpha1, w) for w in ("rho_m", "u_m", "h_m")}
+        for order in (("rho_m", "u_m", "h_m"), ("u_m", "h_m", "h_m", "rho_m")):
+            for which in order:
+                series = cancellation_residual(traj, alpha1, which)
+                assert _same(series, ref[which]), (alpha1, order, which)
+
+
+def test_one_alpha_of_three_unknowns_builds_one_tower_per_slice(tower_builds):
+    traj = _sourced_trajectory("fd4")
+    n = len(traj.states)
+    for alpha1 in ALPHAS[:2]:
+        before = tower_builds[0]
+        for which in ("h_m", "rho_m", "u_m"):
+            cancellation_residual(traj, alpha1, which)
+        assert tower_builds[0] - before == n, alpha1
+
+
+def _recomputes(traj, alpha1, which, tower_builds, delta_floor=None):
+    """The call builds one tower per slice and equals a fresh evaluation."""
+    before = tower_builds[0]
+    series = cancellation_residual(traj, alpha1, which, delta_floor)
+    built = tower_builds[0] - before
+    return built == len(traj.states) and _same(series, _fresh(traj, alpha1, which, delta_floor))
+
+
+def test_the_held_series_serve_only_the_same_call(tower_builds):
+    alpha1 = MultiIndex(0, 2, 0)
+    traj = _sourced_trajectory("fd4")
+    other = _sourced_trajectory("fd4", a_u=0.05)
+    cancellation_residual(traj, alpha1, "rho_m")
+    assert _recomputes(other, alpha1, "u_m", tower_builds)  # another trajectory
+    cancellation_residual(traj, alpha1, "rho_m")
+    assert _recomputes(traj, alpha1, "u_m", tower_builds, delta_floor=0.2)
+    cancellation_residual(traj, alpha1, "rho_m")
+    traj.states[1] = other.states[1]  # a replaced state
+    assert _recomputes(traj, alpha1, "u_m", tower_builds)
+    traj.states.append(other.states[2])  # an appended state
+    assert _recomputes(traj, alpha1, "h_m", tower_builds)
+    # a lone unknown, after the slot has been emptied
+    cancellation_residual(traj, alpha1, "rho_m")
+    cancellation_residual(traj, alpha1, "u_m")
+    assert _recomputes(traj, alpha1, "h_m", tower_builds)
+    # another config with the same states
+    cancellation_residual(traj, alpha1, "rho_m")
+    traj.config = replace(traj.config, eps=0.04)
+    assert _recomputes(traj, alpha1, "u_m", tower_builds)
+
+
+def test_nothing_is_held_once_the_three_series_are_taken():
+    alpha1 = MultiIndex(1, 1, 0)
+    traj = _sourced_trajectory("fd4")
+    state = weakref.ref(traj.states[1])
+    for which in ("u_m", "h_m", "rho_m"):
+        cancellation_residual(traj, alpha1, which)
+    del traj
+    gc.collect()
+    assert state() is None
+    # a series still waiting holds its states until another call
+    traj = _sourced_trajectory("fd4")
+    state = weakref.ref(traj.states[1])
+    cancellation_residual(traj, alpha1, "u_m")
+    other = _single_state_trajectory(traj.states[0], traj.config)
+    del traj
+    gc.collect()
+    assert state() is not None
+    cancellation_residual(other, alpha1, "u_m")
+    gc.collect()
+    assert state() is None

@@ -1,5 +1,6 @@
 """Time integrator: monitors, steady state, CFL subdivision, residuals."""
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -238,6 +239,18 @@ def test_run_stops_on_density_floor_breach():
     assert traj.breached
     assert len(traj.states) == 1 and traj.states[0] is st
     assert len(traj.monitors) == 1 and not traj.monitors[0].breached
+
+
+@pytest.mark.parametrize("dt", [20.0, 50.0])
+def test_diverging_run_is_a_breach_without_warnings(dt):
+    # these steps overflow the unperturbed profiles to inf and NaN inside a
+    # substep; the non-finite Field ends the run, and numpy warns of nothing
+    st = equilibrium_state(GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(st, SolverConfig(eps=0.05, dt=dt, t_end=3 * dt))
+    assert traj.breached
+    assert len(traj.states) == 1 and traj.states[0] is st
 
 
 @settings(max_examples=15, deadline=None)
