@@ -11,7 +11,9 @@ Sections and keys (defaults in parentheses; nx and ny are required):
              ladder (0.1,0.05,0.025,0.0125), perturbation (1e-6)
 
 Unknown sections or keys are errors; duplicate keys are errors citing both
-line numbers; range violations name the offending "section.key".  Floats
+line numbers; range violations name the offending "section.key".  The
+steps round(t_end / dt) must be a multiple of output_stride (or fewer than
+it), so that the stored states are evenly spaced.  Floats
 and ladder rungs must be finite, rungs nonnegative (a final 0 is allowed).
 """
 from __future__ import annotations
@@ -186,6 +188,12 @@ def parse_config(text: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    stride = values["solver"]["output_stride"]
+    if solver.n_steps > stride and solver.n_steps % stride:
+        raise ConfigError(
+            f"solver.t_end / solver.dt = {solver.n_steps} steps is not a multiple of "
+            f"solver.output_stride = {stride}: the final state would be stored off-stride"
+        )
     e = values["experiment"]
     try:
         ladder = tuple(float(s) for s in e["ladder"].split(",") if s.strip())

@@ -93,6 +93,19 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_off_stride_final_state_is_a_config_error(tmp_path, capsys):
+    # 5 steps at stride 2 would store steps 0, 2, 4 and 5, a non-uniform
+    # stride that trajectory_report refuses after the run; the config is
+    # refused before any stepping instead
+    text = "[grid]\nnx = 16\nny = 48\n[solver]\ndt = 0.001\nt_end = 0.005\noutput_stride = 2\n"
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", _write_cfg(tmp_path, text), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("solver.t_end", "solver.dt", "solver.output_stride"))
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     rc = main(["norms", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
     assert rc == 2

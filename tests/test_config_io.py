@@ -94,6 +94,21 @@ def test_zero_is_a_valid_final_rung():
     assert cfg.ladder == (0.01, 0.0)
 
 
+@pytest.mark.parametrize(
+    "t_end, stride, ok",
+    [(0.005, 2, False), (0.006, 4, False), (0.006, 2, True), (0.005, 5, True), (0.005, 8, True)],
+)
+def test_output_stride_must_divide_the_steps(t_end, stride, ok):
+    # a stride beyond the run stores the initial and final states only,
+    # which are evenly spaced
+    text = MINIMAL + f"[solver]\ndt = 0.001\nt_end = {t_end}\noutput_stride = {stride}\n"
+    if ok:
+        assert parse_config(text).output_stride == stride
+    else:
+        with pytest.raises(ConfigError, match=r"solver\.output_stride"):
+            parse_config(text)
+
+
 def test_type_error_cites_line():
     with pytest.raises(ConfigError, match="must be int"):
         parse_config("[grid]\nnx = many\nny = 48\n")

@@ -11,7 +11,7 @@ from blmhd.operators import (
     _flat_rows,
     _half_dy,
     _phi_row,
-    _wavenumbers,
+    _spectral_matrices,
     d2x,
     d2y,
     dx,
@@ -21,7 +21,7 @@ from blmhd.operators import (
     phi,
     z2,
 )
-from blmhd.solver import _apply_dyy
+from blmhd.solver import _apply_dyy, _cn_matrix
 
 
 def _grid(nx=16, ny=512, stretch=2.0, **kw):
@@ -151,13 +151,19 @@ def test_apply_dyy_equals_the_strided_formula_bitwise(nx, ny, stretch, lines):
 
 @pytest.mark.parametrize("nx", [8, 9, 64])
 def test_spectral_x_derivatives_equal_the_out_of_place_formula_bitwise(nx):
-    # the rfft scaled by i k and -k^2 into a new array; the kernels scale it
-    # in place by cached columns (fd4: the roll-formula test above)
+    # dx and d2x are the products of the cached matrices, written out of
+    # place here (fd4: the roll-formula test above); the matrices are the
+    # rfft formula's linear map, so the products agree with the rfft
+    # scaled by i k and -k^2 to round-off
     f = _random_field(nx, 11, 3.0, x_scheme="spectral")
-    k = np.fft.rfftfreq(nx, d=1.0 / nx) * 1.0
+    d1, d2 = _spectral_matrices(nx)
+    assert np.array_equal(dx(f).values, np.matmul(d1, f.values))
+    assert np.array_equal(d2x(f).values, np.matmul(d2, f.values))
+    k = np.fft.rfftfreq(nx, d=1.0 / nx)[:, None]
     vh = np.fft.rfft(f.values, axis=0)
-    assert np.array_equal(dx(f).values, np.fft.irfft(1j * k[:, None] * vh, n=nx, axis=0))
-    assert np.array_equal(d2x(f).values, np.fft.irfft(-(k**2)[:, None] * vh, n=nx, axis=0))
+    for op, scale in ((dx, 1j * k), (d2x, -(k**2))):
+        ref = np.fft.irfft(scale * vh, n=nx, axis=0)
+        assert np.max(np.abs(op(f).values - ref)) <= 2e-15 * np.max(np.abs(ref))
 
 
 def test_cached_coefficient_rows_refuse_writes():
@@ -168,7 +174,8 @@ def test_cached_coefficient_rows_refuse_writes():
         *_flat_rows(grid, 1, grid.nx),
         *_flat_rows(grid, 2, grid.nx),
         _phi_row(grid),
-        *_wavenumbers(grid.nx),
+        *_spectral_matrices(grid.nx),
+        _cn_matrix(grid.nx, 0.3),
     ]
     for a in cached:
         assert not a.flags.writeable

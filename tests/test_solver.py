@@ -18,9 +18,9 @@ from blmhd.solver import (
     SolverConfig,
     SolverError,
     _apply_dyy,
+    _cn_matrix,
     _explicit_terms,
     _fold,
-    _periodic_factors,
     _sherman_morrison,
     _solve_x_cn,
     _solve_y_implicit,
@@ -89,15 +89,21 @@ def test_equilibrium_is_discretely_steady_imex_be(grid_small, state_equilibrium)
     assert not mon.breached
 
 
-@pytest.mark.parametrize("scheme", ["imex-be", "imex-cn"])
-def test_imex_order_in_time(grid_small, state_perturbed, scheme):
+@pytest.mark.parametrize(
+    "scheme, x_scheme",
+    [(s, x) for x in ("fd4", "spectral") for s in ("imex-be", "imex-cn")],
+    ids=["imex-be", "imex-cn", "imex-be-spectral", "imex-cn-spectral"],
+)
+def test_imex_order_in_time(scheme, x_scheme):
     # error against a fine-dt reference at a common time falls with dt at
-    # the scheme's order
+    # the scheme's order, for both x-derivatives (and so both x half-step
+    # kernels: the cached matrix for rho and h, the periodic sweep for u)
+    st = perturbed_state(GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme))
     t_end = 0.04
 
     def final(dt):
         cfg = SolverConfig(eps=0.01, dt=dt, t_end=t_end, scheme=scheme)
-        traj = run(state_perturbed, cfg, output_stride=10**6)
+        traj = run(st, cfg, output_stride=10**6)
         assert not traj.breached and traj.times[-1] == pytest.approx(t_end)
         last = traj.states[-1]
         return np.concatenate(
@@ -651,19 +657,19 @@ def test_directional_solves_on_odd_grids(nx, ny):
 def test_cached_factors_follow_coefficients_and_step(grid_small):
     """Each call of _solve_y_implicit and _solve_x_cn, in the order A, B, A
     of (eps, kappa, step), equals a dense solve of that stage's matrices;
-    the factors cached along the way are read-only."""
+    the y factors and x step matrices cached along the way are read-only."""
     grid = grid_small
     rng = np.random.default_rng(4)
     cases = {"A": (0.02, 0.5, 1e-3), "B": (0.02, 0.5, 4e-3)}
     _y_factors.cache_clear()
-    _periodic_factors.cache_clear()
+    _cn_matrix.cache_clear()
     for name in ("A", "B", "A"):
         _check_directional_solves(grid, *cases[name], rng, err_msg=name)
     assert _y_factors.cache_info().currsize == 4  # (eps, kappa) x 2 steps
-    assert _periodic_factors.cache_info().currsize == 4
+    assert _cn_matrix.cache_info().currsize == 4
     factors = [*_y_factors(grid, 1e-3 * 0.02, "neumann")]
-    factors += _periodic_factors(grid.nx, 0.5 * 1e-3 / grid.dx**2 * 0.02)
-    assert _y_factors.cache_info().currsize == _periodic_factors.cache_info().currsize == 4
+    factors.append(_cn_matrix(grid.nx, 0.5 * 1e-3 / grid.dx**2 * 0.02))
+    assert _y_factors.cache_info().currsize == _cn_matrix.cache_info().currsize == 4
     for arr in factors:
         with pytest.raises(ValueError):
             arr[0] = 1.0
