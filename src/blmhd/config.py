@@ -13,7 +13,8 @@ Sections and keys (defaults in parentheses; nx and ny are required):
 Unknown sections or keys are errors; duplicate keys are errors citing both
 line numbers; range violations name the offending "section.key".  The
 steps round(t_end / dt) must be a multiple of output_stride (or fewer than
-it), so that the stored states are evenly spaced.  Floats
+it), so that the stored states are evenly spaced (SolverConfig.check_stride,
+which run() applies too).  Floats
 and ladder rungs must be finite, rungs nonnegative (a final 0 is allowed).
 """
 from __future__ import annotations
@@ -188,12 +189,10 @@ def parse_config(text: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    stride = values["solver"]["output_stride"]
-    if solver.n_steps > stride and solver.n_steps % stride:
-        raise ConfigError(
-            f"solver.t_end / solver.dt = {solver.n_steps} steps is not a multiple of "
-            f"solver.output_stride = {stride}: the final state would be stored off-stride"
-        )
+    try:
+        solver.check_stride(values["solver"]["output_stride"])
+    except ValueError as exc:
+        raise ConfigError(f"solver.t_end, solver.dt and solver.output_stride: {exc}") from exc
     e = values["experiment"]
     try:
         ladder = tuple(float(s) for s in e["ladder"].split(",") if s.strip())

@@ -9,9 +9,18 @@ The stability study evolves two data sets, forms the difference fields in
 physical variables, reweights them with quotient weights over the second
 solution's magnetic field, and fits a Gronwall growth constant to the
 squared difference norm.
+
+The runs of a sweep or a pair share nothing, so _run_all runs them side by
+side: one worker per usable CPU (os.sched_getaffinity), the first in this
+process and the others forked, each sending its trajectories back pickled
+through a pipe.  The results are bitwise those of running them in turn.
+With one usable CPU (`taskset -c 0`, for example) nothing is forked.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +33,87 @@ from .solver import SolverConfig, Trajectory, run
 from .state import State
 
 GRONWALL_FLOOR = 1e-28
+
+
+# ---------------------------------------------------------------------------
+# Independent runs, side by side
+# ---------------------------------------------------------------------------
+
+
+def _reply(sink, work) -> None:
+    """In a forked child: pickle (True, work()) or (False, the exception it
+    raised) into the pipe file sink, then end the process; a child never
+    returns into the stack it was forked from."""
+    status = 0
+    try:
+        try:
+            reply = (True, work())
+        except BaseException as exc:
+            reply = (False, exc)
+        with sink:
+            pickle.dump(reply, sink, protocol=pickle.HIGHEST_PROTOCOL)
+    except BaseException:
+        status = 1
+    finally:
+        os._exit(status)
+
+
+def _run_all(jobs, bundle=None, forcing=None, output_stride: int = 1) -> list:
+    """The Trajectory of run(state, cfg, bundle, forcing, output_stride) for
+    each (state, cfg) job, in job order.
+
+    The jobs are dealt round-robin into one chunk per usable CPU, at most
+    one per job.  Chunk 0 runs in this process, each other chunk in a child
+    forked for it, which pickles its runs' states, monitors and breach flags
+    (or the exception that stopped it) into a pipe and ends with os._exit;
+    the config, bundle and forcing of each Trajectory are the caller's.
+    The children's results are read after chunk 0, in chunk order, and a
+    child's exception is raised here.  No child outlives the call: when
+    anything here raises, the children not yet reaped are killed and
+    reaped.  With one usable CPU, or without os.fork, this is the loop over
+    the jobs in turn."""
+    jobs = list(jobs)
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
+
+    def chunk(k):
+        return [run(s, c, bundle, forcing=forcing, output_stride=output_stride) for s, c in jobs[k::n]]
+
+    out = [None] * len(jobs)
+    pids, pipes, reaped = [], [], set()  # pids and read ends in chunk order
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            # this process closes the write end once forked, so a child that
+            # dies leaves its reader at end of file
+            with os.fdopen(w, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    _reply(sink, lambda: [(t.states, t.monitors, t.breached) for t in chunk(k)])
+                pids.append(pid)
+        out[0::n] = chunk(0)
+        for k, (pid, pipe) in enumerate(zip(pids, pipes), 1):
+            try:
+                ok, reply = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                ok, reply = False, RuntimeError(f"worker {pid} ended without a result")
+            os.waitpid(pid, 0)
+            reaped.add(pid)
+            if not ok:
+                raise reply
+            out[k::n] = [
+                Trajectory(states, monitors, c, bundle, forcing, breached)
+                for (states, monitors, breached), (_, c) in zip(reply, jobs[k::n])
+            ]
+    finally:
+        for pid in set(pids) - reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +163,12 @@ def eps_sweep(
     forcing=None,
     output_stride: int = 1,
 ) -> SweepResult:
-    """Run the same initial data per ladder entry and compare pairwise."""
+    """Run the same initial data per ladder entry (side by side, _run_all)
+    and compare pairwise."""
     ladder = tuple(float(e) for e in ladder)
-    trajectories: list[Trajectory] = []
-    valid = []
-    for eps in ladder:
-        cfg_k = replace(cfg, eps=eps)
-        traj = run(state, cfg_k, bundle, forcing=forcing, output_stride=output_stride)
-        trajectories.append(traj)
-        valid.append(not traj.breached)
+    jobs = [(state, replace(cfg, eps=eps)) for eps in ladder]
+    trajectories = _run_all(jobs, bundle, forcing, output_stride)
+    valid = [not t.breached for t in trajectories]
     n_times = min(len(t.states) for t in trajectories)
     times = tuple(float(t) for t in trajectories[0].times[:n_times])
     pairwise = []
@@ -203,12 +290,11 @@ def stability_pair(
     delta: float | None = None,
     tol: float = 0.5,
 ) -> StabilityResult:
-    """Evolve both data sets and fit the Gronwall constant of the
-    weighted-difference norm growth."""
+    """Evolve both data sets (side by side, _run_all) and fit the Gronwall
+    constant of the weighted-difference norm growth."""
     if delta is None:
         delta = cfg.delta0 / 2.0
-    t1 = run(state1, cfg, bundle, forcing=forcing, output_stride=output_stride)
-    t2 = run(state2, cfg, bundle, forcing=forcing, output_stride=output_stride)
+    t1, t2 = _run_all([(state1, cfg), (state2, cfg)], bundle, forcing, output_stride)
     n = min(len(t1.states), len(t2.states))
     times = tuple(float(t) for t in t1.times[:n])
     series = []

@@ -11,15 +11,13 @@ Each y stage builds the level-0 TimeTower of its lagged arrays, which takes
 v, g, psi and dx u, dx h from state.closure; its TimeTower.explicit, the
 kernel the time-derivative tower differentiates, gives the explicit terms.
 
-x half-steps: rho and h have the constant coefficient eps, so their step
-(I - c L)^{-1} (I + c L), L the periodic three-point Laplacian, is a fixed
-nx x nx matrix, built once per (nx, c) in a read-only cache (_cn_matrix)
-and applied as one BLAS product per field.  At the lab's widths (nx <= 128)
-the dense product is cheaper than a tridiagonal sweep, whose cost is a
-Python loop of ceil(nx/2) numpy calls.  u's coefficient eps / rho changes
-at every stage, so u alone is solved by the periodic tridiagonal
-elimination below, with its Sherman-Morrison seed as a second right-hand
-side of the one sweep.
+x half-steps: every field's Crank-Nicolson x step is a periodic
+tridiagonal solve along x, and rho, u, h and u's Sherman-Morrison seed
+share one stacked sweep.  The constant rho and h steps could be one
+product with a cached dense (I - c L)^{-1} (I + c L) each, which is
+faster, but it is a different arithmetic: it moves u by about one ulp on
+the wall row, and the Z_1^2 derivatives of the u_m residual, whose maximum
+sits there, amplify that ulp past a 1e-8 relative output gate.
 
 Tridiagonal layout: the kernels solve along the first axis, and eliminate
 from both ends at once.  Rows j and n-1-j of every system are folded into
@@ -34,16 +32,17 @@ almost nothing extra.  The matrix arrays broadcast over the trailing
 axes.  The elimination has two halves: tridiag_factor (or
 periodic_thomas_batched) builds a matrix's folded forward factors and
 pivots, and thomas_batched sweeps folded right-hand sides with them.  The
-y systems of rho and h have constant coefficients (eps, kappa), so their
-factors are built once per run (per grid, step and coefficient) and cached
-read-only; u's rows (eps / rho in x, mu / rho in y) are factored at every
-stage.  Each implicit solve builds its right-hand sides directly in the
-folded layout, stacked on the axis after the fold — (ceil(nx/2), 2, 2, ny)
-for u's x half-step: u and its seed; (ceil(ny/2), 2, 3, nx) for a y stage:
-rho, u and h — runs one in-place sweep over all of them, and unfolds each
-field straight into its own C-contiguous array.  The y solves stay on the
-sweep: their cost is per row, so one sweep of three fields costs little
-more than one of a single field.
+rho and h systems have constant coefficients (eps in x; eps and kappa in
+y), so their factors are built once per run (per grid, step and
+coefficient) and cached read-only; u's rows (eps / rho in x, mu / rho in
+y) are factored at every stage.  Each implicit stage builds its
+right-hand sides directly in the folded layout, stacked on the axis after
+the fold — (ceil(nx/2), 2, 4, ny) for an x half-step: rho, u, h and u's
+Sherman-Morrison seed; (ceil(ny/2), 2, 3, nx) for a y stage — runs one
+in-place sweep over all of them, and unfolds each field straight into its
+own C-contiguous array.  The cost of a sweep is per row, not per field:
+one sweep of three or four fields costs little more than one of a single
+field.
 
 Boundary closure: Neumann rows (d_y rho = d_y h = 0 at the wall) use a
 second-order mirror ghost inside the implicit solve; Dirichlet rows (u at
@@ -106,6 +105,20 @@ class SolverConfig(Physics):
     def n_steps(self) -> int:
         """Nominal steps from 0 to t_end: round(t_end / dt), at least 1."""
         return max(1, int(round(self.t_end / self.dt)))
+
+    def check_stride(self, output_stride: int) -> None:
+        """Raise ValueError unless storing every output_stride-th state keeps
+        the stored states evenly spaced: n_steps must be a multiple of the
+        stride, or fewer than it (only the two ends are stored).  With 5
+        steps at stride 2 the final state would be stored off-stride."""
+        n = self.n_steps
+        if output_stride < 1:
+            raise ValueError(f"output_stride must be at least 1, got {output_stride}")
+        if n > output_stride and n % output_stride:
+            raise ValueError(
+                f"t_end / dt = {n} steps is not a multiple of output_stride = "
+                f"{output_stride}: the final state would be stored off-stride"
+            )
 
 
 @dataclass(frozen=True)
@@ -304,34 +317,42 @@ def _sherman_morrison(y, q, lo0, gamma, n: int):
     return _unfold(y, n)
 
 
+@lru_cache(maxsize=16)
+def _periodic_factors(n: int, c: float):
+    """Read-only folded lo, cp, piv, Sherman-Morrison vector q and gamma of
+    the constant periodic system (1 + 2c) w[i] - c (w[i-1] + w[i+1]) of n
+    rows, as (ceil(n / 2), 2, 1) arrays (gamma (1,))."""
+    lo = np.full((n, 1), -c)
+    lof, cp, piv, seed, gamma = periodic_thomas_batched(lo, np.full((n, 1), 1.0 + 2.0 * c), lo)
+    return _frozen(lof, cp, piv, thomas_batched(lof, cp, piv, seed), gamma)
+
+
 # ---------------------------------------------------------------------------
 # Directional implicit solves
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _cn_matrix(n: int, c: float) -> np.ndarray:
-    """Read-only n x n matrix (I - c L)^{-1} (I + c L) of a Crank-Nicolson
-    step with the constant coefficient c, L the periodic three-point
-    Laplacian of n rows."""
-    eye = np.eye(n)
-    lap = np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1) - 2.0 * eye
-    return _frozen(np.linalg.solve(eye - c * lap, eye + c * lap))[0]
+def _solve_x_cn(w, coeff, step: float, dx_: float):
+    """Crank-Nicolson step of d_t w = coeff d_x^2 w, periodic in x (axis 0),
+    for a triple w of (nx, ny) arrays.
 
-
-def _solve_x_varying(f, ac):
-    """(I - ac L)^{-1} (I + ac L) f along axis 0 for an (n, m) array f and
-    coefficient ac, L the periodic three-point Laplacian: the matrix is
-    factored here by periodic_thomas_batched, the right-hand side is built
-    in the folded layout of the sweep, and the Sherman-Morrison seed rides
-    along as a second right-hand side of the one sweep."""
-    n, m = f.shape
-    # f folded, with a ghost slot at each end: the periodic neighbours of
+    Second-order three-point stencil, applied in the folded layout of the
+    sweep.  A scalar coefficient (eps, for rho and h) gives a constant
+    system, factored once per (nx, step, eps) in a cache; an (nx, ny)
+    coefficient (eps / rho, for u) is factored here, and its
+    Sherman-Morrison seed rides along as one more right-hand side of the
+    one sweep.  Each field comes back as its own C-contiguous array."""
+    a = 0.5 * step / dx_**2
+    n, m = w[0].shape
+    k = len(w)
+    varying = [c for c in range(k) if np.ndim(coeff[c])]
+    # w folded, with a ghost slot at each end: the periodic neighbours of
     # rows 0 and n-1 (slot 0 reversed), and those of the middle rows; for
     # odd n the middle row also fills the padding slot, the bottom chain's
     # neighbour of row n // 2 + 1
-    p = np.empty(((n + 1) // 2 + 2, 2, m))
-    _fold(f, out=p[1:-1])
+    p = np.empty(((n + 1) // 2 + 2, 2, k, m))
+    for c, f in enumerate(w):
+        _fold(f, out=p[1:-1, :, c])
     p[0] = p[1, ::-1]
     if n % 2:
         p[-2, 1] = p[-2, 0]
@@ -339,44 +360,33 @@ def _solve_x_varying(f, ac):
     else:
         p[-1] = p[-2, ::-1]
     wm, ws, wp = p[:-2], p[1:-1], p[2:]
-    *factors, seed, gamma = periodic_thomas_batched(-ac, 1.0 + 2.0 * ac, -ac)
-    b, lo, cp, piv = np.empty((4,) + ws.shape[:2] + (2, m))
-    # the factors copied for both right-hand sides: the sweep is faster on
-    # contiguous slabs than with a broadcast axis
-    for stacked, factor in zip((lo, cp, piv), factors):
-        stacked[:, :, 0] = stacked[:, :, 1] = factor
+    b, lo, cp, piv = np.empty((4,) + ws.shape[:2] + (k + len(varying), m))
     # lap = (w[i+1] - 2 w[i]) + w[i-1] in the top chain; the bottom chain
     # reads its neighbours in the other order
-    lap = b[:, :, 0]
+    lap = b[:, :, :k]
     np.multiply(2.0, ws, out=lap)
     np.subtract(wp, lap, out=lap)
     lap += wm
-    # rhs = w + ac lap, with the folded lo = -ac
-    lap *= factors[0]
-    np.subtract(ws, lap, out=lap)
+    corr = []
+    for c in range(k):
+        ac = a * coeff[c]
+        if np.ndim(ac) == 0:
+            *factors, q, gamma = _periodic_factors(n, ac)
+        else:
+            *factors, seed, gamma = periodic_thomas_batched(-ac, 1.0 + 2.0 * ac, -ac)
+            s = k + varying.index(c)
+            q = b[:, :, s]
+            q[...] = seed
+            lo[:, :, s], cp[:, :, s], piv[:, :, s] = factors
+        lo[:, :, c], cp[:, :, c], piv[:, :, c] = factors
+        corr.append((q, lo[0, 0, c], gamma))
+        # rhs = w + (a coeff) lap, with the folded lo = -(a coeff)
+        lap[:, :, c] *= lo[:, :, c]
+        np.subtract(ws[:, :, c], lap[:, :, c], out=lap[:, :, c])
     if n % 2:
-        lap[-1, 1] = 0.0
-    b[:, :, 1] = seed
+        b[-1, 1] = 0.0
     thomas_batched(lo, cp, piv, b, out=b)
-    return _sherman_morrison(b[:, :, 0], b[:, :, 1], factors[0][0, 0], gamma, n)
-
-
-def _solve_x_cn(w, coeff, step: float, dx_: float):
-    """Crank-Nicolson step of d_t w = coeff d_x^2 w, periodic in x (axis 0),
-    for the (rho, u, h) triple w of (nx, ny) arrays.
-
-    Second-order three-point stencil.  coeff holds scalars for rho and h
-    (eps), whose step is one product with its cached _cn_matrix, and an
-    (nx, ny) array for u (eps / rho), which goes through _solve_x_varying.
-    Each field comes back as its own C-contiguous array."""
-    a = 0.5 * step / dx_**2
-    (rho, u, h), (c_rho, c_u, c_h) = w, coeff
-    n = len(rho)
-    return (
-        _cn_matrix(n, a * c_rho) @ rho,
-        _solve_x_varying(u, a * c_u),
-        _cn_matrix(n, a * c_h) @ h,
-    )
+    return tuple(_sherman_morrison(b[:, :, c], *corr[c], n) for c in range(k))
 
 
 # Wall closure of the y-systems, in (rho, u, h) order.
@@ -603,7 +613,10 @@ def run(
     state.  The initial state is always stored; on breach (a SolverError,
     or a DensityFloorError from a substep whose density fell below the
     floor) the trajectory is returned with breached = True and ends at the
-    last healthy state.  bundle and forcing may be None (absent)."""
+    last healthy state.  bundle and forcing may be None (absent).  A stride
+    that would store the final state off-stride (SolverConfig.check_stride)
+    raises ValueError before any step."""
+    cfg.check_stride(output_stride)
     traces = make_traces(initial)
     n_steps = cfg.n_steps
     states = [initial]

@@ -1,17 +1,24 @@
-"""Diffusion-ladder sweeps, two-solution stability, outer-trace matching."""
+"""Diffusion-ladder sweeps, two-solution stability, outer-trace matching,
+and the side-by-side runs they share."""
+import os
+import time
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from blmhd import experiments
 from blmhd.experiments import (
     SweepResult,
+    _run_all,
     diff_good_unknowns,
     eps_sweep,
     matching_check,
     stability_pair,
 )
-from blmhd.grid import GridSpec
-from blmhd.solver import SolverConfig
+from blmhd.grid import Field, GridSpec
+from blmhd.solver import SolverConfig, run
+from blmhd.sources import bootstrap_time_derivatives
 
 from conftest import perturbed_state
 
@@ -126,3 +133,162 @@ def test_stability_perturbed_pair_has_controlled_growth(grid_small):
     assert np.isfinite(out.gronwall_c)
     assert out.envelope_ok
     assert len(out.series) == len(out.times)
+
+
+def test_sweep_and_pair_refuse_an_off_stride_final_state(state_equilibrium):
+    # 5 steps at stride 2 would store steps 0, 2, 4 and 5
+    cfg = SolverConfig(dt=1e-3, t_end=5e-3)
+    with pytest.raises(ValueError, match="output_stride = 2"):
+        eps_sweep(state_equilibrium, cfg, ladder=(0.1, 0.05), output_stride=2)
+    with pytest.raises(ValueError, match="output_stride = 2"):
+        stability_pair(state_equilibrium, state_equilibrium, cfg, output_stride=2)
+
+
+# ---------------------------------------------------------------------------
+# Independent runs side by side (_run_all)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes n CPUs usable to _run_all; returns the pids it forks."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return forked
+
+    return use
+
+
+def _reaped(pids):
+    """True when none of pids is a child of this process any more."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
+@pytest.mark.parametrize("x_scheme, scheme", [("fd4", "imex-cn"), ("spectral", "imex-be")])
+def test_sweep_and_pair_equal_across_worker_counts(cpus, x_scheme, scheme):
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme)
+    base = perturbed_state(grid, a_rho=0.004, a_u=0.02, a_h=0.03)
+    pert = perturbed_state(grid, a_rho=0.004, a_u=0.02 + 1e-6, a_h=0.03)
+    cfg = SolverConfig(eps=0.01, dt=2e-3, t_end=0.01, scheme=scheme)
+    results = {}
+    for n in (2, 1):
+        forked = cpus(n)
+        del forked[:]
+        sweep = eps_sweep(base, cfg, ladder=(0.1, 0.05, 0.025, 0.0125))
+        pair = stability_pair(base, pert, cfg)
+        assert len(forked) == (2 if n == 2 else 0)  # one child per call
+        results[n] = sweep, pair
+    (s2, p2), (s1, p1) = results[2], results[1]
+    assert s2 == s1
+    for name in ("times", "norms_sq", "gronwall_c", "envelope_ok", "breached"):
+        assert getattr(p2, name) == getattr(p1, name)
+    for d2, d1 in zip(p2.series, p1.series, strict=True):
+        for name in ("eta1", "eta2", "eta3", "phi_bar", "rho_i", "u_i", "h_i"):
+            assert np.array_equal(getattr(d2, name).values, getattr(d1, name).values)
+
+
+def test_trajectories_from_a_child_equal_run_and_refuse_writes(cpus, grid_small):
+    forked = cpus(2)
+    st = perturbed_state(grid_small)
+    grid = st.grid
+    E = np.exp(-grid.y)[None, :]
+    bundle = bootstrap_time_derivatives(
+        Field(st.rho_shift.values + 1.0, grid),
+        Field(st.u_shift.values + 1.0 - E, grid),
+        Field(st.h_shift.values + 1.0, grid),
+        m=1,
+    )
+    cfgs = [SolverConfig(eps=e, dt=2e-3, t_end=6e-3) for e in (0.1, 0.05, 0.02, 0.01)]
+    trajs = _run_all([(st, c) for c in cfgs], bundle, output_stride=3)
+    assert len(forked) == 1 and _reaped(forked)
+    # the config, bundle and forcing are the caller's, not pickled copies
+    for traj, cfg in zip(trajs, cfgs, strict=True):
+        assert traj.config is cfg and traj.bundle is bundle and traj.forcing is None
+    # jobs 1 and 3 ran in the child; fields come back read-only through pickle
+    for s in trajs[1].states[1:] + trajs[3].states[1:]:
+        for f in (s.rho_shift, s.u_shift, s.h_shift, s.v, s.g, s.psi):
+            assert not f.values.flags.writeable
+            with pytest.raises(ValueError):
+                f.values[0, 0] = 1.0
+    for traj, cfg in zip(trajs, cfgs):
+        ref = run(st, cfg, bundle, output_stride=3)
+        assert traj.breached == ref.breached and traj.monitors == ref.monitors
+        for a, b in zip(traj.states, ref.states, strict=True):
+            assert a.time == b.time
+            for name in ("rho_shift", "u_shift", "h_shift", "v", "g", "psi"):
+                assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+
+
+def test_an_exception_in_a_child_is_raised_here(cpus, monkeypatch, state_equilibrium):
+    forked = cpus(2)
+    real_run = experiments.run
+
+    def failing(state, cfg, *args, **kw):
+        if cfg.eps == 0.05:  # job 1: the child's
+            raise LookupError(f"no rung {cfg.eps}")
+        return real_run(state, cfg, *args, **kw)
+
+    monkeypatch.setattr(experiments, "run", failing)
+    with pytest.raises(LookupError, match="no rung 0.05"):
+        eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=4e-3), ladder=(0.1, 0.05))
+    assert len(forked) == 1 and _reaped(forked)
+
+
+def test_a_child_that_dies_without_a_result_is_an_error(cpus, monkeypatch, state_equilibrium):
+    forked = cpus(2)
+    real_run = experiments.run
+
+    def dying(state, cfg, *args, **kw):
+        if cfg.eps == 0.05:
+            os._exit(3)
+        return real_run(state, cfg, *args, **kw)
+
+    monkeypatch.setattr(experiments, "run", dying)
+    with pytest.raises(RuntimeError, match="without a result"):
+        eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=4e-3), ladder=(0.1, 0.05))
+    assert len(forked) == 1 and _reaped(forked)
+
+
+def test_children_are_killed_when_this_process_raises(cpus, monkeypatch, state_equilibrium):
+    forked = cpus(3)
+
+    def slow_or_failing(state, cfg, *args, **kw):
+        if cfg.eps == 0.1:  # job 0: this process's
+            raise KeyError("stop")
+        time.sleep(60)  # the children's
+
+    monkeypatch.setattr(experiments, "run", slow_or_failing)
+    t = time.monotonic()
+    with pytest.raises(KeyError, match="stop"):
+        eps_sweep(state_equilibrium, SolverConfig(), ladder=(0.1, 0.05, 0.02))
+    assert time.monotonic() - t < 30.0
+    assert len(forked) == 2 and _reaped(forked)
+
+
+def test_one_usable_cpu_forks_nothing(monkeypatch, state_equilibrium):
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = SolverConfig(dt=2e-3, t_end=4e-3)
+    out = eps_sweep(state_equilibrium, cfg, ladder=(0.1, 0.05, 0.025))
+    assert out.valid == (True, True, True)
+    assert not stability_pair(state_equilibrium, state_equilibrium, cfg).breached

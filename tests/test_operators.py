@@ -21,7 +21,7 @@ from blmhd.operators import (
     phi,
     z2,
 )
-from blmhd.solver import _apply_dyy, _cn_matrix
+from blmhd.solver import _apply_dyy, _periodic_factors
 
 
 def _grid(nx=16, ny=512, stretch=2.0, **kw):
@@ -175,7 +175,7 @@ def test_cached_coefficient_rows_refuse_writes():
         *_flat_rows(grid, 2, grid.nx),
         _phi_row(grid),
         *_spectral_matrices(grid.nx),
-        _cn_matrix(grid.nx, 0.3),
+        *_periodic_factors(grid.nx, 0.3),
     ]
     for a in cached:
         assert not a.flags.writeable

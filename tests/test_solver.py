@@ -18,9 +18,9 @@ from blmhd.solver import (
     SolverConfig,
     SolverError,
     _apply_dyy,
-    _cn_matrix,
     _explicit_terms,
     _fold,
+    _periodic_factors,
     _sherman_morrison,
     _solve_x_cn,
     _solve_y_implicit,
@@ -277,6 +277,26 @@ def test_run_never_raises_for_a_valid_config(dt, amp, eps, scheme):
     flags = [m.breached for m in traj.monitors]
     assert len(flags) == len(traj.states) and not any(flags[1:])
     assert traj.breached == (flags[0] or len(traj.states) < 3)
+
+
+@pytest.mark.parametrize("stride, times", [(1, 6), (5, 2), (8, 2)])
+def test_run_stores_evenly_spaced_states(state_perturbed, stride, times):
+    traj = run(state_perturbed, SolverConfig(dt=1e-3, t_end=5e-3), output_stride=stride)
+    assert len(traj.states) == times and traj.times[-1] == pytest.approx(5e-3)
+
+
+def test_run_refuses_an_off_stride_final_state_before_stepping(state_perturbed, monkeypatch):
+    # 5 steps at stride 2 would store steps 0, 2, 4 and 5, which
+    # trajectory_report refuses after the run
+    def no_step(*args, **kw):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(solver, "step", no_step)
+    cfg = SolverConfig(dt=1e-3, t_end=5e-3)
+    with pytest.raises(ValueError, match="output_stride = 2"):
+        run(state_perturbed, cfg, output_stride=2)
+    with pytest.raises(ValueError, match="output_stride must be at least 1"):
+        run(state_perturbed, cfg, output_stride=0)
 
 
 def test_non_finite_substep_is_recorded_as_a_breach(grid_small, monkeypatch):
@@ -657,19 +677,58 @@ def test_directional_solves_on_odd_grids(nx, ny):
 def test_cached_factors_follow_coefficients_and_step(grid_small):
     """Each call of _solve_y_implicit and _solve_x_cn, in the order A, B, A
     of (eps, kappa, step), equals a dense solve of that stage's matrices;
-    the y factors and x step matrices cached along the way are read-only."""
+    the factors cached along the way are read-only."""
     grid = grid_small
     rng = np.random.default_rng(4)
     cases = {"A": (0.02, 0.5, 1e-3), "B": (0.02, 0.5, 4e-3)}
     _y_factors.cache_clear()
-    _cn_matrix.cache_clear()
+    _periodic_factors.cache_clear()
     for name in ("A", "B", "A"):
         _check_directional_solves(grid, *cases[name], rng, err_msg=name)
     assert _y_factors.cache_info().currsize == 4  # (eps, kappa) x 2 steps
-    assert _cn_matrix.cache_info().currsize == 4
+    assert _periodic_factors.cache_info().currsize == 4
     factors = [*_y_factors(grid, 1e-3 * 0.02, "neumann")]
-    factors.append(_cn_matrix(grid.nx, 0.5 * 1e-3 / grid.dx**2 * 0.02))
-    assert _y_factors.cache_info().currsize == _cn_matrix.cache_info().currsize == 4
+    factors += _periodic_factors(grid.nx, 0.5 * 1e-3 / grid.dx**2 * 0.02)
+    assert _y_factors.cache_info().currsize == _periodic_factors.cache_info().currsize == 4
     for arr in factors:
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_diagnose_setup_residual_matches_the_benchmark_reference_at_seed_12():
+    # the benchmark's diagnose set-up at input seed 12: a 64x128 fd4 run
+    # whose u_m residual peaks on the wall row, where its Z_1^2 derivatives
+    # amplify a one-ulp change of u in the x half-step past the 1e-8 gate
+    # (a dense rho/h step matrix gave 7.020390e-7 against 7.020158e-7)
+    import json
+    import pathlib
+
+    from blmhd import cancellation
+    from blmhd.cli import build_initial_state
+    from blmhd.config import parse_config
+    from blmhd.state import MultiIndex
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    ref = json.loads((root / "perfbench" / "reference.json").read_text())
+    want = ref["full"]["diagnose"]["12"]["residual.02.u_m.max"]
+    cfg = parse_config(
+        "[grid]\nnx = 64\nny = 128\nx_scheme = fd4\n[physics]\neps = 0.01\n"
+        "[solver]\ndt = 0.001\nt_end = 0.008\nscheme = imex-cn\noutput_stride = 2\n"
+        "[experiment]\nm = 2\ninitial = perturbed\namplitude = 0.02\n"
+    )
+    st = build_initial_state(cfg, 12)
+    grid = st.grid
+    E = np.exp(-grid.y)[None, :]
+    bundle = bootstrap_time_derivatives(
+        Field(st.rho_shift.values + 1.0, grid),
+        Field(st.u_shift.values + 1.0 - E, grid),
+        Field(st.h_shift.values + 1.0, grid),
+        m=1,
+        mu=cfg.solver.mu,
+        kappa=cfg.solver.kappa,
+    )
+    traj = run(st, cfg.solver, bundle, output_stride=cfg.output_stride)
+    assert not traj.breached
+    series = cancellation.cancellation_residual(traj, MultiIndex(0, 2, 0), "u_m")
+    got = max(f.max_abs() for f in series)
+    assert abs(got - want) <= 1e-8 * max(abs(got), abs(want))
