@@ -15,7 +15,8 @@ line numbers; range violations name the offending "section.key".  The
 steps round(t_end / dt) must be a multiple of output_stride (or fewer than
 it), so that the stored states are evenly spaced (SolverConfig.check_stride,
 which run() applies too).  Floats
-and ladder rungs must be finite, rungs nonnegative (a final 0 is allowed).
+and ladder rungs must be finite, rungs nonnegative (a final 0 is allowed),
+and the ladder needs at least one rung.
 """
 from __future__ import annotations
 
@@ -202,6 +203,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"out-of-range value for experiment.ladder: {e['ladder']!r}"
         ) from None
+    if not ladder:
+        raise ConfigError("experiment.ladder needs at least one rung")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("experiment.ladder must be strictly decreasing")
     return RunConfig(

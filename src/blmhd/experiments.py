@@ -166,6 +166,8 @@ def eps_sweep(
     """Run the same initial data per ladder entry (side by side, _run_all)
     and compare pairwise."""
     ladder = tuple(float(e) for e in ladder)
+    if not ladder:
+        raise ValueError("the eps ladder needs at least one rung")
     jobs = [(state, replace(cfg, eps=eps)) for eps in ladder]
     trajectories = _run_all(jobs, bundle, forcing, output_stride)
     valid = [not t.breached for t in trajectories]
@@ -229,10 +231,7 @@ def diff_good_unknowns(state1: State, state2: State, delta: float) -> DiffGoodUn
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     grid = state1.grid
-    if grid is not state2.grid and (grid.nx, grid.ny) != (
-        state2.grid.nx,
-        state2.grid.ny,
-    ):
+    if grid != state2.grid:
         raise ValueError("both states must share the grid")
     h2 = state2.h_shift.values + 1.0
     m = float(h2.min())

@@ -8,6 +8,15 @@ d_t^k f, e.g. pde.tower_family), or a tuple of these.  conormal_walk visits
 the index set once: each Z^alpha is one dx or z2 of a derivative it has
 already produced, so no index is taken from scratch.
 
+Each weight is computed once: weighted_l2 multiplies the squared field in
+place by a read-only weight_2d * (1+y)^{2l}, and weighted_linf by a
+read-only row (1+y)^l, both cached per (grid, l) in a small LRU cache.
+b_norms reads the time derivatives d_t^i of its first- and second-
+derivative families for every shift i < m; it walks each family once per
+tower level, over every Z^alpha that any shift reads, and then sums each
+shift's norms in conormal_walk's order, so the values are those of one
+walk per shift, bit for bit.
+
 All time-derivative contributions are evaluated by substituting the
 governing equations (see pde.TimeTower), never by differencing stored
 time levels.
@@ -15,10 +24,11 @@ time levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field
+from .grid import Field, GridSpec
 from .operators import d2x, d2y, dx, dy, z2
 from .pde import Physics, TimeTower, deriv_family, exp_minus_y, map_family, tower_family
 from .state import MultiIndex, initial_state
@@ -64,16 +74,33 @@ def index_set(m: int, mode: str = "full") -> list[MultiIndex]:
     return out
 
 
+@lru_cache(maxsize=8)
+def _l2_weight(grid: GridSpec, l: float) -> np.ndarray:
+    """Read-only quadrature weight times (1+y)^{2l}, shape (nx, ny)."""
+    w = grid.weight_2d * ((1.0 + grid.y) ** (2.0 * l))[None, :]
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=8)
+def _linf_weight(grid: GridSpec, l: float) -> np.ndarray:
+    """Read-only row (1+y)^l, shape (ny,)."""
+    w = (1.0 + grid.y) ** l
+    w.setflags(write=False)
+    return w
+
+
 def weighted_l2(f: Field, l: float) -> float:
     """sqrt( integral of (1+y)^{2l} |f|^2 ) by grid quadrature."""
-    w = (1.0 + f.grid.y) ** (2.0 * l)
-    return float(np.sqrt(np.sum(f.grid.weight_2d * w[None, :] * f.values**2)))
+    sq = np.square(f.values)
+    np.multiply(sq, _l2_weight(f.grid, l), out=sq)
+    return float(np.sqrt(np.sum(sq)))
 
 
 def weighted_linf(f: Field, l: float, y_cap: float | None = None) -> float:
     """max over the grid of (1+y)^l |f|, optionally restricted to y <= y_cap."""
-    w = (1.0 + f.grid.y) ** l
-    vals = np.abs(w[None, :] * f.values)
+    vals = _linf_weight(f.grid, l) * f.values
+    np.abs(vals, out=vals)
     if y_cap is not None:
         vals = vals[:, f.grid.y <= y_cap]
     return float(vals.max())
@@ -91,6 +118,20 @@ def _families(obj) -> list:
 
 def _each(op, fields: list) -> list:
     return [None if f is None else op(f) for f in fields]
+
+
+def _rows(head: list, depths: list):
+    """Yield (b, c, [Z1^b Z2^c f for f in head]) for every b < len(depths)
+    and c < depths[b]: Z1^b f is dx of the row head Z1^(b-1) f, and each
+    chain element is z2 of the one before it."""
+    for b, depth in enumerate(depths):
+        if b:
+            head = _each(dx, head)
+        chain = head
+        for c in range(depth):
+            if c:
+                chain = _each(z2, chain)
+            yield b, c, chain
 
 
 def conormal_walk(fams, m: int, mode: str = "full"):
@@ -113,14 +154,9 @@ def conormal_walk(fams, m: int, mode: str = "full"):
             continue
         # a Field is static data: its own d_t^0, and zero (None) above
         head = [(f if a == 0 else None) if isinstance(f, Field) else f(a) for f in fams]
-        for b in range(max(rows) + 1):
-            if b:
-                head = _each(dx, head)
-            chain = head
-            for c in range(depth.get((a, b), 0)):
-                if c:
-                    chain = _each(z2, chain)
-                yield MultiIndex(a, b, c), chain
+        depths = [depth.get((a, b), 0) for b in range(max(rows) + 1)]
+        for b, c, chain in _rows(head, depths):
+            yield MultiIndex(a, b, c), chain
 
 
 def _conormal_sum(obj, spec: NormSpec, norm) -> float:
@@ -147,6 +183,34 @@ def conormal_norm(obj, spec: NormSpec) -> float:
 def conormal_linf(obj, spec: NormSpec, y_cap=None) -> float:
     """Like conormal_norm but with weighted L^infty_l norms per index."""
     return _conormal_sum(obj, spec, lambda z: weighted_linf(z, spec.l, y_cap))
+
+
+def _shifted_norms(fams, n: int, shifts: int, norm) -> dict:
+    """{(k, b, c): [norm(Z1^b Z2^c fam(k)) for fam in fams]} over every
+    (k, b, c) that the order-n full index sets of the time-shifted families
+    k -> fam(k + i), i < shifts, read: Z^(a,b,c) of shift i is level
+    k = a + i, so level k carries b + c <= n - max(0, k - shifts + 1).
+    Each level is evaluated and each Z1^b Z2^c taken once, by the chain
+    conormal_walk uses, so the norms are those of the shifted walks."""
+    out = {}
+    for k in range(n + shifts):
+        top = n - max(0, k - shifts + 1)
+        head = [fam(k) for fam in fams]
+        for b, c, zs in _rows(head, [top + 1 - b for b in range(top + 1)]):
+            out[k, b, c] = [norm(z) for z in zs]
+    return out
+
+
+def _shifted_sum(norms: dict, n: int, i: int, pick=lambda v: v) -> float:
+    """conormal_norm of the families shifted by i at order n (full mode),
+    from _shifted_norms' table: the same squares summed in conormal_walk's
+    order (indices outer, families inner), so the sum is the same bit for
+    bit.  pick selects one of several norms stored per field."""
+    total = 0.0
+    for idx in index_set(n):
+        for v in norms[idx.t_count + i, idx.x_count, idx.z2_count]:
+            total += pick(v) ** 2
+    return float(np.sqrt(total))
 
 
 def shift_physical(rho: Field, u1: Field, h1: Field) -> tuple[Field, Field, Field]:
@@ -209,24 +273,24 @@ def b_norms(
     bar_linf = conormal_linf(dyr, NormSpec(1, 1.0, "full")) ** 2
     b_bar = bar_triple + bar_dy + bar_linf
 
-    def shifted_t(fam, i):
-        return lambda k: fam(k + i)
+    quad = (dxr, dyr, dxu, dxh)
+    dyquad = tuple(map_family(dy, q) for q in quad)
+    second = (lambda k: dy(d2x(fr(k))), lambda k: dy(d2y(fr(k))))
+    n1 = _shifted_norms(quad, m, m, lambda z: weighted_l2(z, l))
+    # the sups on the whole strip and on y <= 5 share one walk
+    n2 = _shifted_norms(
+        second, 1, m, lambda z: (weighted_linf(z, 0.0), weighted_linf(z, 0.0, 5.0))
+    )
+    n3 = _shifted_norms(dyquad, m - 1, m, lambda z: weighted_l2(z, l))
 
     hat = 0.0
     hat_groups = []
     hat_linf_y5 = 0.0
     for i in range(m):
-        quad = tuple(shifted_t(fam, i) for fam in (dxr, dyr, dxu, dxh))
-        g1 = conormal_norm(quad, full_m) ** 2
-        second = (
-            lambda k, i=i: dy(d2x(fr(k + i))),
-            lambda k, i=i: dy(d2y(fr(k + i))),
-        )
-        spec1inf = NormSpec(1, 0.0, "full")
-        g2 = conormal_linf(second, spec1inf) ** 2
-        g2_y5 = conormal_linf(second, spec1inf, y_cap=5.0) ** 2
-        dyquad = tuple(map_family(dy, q) for q in quad)
-        g3 = conormal_norm(dyquad, full_m1) ** 2
+        g1 = _shifted_sum(n1, m, i) ** 2
+        g2 = _shifted_sum(n2, 1, i, lambda n: n[0]) ** 2
+        g2_y5 = _shifted_sum(n2, 1, i, lambda n: n[1]) ** 2
+        g3 = _shifted_sum(n3, m - 1, i) ** 2
         hat += g1 + g2 + g3
         hat_linf_y5 += g2_y5
         hat_groups.append({"first_deriv_hm": g1, "linf_second": g2, "dy_hm1": g3})

@@ -89,6 +89,17 @@ def test_non_finite_values_and_negative_rungs_are_config_errors(tmp_path, sectio
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("ladder", [",", " , ,"])
+def test_an_empty_ladder_is_a_config_error(tmp_path, ladder):
+    # a ladder with no rung gives the sweep no run to compare
+    text = MINIMAL + f"[experiment]\nladder = {ladder}\n"
+    with pytest.raises(ConfigError, match=r"experiment\.ladder"):
+        parse_config(text)
+    path = tmp_path / "empty.ini"
+    path.write_text(text)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
 def test_zero_is_a_valid_final_rung():
     cfg = parse_config(MINIMAL + "[experiment]\nladder = 0.01,0\n")
     assert cfg.ladder == (0.01, 0.0)

@@ -2,6 +2,7 @@
 and the side-by-side runs they share."""
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ def test_sweep_two_rung_ladder_reports_no_rates(grid_small, state_equilibrium):
     assert len(out.pairwise_diffs) == 1
 
 
+def test_sweep_refuses_an_empty_ladder_before_any_run(monkeypatch, state_equilibrium):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("an empty ladder started a run")
+
+    monkeypatch.setattr(experiments, "_run_all", no_runs)
+    with pytest.raises(ValueError, match="ladder"):
+        eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=0.004), ladder=())
+
+
 # ---------------------------------------------------------------------------
 # Difference good unknowns and stability
 # ---------------------------------------------------------------------------
@@ -112,6 +122,22 @@ def test_diff_good_unknowns_validation(grid_small, state_perturbed):
     low = perturbed_state(grid_small, a_h=0.05)
     with pytest.raises(ValueError):
         diff_good_unknowns(state_perturbed, low, 2.0)  # delta above min(h+1)
+
+
+@pytest.mark.parametrize(
+    "change", [{"stretch": 0.0}, {"y_max": 20.0}, {"x_scheme": "spectral"}]
+)
+def test_diff_good_unknowns_refuses_another_grid_of_the_same_shape(
+    grid_small, state_perturbed, change
+):
+    # same (nx, ny) but other points or another x derivative: a pointwise
+    # difference of the two states would mean nothing
+    other = perturbed_state(replace(grid_small, **change))
+    with pytest.raises(ValueError, match="share the grid"):
+        diff_good_unknowns(state_perturbed, other, 0.125)
+    # an equal grid that is another object is the same grid
+    same = perturbed_state(replace(grid_small))
+    assert diff_good_unknowns(state_perturbed, same, 0.125).rho_bar.max_abs() == 0.0
 
 
 def test_stability_identical_data(grid_small):

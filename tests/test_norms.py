@@ -18,8 +18,17 @@ from blmhd.norms import (
     weighted_l2,
     weighted_linf,
 )
-from blmhd.operators import dx, dy, phi, z2
-from blmhd.pde import Physics, TimeTower, apply_spatial, map_family, tower_family
+from blmhd.operators import d2x, d2y, dx, dy, phi, z2
+from blmhd.pde import (
+    Physics,
+    TimeTower,
+    apply_spatial,
+    deriv_family,
+    exp_minus_y,
+    map_family,
+    tower_family,
+)
+from blmhd.state import initial_state
 from blmhd.state import MultiIndex
 
 from conftest import per_index_norm, perturbed_state
@@ -54,6 +63,48 @@ def test_weighted_linf_oracles():
     assert weighted_linf(g, 0.0) == pytest.approx(np.exp(-1.0), rel=1e-4)
     # y-cap restriction
     assert weighted_linf(g, 0.0, y_cap=0.1) < weighted_linf(g, 0.0)
+
+
+_WEIGHT_GRIDS = [
+    GridSpec(nx=16, ny=48, y_max=15.0, stretch=stretch, x_scheme=x_scheme)
+    for x_scheme in ("fd4", "spectral")
+    for stretch in (0.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("grid", _WEIGHT_GRIDS, ids=lambda g: f"{g.x_scheme}-s{g.stretch:g}")
+def test_weighted_norms_equal_the_inline_formulas(grid):
+    # the formulas before the weights were cached, as references bit for bit
+    def l2_inline(f, l):
+        w = (1.0 + f.grid.y) ** (2.0 * l)
+        return float(np.sqrt(np.sum(f.grid.weight_2d * w[None, :] * f.values**2)))
+
+    def linf_inline(f, l, y_cap=None):
+        w = (1.0 + f.grid.y) ** l
+        vals = np.abs(w[None, :] * f.values)
+        if y_cap is not None:
+            vals = vals[:, f.grid.y <= y_cap]
+        return float(vals.max())
+
+    f = perturbed_state(grid).u_shift
+    for z in (f, dx(f), z2(dy(f))):
+        for l in (0, 0.5, 1.0, 2.0):
+            assert weighted_l2(z, l) == l2_inline(z, l)
+            for y_cap in (None, 5.0, 0.5):
+                assert weighted_linf(z, l, y_cap) == linf_inline(z, l, y_cap)
+
+
+def test_cached_weights_refuse_writes_and_stay_small():
+    grid = _grid(ny=64)
+    for cache, shape in ((norms._l2_weight, (grid.nx, grid.ny)), (norms._linf_weight, (grid.ny,))):
+        w = cache(grid, 1.0)
+        assert w.shape == shape
+        assert cache(grid, 1.0) is w
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        for l in range(12):
+            cache(grid, float(l))
+        assert cache.cache_info().currsize <= 8
 
 
 def test_index_set_modes():
@@ -268,6 +319,96 @@ def test_b_norms_exponential_density_oracle():
     )
     assert b_hat > 0.0  # the d_y rho group feeds the hat norm
     assert details["hat_linf_y5_sq"] <= details["hat_groups"][0]["linf_second"] + 1e-15
+
+
+def _b_norms_per_shift(rho, u1, h1, m, l):
+    """b_norms as one conormal walk per time shift i < m: the reference the
+    shared walk must equal bit for bit."""
+    grid = rho.grid
+    E_field = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
+    tower = TimeTower(
+        initial_state(grid, *shift_physical(rho, u1, h1)),
+        max_depth=2 * m + 1,
+        physics=Physics(1.0, 1.0, eps=0.0),
+    )
+    fr, fu, fh = (tower_family(tower, n) for n in ("rho", "u", "h"))
+
+    def fu1(k):
+        return fu(k) - E_field if k == 0 else fu(k)
+
+    dxr, dxu, dxh = (deriv_family(tower, "x", n) for n in ("rho", "u", "h"))
+    dyr = deriv_family(tower, "y", "rho")
+    dyh = deriv_family(tower, "y", "h")
+    full_m, full_m1 = NormSpec(m, l), NormSpec(m - 1, l)
+    bar_triple = conormal_norm((fr, fu1, fh), full_m) ** 2
+    bar_dy = conormal_norm((dyr, map_family(dy, fu1), dyh), full_m1) ** 2
+    bar_linf = conormal_linf(dyr, NormSpec(1, 1.0)) ** 2
+    hat, hat_y5, groups = 0.0, 0.0, []
+    for i in range(m):
+        quad = tuple((lambda k, f=f: f(k + i)) for f in (dxr, dyr, dxu, dxh))
+        second = (lambda k: dy(d2x(fr(k + i))), lambda k: dy(d2y(fr(k + i))))
+        g1 = conormal_norm(quad, full_m) ** 2
+        g2 = conormal_linf(second, NormSpec(1, 0.0)) ** 2
+        g2_y5 = conormal_linf(second, NormSpec(1, 0.0), y_cap=5.0) ** 2
+        g3 = conormal_norm(tuple(map_family(dy, q) for q in quad), full_m1) ** 2
+        hat += g1 + g2 + g3
+        hat_y5 += g2_y5
+        groups.append({"first_deriv_hm": g1, "linf_second": g2, "dy_hm1": g3})
+    details = {
+        "bar_triple_sq": bar_triple,
+        "bar_dy_sq": bar_dy,
+        "bar_linf_sq": bar_linf,
+        "hat_groups": groups,
+        "hat_linf_y5_sq": hat_y5,
+    }
+    return float(bar_triple + bar_dy + bar_linf), float(hat), details
+
+
+def _physical(grid):
+    st = perturbed_state(grid)
+    return (
+        st.rho_shift + 1.0,
+        Field(st.u_shift.values + 1.0 - exp_minus_y(grid), grid),
+        st.h_shift + 1.0,
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_b_norms_equal_one_walk_per_time_shift(m):
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0)
+    rho, u1, h1 = _physical(grid)
+    got = b_norms(rho, u1, h1, m=m, l=1.5)
+    assert got == _b_norms_per_shift(rho, u1, h1, m, 1.5)
+    assert len(got[2]["hat_groups"]) == m
+
+
+def test_b_norms_takes_each_tower_level_and_derivative_once(monkeypatch):
+    # at m = 3 one walk per time shift made 450 weighted_l2, 52 weighted_linf,
+    # 148 dx, 223 z2 and 63 dy calls; a quarter of them were repeats
+    grid = GridSpec(nx=8, ny=32, y_max=15.0, stretch=1.0)
+    calls = dict.fromkeys(("weighted_l2", "weighted_linf", "dx", "z2", "dy", "d2x", "d2y"), 0)
+
+    def counted(name):
+        fn = getattr(norms, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(norms, name, counted(name))
+    b_norms(*_physical(grid), m=3, l=1.0)
+    assert calls == {
+        "weighted_l2": 338,
+        "weighted_linf": 44,
+        "dx": 110,
+        "z2": 177,
+        "dy": 31,
+        "d2x": 4,
+        "d2y": 4,
+    }
 
 
 def test_b_norms_requires_m_at_least_one():
