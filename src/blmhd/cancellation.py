@@ -102,7 +102,7 @@ def eta_fields(state: State, tower: TimeTower) -> tuple[Field, Field, Field]:
     eta_r = dyr / hp1
     eta_u = (dyu + exp_minus_y(grid)) / hp1
     eta_h = dyh / hp1
-    return Field(eta_r, grid), Field(eta_u, grid), Field(eta_h, grid)
+    return tuple(Field._computed(eta, grid) for eta in (eta_r, eta_u, eta_h))
 
 
 def good_unknowns(
@@ -130,13 +130,13 @@ def good_unknowns(
         eta_rho=eta_r,
         eta_u=eta_u,
         eta_h=eta_h,
-        rho_m=Field(z_rho - eta_r.values * z_psi, grid),
-        u_m=Field(z_u - eta_u.values * z_psi, grid),
-        h_m=Field(z_h - eta_h.values * z_psi, grid),
-        z_rho=Field(z_rho, grid),
-        z_u=Field(z_u, grid),
-        z_h=Field(z_h, grid),
-        z_psi=Field(z_psi, grid),
+        rho_m=Field._computed(z_rho - eta_r.values * z_psi, grid),
+        u_m=Field._computed(z_u - eta_u.values * z_psi, grid),
+        h_m=Field._computed(z_h - eta_h.values * z_psi, grid),
+        z_rho=Field._computed(z_rho, grid),
+        z_u=Field._computed(z_u, grid),
+        z_h=Field._computed(z_h, grid),
+        z_psi=Field._computed(z_psi, grid),
     )
 
 
@@ -240,7 +240,8 @@ class _Residual:
             self.inv_dy_z_Fh = self.inv_dy(self.z_Fh)
 
     def F(self, vals) -> Field:
-        return Field(vals, self.grid)
+        """A Field of an array computed at the slice (not scanned)."""
+        return Field._computed(vals, self.grid)
 
     # -- tower fields and their derivatives ---------------------------------
 

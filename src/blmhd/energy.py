@@ -50,6 +50,9 @@ class EnergyReport:
     and xi_ml carry the accumulated time integrals when produced by
     trajectory_report and are purely instantaneous (integral slots zero,
     so theta_ml = y_ml and xi_ml = x_ml) from instantaneous_functionals.
+    Every float must be finite: the fields a report is computed from are
+    not all scanned for NaN (grid.Field._computed), so this is where a
+    non-finite functional is refused before it reaches energy.csv.
     """
 
     time: float
@@ -65,6 +68,10 @@ class EnergyReport:
     monitor: MonitorStatus
 
     def __post_init__(self):
+        for name in CSV_COLUMNS[:10]:  # the report's own floats, time to dy_ml
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("e_ml", "q_inst", "q_sup", "dx_ml", "dy_ml"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")

@@ -3,6 +3,16 @@
 x is uniform and periodic; y is graded toward the wall y = 0 by an
 exponential stretching parameter.  Quadrature is uniform in x and
 trapezoidal in y.
+
+Finiteness is checked where data enter, not in every Field.  Field(values,
+grid) scans its values and raises NonFiniteError on a NaN or an infinity:
+the data builders, field_from_function, zero_field, Field arithmetic (whose
+operand may be any array) and the solver's new arrays at the end of every
+step are built so.  Field._computed skips the scan, for arrays the package
+computes from Fields that were already checked (the operators, the time
+tower, v and g of the closure, the good unknowns and their residuals): a
+diagnostic pass builds thousands of those, and a non-finite value in a
+solver step still reaches the checked Fields at the step's end.
 """
 from __future__ import annotations
 
@@ -105,24 +115,30 @@ class Field:
     flag is turned off in place, so a later write to it through any other
     name raises ValueError instead of changing the field.  A view,
     broadcasts included, is copied, since its base could still be written
-    to; so is a non-contiguous array."""
+    to; so is a non-contiguous array.
+
+    Field(values, grid) is the checked entry point: it also raises
+    NonFiniteError, before adopting anything, if values hold a NaN or an
+    infinity.  Field._computed adopts or copies in the same way without
+    that scan (see the module docstring for where each is used)."""
 
     values: np.ndarray
     grid: GridSpec = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError(
-                f"field shape {v.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny})"
-            )
+        v = _shaped(self.values, self.grid)
         if not np.isfinite(v).all():
             raise NonFiniteError("field contains non-finite entries")
-        if v.base is not None or not v.flags.c_contiguous:
-            v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _owned(v))
+
+    @classmethod
+    def _computed(cls, values, grid: GridSpec) -> Field:
+        """A Field of an array computed from checked Fields: shape-checked,
+        adopted or copied as by Field, but not scanned for finiteness."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "values", _owned(_shaped(values, grid)))
+        object.__setattr__(f, "grid", grid)
+        return f
 
     def __add__(self, other):
         return Field(self.values + _vals(other), self.grid)
@@ -140,6 +156,23 @@ class Field:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+
+def _shaped(values, grid: GridSpec) -> np.ndarray:
+    """values as a float array, which must have the grid's (nx, ny) shape."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (grid.nx, grid.ny):
+        raise ValueError(f"field shape {v.shape} does not match grid ({grid.nx}, {grid.ny})")
+    return v
+
+
+def _owned(v: np.ndarray) -> np.ndarray:
+    """v adopted (write-protected in place) if it is a C-contiguous array
+    that owns its data, else a read-only copy."""
+    if v.base is not None or not v.flags.c_contiguous:
+        v = v.copy()
+    v.setflags(write=False)
+    return v
 
 
 def _vals(x):

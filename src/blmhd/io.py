@@ -79,12 +79,17 @@ def write_snapshot(path, state: State) -> None:
 
 
 def read_snapshot(path) -> dict:
-    """Read a snapshot back: header dict plus field arrays."""
+    """Read a snapshot back: header dict plus field arrays.  A snapshot is
+    where data enter the package, so a field body holding a NaN or an
+    infinity is a SnapshotError, as is a bad header, size or tail."""
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
             raise SnapshotError(f"bad magic bytes {magic!r}")
-        nx, ny, y_max, stretch, t = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise SnapshotError("truncated header")
+        nx, ny, y_max, stretch, t = _HEADER.unpack(header)
         out = {
             "nx": nx,
             "ny": ny,
@@ -97,7 +102,10 @@ def read_snapshot(path) -> dict:
             buf = fh.read(8 * count)
             if len(buf) != 8 * count:
                 raise SnapshotError(f"truncated body for field {name}")
-            out[name] = np.frombuffer(buf, dtype="<f8").reshape(nx, ny).copy()
+            body = np.frombuffer(buf, dtype="<f8").reshape(nx, ny)
+            if not np.isfinite(body).all():
+                raise SnapshotError(f"non-finite entries in field {name}")
+            out[name] = body.copy()
         if fh.read(1):
             raise SnapshotError("trailing bytes after last field body")
     return out

@@ -17,7 +17,9 @@ grid over the flat index with 0 on the wall and top columns, which each
 caller then overwrites with its own closure.  The conormal operator
 Z2 = phi(y) d/dy vanishes identically on the wall row because phi(0) = 0.
 
-Every cached coefficient array is read-only.
+Every cached coefficient array is read-only.  Each operator returns
+Field._computed of its result: the operand is a Field, so already checked,
+and the result is not scanned again for NaN or infinity.
 """
 from __future__ import annotations
 
@@ -85,15 +87,15 @@ def _spectral_matrices(nx: int):
 def dx(f: Field) -> Field:
     g = f.grid
     if g.x_scheme == "spectral":
-        return Field(_spectral_matrices(g.nx)[0] @ f.values, g)
-    return Field(_dx_fd4(f.values, g.dx), g)
+        return Field._computed(_spectral_matrices(g.nx)[0] @ f.values, g)
+    return Field._computed(_dx_fd4(f.values, g.dx), g)
 
 
 def d2x(f: Field) -> Field:
     g = f.grid
     if g.x_scheme == "spectral":
-        return Field(_spectral_matrices(g.nx)[1] @ f.values, g)
-    return Field(_d2x_fd4(f.values, g.dx), g)
+        return Field._computed(_spectral_matrices(g.nx)[1] @ f.values, g)
+    return Field._computed(_d2x_fd4(f.values, g.dx), g)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,7 @@ def dy(f: Field) -> Field:
     out = _stencil(v, f.grid, 1)
     out[:, 0] = dy_wall(f)
     out[:, -1] = v[:, -3:] @ _dy_coeffs(f.grid)[4]
-    return Field(out, f.grid)
+    return Field._computed(out, f.grid)
 
 
 def d2y(f: Field) -> Field:
@@ -203,7 +205,7 @@ def d2y(f: Field) -> Field:
     out = _stencil(v, f.grid, 2)
     out[:, 0] = v[:, :4] @ c0
     out[:, -1] = v[:, -4:] @ cN
-    return Field(out, f.grid)
+    return Field._computed(out, f.grid)
 
 
 def z2(f: Field) -> Field:
@@ -217,7 +219,7 @@ def z2(f: Field) -> Field:
     out[:, -1] = v[:, -3:] @ _dy_coeffs(f.grid)[4]
     flat = out.reshape(-1)
     np.multiply(flat, _phi_row(f.grid), out=flat)
-    return Field(out, f.grid)
+    return Field._computed(out, f.grid)
 
 
 @lru_cache(maxsize=64)
@@ -238,4 +240,4 @@ def integrate_y(f: Field) -> Field:
     out = np.empty(v.shape)
     out[:, 0] = 0.0
     np.cumsum(seg, axis=1, out=out[:, 1:])
-    return Field(out, f.grid)
+    return Field._computed(out, f.grid)

@@ -117,6 +117,11 @@ class TimeTower:
 
     dx and dy of each (level field, level) are computed once and kept;
     the closure's dx u and dx h seed that cache.
+
+    The level Fields are built by Field._computed, not scanned for NaN or
+    infinity: a State's fields were checked, every higher level is
+    computed from them, and a solver stage's arrays reach the checked
+    Fields that end their step.
     """
 
     def __init__(self, state, sources=None, forcing=None, max_depth: int = 6, *, physics):
@@ -133,7 +138,7 @@ class TimeTower:
             level = {name: f.values for (name, _), f in self._fields.items()}
         else:
             self.grid, self.time, (rho, u, h) = state
-            self._fields = {("rho", 0): Field(rho, self.grid)}
+            self._fields = {("rho", 0): Field._computed(rho, self.grid)}
             level = self._close(0, self._fields[("rho", 0)].values, u, h)
         self._E, self._W = background(self.grid)
         _check_density(level["rho"] + 1.0)
@@ -242,14 +247,14 @@ class TimeTower:
     def _operand(self, name: str, i: int) -> Field:
         out = self._fields.get((name, i))
         if out is None:
-            out = self._fields[(name, i)] = Field(self._levels[i][name], self.grid)
+            out = self._fields[(name, i)] = Field._computed(self._levels[i][name], self.grid)
         return out
 
     def _close(self, i: int, rho, u, h) -> dict:
         """Level i from its (rho, u, h) arrays: v, g and psi by
         state.closure, whose u, h and psi Fields and dx u, dx h are kept."""
-        u_f = self._fields[("u", i)] = Field(u, self.grid)
-        h_f = self._fields[("h", i)] = Field(h, self.grid)
+        u_f = self._fields[("u", i)] = Field._computed(u, self.grid)
+        h_f = self._fields[("h", i)] = Field._computed(h, self.grid)
         ux, hx, v, g, psi = closure(u_f, h_f)
         self._derivs[("x", "u", i)], self._derivs[("x", "h", i)] = ux, hx
         self._fields[("psi", i)] = psi

@@ -7,6 +7,11 @@ x-diffusion split around a two-stage midpoint predictor/corrector in y.
 imex-be is the first-order single-stage variant.
 
 Stages pass (rho, u, h) arrays, and a step builds one State, at its end.
+Finiteness is checked once per step, there: the three new arrays are the
+step's checked Fields (grid.Field), while every Field built inside the
+step (operator results, tower levels, v and g) is computed from them and
+not scanned.  A NaN or an infinity that appears in any stage propagates
+to the end of its step, where it raises SolverError ("... diverged ...").
 Each y stage builds the level-0 TimeTower of its lagged arrays, which takes
 v, g, psi and dx u, dx h from state.closure; its TimeTower.explicit, the
 kernel the time-derivative tower differentiates, gives the explicit terms.
@@ -524,8 +529,12 @@ def step(
     the incoming state's monitor status, which run() already holds; when
     omitted the incoming state is monitored here.  Either way a breached
     status raises SolverError before the step.  bundle and forcing may be
-    None (absent).  A substep that produces a non-finite field raises
-    SolverError."""
+    None (absent).
+
+    Finiteness is checked once, at the end of the step, on the three new
+    arrays: a NaN or an infinity produced by any stage of any substep is
+    carried there (numpy's overflow and invalid warnings are off inside
+    the step) and raises SolverError ("solver diverged ...")."""
     if traces is None:
         traces = make_traces(state)
     mon = monitor(state, cfg.delta0, cfg.l) if status is None else status
@@ -537,8 +546,9 @@ def step(
     w = (state.rho_shift.values, state.u_shift.values, state.h_shift.values)
     t = state.time
     src_flag = False
-    # a diverging step overflows on its way to the non-finite Field that
-    # ends it; that Field's check reports it, not numpy's warnings
+    # a diverging step overflows on its way to the non-finite arrays that
+    # end it; the checked Fields built from them report it, not numpy's
+    # warnings
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for _ in range(n_sub):
@@ -546,9 +556,9 @@ def step(
                 t += k
                 src_flag = src_flag or flag
             cur = initial_state(grid, *(Field(f, grid) for f in w), time=t)
+            mon = monitor(cur, cfg.delta0, cfg.l, source_flag=src_flag)
     except NonFiniteError as exc:
         raise SolverError(f"solver diverged at t = {t:.6g}: {exc}") from exc
-    mon = monitor(cur, cfg.delta0, cfg.l, source_flag=src_flag)
     if mon.breached:
         raise SolverError(f"monitor breached at t = {cur.time:.6g}: {mon}")
     return cur, mon

@@ -94,7 +94,8 @@ def closure(u: Field, h: Field):
 def derive_secondary(state: State) -> State:
     """Fill v, g and psi of a state by closure."""
     _, _, v, g, psi = closure(state.u_shift, state.h_shift)
-    return replace(state, v=Field(v, state.grid), g=Field(g, state.grid), psi=psi)
+    grid = state.grid
+    return replace(state, v=Field._computed(v, grid), g=Field._computed(g, grid), psi=psi)
 
 
 def divergence_defects(state: State) -> tuple[float, float, float]:

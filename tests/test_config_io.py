@@ -190,7 +190,28 @@ def test_snapshot_error_modes(tmp_path, grid_small):
     with pytest.raises(SnapshotError, match="truncated"):
         read_snapshot(truncated)
 
+    short_header = tmp_path / "h.bin"
+    short_header.write_bytes(raw[: len(SNAPSHOT_MAGIC) + 12])
+    with pytest.raises(SnapshotError, match="truncated header"):
+        read_snapshot(short_header)
+
     trailing = tmp_path / "x.bin"
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(SnapshotError, match="trailing"):
         read_snapshot(trailing)
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_snapshot_with_a_non_finite_body_is_refused(tmp_path, grid_small, bad_value):
+    # a snapshot is where data enter: a non-finite body is refused by name
+    st = perturbed_state(grid_small)
+    p = tmp_path / "s.bin"
+    write_snapshot(p, st)
+    raw = bytearray(p.read_bytes())
+    header = len(SNAPSHOT_MAGIC) + 40  # two int64 and three float64
+    body = 8 * grid_small.nx * grid_small.ny
+    at = header + body + 8 * 7  # u_shift, the second body, entry 7
+    raw[at : at + 8] = np.array([bad_value], dtype="<f8").tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match="non-finite entries in field u_shift"):
+        read_snapshot(p)

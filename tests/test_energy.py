@@ -184,6 +184,20 @@ def test_report_invariants_enforced(state_equilibrium):
     assert row[0] == 0.0 and row[-1] is mon.breached
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", CSV_COLUMNS[:10])
+def test_report_refuses_non_finite_values(state_equilibrium, name, bad):
+    # a NaN passes every sign test, so finiteness is checked by itself,
+    # before a non-finite functional can reach energy.csv
+    mon = monitor(state_equilibrium, 0.25, 2.0)
+    kw = dict(
+        time=0.0, e_ml=0.0, q_inst=1.0, q_sup=1.0, x_ml=1.0, y_ml=1.0,
+        theta_ml=1.0, xi_ml=1.0, dx_ml=0.0, dy_ml=0.0, monitor=mon,
+    )
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        EnergyReport(**{**kw, name: bad})
+
+
 def test_nonuniform_stride_rejected(grid_small, state_equilibrium):
     cfg = SolverConfig(eps=0.01, dt=2e-3, t_end=0.01)
     s0 = state_equilibrium

@@ -6,6 +6,7 @@ from blmhd.grid import (
     Field,
     GridError,
     GridSpec,
+    NonFiniteError,
     build_y,
     field_from_function,
     zero_field,
@@ -58,10 +59,45 @@ def test_field_shape_and_finiteness_checks():
     grid = GridSpec(nx=8, ny=8, y_max=10.0)
     with pytest.raises(ValueError):
         Field(np.zeros((8, 9)), grid)
+    f = Field(np.ones((8, 8)), grid)
+    for bad_value in (np.nan, np.inf, -np.inf):
+        bad = np.zeros((8, 8))
+        bad[0, 0] = bad_value
+        with pytest.raises(ValueError):
+            Field(bad, grid)
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            Field(bad, grid)
+        # a refused array is not adopted: the caller can still write to it
+        assert bad.flags.writeable
+        # arithmetic is checked too: its operand may be any array
+        for combine in (f.__add__, f.__sub__, f.__mul__, f.__rmul__):
+            with pytest.raises(NonFiniteError):
+                combine(bad)
+
+
+def test_computed_field_adopts_and_copies_as_field_does_without_a_scan():
+    grid = GridSpec(nx=8, ny=8, y_max=10.0)
+    with pytest.raises(ValueError, match="does not match grid"):
+        Field._computed(np.zeros((8, 9)), grid)
+    # an owned array is adopted and write-protected in place
+    a = np.ones((8, 8))
+    f = Field._computed(a, grid)
+    assert f.values is a and f.grid is grid
+    with pytest.raises(ValueError):
+        a[0, 0] = 2.0
+    # a view is copied into a read-only, C-contiguous array of its own
+    base = np.ones((8, 16))
+    g = Field._computed(base[:, ::2], grid)
+    base[:, :] = 5.0
+    assert np.all(g.values == 1.0) and g.values.base is None
+    assert g.values.flags.c_contiguous and not g.values.flags.writeable
+    fo = np.asfortranarray(np.ones((8, 8)))
+    assert Field._computed(fo, grid).values.flags.c_contiguous and fo.flags.writeable
+    # it is a Field like any other, but its values are not scanned
+    assert type(f) is Field and np.array_equal((f + f).values, 2.0 * a)
     bad = np.zeros((8, 8))
     bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        Field(bad, grid)
+    assert np.isnan(Field._computed(bad, grid).values[0, 0])
 
 
 def test_field_is_immutable_and_supports_arithmetic():

@@ -299,25 +299,82 @@ def test_run_refuses_an_off_stride_final_state_before_stepping(state_perturbed, 
         run(state_perturbed, cfg, output_stride=0)
 
 
-def test_non_finite_substep_is_recorded_as_a_breach(grid_small, monkeypatch):
-    # a NaN in the u tendency must stop the run as a divergence, not
-    # escape run() as the ValueError of the Field that first holds it
-    real = solver._explicit_terms
+def _poisoned(out, field: int):
+    """A stage's (rho, u, h) output with one NaN in the field-th array."""
+    out = list(out)
+    out[field] = out[field].copy()
+    out[field][3, 5] = np.nan
+    return tuple(out)
 
-    def poisoned(*args):
-        n_rho, n_u, n_h, flag = real(*args)
-        n_u = n_u.copy()
-        n_u[3, 5] = np.nan
-        return n_rho, n_u, n_h, flag
 
-    monkeypatch.setattr(solver, "_explicit_terms", poisoned)
+# each stage a NaN can appear in: the solver function that makes it, and
+# how its output is poisoned in one of rho, u, h
+_POISONED_STAGES = {
+    "x_half_step": ("_solve_x_cn", _poisoned),
+    "y_solve": ("_solve_y_implicit", _poisoned),
+    "explicit_terms": ("_explicit_terms", lambda out, c: (*_poisoned(out[:3], c), out[3])),
+}
+
+
+@pytest.mark.parametrize("field", ["rho", "u", "h"])
+@pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
+@pytest.mark.parametrize("stage", sorted(_POISONED_STAGES))
+def test_non_finite_substep_is_recorded_as_a_breach(
+    grid_small, monkeypatch, stage, scheme, field
+):
+    # a NaN in any stage must stop the run as a divergence, not escape
+    # run() as the ValueError of a Field that holds it; the Fields inside
+    # the step are not scanned, so it is caught at the end of the step (a
+    # NaN in rho or h reaches no monitor there, only the step's own check)
+    name, poison = _POISONED_STAGES[stage]
+    real = getattr(solver, name)
+    c = ("rho", "u", "h").index(field)
+    monkeypatch.setattr(solver, name, lambda *args: poison(real(*args), c))
     st = perturbed_state(grid_small)
-    cfg = SolverConfig(dt=1e-3, t_end=3e-3)
+    cfg = SolverConfig(dt=1e-3, t_end=3e-3, scheme=scheme)
     with pytest.raises(SolverError, match="diverged"):
         step(st, cfg)
     traj = run(st, cfg)
     assert traj.breached
     assert len(traj.states) == 1 and traj.states[0] is st
+
+
+def test_a_non_finite_shear_at_the_end_of_a_step_is_a_divergence(grid_small, monkeypatch):
+    # v and g of the new state are not scanned, so the monitor of the new
+    # state runs inside the step's check: its shear Field, if non-finite,
+    # ends the step as a divergence too, not as a NonFiniteError
+    st = perturbed_state(grid_small)
+    cfg = SolverConfig(dt=1e-3, t_end=3e-3)
+    mon = monitor(st, cfg.delta0, cfg.l)
+    real = solver.dy
+
+    def poisoned(f):
+        out = real(f).values.copy()
+        out[3, 5] = np.inf
+        return Field._computed(out, f.grid)
+
+    monkeypatch.setattr(solver, "dy", poisoned)
+    with pytest.raises(SolverError, match="diverged"):
+        step(st, cfg, status=mon)
+
+
+@pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
+def test_a_step_scans_only_its_new_arrays_and_the_shear(grid_small, monkeypatch, scheme):
+    # finiteness is checked where data enter and once per step: the three
+    # new arrays and the monitor's shear are a step's only checked Fields;
+    # every operator result, tower level, v and g is built unscanned
+    cfg = SolverConfig(dt=1e-3, t_end=2e-3, scheme=scheme)
+    st, mon = step(perturbed_state(grid_small), cfg)  # warms the caches
+    scans = []
+    real = Field.__post_init__
+
+    def counted(self):
+        scans.append(self)
+        real(self)
+
+    monkeypatch.setattr(Field, "__post_init__", counted)
+    step(st, cfg, status=mon)  # as run() calls it, with the status it holds
+    assert len(scans) == 4
 
 
 def test_step_raises_when_breached(grid_small):
