@@ -17,8 +17,8 @@ import numpy as np
 
 from .cancellation import T_DEPTH_CAP, good_unknowns
 from .grid import Field
-from .norms import NormSpec, conormal_linf, conormal_walk, index_set, weighted_l2, weighted_linf
-from .operators import d2y, dx, dy, dy_wall, phi
+from .norms import NormSpec, conormal_linf, conormal_walk, weighted_l2, weighted_linf
+from .operators import d2y, dx, dy, dy_wall, phi, z2
 from .pde import Physics, TimeTower, deriv_family, exp_minus_y, tower_family
 from .solver import MonitorStatus, monitor
 from .state import MultiIndex, State
@@ -121,6 +121,43 @@ def _v_over_phi_family(state: State, fv):
     return fam
 
 
+def _deviation_walk(heads, m: int, l: float):
+    """Yield (a, b, c, norms) for every index of norms.conormal_walk's full
+    set of order m, in its order.  heads(a) gives, per family, the level-a
+    field f and its dx and dy; norms holds, per family, the l-weighted L^2
+    norms of Z^alpha f, dx Z^alpha f, dy Z^alpha f and, where
+    |alpha| <= m - 1, of dy dx Z^alpha f and d2y Z^alpha f (else None).
+
+    The Z^alpha are conormal_walk's chain, so the norms are the same bit
+    for bit, and no derivative is taken twice: the head of row b + 1 is
+    the dx that row b's head took, and comes with the norms of it and of
+    its dy.  Only the fields that later indices differentiate are held."""
+    for a in range(m + 1):
+        # chain entries: (field, its dx, its norm, the norm of its dy),
+        # None where not yet taken
+        row = [(f, fx, None, weighted_l2(fy, l)) for f, fx, fy in heads(a)]
+        for b in range(m + 1 - a):
+            chain, row, nxt = row, None, []
+            for c in range(m + 1 - a - b):
+                if c:
+                    chain = [(z2(f), None, None, None) for f, *_ in chain]
+                norms = []
+                for f, fx, n, n_y in chain:
+                    fx = dx(f) if fx is None else fx
+                    n = weighted_l2(f, l) if n is None else n
+                    n_x = weighted_l2(fx, l)
+                    n_y = weighted_l2(dy(f), l) if n_y is None else n_y
+                    n_xy = n_yy = None
+                    if a + b + c <= m - 1:
+                        n_xy = weighted_l2(dy(fx), l)
+                        n_yy = weighted_l2(d2y(f), l)
+                    norms.append((n, n_x, n_y, n_xy, n_yy))
+                    if c == 0:
+                        nxt.append((fx, None, n_x, n_xy))
+                yield a, b, c, norms
+            row = nxt
+
+
 def _norm_sq(total: float) -> float:
     """float(sqrt(total)) ** 2: the round trip keeps a functional bitwise
     equal to the square of conormal_norm over the same index set."""
@@ -131,12 +168,21 @@ def _slice_functionals(
     state: State, m: int, l: float, delta0: float, sources, forcing, physics
 ) -> dict:
     """Every instantaneous piece at one slice, plus the Theta/Xi integrands;
-    the tower and the dissipation weights use physics' eps, mu, kappa."""
+    the tower and the dissipation weights use physics' eps, mu, kappa.
+
+    dx and dy of a tower level field come from the tower's cache; those of
+    the top level m, which no later part of the slice reads when m > 1,
+    are then taken without being stored in it.  u - e^{-y} at level 0 is
+    not a tower field, so its derivatives are taken here."""
     if m < 1:
         raise ValueError(f"energy functionals require m >= 1, got {m}")
     grid = state.grid
     eps, mu, kappa = physics.eps, physics.mu, physics.kappa
     tower = TimeTower(state, sources=sources, forcing=forcing, physics=physics)
+    # the good unknowns below read psi; a stored state keeps it past the
+    # slice, so it is built before the walk's temporaries, not among them,
+    # where it left a heap hole that raised diagnose's peak RSS by ~1 MiB
+    state.psi
     fr = tower_family(tower, "rho")
     fu = tower_family(tower, "u")
     fh = tower_family(tower, "h")
@@ -157,39 +203,54 @@ def _slice_functionals(
         out = dyu(k)
         return out + E_field if k == 0 else out
 
-    # one walk of the deviation triple: E over the tangential-capped set,
-    # the full-set norm, and the dissipation sums (capped set for D_x, D_y;
-    # full set, and order <= m-1 for the second derivatives, for the
-    # Theta/Xi integrands)
-    capped = set(index_set(m, "tangential-capped"))
+    tail = max(m - 1, 1)  # the order of the normal-derivative walk below
+
+    def heads(a: int) -> list:
+        out = []
+        for name, fam in (("rho", fr), ("u", fu_dev), ("h", fh)):
+            f = fam(a)
+            if a == 0 and name == "u":
+                out.append((f, dx(f), dy(f)))
+            else:
+                out.append((f, *(tower.deriv(ax, name, a, keep=a <= tail) for ax in "xy")))
+        return out
+
+    # one walk of the deviation triple: E over the tangential-capped set
+    # (a + b <= m - 1), the full-set norm, and the dissipation sums (capped
+    # set for D_x, D_y; full set, and order <= m-1 for the second
+    # derivatives, for the Theta/Xi integrands)
     e_sum = full_sum = 0.0
     dx_cap = dy_cap = ix1 = iy1 = ix2 = iy2 = 0.0
-    for idx, zs in conormal_walk((fr, fu_dev, fh), m):
-        for zf, coef in zip(zs, (eps, mu, kappa)):
-            sq = weighted_l2(zf, l) ** 2
-            zx = dx(zf)
-            x_sq = eps * weighted_l2(zx, l) ** 2
-            y_sq = coef * weighted_l2(dy(zf), l) ** 2
+    level_dy = {}  # ||dy f||_l of each tower level field, which the tail reads
+    for a, b, c, norms in _deviation_walk(heads, m, l):
+        if b == c == 0:
+            level_dy.update(((name, a), ns[2]) for name, ns in zip("ruh", norms))
+        for (n, n_x, n_y, n_xy, n_yy), coef in zip(norms, (eps, mu, kappa)):
+            sq = n**2
+            x_sq = eps * n_x**2
+            y_sq = coef * n_y**2
             full_sum += sq
             ix1 += x_sq
             iy1 += y_sq
-            if idx in capped:
+            if a + b <= m - 1:
                 e_sum += sq
                 dx_cap += x_sq
                 dy_cap += y_sq
-            if idx.order <= m - 1:
-                ix2 += eps * weighted_l2(dy(zx), l) ** 2
-                iy2 += coef * weighted_l2(d2y(zf), l) ** 2
+            if a + b + c <= m - 1:
+                ix2 += eps * n_xy**2
+                iy2 += coef * n_yy**2
 
     # one walk of the normal derivatives and v/phi: the H^{m-1}_l tail of
     # (dy r, shear, dy h), and the order-1 weighted sups of dy r alone and
     # of all four (the last part of Q)
     tail_sum = linf_sum = q4_sum = 0.0
     vphi = _v_over_phi_family(state, fv)
-    for idx, zs in conormal_walk((dyr, fshear, dyh, vphi), max(m - 1, 1)):
+    del level_dy["u", 0]  # shear at level 0 is dy u + e^{-y}, not dy(u - e^{-y})
+    for idx, zs in conormal_walk((dyr, fshear, dyh, vphi), tail):
         if idx.order <= m - 1:
-            for zf in zs[:3]:
-                tail_sum += weighted_l2(zf, l) ** 2
+            for name, zf in zip("ruh", zs[:3]):
+                n = level_dy.get((name, idx.t_count)) if idx.order == idx.t_count else None
+                tail_sum += (weighted_l2(zf, l) if n is None else n) ** 2
         if idx.order <= 1:
             sups = [weighted_linf(zf, 1.0) ** 2 for zf in zs]
             linf_sum += sups[0]

@@ -64,14 +64,14 @@ def _run_all(jobs, bundle=None, forcing=None, output_stride: int = 1) -> list:
 
     The jobs are dealt round-robin into one chunk per usable CPU, at most
     one per job.  Chunk 0 runs in this process, each other chunk in a child
-    forked for it, which pickles its runs' states, monitors and breach flags
-    (or the exception that stopped it) into a pipe and ends with os._exit;
-    the config, bundle and forcing of each Trajectory are the caller's.
-    The children's results are read after chunk 0, in chunk order, and a
-    child's exception is raised here.  No child outlives the call: when
-    anything here raises, the children not yet reaped are killed and
-    reaped.  With one usable CPU, or without os.fork, this is the loop over
-    the jobs in turn."""
+    forked for it, which pickles its runs' states, monitors, breach flags
+    and every-step summaries (or the exception that stopped it) into a
+    pipe and ends with os._exit; the config, bundle and forcing of each
+    Trajectory are the caller's.  The children's results are read after
+    chunk 0, in chunk order, and a child's exception is raised here.  No
+    child outlives the call: when anything here raises, the children not
+    yet reaped are killed and reaped.  With one usable CPU, or without
+    os.fork, this is the loop over the jobs in turn."""
     jobs = list(jobs)
     n = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -91,7 +91,10 @@ def _run_all(jobs, bundle=None, forcing=None, output_stride: int = 1) -> list:
             with os.fdopen(w, "wb") as sink:
                 pid = os.fork()
                 if pid == 0:
-                    _reply(sink, lambda: [(t.states, t.monitors, t.breached) for t in chunk(k)])
+                    _reply(
+                        sink,
+                        lambda: [(t.states, t.monitors, t.breached, t.every_step) for t in chunk(k)],
+                    )
                 pids.append(pid)
         out[0::n] = chunk(0)
         for k, (pid, pipe) in enumerate(zip(pids, pipes), 1):
@@ -104,8 +107,8 @@ def _run_all(jobs, bundle=None, forcing=None, output_stride: int = 1) -> list:
             if not ok:
                 raise reply
             out[k::n] = [
-                Trajectory(states, monitors, c, bundle, forcing, breached)
-                for (states, monitors, breached), (_, c) in zip(reply, jobs[k::n])
+                Trajectory(states, monitors, c, bundle, forcing, breached, every_step)
+                for (states, monitors, breached, every_step), (_, c) in zip(reply, jobs[k::n])
             ]
     finally:
         for pid in set(pids) - reaped:

@@ -18,6 +18,7 @@ Time derivatives of any order are obtained by repeatedly differentiating
 these equations in time (Leibniz recursion), never by differencing stored
 time levels; TimeTower implements the recursion, and each level takes its
 v, g and psi from state.closure, the one home of the divergence-free closure.
+A level's psi is built only when it is asked for; the solver never asks.
 
 TimeTower.explicit is the one kernel for the non-diffusive terms: the tower
 builds each level from it, and the solver takes its explicit tendencies
@@ -93,6 +94,12 @@ def provided_terms(provider, grid, t: float, i: int):
     return None if out is None else [f.values for f in out]
 
 
+def _scaled(c: int, a):
+    """c * a, without the full-array pass when the binomial factor c is 1
+    (every factor at levels 0 and 1): multiplying by 1 is exact."""
+    return a if c == 1 else c * a
+
+
 # the State attribute of each tower field; a field is selected by either name
 _STATE_FIELDS = dict(rho="rho_shift", u="u_shift", h="h_shift", v="v", g="g", psi="psi")
 _SELECTORS = {**{name: name for name in _STATE_FIELDS}, **{a: n for n, a in _STATE_FIELDS.items()}}
@@ -104,9 +111,13 @@ class TimeTower:
     Level 0 is a State, whose Fields the tower holds (state is that State,
     else None), or a solver stage's (grid, t, (rho, u, h)) arrays at time
     t; level i+1 is obtained by applying d_t to the governing equations i
-    times (Leibniz rule for products).  Each level but a State's takes v,
-    g, psi from its (u, h) by state.closure.  physics (required) is any
-    object with the attributes eps, mu and kappa.
+    times (Leibniz rule for products).  Each level but a State's takes v
+    and g from its (u, h) by state.closure; psi is built, by closure or as
+    the State's own, only when field("psi", i) or deriv(..., "psi", i)
+    asks for it.  rho is the physical density r + 1 of level 0, formed
+    once: the density-floor check, explicit, the higher levels and the
+    solver's stages all read it.  physics (required) is any object with
+    the attributes eps, mu and kappa.
 
     sources and forcing are providers with fields(grid, t, deriv=i): the
     i-th time derivative, at the tower's time, of the source terms
@@ -134,14 +145,17 @@ class TimeTower:
         self.state = state if isinstance(state, State) else None
         if isinstance(state, State):
             self.grid, self.time = state.grid, state.time
-            self._fields = {(name, 0): getattr(state, a) for name, a in _STATE_FIELDS.items()}
+            self._fields = {
+                (name, 0): getattr(state, a) for name, a in _STATE_FIELDS.items() if name != "psi"
+            }
             level = {name: f.values for (name, _), f in self._fields.items()}
         else:
             self.grid, self.time, (rho, u, h) = state
             self._fields = {("rho", 0): Field._computed(rho, self.grid)}
             level = self._close(0, self._fields[("rho", 0)].values, u, h)
         self._E, self._W = background(self.grid)
-        _check_density(level["rho"] + 1.0)
+        self.rho = level["rho"] + 1.0
+        _check_density(self.rho)
         self._levels = [level]
 
     def level(self, i: int) -> dict:
@@ -157,13 +171,16 @@ class TimeTower:
         self.level(i)
         return self._operand(name, i)
 
-    def deriv(self, axis: str, name: str, i: int) -> Field:
+    def deriv(self, axis: str, name: str, i: int, keep: bool = True) -> Field:
         """dx (axis "x") or dy (axis "y") of a level field at level i,
-        computed once per tower."""
+        computed once per tower.  With keep false a derivative that is not
+        cached yet is taken and returned but not stored, so it is freed
+        with its caller's reference."""
         out = self._derivs.get((axis, name, i))
         if out is None:
-            op = dx if axis == "x" else dy
-            out = self._derivs[(axis, name, i)] = op(self._operand(name, i))
+            out = (dx if axis == "x" else dy)(self._operand(name, i))
+            if keep:
+                self._derivs[(axis, name, i)] = out
         return out
 
     def source_terms(self, i: int):
@@ -174,7 +191,8 @@ class TimeTower:
 
     def U(self, j: int) -> np.ndarray:
         """d_t^j of the advection velocity U = u + 1 - e^{-y}."""
-        return self._levels[j]["u"] + (1.0 - self._E if j == 0 else 0.0)
+        u = self._levels[j]["u"]
+        return u + (1.0 - self._E) if j == 0 else u
 
     def explicit(self, i: int, diffusion) -> tuple:
         """d_t^i of the non-diffusive right-hand sides: advection, coupling,
@@ -195,8 +213,8 @@ class TimeTower:
 
         # coefficient helpers: j-th time derivative of U, rho, h+1
         Us = [self.U(j) for j in range(i + 1)]
-        RHO = [L[j]["rho"] + (1.0 if j == 0 else 0.0) for j in range(i + 1)]
-        HP1 = [L[j]["h"] + (1.0 if j == 0 else 0.0) for j in range(i + 1)]
+        RHO = [self.rho] + [L[j]["rho"] for j in range(1, i + 1)]
+        HP1 = [L[0]["h"] + 1.0] + [L[j]["h"] for j in range(1, i + 1)]
         src = self.source_terms(i)
         frc = provided_terms(self.forcing, self.grid, self.time, i)
         drho, dh, B = diffusion
@@ -207,8 +225,7 @@ class TimeTower:
         if frc is not None:
             drho = drho + frc[0]
         for j in range(i + 1):
-            c = comb(i, j)
-            drho -= c * (Us[j] * DX("rho", i - j) + L[j]["v"] * DY("rho", i - j))
+            drho -= _scaled(comb(i, j), Us[j] * DX("rho", i - j) + L[j]["v"] * DY("rho", i - j))
 
         # --- magnetic field --------------------------------------------------
         if src is not None:
@@ -217,10 +234,10 @@ class TimeTower:
             dh = dh + frc[2]
         for j in range(i + 1):
             c = comb(i, j)
-            dh -= c * (Us[j] * DX("h", i - j) + L[j]["v"] * DY("h", i - j))
-            dh += c * HP1[j] * DX("u", i - j)
-            shear = DY("u", i - j) + (E if i - j == 0 else 0.0)
-            dh += c * L[j]["g"] * shear
+            dh -= _scaled(c, Us[j] * DX("h", i - j) + L[j]["v"] * DY("h", i - j))
+            dh += _scaled(c, HP1[j]) * DX("u", i - j)
+            shear = DY("u", i - j) + E if j == i else DY("u", i - j)
+            dh += _scaled(c, L[j]["g"]) * shear
 
         # --- momentum: d_t^i of (rho d_t u) = d_t^i B ----------------------
         if i == 0:
@@ -231,15 +248,15 @@ class TimeTower:
             B = B + frc[1]
         for j in range(i + 1):
             c = comb(i, j)
-            B += c * HP1[j] * DX("h", i - j)
-            B += c * L[j]["g"] * DY("h", i - j)
-            B -= c * RHO[j] * L[i - j]["v"] * E
+            B += _scaled(c, HP1[j]) * DX("h", i - j)
+            B += _scaled(c, L[j]["g"]) * DY("h", i - j)
+            B -= _scaled(c, RHO[j]) * L[i - j]["v"] * E
         for j in range(i + 1):
             for k in range(i - j + 1):
                 c = comb(i, j) * comb(i - j, k)
                 rest = i - j - k
-                B -= c * RHO[j] * Us[k] * DX("u", rest)
-                B -= c * RHO[j] * L[k]["v"] * DY("u", rest)
+                B -= _scaled(c, RHO[j]) * Us[k] * DX("u", rest)
+                B -= _scaled(c, RHO[j]) * L[k]["v"] * DY("u", rest)
         return drho, dh, B
 
     # -- internals ---------------------------------------------------------
@@ -247,18 +264,24 @@ class TimeTower:
     def _operand(self, name: str, i: int) -> Field:
         out = self._fields.get((name, i))
         if out is None:
-            out = self._fields[(name, i)] = Field._computed(self._levels[i][name], self.grid)
+            if name == "psi":
+                own = self.state is not None and i == 0
+                out = self.state.psi if own else closure("psi", self._operand("h", i))
+            else:
+                out = Field._computed(self._levels[i][name], self.grid)
+            self._fields[(name, i)] = out
         return out
 
     def _close(self, i: int, rho, u, h) -> dict:
-        """Level i from its (rho, u, h) arrays: v, g and psi by
-        state.closure, whose u, h and psi Fields and dx u, dx h are kept."""
-        u_f = self._fields[("u", i)] = Field._computed(u, self.grid)
-        h_f = self._fields[("h", i)] = Field._computed(h, self.grid)
-        ux, hx, v, g, psi = closure(u_f, h_f)
-        self._derivs[("x", "u", i)], self._derivs[("x", "h", i)] = ux, hx
-        self._fields[("psi", i)] = psi
-        return {"rho": rho, "u": u_f.values, "h": h_f.values, "v": v, "g": g, "psi": psi.values}
+        """Level i from its (rho, u, h) arrays: v and g by state.closure,
+        whose u, h, v and g Fields and dx u, dx h are kept."""
+        f = self._fields
+        u_f = f[("u", i)] = Field._computed(u, self.grid)
+        h_f = f[("h", i)] = Field._computed(h, self.grid)
+        ux = self._derivs[("x", "u", i)] = dx(u_f)
+        hx = self._derivs[("x", "h", i)] = dx(h_f)
+        v, g = f[("v", i)], f[("g", i)] = closure("v", ux), closure("g", hx)
+        return {"rho": rho, "u": u_f.values, "h": h_f.values, "v": v.values, "g": g.values}
 
     def _next_level(self) -> dict:
         i = len(self._levels) - 1
@@ -276,11 +299,10 @@ class TimeTower:
                 eps * d2x(u_i).values + mu * d2y(u_i).values,
             ),
         )
-        rho_phys = L[0]["rho"] + 1.0  # checked against the floor at construction
         acc = B
         for j in range(1, i + 1):
-            acc = acc - comb(i, j) * L[j]["rho"] * L[i + 1 - j]["u"]
-        return self._close(i + 1, drho, acc / rho_phys, dh)
+            acc = acc - _scaled(comb(i, j), L[j]["rho"]) * L[i + 1 - j]["u"]
+        return self._close(i + 1, drho, acc / self.rho, dh)
 
 
 def pde_rhs(

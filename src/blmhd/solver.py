@@ -12,9 +12,13 @@ step's checked Fields (grid.Field), while every Field built inside the
 step (operator results, tower levels, v and g) is computed from them and
 not scanned.  A NaN or an infinity that appears in any stage propagates
 to the end of its step, where it raises SolverError ("... diverged ...").
-Each y stage builds the level-0 TimeTower of its lagged arrays, which takes
-v, g, psi and dx u, dx h from state.closure; its TimeTower.explicit, the
-kernel the time-derivative tower differentiates, gives the explicit terms.
+The new State derives nothing: the next step's CFL rule reads its v, which
+it builds then, and its g and psi are built only if a diagnostic, a
+snapshot or a test reads them.  Each y stage builds the level-0 TimeTower
+of its lagged arrays, which takes v, g and dx u, dx h from state.closure
+(and no psi) and forms rho = r + 1 once; its TimeTower.explicit, the
+kernel the time-derivative tower differentiates, gives the explicit terms,
+and the tower's rho gives u's viscosity mu / rho.
 
 x half-steps: every field's Crank-Nicolson x step is a periodic
 tridiagonal solve along x, and rho, u, h and u's Sherman-Morrison seed
@@ -170,11 +174,37 @@ def monitor(state: State, delta0: float, l: float, source_flag: bool = False) ->
     )
 
 
+@dataclass(frozen=True)
+class MonitorSummary:
+    """The monitors of every step of a run, not only the stored ones: the
+    least h_floor, the largest rho_sup and shear_sup, whether the density
+    stayed in its band at every step, and whether any step raised the
+    source flag.  The defaults summarise no step."""
+
+    h_floor: float = math.inf
+    rho_sup: float = 0.0
+    shear_sup: float = 0.0
+    rho_band_ok: bool = True
+    source_flag: bool = False
+
+    def add(self, status: MonitorStatus) -> MonitorSummary:
+        """This summary with one more step's status."""
+        return MonitorSummary(
+            min(self.h_floor, status.h_floor),
+            max(self.rho_sup, status.rho_sup),
+            max(self.shear_sup, status.shear_sup),
+            self.rho_band_ok and status.rho_band_ok,
+            self.source_flag or status.source_flag,
+        )
+
+
 @dataclass
 class Trajectory:
     """Output of run(): stored states with monitor history, and the run's
     config, source bundle and forcing (None when absent), which the
-    diagnostics of the trajectory read."""
+    diagnostics of the trajectory read.  every_step summarises the
+    monitors of every state run() reached, stored or not; it is None for a
+    trajectory assembled by hand."""
 
     states: list
     monitors: list
@@ -182,6 +212,7 @@ class Trajectory:
     bundle: object = None
     forcing: object = None
     breached: bool = False
+    every_step: MonitorSummary | None = None
 
     @property
     def times(self) -> np.ndarray:
@@ -483,15 +514,14 @@ def _explicit_terms(tower: TimeTower):
     without sources it is down."""
     n_rho, n_h, B = tower.explicit(0, (0.0, 0.0, 0.0))
     L0 = tower.level(0)
-    rho = L0["rho"] + 1.0
     src = tower.source_terms(0)
     if src is None:
-        return n_rho, B / rho, n_h, False
+        return n_rho, B / tower.rho, n_h, False
     rx, ry = tower.deriv("x", "rho", 0).values, tower.deriv("y", "rho", 0).values
     div_src = src[0] + src[1]
     transport_scale = float(np.max(np.abs(tower.U(0) * rx)) + np.max(np.abs(L0["v"] * ry)))
     source_scale = tower.physics.eps * float(np.max(np.abs(div_src)))
-    return n_rho, B / rho, n_h, bool(source_scale > 0.01 * transport_scale)
+    return n_rho, B / tower.rho, n_h, bool(source_scale > 0.01 * transport_scale)
 
 
 def _cfl_substeps(state: State, cfg: SolverConfig) -> int:
@@ -524,12 +554,13 @@ def step(
     rule), returning the new state and its monitor status.
 
     The substeps pass (rho, u, h) arrays; the new State is built once, at
-    the end, by initial_state.  traces holds the Dirichlet clamp values per
-    field; when omitted they are taken from the incoming state.  status is
-    the incoming state's monitor status, which run() already holds; when
-    omitted the incoming state is monitored here.  Either way a breached
-    status raises SolverError before the step.  bundle and forcing may be
-    None (absent).
+    the end, by initial_state, and derives nothing: the CFL rule of the
+    next step builds its v, the only derived field a step reads.  traces
+    holds the Dirichlet clamp values per field; when omitted they are
+    taken from the incoming state.  status is the incoming state's monitor
+    status, which run() already holds; when omitted the incoming state is
+    monitored here.  Either way a breached status raises SolverError
+    before the step.  bundle and forcing may be None (absent).
 
     Finiteness is checked once, at the end of the step, on the three new
     arrays: a NaN or an infinity produced by any stage of any substep is
@@ -593,7 +624,7 @@ def _substep(grid, w, t, cfg, bundle, forcing, k, traces):
         mu / rho are evaluated at the fields lagged."""
         tower = TimeTower((grid, time, lagged), bundle, forcing, max_depth=0, physics=cfg)
         *n_exp, flag = _explicit_terms(tower)
-        coeff = (eps, mu / (lagged[0] + 1.0), kappa)
+        coeff = (eps, mu / tower.rho, kappa)
         rhs = [b + k * n for b, n in zip(base, n_exp)]
         if cn:
             rhs = [
@@ -620,9 +651,10 @@ def run(
     output_stride: int = 1,
 ) -> Trajectory:
     """Integrate to t_end (or monitor breach), storing every output_stride-th
-    state.  The initial state is always stored; on breach (a SolverError,
-    or a DensityFloorError from a substep whose density fell below the
-    floor) the trajectory is returned with breached = True and ends at the
+    state and summarising the monitors of every step in every_step.  The
+    initial state is always stored; on breach (a SolverError, or a
+    DensityFloorError from a substep whose density fell below the floor)
+    the trajectory is returned with breached = True and ends at the
     last healthy state.  bundle and forcing may be None (absent).  A stride
     that would store the final state off-stride (SolverConfig.check_stride)
     raises ValueError before any step."""
@@ -632,7 +664,12 @@ def run(
     states = [initial]
     monitors = [monitor(initial, cfg.delta0, cfg.l)]
     traj = Trajectory(
-        states=states, monitors=monitors, config=cfg, bundle=bundle, forcing=forcing
+        states=states,
+        monitors=monitors,
+        config=cfg,
+        bundle=bundle,
+        forcing=forcing,
+        every_step=MonitorSummary().add(monitors[0]),
     )
     if monitors[0].breached:
         traj.breached = True
@@ -644,6 +681,7 @@ def run(
         except (SolverError, DensityFloorError):
             traj.breached = True
             return traj
+        traj.every_step = traj.every_step.add(mon)
         if n % output_stride == 0 or n == n_steps:
             states.append(cur)
             monitors.append(mon)

@@ -4,12 +4,15 @@ The shifted unknowns are rho_shift = rho - 1, u_shift = u1 - 1 + e^{-y},
 h_shift = h1 - 1; they decay at the top of the layer.  The derived fields
 v (vertical velocity), g (vertical magnetic field) and the stream function
 psi are recovered from the divergence-free constraints and d_y psi = h by
-closure, their one home: derive_secondary, every pde.TimeTower level and
-every solver stage take them from it.
+closure, their one home.  A State builds each of them, through
+derive_secondary, the first time it is read, so a solver step derives only
+the v that the next step's CFL rule reads; every pde.TimeTower level and
+every solver stage take v and g from closure too, and psi only when asked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,16 +46,34 @@ class MultiIndex:
 
 @dataclass(frozen=True)
 class State:
-    """Shifted unknowns, derived fields and the time of the slice; the
-    physical parameters live in pde.Physics (SolverConfig), not here."""
+    """Shifted unknowns and the time of the slice; the physical parameters
+    live in pde.Physics (SolverConfig), not here.
+
+    v, g and psi are built by closure on first read and then kept on the
+    instance (functools.cached_property writes its __dict__, which the
+    frozen dataclass leaves open).  A state pickles with those it has
+    built; one that crosses a pipe unread builds them on the other side,
+    from the same fields, to the same bits."""
 
     rho_shift: Field
     u_shift: Field
     h_shift: Field
-    v: Field
-    g: Field
-    psi: Field
     time: float = 0.0
+
+    @cached_property
+    def v(self) -> Field:
+        """Vertical velocity -int_0^y dx u."""
+        return derive_secondary(self, "v")
+
+    @cached_property
+    def g(self) -> Field:
+        """Vertical magnetic field -int_0^y dx h."""
+        return derive_secondary(self, "g")
+
+    @cached_property
+    def psi(self) -> Field:
+        """Stream function int_0^y h."""
+        return derive_secondary(self, "psi")
 
     @property
     def grid(self) -> GridSpec:
@@ -71,37 +92,36 @@ def initial_state(
     h_shift: Field | None = None,
     time: float = 0.0,
 ) -> State:
-    """Build a State from primary fields, filling derived quantities; a
-    missing primary field is zero."""
+    """Build a State from primary fields; a missing primary field is zero.
+    The derived fields are built when first read."""
     primary = (rho_shift, u_shift, h_shift)
     if any(f is None for f in primary):
         z = zero_field(grid)
         primary = tuple(z if f is None else f for f in primary)
-    rho, u, h = primary
-    # v, g and psi hold u until derive_secondary replaces them
-    return derive_secondary(State(rho, u, h, v=u, g=u, psi=u, time=time))
+    return State(*primary, time=time)
 
 
-def closure(u: Field, h: Field):
-    """(dx u, dx h, v, g, psi) of one time slice, with v = -int_0^y dx u,
-    g = -int_0^y dx h and psi = int_0^y h, all three zero on the wall row.
-    v and g are arrays, negated as arrays so that the sign builds no Field;
-    the rest are Fields."""
-    ux, hx = dx(u), dx(h)
-    return ux, hx, -integrate_y(ux).values, -integrate_y(hx).values, integrate_y(h)
+def closure(name: str, f: Field) -> Field:
+    """The derived field name of one time slice from f, zero on the wall
+    row: v = -int_0^y f of f = dx u, g = -int_0^y f of f = dx h, and
+    psi = int_0^y f of f = h.  The sign of v and g is taken on the array,
+    so that it builds no checked Field."""
+    out = integrate_y(f)
+    return out if name == "psi" else Field._computed(-out.values, f.grid)
 
 
-def derive_secondary(state: State) -> State:
-    """Fill v, g and psi of a state by closure."""
-    _, _, v, g, psi = closure(state.u_shift, state.h_shift)
-    grid = state.grid
-    return replace(state, v=Field._computed(v, grid), g=Field._computed(g, grid), psi=psi)
+def derive_secondary(state: State, name: str) -> Field:
+    """The derived field name ("v", "g" or "psi") of a state by closure;
+    State builds each of its derived fields here, once."""
+    if name == "psi":
+        return closure(name, state.h_shift)
+    return closure(name, dx(state.u_shift if name == "v" else state.h_shift))
 
 
 def divergence_defects(state: State) -> tuple[float, float, float]:
     """Sup norms of (dx u + dy v, dx h + dy g, dy psi - h).
 
-    These vanish to quadrature accuracy when derive_secondary has run."""
+    These vanish to quadrature accuracy: v, g and psi come from closure."""
     d1 = (dx(state.u_shift) + dy(state.v)).max_abs()
     d2 = (dx(state.h_shift) + dy(state.g)).max_abs()
     d3 = (dy(state.psi) - state.h_shift).max_abs()

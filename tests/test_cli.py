@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from blmhd import solver
 from blmhd.cli import VERBS, main
 
 BASE = """\
@@ -84,6 +86,38 @@ def test_simulate_snapshot_written(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     snap = read_snapshot(out / "final.bin")
     assert snap["nx"] == 16 and snap["ny"] == 48
+
+
+@pytest.mark.parametrize(
+    "flag, failure",
+    [
+        ({"rho_band_ok": False}, "density left the [1/2, 3/2] band"),
+        ({"source_flag": True}, "source terms exceeded 1% of transport"),
+    ],
+)
+def test_strict_reads_the_monitors_of_every_step(tmp_path, monkeypatch, flag, failure):
+    # 4 steps at stride 2 store steps 0, 2 and 4; step 3's status is raised
+    real = solver.monitor
+    statuses = []
+
+    def monitor(*args, **kwargs):
+        status = real(*args, **kwargs)
+        if len(statuses) == 3:  # after the initial state and steps 1, 2
+            status = replace(status, **flag)
+        statuses.append(status)
+        return status
+
+    monkeypatch.setattr(solver, "monitor", monitor)
+    text = BASE.replace("t_end = 0.01", "t_end = 0.008").replace("stride = 5", "stride = 2")
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "plain"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    history = json.loads((out / "summary.json").read_text())["monitor_history"]
+    assert len(history) == 3 and all(m["rho_band_ok"] for m in history)
+    del statuses[:]
+    out = tmp_path / "strict"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--strict"]) == 1
+    assert json.loads((out / "summary.json").read_text())["failures"] == [failure]
 
 
 def test_config_error_exits_2(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Energy-functional reports: rest-state values, scaling, accumulation."""
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from blmhd import norms, operators
 from blmhd.cancellation import T_DEPTH_CAP, good_unknowns
 from blmhd.energy import (
     CSV_COLUMNS,
@@ -14,7 +18,15 @@ from blmhd.energy import (
 from blmhd.grid import Field
 from blmhd.norms import NormSpec, conormal_norm, index_set, weighted_l2, weighted_linf
 from blmhd.operators import d2y, dx, dy
-from blmhd.pde import Physics, TimeTower, apply_spatial, exp_minus_y, map_family, tower_family
+from blmhd.pde import (
+    Physics,
+    TimeTower,
+    apply_spatial,
+    background,
+    exp_minus_y,
+    map_family,
+    tower_family,
+)
 from blmhd.solver import SolverConfig, Trajectory, monitor, run
 from blmhd.state import MultiIndex
 
@@ -139,6 +151,48 @@ def test_slice_functionals_equal_the_multi_pass_formula(state_perturbed, m):
     physics = Physics(mu=0.7, kappa=1.3, eps=0.05)
     got = _slice_functionals(state_perturbed, m, 2.0, 0.25, None, None, physics)
     assert got == _multi_pass_slice(state_perturbed, m, 2.0, 0.25, physics)
+
+
+def test_a_slice_takes_each_derivative_and_norm_once(monkeypatch, state_perturbed):
+    """One slice at 16x48, m = 2, l = 2, with the state's v, g and psi
+    built first.  When each index took its own dx, dy and dy dx, the slice
+    made 70 dx, 57 dy and 153 weighted_l2 calls: the head of row b + 1 is
+    the dx that row b's head took, dx and dy of a tower level were taken
+    again beside the tower's own, and the normal-derivative tail took the
+    norms of the level dy again.  The top level's derivatives are not
+    kept in the tower, apart from the dx u and dx h it builds the level
+    with.  The d2y calls are the walk's 18, with the grid's cached
+    background W built beforehand."""
+    st = state_perturbed
+    st.v, st.g, st.psi
+    background(st.grid)
+    counts = Counter()
+    for name, fn in (
+        ("dx", operators.dx),
+        ("dy", operators.dy),
+        ("d2y", operators.d2y),
+        ("weighted_l2", norms.weighted_l2),
+    ):
+
+        def wrapper(*args, name=name, fn=fn, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "blmhd"]:
+            if vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+    towers = []
+    init = TimeTower.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        towers.append(self)
+
+    monkeypatch.setattr(TimeTower, "__init__", kept)
+    _slice_functionals(st, 2, 2.0, 0.25, None, None, Physics())
+    assert counts == {"dx": 54, "dy": 43, "d2y": 18, "weighted_l2": 130}
+    (tower,) = towers
+    assert {key for key in tower._derivs if key[2] == 2} == {("x", "u", 2), ("x", "h", 2)}
 
 
 def test_theta_accumulates_along_trajectory(grid_small):

@@ -15,6 +15,7 @@ from blmhd.operators import _d2y_coeffs, d2x, d2y
 from blmhd.pde import TimeTower, pde_rhs
 from blmhd.solver import (
     _WALL_BCS,
+    MonitorSummary,
     SolverConfig,
     SolverError,
     _apply_dyy,
@@ -135,12 +136,12 @@ def test_homogeneous_run_keeps_rho_shift_zero(scheme, x_scheme):
     assert np.max(np.abs(traj.states[-1].u_shift.values - st.u_shift.values)) > 1e-4
 
 
-@pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
-def test_a_step_builds_one_state(monkeypatch, state_perturbed, scheme):
-    """The substeps pass arrays: a step of 3 substeps derives one State, at
-    its end, and each stage's level-0 tower takes dx u and dx h from the
-    closure, so a stage takes only dx rho besides them (imex-cn: two
-    stages per substep, imex-be: one)."""
+_CLOSURE_WORK = ("derive_secondary", "dx", "integrate_y", "tower")
+
+
+def _count_closure_work(monkeypatch):
+    """Count the calls of _CLOSURE_WORK (the tower's are TimeTower builds)
+    in every blmhd module that holds them."""
     counts = Counter()
 
     def counted(name, fn):
@@ -150,17 +151,51 @@ def test_a_step_builds_one_state(monkeypatch, state_perturbed, scheme):
 
         return wrapper
 
-    for name, fn in (("derive_secondary", state.derive_secondary), ("dx", operators.dx)):
+    for name, fn in (
+        ("derive_secondary", state.derive_secondary),
+        ("dx", operators.dx),
+        ("integrate_y", operators.integrate_y),
+    ):
         wrapper = counted(name, fn)
         for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "blmhd"]:
             if vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, wrapper)
     monkeypatch.setattr(TimeTower, "__init__", counted("tower", TimeTower.__init__))
+    return counts
+
+
+@pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
+def test_a_step_builds_one_state(monkeypatch, state_perturbed, scheme):
+    """The substeps pass arrays: a step of 3 substeps builds one State, at
+    its end, which derives nothing.  Each stage's level-0 tower takes dx u
+    and dx h and v and g from the closure, and no psi, so a stage takes
+    only dx rho besides them (imex-cn: two stages per substep, imex-be:
+    one)."""
+    counts = _count_closure_work(monkeypatch)
     monkeypatch.setattr(solver, "_cfl_substeps", lambda st, cfg: 3)
     new, _ = step(state_perturbed, SolverConfig(eps=0.01, dt=1e-3, scheme=scheme))
-    calls = {"imex-cn": (1, 20, 6), "imex-be": (1, 11, 3)}[scheme]
-    assert (counts["derive_secondary"], counts["dx"], counts["tower"]) == calls
+    calls = {"imex-cn": (0, 18, 12, 6), "imex-be": (0, 9, 6, 3)}[scheme]
+    assert tuple(counts[name] for name in _CLOSURE_WORK) == calls
+    assert vars(new).keys().isdisjoint(("v", "g", "psi"))
     assert new.time == pytest.approx(1e-3)
+
+
+@pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
+def test_a_step_derives_only_the_v_its_cfl_rule_reads(monkeypatch, state_perturbed, scheme):
+    """In a run every step builds one derived field: the v of its incoming
+    state, which its CFL rule reads (one dx and one integrate_y); its
+    stages take v and g (two of each) and no psi.  At 16x48 a step of
+    dt = 1e-3 is one substep."""
+    counts = _count_closure_work(monkeypatch)
+    cfg = SolverConfig(eps=0.01, dt=1e-3, scheme=scheme)
+    new, _ = step(state_perturbed, cfg)
+    calls = {"imex-cn": (1, 7, 5, 2), "imex-be": (1, 4, 3, 1)}[scheme]
+    assert tuple(counts[name] for name in _CLOSURE_WORK) == calls
+    assert "v" in vars(state_perturbed)
+    assert vars(state_perturbed).keys().isdisjoint(("g", "psi"))
+    counts.clear()
+    step(new, cfg)
+    assert tuple(counts[name] for name in _CLOSURE_WORK) == calls
 
 
 @pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
@@ -185,6 +220,25 @@ def test_run_monitors_each_state_once(monkeypatch, state_perturbed, scheme):
         cur, mon = step(cur, cfg, traces=traces)
         walked.append(mon)
     assert traj.monitors == walked
+
+
+@pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
+def test_every_step_summarises_the_monitors_of_unstored_steps(state_perturbed, scheme):
+    cfg = SolverConfig(eps=0.01, dt=1e-3, t_end=4e-3, scheme=scheme)
+    traj = run(state_perturbed, cfg, output_stride=2)
+    assert len(traj.monitors) == 3
+    traces = solver.make_traces(state_perturbed)
+    cur, walked = state_perturbed, [monitor(state_perturbed, cfg.delta0, cfg.l)]
+    for _ in range(4):
+        cur, mon = step(cur, cfg, traces=traces)
+        walked.append(mon)
+    assert traj.every_step == MonitorSummary(
+        h_floor=min(m.h_floor for m in walked),
+        rho_sup=max(m.rho_sup for m in walked),
+        shear_sup=max(m.shear_sup for m in walked),
+        rho_band_ok=all(m.rho_band_ok for m in walked),
+        source_flag=any(m.source_flag for m in walked),
+    )
 
 
 def test_step_is_deterministic(grid_small, state_perturbed):
@@ -270,13 +324,22 @@ def test_run_never_raises_for_a_valid_config(dt, amp, eps, scheme):
     # amplitudes past the monitor's density bound (a_rho > 0.023) breach at
     # t = 0, and steps of 5 or more can end a run inside a substep (density
     # floor or divergence); breached agrees with the stored monitors: a run
-    # stops at a breach, so only the initial state's may be breached
+    # stops at a breach, so only the initial state's may be breached, and
+    # the every-step summary is within the monitor's bounds unless it was
     grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0)
     initial = perturbed_state(grid, a_rho=0.02 * amp, a_u=amp, a_h=amp)
-    traj = run(initial, SolverConfig(eps=eps, dt=dt, t_end=2 * dt, scheme=scheme))
+    cfg = SolverConfig(eps=eps, dt=dt, t_end=2 * dt, scheme=scheme)
+    traj = run(initial, cfg)
     flags = [m.breached for m in traj.monitors]
     assert len(flags) == len(traj.states) and not any(flags[1:])
     assert traj.breached == (flags[0] or len(traj.states) < 3)
+    s, delta = traj.every_step, cfg.delta0 / 2.0
+    within = (
+        s.h_floor >= delta
+        and s.rho_sup <= (2.0 * cfg.l - 1.0) * delta**2 / 2.0
+        and s.shear_sup <= 1.0 / delta
+    )
+    assert within != flags[0]
 
 
 @pytest.mark.parametrize("stride, times", [(1, 6), (5, 2), (8, 2)])
