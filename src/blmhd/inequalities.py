@@ -3,12 +3,16 @@ the sharp-constant Hardy inequality, a Sobolev embedding, a Moser product
 inequality, and a diffusion-parameter-uniform weighted bound for the heat
 equation on the half line.  The heat solver works on a uniform x grid: it
 convolves the Gaussian kernel exactly with the piecewise-linear interpolant
-of the odd extension.  Each output time builds one table of node weights
-over all its Duhamel quadrature lags and applies it as one matrix product.
+of the odd extension.  The kernel is even, so the weight of a node (its hat
+function against the kernel) depends only on its distance from the output
+node; it is built from the lower tail of the normal CDF, through a numpy
+port of Cody's erfc.  Each output time builds one table of hat weights over
+all its Duhamel quadrature lags and applies it as one matrix product.  The
+eps-ladder check builds what does not depend on eps once: the Duhamel
+nodes, the forcing samples and the data functional.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -25,6 +29,8 @@ SOBOLEV_CSTAR = 2.0
 MOSER_CSTAR = 2.0
 HEAT_CSTAR = 10.0
 HEAT_SPREAD_MAX = 4.0
+_HEAT_N_TIMES = 8
+_HEAT_N_QUAD = 64
 
 
 @dataclass(frozen=True)
@@ -209,13 +215,85 @@ def _trap_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
+# erfc after W. J. Cody, "Rational Chebyshev approximations for the error
+# function", Math. Comp. 23 (1969), as his CALERF evaluates it: on each of
+# three ranges a ratio of polynomials in Horner's order.  A range's table
+# holds the numerator and denominator coefficients as the two columns of
+# one array, from the leading term down; every denominator is monic.
+def _cody_table(num, den) -> np.ndarray:
+    return np.array([(a, b) for a, b in zip(num, (1.0,) + den)])[:, :, None]
+
+
+# |x| <= 0.46875: erfc = 1 - x R(x^2)
+_ERFC_SMALL = _cody_table(
+    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+     3.77485237685302021e02, 3.20937758913846947e03),
+    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+     2.84423683343917062e03),
+)
+# 0.46875 < |x| <= 4: erfc = exp(-x^2) R(x)
+_ERFC_MID = _cody_table(
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+     6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03),
+)
+# |x| > 4: erfc = exp(-x^2) (1 / sqrt(pi) - R(x^-2) / x^2) / x
+_ERFC_LARGE = _cody_table(
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3),
+)
+_INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
+
+
+def _cody_ratio(y: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """R(y) of one range: numerator and denominator in one Horner pass."""
+    acc = table[0] * y
+    for c in table[1:-1]:
+        acc += c
+        acc *= y
+    acc += table[-1]
+    return acc[0] / acc[1]
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Complementary error function, elementwise, on Cody's three ranges:
+    within 8 ulp of libm's erfc on [-7, 26], and subnormal or 0 where erfc
+    underflows (|x| > 26.5).  A negative argument gives 2 - erfc(|x|), so
+    erfc(-x) = 2 - erfc(x) exactly."""
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    out = np.empty_like(y)
+    small = y <= 0.46875
+    ys = y[small]
+    out[small] = 1.0 - ys * _cody_ratio(ys * ys, _ERFC_SMALL)
+    tails = ~small
+    # beyond |x| = 28 exp(-x^2) is 0; the cap keeps an infinity finite
+    yt = np.minimum(y[tails], 28.0)
+    ratio = np.empty_like(yt)
+    mid = yt <= 4.0
+    large = ~mid
+    ratio[mid] = _cody_ratio(yt[mid], _ERFC_MID)
+    yl = yt[large]
+    inv_sq = 1.0 / (yl * yl)
+    ratio[large] = (_INV_SQRT_PI - inv_sq * _cody_ratio(inv_sq, _ERFC_LARGE)) / yl
+    # exp(-x^2) as exp(-t^2) exp(-(x - t)(x + t)) with t = x to 1/16, so
+    # that the rounding of x^2 is not amplified by the exponential
+    t = np.trunc(yt * 16.0) / 16.0
+    out[tails] = np.exp(-t * t) * np.exp(-(yt - t) * (yt + t)) * ratio
+    neg = x < 0.0
+    out[neg] = 2.0 - out[neg]
+    return out
 
 
 def _norm_cdf(z: np.ndarray) -> np.ndarray:
     """Standard normal CDF, 0.5 erfc(-z / sqrt 2): no cancellation in the
     lower tail, where the segment weights are differences of tiny values."""
-    return 0.5 * _ERFC(z * -np.sqrt(0.5)).astype(float)
+    return 0.5 * _erfc(z * -np.sqrt(0.5))
 
 
 def _kernel_convolve(
@@ -228,71 +306,121 @@ def _kernel_convolve(
     segment integrals keep the result accurate even when the kernel is
     much narrower than the node spacing.  The lags are all positive, or
     the single lag 0, where the kernel is the identity."""
-    n = (fe.shape[1] + 1) // 2
+    m = fe.shape[1]
+    n = (m + 1) // 2
     if not tau.any():
         return w @ fe[:, n - 1 :]
     sigma = np.sqrt(2.0 * eps * tau)[:, None]
     # segments farther than ~8 sigma from an output node contribute nothing
     # (both endpoint CDFs saturate), and no lag beyond the extension meets
     # one; every row shares the widest row's window
-    half = min(int(np.ceil(8.0 * sigma.max() / h)) + 2, fe.shape[1])
-    lags = np.arange(-half, half + 1)
-    z = lags * h / sigma
-    cdf = _norm_cdf(z)
+    half = min(int(np.ceil(8.0 * sigma.max() / h)) + 2, m)
+    # the kernel is even, so the weight of a node depends only on its
+    # distance M h from the output node, M = 0..half: it is built from the
+    # lower tail Phi(-z), where z = M h / sigma, and the density there
+    z = np.arange(half + 1) * h / sigma
+    tail = _norm_cdf(-z)
     with np.errstate(under="ignore"):
         pdf = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
-    # the segment at lag k (left node k h, right node (k + 1) h from the
-    # output node) carries f_l + (f_r - f_l) s / h; against the kernel it
-    # integrates to f_l dcdf + (f_r - f_l) w_r with
-    # w_r = (sigma / h) (pdf_k - pdf_{k+1}) - k dcdf
-    dcdf = np.diff(cdf, axis=1)
-    w_r = sigma / h * (pdf[:, :-1] - pdf[:, 1:]) - lags[:-1] * dcdf
-    # no segments beyond the ends of the extension: pad with zeros, and
-    # keep only the inputs the half-line outputs read
-    pad = np.zeros((fe.shape[0], half))
-    left = np.concatenate([pad, fe[:, :-1], pad], axis=1)[:, n - 1 :]
-    right = np.concatenate([pad, fe[:, 1:], pad], axis=1)[:, n - 1 :]
+    # the segment from -(M + 1) h to -M h (M < half) carries
+    # f_l + (f_r - f_l) s / h; against the kernel it integrates to
+    # f_l dcdf + (f_r - f_l) w_r with dcdf = tail_M - tail_{M+1} and
+    # w_r = (sigma / h) (pdf_{M+1} - pdf_M) + (M + 1) dcdf
+    dcdf = tail[:, :-1] - tail[:, 1:]
+    w_r = sigma / h * (pdf[:, 1:] - pdf[:, :-1]) + np.arange(1, half + 1) * dcdf
     w = w[:, None]
-    # Q[k, m] = sum_j (segment weight of row j at lag k) x (input m of row
-    # j); output i reads input i + k at lag k, a diagonal of Q
-    Q = (w * (dcdf - w_r)).T @ left + (w * w_r).T @ right
-    diagonals = np.lib.stride_tricks.as_strided(
-        Q, shape=(2 * half, n), strides=(Q.strides[0] + Q.strides[1], Q.strides[1])
-    )
-    return diagonals.sum(axis=0)
+    right = w * w_r
+    # one_sided[M]: what a node at distance M > 0 gets from the segment
+    # between it and the output node, as the left node of segment M - 1
+    # (for M = 0, from segment 0, as its right node), and all that an end
+    # node of the extension gets; its hat weight adds the right node of
+    # segment M, the segment beyond it
+    one_sided = np.concatenate([right[:, :1], w * (dcdf - w_r)], axis=1)
+    hat = one_sided.copy()
+    hat[:, :-1] += right
+    # column c of nodes holds extension node c + n - 1 - half, zero beyond
+    # the extension; its two end nodes bound one segment each and are
+    # added on their own below
+    nodes = np.zeros((fe.shape[0], n + 2 * half))
+    lo = max(0, half - n + 2)
+    nodes[:, lo : n - 1 + half] = fe[:, lo + n - 1 - half : m - 1]
+    # Q[M, c] = sum_j (hat weight of row j at distance M) x (node c of row
+    # j); output i is node column half + i, and it reads Q[M, half + i + M]
+    # and, for M > 0, Q[M, half + i - M]: a diagonal and an antidiagonal
+    Q = hat.T @ nodes
+    s0, s1 = Q.strides
+    strided = np.lib.stride_tricks.as_strided
+    ahead = strided(Q[:, half:], shape=(half + 1, n), strides=(s0 + s1, s1))
+    behind = strided(Q[1:, half - 1 :], shape=(half, n), strides=(s0 - s1, s1))
+    out = ahead.sum(axis=0) + behind.sum(axis=0)
+    # the last node lies n - 1 - i ahead of output i, the first n - 1 + i
+    # behind it
+    ends = one_sided.T @ fe[:, [-1, 0]]
+    first = max(0, n - 1 - half)
+    out[first:] += ends[: n - first, 0][::-1]
+    last = min(n - 1, half - n + 1)
+    if last >= 0:
+        out[: last + 1] += ends[n - 1 : n + last, 1]
+    return out
 
 
-def heat_solve(p: HeatProblem, n_times: int = 8, n_quad: int = 64):
+@dataclass(frozen=True)
+class _Duhamel:
+    """What a heat solve reads that does not depend on eps: the output
+    times and, per output time t > 0 with a forcing, the lags t - s of the
+    Duhamel nodes s below t, their trapezoid weights, the odd extension of
+    the forcing there, and the weighted forcing at s = t."""
+
+    times: np.ndarray
+    nodes: tuple
+
+
+def _duhamel_data(p: HeatProblem, n_times: int, n_quad: int) -> _Duhamel:
+    times = np.linspace(0.0, p.t_end, n_times + 1)
+    nodes = []
+    for t in times:
+        if p.forcing is None or t == 0.0:
+            nodes.append(None)
+            continue
+        s_nodes = np.linspace(0.0, t, n_quad + 1)
+        ws = _trap_weights(s_nodes)
+        G = np.array([p.forcing(s, p.x) for s in s_nodes], dtype=float)
+        # kernel limit at s = t: the convolution tends to the data itself
+        nodes.append((t - s_nodes[:-1], ws[:-1], _odd_extension(G[:-1]), ws[-1] * G[-1]))
+    return _Duhamel(times, tuple(nodes))
+
+
+def _heat_solution(p: HeatProblem, duhamel: _Duhamel) -> np.ndarray:
+    """F at the output times of duhamel: the kernel applied to the data,
+    plus one kernel table over the Duhamel nodes of each output time."""
+    fe = _odd_extension(p.f0)[None, :]
+    one = np.ones(1)
+    out = np.empty((duhamel.times.size, p.x.size))
+    for k, (t, nodes) in enumerate(zip(duhamel.times, duhamel.nodes)):
+        F = _kernel_convolve(p.eps, np.array([t]), p.h, fe, one)
+        if nodes is not None:
+            lags, ws, Ge, at_t = nodes
+            F = F + (_kernel_convolve(p.eps, lags, p.h, Ge, ws) + at_t)
+        out[k] = F
+    out[:, 0] = 0.0
+    return out
+
+
+def heat_solve(p: HeatProblem, n_times: int = _HEAT_N_TIMES, n_quad: int = _HEAT_N_QUAD):
     """Solve the half-line heat problem by odd extension, exact Gaussian
     kernel convolution, and Duhamel quadrature for the forcing: each
     output time applies one kernel table over all its quadrature lags.
 
     Returns (times, F) with F.shape == (n_times + 1, len(p.x)); F[k] is the
     solution at times[k], and F[:, 0] = 0 to quadrature accuracy."""
-    x = p.x
-    fe = _odd_extension(p.f0)[None, :]
-    one = np.ones(1)
-    times = np.linspace(0.0, p.t_end, n_times + 1)
-    out = np.empty((n_times + 1, x.size))
-    for k, t in enumerate(times):
-        F = _kernel_convolve(p.eps, np.array([t]), p.h, fe, one)
-        if p.forcing is not None and t > 0.0:
-            s_nodes = np.linspace(0.0, t, n_quad + 1)
-            ws = _trap_weights(s_nodes)
-            G = np.array([p.forcing(s, x) for s in s_nodes], dtype=float)
-            duhamel = _kernel_convolve(
-                p.eps, t - s_nodes[:-1], p.h, _odd_extension(G[:-1]), ws[:-1]
-            )
-            # kernel limit at s = t: the convolution tends to the data itself
-            F = F + (duhamel + ws[-1] * G[-1])
-        out[k] = F
-    out[:, 0] = 0.0
-    return times, out
+    duhamel = _duhamel_data(p, n_times, n_quad)
+    return duhamel.times, _heat_solution(p, duhamel)
 
 
 def _x_dx(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """x * d_x f by second-order differences on the 1D grid."""
-    return x * np.gradient(f, x, edge_order=2)
+    """x * d_x f by second-order differences on the 1D grid, along the
+    last axis of f."""
+    return x * np.gradient(f, x, axis=-1, edge_order=2)
 
 
 def heat_data_functional(p: HeatProblem, times: np.ndarray) -> float:
@@ -324,17 +452,22 @@ def heat_bound_check(
                              + C int_0^t (||G||_inf + ||x dx G||_inf),
 
     with C independent of eps.  Asserts max/min of the per-eps ratio over
-    the grid <= spread_max and every ratio <= cstar."""
+    the grid <= spread_max and every ratio <= cstar.
+
+    Everything that does not depend on eps is built once for the ladder:
+    the Duhamel nodes and forcing samples of heat_solve and the data
+    functional.  Each eps takes x dx of all its output times at once."""
+    problems = [
+        HeatProblem(eps=eps, x=x, f0=f0, forcing=forcing, t_end=t_end) for eps in eps_grid
+    ]
     ratios = {}
-    worst = 0.0
-    for eps in eps_grid:
-        p = HeatProblem(eps=eps, x=x, f0=f0, forcing=forcing, t_end=t_end)
-        times, F = heat_solve(p)
-        num = max(float(np.max(np.abs(_x_dx(p.x, Fk)))) for Fk in F)
-        denom = heat_data_functional(p, times)
-        r = 0.0 if num == 0.0 else num / denom
-        ratios[eps] = r
-        worst = max(worst, r)
+    if problems:
+        duhamel = _duhamel_data(problems[0], _HEAT_N_TIMES, _HEAT_N_QUAD)
+        denom = heat_data_functional(problems[0], duhamel.times)
+        for p in problems:
+            num = float(np.max(np.abs(_x_dx(p.x, _heat_solution(p, duhamel)))))
+            ratios[p.eps] = 0.0 if num == 0.0 else num / denom
+    worst = max(ratios.values(), default=0.0)
     nonzero = [r for r in ratios.values() if r > 0]
     spread = max(nonzero) / min(nonzero) if nonzero else 1.0
     rep = _make_report(

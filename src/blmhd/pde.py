@@ -37,7 +37,7 @@ import numpy as np
 
 from .grid import Field
 from .operators import d2x, d2y, dx, dy, z2
-from .state import MultiIndex, State, closure
+from .state import MultiIndex, State, closure, keep_closure
 
 DENSITY_FLOOR = 0.1
 
@@ -127,7 +127,8 @@ class TimeTower:
     never added as zeros.
 
     dx and dy of each (level field, level) are computed once and kept;
-    the closure's dx u and dx h seed that cache.
+    the closure's dx u and dx h seed that cache, at level 0 of a State too
+    when the tower builds the State's v or g.
 
     The level Fields are built by Field._computed, not scanned for NaN or
     infinity: a State's fields were checked, every higher level is
@@ -145,6 +146,12 @@ class TimeTower:
         self.state = state if isinstance(state, State) else None
         if isinstance(state, State):
             self.grid, self.time = state.grid, state.time
+            # a v or g the state has not built is built from the dx u or
+            # dx h that seeds the tower's cache, not from a second dx
+            for name, base in (("v", "u"), ("g", "h")):
+                if name not in vars(state):
+                    f = self._derivs[("x", base, 0)] = dx(getattr(state, _STATE_FIELDS[base]))
+                    keep_closure(state, name, f)
             self._fields = {
                 (name, 0): getattr(state, a) for name, a in _STATE_FIELDS.items() if name != "psi"
             }

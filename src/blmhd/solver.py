@@ -18,7 +18,9 @@ snapshot or a test reads them.  Each y stage builds the level-0 TimeTower
 of its lagged arrays, which takes v, g and dx u, dx h from state.closure
 (and no psi) and forms rho = r + 1 once; its TimeTower.explicit, the
 kernel the time-derivative tower differentiates, gives the explicit terms,
-and the tower's rho gives u's viscosity mu / rho.
+and the tower's rho gives u's viscosity mu / rho.  Both imex-cn y stages
+start from the same fields, so a substep takes their explicit D_y^2
+(_apply_dyy) once.
 
 x half-steps: every field's Crank-Nicolson x step is a periodic
 tridiagonal solve along x, and rho, u, h and u's Sherman-Morrison seed
@@ -619,25 +621,24 @@ def _substep(grid, w, t, cfg, bundle, forcing, k, traces):
             return fields
         return _solve_x_cn(fields, (eps, eps / (fields[0] + 1.0), eps), a, grid.dx)
 
-    def y_stage(base, lagged, time):
-        """Implicit y stage from base; the explicit terms and u's viscosity
+    def y_stage(lagged, time):
+        """Implicit y stage from w; the explicit terms and u's viscosity
         mu / rho are evaluated at the fields lagged."""
         tower = TimeTower((grid, time, lagged), bundle, forcing, max_depth=0, physics=cfg)
         *n_exp, flag = _explicit_terms(tower)
         coeff = (eps, mu / tower.rho, kappa)
-        rhs = [b + k * n for b, n in zip(base, n_exp)]
+        rhs = [b + k * n for b, n in zip(w, n_exp)]
         if cn:
-            rhs = [
-                f + a * c * _apply_dyy(grid, b, wall_bc)
-                for f, c, b, wall_bc in zip(rhs, coeff, base, _WALL_BCS)
-            ]
+            rhs = [f + a * c * d for f, c, d in zip(rhs, coeff, w_dyy)]
         return _solve_y_implicit(grid, coeff, a, rhs, traces), flag
 
     w = x_half(w)
-    new, flag = y_stage(w, w, t)
+    # both imex-cn y stages start from w: its D_y^2 is taken once
+    w_dyy = [_apply_dyy(grid, b, bc) for b, bc in zip(w, _WALL_BCS)] if cn else None
+    new, flag = y_stage(w, t)
     if cn:
         mid = tuple(0.5 * (b + s) for b, s in zip(w, new))
-        new, flag2 = y_stage(w, mid, t + k / 2.0)
+        new, flag2 = y_stage(mid, t + k / 2.0)
         new = x_half(new)
         flag = flag or flag2
     return new, flag

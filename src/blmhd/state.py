@@ -8,6 +8,8 @@ closure, their one home.  A State builds each of them, through
 derive_secondary, the first time it is read, so a solver step derives only
 the v that the next step's CFL rule reads; every pde.TimeTower level and
 every solver stage take v and g from closure too, and psi only when asked.
+A tower built on a State that has not built its v or g builds them from
+the dx u and dx h it keeps (keep_closure), so that each is taken once.
 """
 from __future__ import annotations
 
@@ -112,10 +114,18 @@ def closure(name: str, f: Field) -> Field:
 
 def derive_secondary(state: State, name: str) -> Field:
     """The derived field name ("v", "g" or "psi") of a state by closure;
-    State builds each of its derived fields here, once."""
+    State builds each of its derived fields here, once, unless a caller
+    that holds the x-derivative has built it by keep_closure."""
     if name == "psi":
         return closure(name, state.h_shift)
     return closure(name, dx(state.u_shift if name == "v" else state.h_shift))
+
+
+def keep_closure(state: State, name: str, f: Field) -> None:
+    """Build v (f = dx u) or g (f = dx h) of a state that has not built it
+    yet, and keep it on the state as its first read would: the same bits
+    as derive_secondary, from an f the caller has already taken."""
+    vars(state)[name] = closure(name, f)
 
 
 def divergence_defects(state: State) -> tuple[float, float, float]:

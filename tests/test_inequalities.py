@@ -1,4 +1,6 @@
 """Calculus-inequality checks: Hardy, Sobolev, Moser, and the heat bound."""
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -6,6 +8,7 @@ from scipy.special import ndtr
 from blmhd.grid import GridSpec, field_from_function, zero_field
 from blmhd.inequalities import (
     HeatProblem,
+    _erfc,
     _norm_cdf,
     hardy_check,
     heat_bound_check,
@@ -305,6 +308,65 @@ def test_norm_cdf_matches_ndtr():
     lower = (z <= 0.0) & (ref >= tiny)
     assert np.all(err[lower] <= 1e-13 * ref[lower])
     assert np.all(err[ref < tiny] <= tiny)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-1, 1e-4])
+def test_heat_solve_wide_window_matches_per_node_reference(eps):
+    # 21 nodes: at eps 1 and 0.1 the kernel window spans more than the
+    # half line, so the first node of the extension reaches the outputs
+    x = np.linspace(0.0, 2.0, 21)
+    p = HeatProblem(
+        eps=eps,
+        x=x,
+        f0=x * np.exp(-x),
+        forcing=lambda s, xs: np.cos(3.0 * s) * xs**2 * np.exp(-xs),
+        t_end=1.0,
+    )
+    _, F = heat_solve(p)
+    _, ref = _reference_heat_solve(p)
+    assert np.max(np.abs(F - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_erfc_within_8_ulp_of_libm_and_symmetric():
+    x = np.concatenate(
+        [np.linspace(-7.0, 26.0, 33001), np.linspace(0.46, 0.48, 201), np.linspace(3.99, 4.01, 201)]
+    )
+    got = _erfc(x)
+    ref = np.array([math.erfc(v) for v in x])
+    assert np.max(np.abs(got - ref) / np.spacing(ref)) <= 8.0
+    pos = x[x >= 0.0]
+    assert np.array_equal(_erfc(-pos), 2.0 - _erfc(pos))
+
+
+def _cli_heat_corpus(calls):
+    x = np.linspace(0.0, 12.0, 241)
+
+    def forcing(s, xs):
+        calls.append(s)
+        return np.sin(s) * xs * np.exp(-xs)
+
+    return x, x * np.exp(-x), forcing
+
+
+def test_heat_bound_ratios_are_per_eps_solves():
+    """The ladder shares its eps-free data; each ratio is still, bit for
+    bit, that of a heat_solve and a heat_data_functional at its eps."""
+    x, f0, forcing = _cli_heat_corpus([])
+    rep = heat_bound_check(x, f0, forcing)
+    assert list(rep.metadata["ratios"]) == [1e-1, 1e-2, 1e-3, 1e-4]
+    for eps, ratio in rep.metadata["ratios"].items():
+        p = HeatProblem(eps=eps, x=x, f0=f0, forcing=forcing)
+        times, F = heat_solve(p)
+        num = max(float(np.max(np.abs(x * np.gradient(Fk, x, edge_order=2)))) for Fk in F)
+        assert ratio == num / heat_data_functional(p, times)
+
+
+def test_heat_bound_samples_the_forcing_once_per_ladder():
+    # once per ladder, not per eps: 8 output times of 65 Duhamel nodes, and
+    # the 9 times of the data functional
+    calls = []
+    heat_bound_check(*_cli_heat_corpus(calls))
+    assert len(calls) == 8 * 65 + 9
 
 
 def test_heat_data_functional_calculus_oracle():

@@ -1,7 +1,10 @@
 """Equation right-hand sides and substitution-based time derivatives."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from blmhd import pde, state
 from blmhd.grid import Field, GridSpec
 from blmhd.manufactured import ManufacturedSolution
 from blmhd.operators import dx
@@ -86,3 +89,26 @@ def test_homogeneous_density_vanishes_on_every_tower_level(x_scheme):
     for i in range(5):
         assert np.all(tower.level(i)["rho"] == 0.0), i
         assert np.max(np.abs(tower.level(i)["u"])) > 0.0, i
+
+
+def test_a_tower_on_a_state_takes_each_x_derivative_once(grid_small, monkeypatch):
+    """A tower built on a State that has not built its v and g builds them
+    from the dx u and dx h that seed its cache.  Level 1 then takes dx of
+    rho, u and h at level 0 and of u and h at level 1, each once, and the
+    state keeps the v and g that a first read would build."""
+    seen = Counter()
+
+    def keyed(f):
+        seen[f.values.tobytes()] += 1
+        return dx(f)
+
+    for mod in (pde, state):
+        monkeypatch.setattr(mod, "dx", keyed)
+    st = perturbed_state(grid_small)
+    TimeTower(st, max_depth=1, physics=Physics()).level(1)
+    assert sum(seen.values()) == 5
+    assert max(seen.values()) == 1
+    built = dict(vars(st))
+    fresh = perturbed_state(grid_small)
+    for name in ("v", "g"):
+        assert np.array_equal(built[name].values, getattr(fresh, name).values)

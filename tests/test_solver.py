@@ -198,6 +198,25 @@ def test_a_step_derives_only_the_v_its_cfl_rule_reads(monkeypatch, state_perturb
     assert tuple(counts[name] for name in _CLOSURE_WORK) == calls
 
 
+@pytest.mark.parametrize("scheme, per_substep", [("imex-cn", 3), ("imex-be", 0)])
+def test_a_substep_takes_the_y_diffusion_of_its_base_once(
+    monkeypatch, state_perturbed, scheme, per_substep
+):
+    """Both imex-cn y stages of a substep start from the same base, so the
+    substep applies D_y^2 to its three fields once; imex-be's single stage
+    is fully implicit and applies none."""
+    calls = Counter()
+
+    def counted(*args):
+        calls["dyy"] += 1
+        return _apply_dyy(*args)
+
+    monkeypatch.setattr(solver, "_apply_dyy", counted)
+    monkeypatch.setattr(solver, "_cfl_substeps", lambda st, cfg: 3)
+    step(state_perturbed, SolverConfig(eps=0.01, dt=1e-3, scheme=scheme))
+    assert calls["dyy"] == 3 * per_substep
+
+
 @pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
 def test_run_monitors_each_state_once(monkeypatch, state_perturbed, scheme):
     """run() hands each step the status it already holds for the step's
