@@ -13,11 +13,13 @@ residual of their evolution equations discretely (with the commutator sums
 assembled term by term), and checks the explicit-constant norm-equivalence
 inequalities that relate raw and good-unknown norms.
 
-One evaluation per stored slice serves the residuals of all three good
-unknowns: a _Residual holds one tower, one good_unknowns result and one set
-of eta weights, and takes each Z^(a,b) and each term that more than one
-unknown reads once.  cancellation_residual returns the series asked for;
-the other two wait in a one-entry module slot, keyed by the trajectory's
+Every Z^(a,b) of a tower field, its dy and the eta weights' dy rho, dy u,
+dy h come from the slice's pde.TimeTower, its one derivative cache; this
+module keeps no chain of its own.  One evaluation per stored slice serves
+the residuals of all three good unknowns: a _Residual holds one tower and
+one good_unknowns result, and takes each term that more than one unknown
+reads once.  cancellation_residual returns the series asked for; the
+other two wait in a one-entry module slot, keyed by the trajectory's
 stored States (by identity), its bundle, forcing and config, alpha1 and
 the resolved delta_floor.  A call with the same key takes its series out
 of the slot, which is emptied when its last series is taken; any other
@@ -77,28 +79,12 @@ def _check_h_floor(state: State, delta_floor: float) -> np.ndarray:
     return hp1
 
 
-def _zt(tower: TimeTower, name: str, t_count: int, x_count: int) -> np.ndarray:
-    """d_t^t_count Z1^x_count of a tower field; the first dx is the
-    tower's own."""
-    if x_count == 0:
-        return tower.field(name, t_count).values
-    tower.level(t_count)
-    out = tower.deriv("x", name, t_count)
-    for _ in range(x_count - 1):
-        out = dx(out)
-    return out.values
-
-
-def eta_fields(state: State, tower: TimeTower) -> tuple[Field, Field, Field]:
-    """The three quotient weights (no floor check).  dy rho, dy u and dy h
-    come from the tower's derivative cache when the tower was built from
-    this state, else they are taken here."""
-    grid = state.grid
-    hp1 = state.h_shift.values + 1.0
-    if tower.state is state:
-        dyr, dyu, dyh = (tower.deriv("y", n, 0).values for n in ("rho", "u", "h"))
-    else:
-        dyr, dyu, dyh = (dy(f).values for f in (state.rho_shift, state.u_shift, state.h_shift))
+def eta_fields(tower: TimeTower) -> tuple[Field, Field, Field]:
+    """The three quotient weights of the tower's State (no floor check),
+    from the tower's dy rho, dy u and dy h."""
+    grid = tower.grid
+    hp1 = tower.state.h_shift.values + 1.0
+    dyr, dyu, dyh = (tower.deriv("y", n, 0).values for n in ("rho", "u", "h"))
     eta_r = dyr / hp1
     eta_u = (dyu + exp_minus_y(grid)) / hp1
     eta_h = dyh / hp1
@@ -113,30 +99,29 @@ def good_unknowns(
 ) -> GoodUnknowns:
     """Build the good unknowns; time parts of Z^a1 via PDE substitution
     through tower (which carries any sources and forcing), else through a
-    tower with the Physics() defaults and neither."""
+    tower with the Physics() defaults and neither.  The eta weights and
+    every Z^a1 are read from the tower, which keeps them."""
     _check_alpha1(alpha1)
     _check_h_floor(state, delta_floor)
     grid = state.grid
     if tower is None:
         tower = TimeTower(state, physics=Physics())
-    eta_r, eta_u, eta_h = eta_fields(state, tower)
+    eta_r, eta_u, eta_h = eta_fields(tower)
     a, b = alpha1.t_count, alpha1.x_count
-    z_rho = _zt(tower, "rho", a, b)
-    z_u = _zt(tower, "u", a, b)
-    z_h = _zt(tower, "h", a, b)
-    z_psi = _zt(tower, "psi", a, b)
+    z_rho, z_u, z_h, z_psi = (tower.z(name, a, b) for name in ("rho", "u", "h", "psi"))
+    psi = z_psi.values
     return GoodUnknowns(
         alpha1=alpha1,
         eta_rho=eta_r,
         eta_u=eta_u,
         eta_h=eta_h,
-        rho_m=Field._computed(z_rho - eta_r.values * z_psi, grid),
-        u_m=Field._computed(z_u - eta_u.values * z_psi, grid),
-        h_m=Field._computed(z_h - eta_h.values * z_psi, grid),
-        z_rho=Field._computed(z_rho, grid),
-        z_u=Field._computed(z_u, grid),
-        z_h=Field._computed(z_h, grid),
-        z_psi=Field._computed(z_psi, grid),
+        rho_m=Field._computed(z_rho.values - eta_r.values * psi, grid),
+        u_m=Field._computed(z_u.values - eta_u.values * psi, grid),
+        h_m=Field._computed(z_h.values - eta_h.values * psi, grid),
+        z_rho=z_rho,
+        z_u=z_u,
+        z_h=z_h,
+        z_psi=z_psi,
     )
 
 
@@ -192,10 +177,13 @@ class _Residual:
     """One state slice of a residual evaluation, shared by the three good
     unknowns: one tower, one good_unknowns result (the eta weights and the
     Z^a1 fields), and each term that more than one unknown reads, taken
-    once.  Each Z^(a,b) of a tower field is dx of its parent Z^(a,b-1), so
-    dx Z^(a,b) is Z^(a,b+1), and dy of a tower level is the tower's own.
-    What a single unknown reads stays local to its residual function, so
-    it is freed when that function returns.
+    once.  Every Z^(a,b) of a tower field and its dy are the tower's:
+    Z^(a,b) is dx of Z^(a,b-1), so dx Z^(a,b) is Z^(a,b+1), and each is
+    taken once per slice.  What a single unknown reads stays local to its
+    residual function, so it is freed when that function returns.
+
+    U is (u + 1) - e^{-y}, which the residuals are pinned to; the tower's
+    U(0) is u + (1 - e^{-y}), which differs from it in the last bit.
 
     src and frc are the arrays of d_t^{t_count} of the source terms
     (dx r1, dy r2, dx ru, dx rh) and of the forcing (F_r, F_u, F_h) at the
@@ -213,17 +201,10 @@ class _Residual:
         self.h = state.h_shift.values
         self.v = state.v.values
         self.g_f = state.g.values
-        self.rho = state.rho_shift.values + 1.0
+        self.rho = self.tower.rho
         self.U = state.u_shift.values + 1.0 - self.E
         self.gu = gu = good_unknowns(state, alpha1, delta_floor, tower=self.tower)
-        a, b = alpha1.t_count, alpha1.x_count
-        self._z = {
-            ("rho", a, b): gu.z_rho,
-            ("u", a, b): gu.z_u,
-            ("h", a, b): gu.z_h,
-            ("psi", a, b): gu.z_psi,
-        }
-        self._dy = {}
+        a = alpha1.t_count
         self.shear = self.dyz("u", 0, 0) + self.E  # d_y(u - e^{-y})
         self.f_psi = -self.commutator_a_dx(
             _tf_field(self, "u", const0=1.0, sub_exp0=True), "psi"
@@ -245,32 +226,13 @@ class _Residual:
 
     # -- tower fields and their derivatives ---------------------------------
 
-    def zf(self, name: str, a: int, b: int) -> Field:
-        """d_t^a Z1^b of a tower field, taken once, from its parent."""
-        out = self._z.get((name, a, b))
-        if out is None:
-            if b == 0:
-                out = self.tower.field(name, a)
-            elif b == 1:
-                self.zf(name, a, 0)
-                out = self.tower.deriv("x", name, a)
-            else:
-                out = dx(self.zf(name, a, b - 1))
-            self._z[(name, a, b)] = out
-        return out
-
     def zt(self, name: str, a: int, b: int) -> np.ndarray:
-        return self.zf(name, a, b).values
+        """d_t^a Z1^b of a tower field, from the tower."""
+        return self.tower.z(name, a, b).values
 
     def dyz(self, name: str, a: int, b: int) -> np.ndarray:
-        """d_y of zt(name, a, b), taken once; at b = 0 the tower's own."""
-        if b == 0:
-            self.zf(name, a, 0)
-            return self.tower.deriv("y", name, a).values
-        out = self._dy.get((name, a, b))
-        if out is None:
-            out = self._dy[(name, a, b)] = dy(self.zf(name, a, b)).values
-        return out
+        """d_y of zt(name, a, b), from the tower."""
+        return self.tower.deriv("y", name, a, b).values
 
     # -- eta weights and their derivatives ----------------------------------
 
@@ -550,14 +512,19 @@ def norm_equivalence_check(
 ) -> dict:
     """The four explicit-constant inequalities relating raw tangential
     derivatives to good unknowns (built as in good_unknowns), plus the
-    combined triple bound.
+    combined triple bound.  One tower (tower, else one built here as
+    good_unknowns builds it) serves the good unknowns and every dx and dy
+    the bounds read.
 
     Returns {name: {lhs, rhs, ratio, passed}} for b11..b14 and b22."""
     if l < 1:
         raise ValueError(f"norm equivalence requires l >= 1, got {l}")
     hp1 = _check_h_floor(state, delta)
     grid = state.grid
+    if tower is None:
+        tower = TimeTower(state, physics=Physics())
     gu = good_unknowns(state, alpha1, delta, tower=tower)
+    a, b = alpha1.t_count, alpha1.x_count
     c_hardy = 2.0 / (delta * (2.0 * l - 1.0))
     h_m_norm = weighted_l2(gu.h_m, l)
     results = {}
@@ -576,7 +543,7 @@ def norm_equivalence_check(
     record("b11", lhs, c_hardy * h_m_norm)
 
     # b12: ||Z^a1 h||_l <= ||h_m||_l + (2/delta(2l-1)) ||dy h||_{inf,1} ||h_m||_l
-    dyh = dy(state.h_shift)
+    dyh = tower.deriv("y", "h", 0)
     record(
         "b12",
         weighted_l2(gu.z_h, l),
@@ -585,10 +552,10 @@ def norm_equivalence_check(
 
     # b13: ||dx Z^a1 psi/(h+1)||_{l-1}
     #      <= (2/delta(2l-1)) ||dx h_m||_l + (4/delta^2(2l-1)) ||dx h||_{inf,0} ||h_m||_l
-    lhs = weighted_l2(Field(dx(gu.z_psi).values / hp1, grid), l - 1.0)
+    lhs = weighted_l2(Field(tower.deriv("x", "psi", a, b).values / hp1, grid), l - 1.0)
     rhs = c_hardy * weighted_l2(dx(gu.h_m), l) + (
         4.0 / (delta**2 * (2.0 * l - 1.0))
-    ) * weighted_linf(dx(state.h_shift), 0.0) * h_m_norm
+    ) * weighted_linf(tower.deriv("x", "h", 0), 0.0) * h_m_norm
     record("b13", lhs, rhs)
 
     # b14: ||dy Z^a1 h||_l <= ||dy h_m||_l
@@ -596,14 +563,14 @@ def norm_equivalence_check(
     rhs = weighted_l2(dy(gu.h_m), l) + (
         (2.0 * l + 1.0) / (delta * (2.0 * l - 1.0))
     ) * (weighted_linf(dyh, 0.0) + weighted_linf(z2(dyh), 1.0)) * h_m_norm
-    record("b14", weighted_l2(dy(gu.z_h), l), rhs)
+    record("b14", weighted_l2(tower.deriv("y", "h", a, b), l), rhs)
 
     # b22 (triple, Minkowski form): ||Z^a1 (rho,u,h)||_l
     #      <= ||(rho_m,u_m,h_m)||_l + (2/delta(2l-1)) G ||h_m||_l,
     #      G^2 = ||dy rho||^2_{inf,1} + ||dy(u-e^{-y})||^2_{inf,1} + ||dy h||^2_{inf,1}
-    shear = Field(dy(state.u_shift).values + exp_minus_y(grid), grid)
+    shear = Field(tower.deriv("y", "u", 0).values + exp_minus_y(grid), grid)
     G = np.sqrt(
-        weighted_linf(dy(state.rho_shift), 1.0) ** 2
+        weighted_linf(tower.deriv("y", "rho", 0), 1.0) ** 2
         + weighted_linf(shear, 1.0) ** 2
         + weighted_linf(dyh, 1.0) ** 2
     )

@@ -334,7 +334,9 @@ def trajectory_report(
 
     theta_ml(t_k) = sup_{j<=k} Y + accumulated dissipation integrals;
     xi_ml(t_k) = sup_{j<=k} X + its integrals; q_sup is the running sup
-    of q_inst.  The physics is the trajectory's config.  Requires a
+    of q_inst.  The physics is the trajectory's config.  Each report's
+    monitor is the run's stored one when delta0 and l are the config's,
+    else one evaluated at them (with the stored source flag).  Requires a
     uniform output stride."""
     cfg = trajectory.config
     if delta0 is None:
@@ -348,7 +350,8 @@ def trajectory_report(
     sup_y = sup_x = sup_q = 0.0
     int_theta = int_xi = 0.0
     prev = None
-    use_stored = len(trajectory.monitors) == len(trajectory.states)
+    stored = trajectory.monitors if len(trajectory.monitors) == len(trajectory.states) else None
+    at_config = stored is not None and (delta0, l) == (cfg.delta0, cfg.l)
     for k, st in enumerate(trajectory.states):
         p = _slice_functionals(
             st, m, l, delta0, trajectory.bundle, trajectory.forcing, physics=cfg
@@ -360,11 +363,10 @@ def trajectory_report(
             dt = times[k] - times[k - 1]
             int_theta += 0.5 * dt * (prev["theta_integrand"] + p["theta_integrand"])
             int_xi += 0.5 * dt * (prev["xi_integrand"] + p["xi_integrand"])
-        mon = (
-            trajectory.monitors[k]
-            if use_stored
-            else monitor(st, delta0, l)
-        )
+        if at_config:
+            mon = stored[k]
+        else:
+            mon = monitor(st, delta0, l, source_flag=stored is not None and stored[k].source_flag)
         reports.append(
             EnergyReport(
                 time=float(times[k]),

@@ -7,9 +7,10 @@ of the odd extension.  The kernel is even, so the weight of a node (its hat
 function against the kernel) depends only on its distance from the output
 node; it is built from the lower tail of the normal CDF, through a numpy
 port of Cody's erfc.  Each output time builds one table of hat weights over
-all its Duhamel quadrature lags and applies it as one matrix product.  The
-eps-ladder check builds what does not depend on eps once: the Duhamel
-nodes, the forcing samples and the data functional.
+the data and all its Duhamel quadrature lags and applies it as one matrix
+product.  The eps-ladder check builds what does not depend on eps once:
+the tables' rows (the Duhamel nodes and the forcing samples) and the data
+functional.
 """
 from __future__ import annotations
 
@@ -367,41 +368,41 @@ def _kernel_convolve(
 @dataclass(frozen=True)
 class _Duhamel:
     """What a heat solve reads that does not depend on eps: the output
-    times and, per output time t > 0 with a forcing, the lags t - s of the
-    Duhamel nodes s below t, their trapezoid weights, the odd extension of
-    the forcing there, and the weighted forcing at s = t."""
+    times and, per output time t, the rows of its one kernel table (lags,
+    weights and the odd extensions they carry) and the weighted forcing at
+    s = t (0 without a forcing).  Row 0 is the data f0 at lag t and weight
+    1; at t > 0 with a forcing, the rows after it are the Duhamel nodes
+    s < t, at lags t - s with their trapezoid weights.  The node s = 0 has
+    the data's lag t, so both share the table's window."""
 
     times: np.ndarray
-    nodes: tuple
+    tables: tuple
 
 
 def _duhamel_data(p: HeatProblem, n_times: int, n_quad: int) -> _Duhamel:
     times = np.linspace(0.0, p.t_end, n_times + 1)
-    nodes = []
+    fe = _odd_extension(p.f0)[None, :]
+    tables = []
     for t in times:
         if p.forcing is None or t == 0.0:
-            nodes.append(None)
+            tables.append((np.array([t]), np.ones(1), fe, 0.0))
             continue
         s_nodes = np.linspace(0.0, t, n_quad + 1)
         ws = _trap_weights(s_nodes)
         G = np.array([p.forcing(s, p.x) for s in s_nodes], dtype=float)
+        lags = np.concatenate([[t], t - s_nodes[:-1]])
+        rows = np.concatenate([fe, _odd_extension(G[:-1])])
         # kernel limit at s = t: the convolution tends to the data itself
-        nodes.append((t - s_nodes[:-1], ws[:-1], _odd_extension(G[:-1]), ws[-1] * G[-1]))
-    return _Duhamel(times, tuple(nodes))
+        tables.append((lags, np.concatenate([[1.0], ws[:-1]]), rows, ws[-1] * G[-1]))
+    return _Duhamel(times, tuple(tables))
 
 
 def _heat_solution(p: HeatProblem, duhamel: _Duhamel) -> np.ndarray:
-    """F at the output times of duhamel: the kernel applied to the data,
-    plus one kernel table over the Duhamel nodes of each output time."""
-    fe = _odd_extension(p.f0)[None, :]
-    one = np.ones(1)
+    """F at the output times of duhamel: one kernel table per output time,
+    over the data and the Duhamel nodes."""
     out = np.empty((duhamel.times.size, p.x.size))
-    for k, (t, nodes) in enumerate(zip(duhamel.times, duhamel.nodes)):
-        F = _kernel_convolve(p.eps, np.array([t]), p.h, fe, one)
-        if nodes is not None:
-            lags, ws, Ge, at_t = nodes
-            F = F + (_kernel_convolve(p.eps, lags, p.h, Ge, ws) + at_t)
-        out[k] = F
+    for k, (lags, ws, rows, at_t) in enumerate(duhamel.tables):
+        out[k] = _kernel_convolve(p.eps, lags, p.h, rows, ws) + at_t
     out[:, 0] = 0.0
     return out
 
@@ -409,7 +410,8 @@ def _heat_solution(p: HeatProblem, duhamel: _Duhamel) -> np.ndarray:
 def heat_solve(p: HeatProblem, n_times: int = _HEAT_N_TIMES, n_quad: int = _HEAT_N_QUAD):
     """Solve the half-line heat problem by odd extension, exact Gaussian
     kernel convolution, and Duhamel quadrature for the forcing: each
-    output time applies one kernel table over all its quadrature lags.
+    output time applies one kernel table over the data and all its
+    quadrature lags.
 
     Returns (times, F) with F.shape == (n_times + 1, len(p.x)); F[k] is the
     solution at times[k], and F[:, 0] = 0 to quadrature accuracy."""

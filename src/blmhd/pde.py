@@ -16,9 +16,13 @@ sources and optional manufactured forcings (F_r, F_u, F_h) may be added.
 
 Time derivatives of any order are obtained by repeatedly differentiating
 these equations in time (Leibniz recursion), never by differencing stored
-time levels; TimeTower implements the recursion, and each level takes its
-v, g and psi from state.closure, the one home of the divergence-free closure.
-A level's psi is built only when it is asked for; the solver never asks.
+time levels; TimeTower implements the recursion on a State, and each level
+takes its v, g and psi from state.closure, the one home of the
+divergence-free closure.  A level's psi is built only when it is asked for;
+the solver never asks.  The tower is also its slice's one derivative cache:
+the Z1^b of the level fields that the good unknowns, their residuals and
+the norm-equivalence check read, and the dx and dy of the level fields
+that the energy walk and the norms read, are each taken there once.
 
 TimeTower.explicit is the one kernel for the non-diffusive terms: the tower
 builds each level from it, and the solver takes its explicit tendencies
@@ -108,16 +112,15 @@ _SELECTORS = {**{name: name for name in _STATE_FIELDS}, **{a: n for n, a in _STA
 class TimeTower:
     """Lazy tower of time derivatives of (r, u, h, v, g, psi).
 
-    Level 0 is a State, whose Fields the tower holds (state is that State,
-    else None), or a solver stage's (grid, t, (rho, u, h)) arrays at time
-    t; level i+1 is obtained by applying d_t to the governing equations i
-    times (Leibniz rule for products).  Each level but a State's takes v
-    and g from its (u, h) by state.closure; psi is built, by closure or as
-    the State's own, only when field("psi", i) or deriv(..., "psi", i)
-    asks for it.  rho is the physical density r + 1 of level 0, formed
-    once: the density-floor check, explicit, the higher levels and the
-    solver's stages all read it.  physics (required) is any object with
-    the attributes eps, mu and kappa.
+    Level 0 is a State (state), whose Fields the tower holds; a solver
+    stage wraps its lagged arrays in one.  Level i+1 is obtained by
+    applying d_t to the governing equations i times (Leibniz rule for
+    products), and takes v and g from its (u, h) by state.closure; psi is
+    built, by closure or as the State's own, only when field("psi", i) or
+    z("psi", i, b) asks for it.  rho is the physical density r + 1 of
+    level 0, formed once: the density-floor check, explicit, the higher
+    levels and the solver's stages all read it.  physics (required) is any
+    object with the attributes eps, mu and kappa.
 
     sources and forcing are providers with fields(grid, t, deriv=i): the
     i-th time derivative, at the tower's time, of the source terms
@@ -126,40 +129,36 @@ class TimeTower:
     None as the provider itself means absent; an absent term is skipped,
     never added as zeros.
 
-    dx and dy of each (level field, level) are computed once and kept;
-    the closure's dx u and dx h seed that cache, at level 0 of a State too
-    when the tower builds the State's v or g.
+    The tower is its time slice's one derivative cache: z(name, i, b) is
+    Z1^b of a level field and deriv(axis, name, i, b) its dx or dy, each
+    taken once.  The closure's dx u and dx h seed that cache, at level 0
+    too when the tower builds the State's v or g.
 
     The level Fields are built by Field._computed, not scanned for NaN or
-    infinity: a State's fields were checked, every higher level is
+    infinity: a stored State's fields were checked, every higher level is
     computed from them, and a solver stage's arrays reach the checked
     Fields that end their step.
     """
 
-    def __init__(self, state, sources=None, forcing=None, max_depth: int = 6, *, physics):
+    def __init__(self, state: State, sources=None, forcing=None, max_depth: int = 6, *, physics):
         self.physics = physics
         self.sources = sources
         self.forcing = forcing
         self.max_depth = max_depth
+        self.state = state
+        self.grid, self.time = state.grid, state.time
         self._derivs = {}
         self._sources = {}
-        self.state = state if isinstance(state, State) else None
-        if isinstance(state, State):
-            self.grid, self.time = state.grid, state.time
-            # a v or g the state has not built is built from the dx u or
-            # dx h that seeds the tower's cache, not from a second dx
-            for name, base in (("v", "u"), ("g", "h")):
-                if name not in vars(state):
-                    f = self._derivs[("x", base, 0)] = dx(getattr(state, _STATE_FIELDS[base]))
-                    keep_closure(state, name, f)
-            self._fields = {
-                (name, 0): getattr(state, a) for name, a in _STATE_FIELDS.items() if name != "psi"
-            }
-            level = {name: f.values for (name, _), f in self._fields.items()}
-        else:
-            self.grid, self.time, (rho, u, h) = state
-            self._fields = {("rho", 0): Field._computed(rho, self.grid)}
-            level = self._close(0, self._fields[("rho", 0)].values, u, h)
+        # a v or g the state has not built is built from the dx u or dx h
+        # that seeds the tower's cache, not from a second dx
+        for name, base in (("v", "u"), ("g", "h")):
+            if name not in vars(state):
+                f = self._derivs[("x", base, 0, 0)] = dx(getattr(state, _STATE_FIELDS[base]))
+                keep_closure(state, name, f)
+        self._fields = {
+            (name, 0): getattr(state, a) for name, a in _STATE_FIELDS.items() if name != "psi"
+        }
+        level = {name: f.values for (name, _), f in self._fields.items()}
         self._E, self._W = background(self.grid)
         self.rho = level["rho"] + 1.0
         _check_density(self.rho)
@@ -178,16 +177,23 @@ class TimeTower:
         self.level(i)
         return self._operand(name, i)
 
-    def deriv(self, axis: str, name: str, i: int, keep: bool = True) -> Field:
-        """dx (axis "x") or dy (axis "y") of a level field at level i,
-        computed once per tower.  With keep false a derivative that is not
-        cached yet is taken and returned but not stored, so it is freed
-        with its caller's reference."""
-        out = self._derivs.get((axis, name, i))
+    def z(self, name: str, i: int, b: int = 0) -> Field:
+        """Z1^b of a level field at level i: the field itself at b = 0,
+        else dx of its Z1^(b-1), each taken once per tower."""
+        return self.field(name, i) if b == 0 else self.deriv("x", name, i, b - 1)
+
+    def deriv(self, axis: str, name: str, i: int, b: int = 0, keep: bool = True) -> Field:
+        """dx (axis "x") or dy (axis "y") of Z1^b of a level field at level
+        i, computed once per tower and kept under (axis, name, i, b); the
+        level is built if it is not yet.  With keep false a derivative
+        that is not cached yet is taken and returned but not stored, so it
+        is freed with its caller's reference."""
+        key = (axis, name, i, b)
+        out = self._derivs.get(key)
         if out is None:
-            out = (dx if axis == "x" else dy)(self._operand(name, i))
+            out = (dx if axis == "x" else dy)(self.z(name, i, b))
             if keep:
-                self._derivs[(axis, name, i)] = out
+                self._derivs[key] = out
         return out
 
     def source_terms(self, i: int):
@@ -272,8 +278,7 @@ class TimeTower:
         out = self._fields.get((name, i))
         if out is None:
             if name == "psi":
-                own = self.state is not None and i == 0
-                out = self.state.psi if own else closure("psi", self._operand("h", i))
+                out = self.state.psi if i == 0 else closure("psi", self._operand("h", i))
             else:
                 out = Field._computed(self._levels[i][name], self.grid)
             self._fields[(name, i)] = out
@@ -285,8 +290,8 @@ class TimeTower:
         f = self._fields
         u_f = f[("u", i)] = Field._computed(u, self.grid)
         h_f = f[("h", i)] = Field._computed(h, self.grid)
-        ux = self._derivs[("x", "u", i)] = dx(u_f)
-        hx = self._derivs[("x", "h", i)] = dx(h_f)
+        ux = self._derivs[("x", "u", i, 0)] = dx(u_f)
+        hx = self._derivs[("x", "h", i, 0)] = dx(h_f)
         v, g = f[("v", i)], f[("g", i)] = closure("v", ux), closure("g", hx)
         return {"rho": rho, "u": u_f.values, "h": h_f.values, "v": v.values, "g": g.values}
 
@@ -351,12 +356,7 @@ def deriv_family(tower: TimeTower, axis: str, name: str):
     """Field family k -> dx (axis "x") or dy (axis "y") of d_t^k of a named
     state field, from the tower's derivative cache."""
     sel = _SELECTORS[name]
-
-    def fam(k: int) -> Field:
-        tower.level(k)
-        return tower.deriv(axis, sel, k)
-
-    return fam
+    return lambda k: tower.deriv(axis, sel, k)
 
 
 def map_family(op, fam):

@@ -6,21 +6,22 @@ explicit.  imex-cn is second order: a Strang-symmetrized Crank-Nicolson
 x-diffusion split around a two-stage midpoint predictor/corrector in y.
 imex-be is the first-order single-stage variant.
 
-Stages pass (rho, u, h) arrays, and a step builds one State, at its end.
-Finiteness is checked once per step, there: the three new arrays are the
-step's checked Fields (grid.Field), while every Field built inside the
-step (operator results, tower levels, v and g) is computed from them and
-not scanned.  A NaN or an infinity that appears in any stage propagates
-to the end of its step, where it raises SolverError ("... diverged ...").
-The new State derives nothing: the next step's CFL rule reads its v, which
-it builds then, and its g and psi are built only if a diagnostic, a
-snapshot or a test reads them.  Each y stage builds the level-0 TimeTower
-of its lagged arrays, which takes v, g and dx u, dx h from state.closure
-(and no psi) and forms rho = r + 1 once; its TimeTower.explicit, the
-kernel the time-derivative tower differentiates, gives the explicit terms,
-and the tower's rho gives u's viscosity mu / rho.  Both imex-cn y stages
-start from the same fields, so a substep takes their explicit D_y^2
-(_apply_dyy) once.
+Stages pass (rho, u, h) arrays, and a step builds one checked State, at
+its end.  Finiteness is checked once per step, there: the three new arrays
+are the step's checked Fields (grid.Field), while every Field built inside
+the step (operator results, a stage's State, tower levels, v and g) is
+computed from them and not scanned.  A NaN or an infinity that appears in
+any stage propagates to the end of its step, where it raises SolverError
+("... diverged ...").  The new State derives nothing: the next step's CFL
+rule reads its v, which it builds then, and its g and psi are built only
+if a diagnostic, a snapshot or a test reads them.  Each y stage wraps its
+lagged arrays in a State of Field._computed Fields and builds the level-0
+TimeTower on it, which takes v, g and dx u, dx h from state.closure (and
+no psi) and forms rho = r + 1 once; its TimeTower.explicit, the kernel the
+time-derivative tower differentiates, gives the explicit terms, and the
+tower's rho gives u's viscosity mu / rho.  Both imex-cn y stages start
+from the same fields, so a substep takes their explicit D_y^2 (_apply_dyy)
+once.
 
 x half-steps: every field's Crank-Nicolson x step is a periodic
 tridiagonal solve along x, and rho, u, h and u's Sherman-Morrison seed
@@ -624,7 +625,8 @@ def _substep(grid, w, t, cfg, bundle, forcing, k, traces):
     def y_stage(lagged, time):
         """Implicit y stage from w; the explicit terms and u's viscosity
         mu / rho are evaluated at the fields lagged."""
-        tower = TimeTower((grid, time, lagged), bundle, forcing, max_depth=0, physics=cfg)
+        stage = State(*(Field._computed(a, grid) for a in lagged), time=time)
+        tower = TimeTower(stage, bundle, forcing, max_depth=0, physics=cfg)
         *n_exp, flag = _explicit_terms(tower)
         coeff = (eps, mu / tower.rho, kappa)
         rhs = [b + k * n for b, n in zip(w, n_exp)]

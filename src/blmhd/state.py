@@ -6,10 +6,11 @@ v (vertical velocity), g (vertical magnetic field) and the stream function
 psi are recovered from the divergence-free constraints and d_y psi = h by
 closure, their one home.  A State builds each of them, through
 derive_secondary, the first time it is read, so a solver step derives only
-the v that the next step's CFL rule reads; every pde.TimeTower level and
-every solver stage take v and g from closure too, and psi only when asked.
-A tower built on a State that has not built its v or g builds them from
-the dx u and dx h it keeps (keep_closure), so that each is taken once.
+the v that the next step's CFL rule reads.  Every pde.TimeTower is built on
+a State (a solver stage wraps its lagged arrays in one), and its levels
+take v and g from closure too, and psi only when asked.  A tower built on
+a State that has not built its v or g builds them from the dx u and dx h
+it keeps (keep_closure), so that each is taken once.
 """
 from __future__ import annotations
 

@@ -1,12 +1,14 @@
 """Good unknowns, their evolution residuals, and norm equivalence."""
 import gc
+import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blmhd import cancellation
+from blmhd import cancellation, operators
 from blmhd.cancellation import (
     HFloorError,
     _Residual,
@@ -19,7 +21,7 @@ from blmhd.operators import dy
 from blmhd.pde import Physics, TimeTower
 from blmhd.solver import SolverConfig, Trajectory, monitor, run
 from blmhd.sources import bootstrap_time_derivatives
-from blmhd.state import MultiIndex
+from blmhd.state import MultiIndex, State
 
 from conftest import equilibrium_state, perturbed_state
 
@@ -52,21 +54,21 @@ def test_good_unknown_point_oracle():
 
 
 def test_eta_weights_read_dy_from_a_tower_of_the_same_state(monkeypatch, state_perturbed):
-    # a tower built from the State serves dy rho, dy u and dy h from its
-    # cache; for a stage tower built from the arrays good_unknowns takes
-    # them itself
+    # every tower serves dy rho, dy u and dy h from its cache: one built
+    # from the State, one of a stage's State of the same arrays, and the
+    # one good_unknowns builds itself
     st = state_perturbed
-    arrays = (st.rho_shift.values, st.u_shift.values, st.h_shift.values)
-    stage = TimeTower((st.grid, st.time, arrays), physics=Physics())
+    fields = (st.rho_shift, st.u_shift, st.h_shift)
+    stage_state = State(*(Field._computed(f.values, st.grid) for f in fields), time=st.time)
+    stage = TimeTower(stage_state, physics=Physics())
     calls = []
     monkeypatch.setattr(cancellation, "dy", lambda f: calls.append(f) or dy(f))
     ref = good_unknowns(st, MultiIndex(1, 1, 0), 0.125, tower=stage)
-    assert len(calls) == 3
     for tower in (TimeTower(st, physics=Physics()), None):
         gu = good_unknowns(st, MultiIndex(1, 1, 0), 0.125, tower=tower)
-        assert len(calls) == 3
         for name in ("eta_rho", "eta_u", "eta_h", "rho_m", "u_m", "h_m"):
             assert np.array_equal(getattr(gu, name).values, getattr(ref, name).values), name
+    assert calls == []
 
 
 def test_good_unknown_reconstruction_is_exact(grid_small, state_perturbed):
@@ -320,3 +322,25 @@ def test_nothing_is_held_once_the_three_series_are_taken():
     cancellation_residual(other, alpha1, "u_m")
     gc.collect()
     assert state() is None
+
+
+def test_residuals_of_three_alphas_take_the_pinned_operator_calls(monkeypatch, state_perturbed):
+    """Three stored slices at 16x48 and one call per alpha of order 2,
+    each of which evaluates all three unknowns: every Z1^b and its dy are
+    taken once per slice, in the slice's tower."""
+    traj = run(state_perturbed, SolverConfig(dt=1e-3, t_end=0.002), output_stride=1)
+    assert len(traj.states) == 3
+    counts = Counter()
+    for name in ("dx", "dy", "d2x", "d2y", "integrate_y"):
+        fn = getattr(operators, name)
+
+        def wrapper(*args, name=name, fn=fn, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "blmhd"]:
+            if vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+    for alpha1 in (MultiIndex(0, 2, 0), MultiIndex(1, 1, 0), MultiIndex(2, 0, 0)):
+        cancellation_residual(traj, alpha1, "rho_m")
+    assert counts == {"dx": 228, "dy": 168, "d2x": 117, "d2y": 117, "integrate_y": 61}

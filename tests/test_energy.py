@@ -192,7 +192,7 @@ def test_a_slice_takes_each_derivative_and_norm_once(monkeypatch, state_perturbe
     _slice_functionals(st, 2, 2.0, 0.25, None, None, Physics())
     assert counts == {"dx": 54, "dy": 43, "d2y": 18, "weighted_l2": 130}
     (tower,) = towers
-    assert {key for key in tower._derivs if key[2] == 2} == {("x", "u", 2), ("x", "h", 2)}
+    assert {key for key in tower._derivs if key[2] == 2} == {("x", "u", 2, 0), ("x", "h", 2, 0)}
 
 
 def test_theta_accumulates_along_trajectory(grid_small):
@@ -279,3 +279,17 @@ def test_trajectory_report_uses_the_run_physics(grid_small):
     traj = run(state, cfg)
     expected = instantaneous_functionals(state, 2, 2.0, 0.25, physics=cfg).dy_ml
     assert trajectory_report(traj, 2, 2.0)[0].dy_ml == pytest.approx(expected, rel=1e-12)
+
+
+def test_trajectory_report_monitors_at_the_callers_delta0_and_l(grid_small):
+    # the run stores its monitors at the config's delta0 = 0.25 and l = 2;
+    # at l = 1 every slice breaches the density bound, which a report at
+    # l = 1 must show
+    traj = run(perturbed_state(grid_small, a_rho=0.01), SolverConfig(dt=1e-3, t_end=0.002))
+    assert not traj.breached and len(traj.states) == 3
+    assert all(monitor(st, 0.25, 1.0).breached for st in traj.states)
+    for l, delta0 in ((1.0, 0.25), (2.0, 0.5), (2.0, 0.25)):
+        reports = trajectory_report(traj, 1, l, delta0)
+        for rep, st in zip(reports, traj.states):
+            assert rep.monitor == monitor(st, delta0, l), (l, delta0)
+    assert [r.monitor for r in trajectory_report(traj, 1, 2.0)] == traj.monitors

@@ -7,7 +7,7 @@ import pytest
 from blmhd import pde, state
 from blmhd.grid import Field, GridSpec
 from blmhd.manufactured import ManufacturedSolution
-from blmhd.operators import dx
+from blmhd.operators import dx, dy
 from blmhd.pde import (
     DensityFloorError,
     Physics,
@@ -112,3 +112,21 @@ def test_a_tower_on_a_state_takes_each_x_derivative_once(grid_small, monkeypatch
     fresh = perturbed_state(grid_small)
     for name in ("v", "g"):
         assert np.array_equal(built[name].values, getattr(fresh, name).values)
+
+
+@pytest.mark.parametrize("name", ["rho", "u", "h", "psi"])
+def test_tower_z_is_the_dx_chain_of_a_level_field(grid_small, name):
+    """z(name, i, b) is b successive dx of field(name, i), bit for bit,
+    at level 0 and at a level not built before the call; it is kept, and
+    deriv("y", name, i, b) is dy of it."""
+    tower = TimeTower(perturbed_state(grid_small), max_depth=2, physics=Physics(eps=0.05))
+    assert len(tower._levels) == 1
+    for i in (0, 2):
+        for b in (3, 2, 1, 0):
+            got = tower.z(name, i, b)
+            ref = tower.field(name, i)
+            for _ in range(b):
+                ref = dx(ref)
+            assert np.array_equal(got.values, ref.values), (i, b)
+            assert tower.z(name, i, b) is got
+            assert np.array_equal(tower.deriv("y", name, i, b).values, dy(got).values)

@@ -166,11 +166,11 @@ def _count_closure_work(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
 def test_a_step_builds_one_state(monkeypatch, state_perturbed, scheme):
-    """The substeps pass arrays: a step of 3 substeps builds one State, at
-    its end, which derives nothing.  Each stage's level-0 tower takes dx u
-    and dx h and v and g from the closure, and no psi, so a stage takes
-    only dx rho besides them (imex-cn: two stages per substep, imex-be:
-    one)."""
+    """The substeps pass arrays: a step of 3 substeps builds one checked
+    State, at its end, which derives nothing.  Each stage's level-0 tower,
+    on a State of its arrays, takes dx u and dx h and v and g from the
+    closure, and no psi, so a stage takes only dx rho besides them
+    (imex-cn: two stages per substep, imex-be: one)."""
     counts = _count_closure_work(monkeypatch)
     monkeypatch.setattr(solver, "_cfl_substeps", lambda st, cfg: 3)
     new, _ = step(state_perturbed, SolverConfig(eps=0.01, dt=1e-3, scheme=scheme))
@@ -543,9 +543,10 @@ def _bootstrapped(state, m, mu=1.0, kappa=1.0):
 
 
 def _stage_tower(st, cfg, bundle, forcing):
-    """The level-0 tower a solver stage builds from the arrays of st."""
+    """The level-0 tower a solver stage builds on a State of the arrays of st."""
     w = (st.rho_shift.values, st.u_shift.values, st.h_shift.values)
-    return TimeTower((st.grid, st.time, w), bundle, forcing, max_depth=0, physics=cfg)
+    stage = state.State(*(Field._computed(a, st.grid) for a in w), time=st.time)
+    return TimeTower(stage, bundle, forcing, max_depth=0, physics=cfg)
 
 
 @pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])
