@@ -253,29 +253,26 @@ class _Residual:
 
     # -- commutator sums -----------------------------------------------------
 
-    def commutator_a_dx(self, A, w_name: str, exclude_full: bool = False):
+    def commutator_a_dx(self, A, w_name: str):
         """[Z^a1, a d_x] w = sum C Z^b1 a  Z^g1 d_x w  over beta1 != 0."""
         acc = 0.0
-        for (i, j), (p, q), c in self._splits(exclude_full):
+        for (i, j), (p, q), c in _index_splits(self.alpha1, exclude_full=False):
             acc = acc + c * A(i, j) * self.zt(w_name, p, q + 1)
         return acc
 
     def commutator_a_dt(self, A, w_name: str):
         """[Z^a1, a d_t] w = sum C Z^b1 a  Z^g1 d_t w  over beta1 != 0."""
         acc = 0.0
-        for (i, j), (p, q), c in self._splits(False):
+        for (i, j), (p, q), c in _index_splits(self.alpha1, exclude_full=False):
             acc = acc + c * A(i, j) * self.zt(w_name, p + 1, q)
         return acc
 
-    def sum_b_dyg(self, B, w_name: str, exclude_full: bool = True):
-        """sum C Z^b1 b  Z^g1 d_y w  over beta1 != 0 (and != alpha1)."""
+    def sum_b_dyg(self, B, w_name: str):
+        """sum C Z^b1 b  Z^g1 d_y w  over beta1 != 0 and != alpha1."""
         acc = 0.0
-        for (i, j), (p, q), c in self._splits(exclude_full):
+        for (i, j), (p, q), c in _index_splits(self.alpha1, exclude_full=True):
             acc = acc + c * B(i, j) * self.dyz(w_name, p, q)
         return acc
-
-    def _splits(self, exclude_full: bool):
-        return _index_splits(self.alpha1, exclude_full)
 
     # -- sources and forcing at the slice ------------------------------------
 
@@ -381,7 +378,7 @@ def _f_u(res: _Residual) -> np.ndarray:
         - res.commutator_a_dx(tf_rhoU, "u")
         + res.commutator_a_dx(tf_hp1, "h")
     )
-    for (i, j), (p, q), c in res._splits(False):
+    for (i, j), (p, q), c in _index_splits(res.alpha1, exclude_full=False):
         acc = acc - c * tf_rho(i, j) * res.zt("v", p, q) * res.shear
     acc = acc - res.sum_b_dyg(tf_rhov, "u") + res.sum_b_dyg(_tf_field(res, "g"), "h")
     return acc

@@ -6,6 +6,11 @@ norms.  Every verb reads an INI config (see config.py), writes its
 artifacts (CSV series, JSON summary, optional binary snapshots) plus a
 manifest.json into --out, and exits 0 iff all of its assertions pass;
 failures are listed machine-readably in the summary JSON.
+
+The initial data are the config's `initial` family of blmhd.data, except
+for cancellation, which always analyses data.perturbed at the amplitude
+(on the equilibrium every check reads 0) with one tower of the solver's
+physics.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, data
 from .cancellation import good_unknowns, norm_equivalence_check
 from .config import ConfigError, RunConfig, canonical_text, load_config
 from .energy import CSV_COLUMNS, instantaneous_functionals, trajectory_report
@@ -28,7 +33,7 @@ from .inequalities import (
 )
 from .io import RunManifest, config_digest, write_csv, write_json, write_snapshot
 from .norms import b_norms
-from .pde import exp_minus_y
+from .pde import TimeTower
 from .sources import bootstrap_time_derivatives
 from .solver import run
 from .state import MultiIndex, State, initial_state
@@ -44,55 +49,11 @@ VERBS = (
 )
 
 
-def _equilibrium_state(cfg: RunConfig) -> State:
-    grid = cfg.grid
-    u = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
-    return initial_state(grid, u_shift=u)
-
-
-def _perturbed_state(cfg: RunConfig, seed: int, amplitude=None) -> State:
-    """Equilibrium plus a seeded smooth decaying perturbation.
-
-    The magnetic profile has zero y-mean per x-slice so the stream
-    function decays."""
-    grid = cfg.grid
-    amp = cfg.amplitude if amplitude is None else amplitude
-    rng = np.random.default_rng(seed)
-    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-    E = exp_minus_y(grid)
-
-    def modes():
-        acc = np.zeros_like(X)
-        for k in (1, 2):
-            a, b = rng.uniform(-1.0, 1.0, size=2)
-            acc += a * np.cos(k * X) + b * np.sin(k * X)
-        return acc / 4.0
-
-    gauss = np.exp(-(Y**2))
-    rho = amp * modes() * gauss
-    u = E + amp * modes() * Y**2 * gauss
-    h = amp * modes() * (1.0 - 2.0 * Y**2) * gauss
-    return initial_state(
-        grid,
-        rho_shift=Field(rho, grid),
-        u_shift=Field(u, grid),
-        h_shift=Field(h, grid),
-    )
-
-
 def build_initial_state(cfg: RunConfig, seed: int) -> State:
+    """The config's `initial` family of blmhd.data, at seed."""
     if cfg.initial == "equilibrium":
-        return _equilibrium_state(cfg)
-    return _perturbed_state(cfg, seed)
-
-
-def _physical_triple(state: State):
-    grid = state.grid
-    return (
-        Field(state.rho_shift.values + 1.0, grid),
-        Field(state.u_shift.values + 1.0 - exp_minus_y(grid), grid),
-        Field(state.h_shift.values + 1.0, grid),
-    )
+        return data.equilibrium(cfg.grid)
+    return data.perturbed(cfg.grid, seed, cfg.amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +63,8 @@ def _physical_triple(state: State):
 
 def _verb_simulate(cfg: RunConfig, out: str, seed: int, strict: bool):
     state = build_initial_state(cfg, seed)
-    rho, u1, h1 = _physical_triple(state)
     bundle = bootstrap_time_derivatives(
-        rho, u1, h1, m=1, mu=cfg.solver.mu, kappa=cfg.solver.kappa
+        *data.physical(state), m=1, mu=cfg.solver.mu, kappa=cfg.solver.kappa
     )
     traj = run(state, cfg.solver, bundle, output_stride=cfg.output_stride)
     reports = trajectory_report(traj, m=cfg.m, l=cfg.solver.l)
@@ -150,15 +110,12 @@ def _inequality_corpus(cfg: RunConfig):
         "y2_gauss_sin": Field(Y**2 * np.exp(-(Y**2)) * np.sin(X), grid),
     }
     rows = []
-    reports = []
     for name, f in fns.items():
         for lam in (0.0, 0.5, 1.0):
             rep = hardy_check(f, lam)
-            reports.append(rep)
             rows.append(["hardy", name, f"lam={lam}", rep.ratio, rep.passed])
     for name, f in fns.items():
         rep = sobolev_check(f)
-        reports.append(rep)
         rows.append(["sobolev", name, "cstar=2", rep.ratio, rep.passed])
     times = np.linspace(0.0, 1.0, 3)
     f_series = [
@@ -177,19 +134,17 @@ def _inequality_corpus(cfg: RunConfig):
         l=2.0,
         l1=1.0,
     )
-    reports.append(rep)
     rows.append(["moser", "gauss_pair", "m=2,l=2,l1=1", rep.ratio, rep.passed])
     x = np.linspace(0.0, 12.0, 241)
     f0 = x * np.exp(-x)
     forcing = lambda s, xs: np.sin(s) * xs * np.exp(-xs)
     rep = heat_bound_check(x, f0, forcing)
-    reports.append(rep)
     rows.append(["heat_bound", "x_exp", "eps ladder", rep.ratio, rep.passed])
-    return rows, reports
+    return rows
 
 
 def _verb_inequalities(cfg: RunConfig, out: str, seed: int, strict: bool):
-    rows, reports = _inequality_corpus(cfg)
+    rows = _inequality_corpus(cfg)
     write_csv(
         os.path.join(out, "inequalities.csv"),
         ["inequality", "function", "parameter", "ratio", "passed"],
@@ -207,19 +162,15 @@ def _verb_inequalities(cfg: RunConfig, out: str, seed: int, strict: bool):
 
 
 def _verb_cancellation(cfg: RunConfig, out: str, seed: int, strict: bool):
-    state = _perturbed_state(cfg, seed)
+    state = data.perturbed(cfg.grid, seed, cfg.amplitude)
+    tower = TimeTower(state, physics=cfg.solver)
     delta = cfg.solver.delta0 / 2.0
     alpha1 = MultiIndex(0, cfg.m, 0)
-    gu = good_unknowns(state, alpha1, delta)
-    recon = float(
-        np.max(
-            np.abs(
-                gu.h_m.values - (gu.z_h.values - gu.eta_h.values * gu.z_psi.values)
-            )
-        )
-    )
+    gu = good_unknowns(state, alpha1, delta, tower=tower)
+    defect = gu.h_m.values - (gu.z_h.values - gu.eta_h.values * gu.z_psi.values)
+    recon = float(np.max(np.abs(defect)))
     checks = norm_equivalence_check(
-        state, MultiIndex(0, 1, 0), l=cfg.solver.l, delta=delta
+        state, MultiIndex(0, 1, 0), l=cfg.solver.l, delta=delta, tower=tower
     )
     rows = [["reconstruction", "max_abs_defect", recon, recon <= 1e-12]]
     for name, c in checks.items():
@@ -306,9 +257,8 @@ def _verb_stability(cfg: RunConfig, out: str, seed: int, strict: bool):
 
 def _verb_norms(cfg: RunConfig, out: str, seed: int, strict: bool):
     state = build_initial_state(cfg, seed)
-    rho, u1, h1 = _physical_triple(state)
     bar, hat, details = b_norms(
-        rho, u1, h1, m=cfg.m, l=cfg.solver.l, mu=cfg.solver.mu, kappa=cfg.solver.kappa
+        *data.physical(state), m=cfg.m, l=cfg.solver.l, mu=cfg.solver.mu, kappa=cfg.solver.kappa
     )
     rep = instantaneous_functionals(
         state, m=cfg.m, l=cfg.solver.l, delta0=cfg.solver.delta0, physics=cfg.solver

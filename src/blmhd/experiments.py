@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import physical
 from .grid import Field
 from .norms import NormSpec, conormal_norm, weighted_l2
 from .operators import dy, integrate_y
-from .pde import exp_minus_y
 from .solver import SolverConfig, Trajectory, run
 from .state import State
 
@@ -236,19 +236,17 @@ def diff_good_unknowns(state1: State, state2: State, delta: float) -> DiffGoodUn
     grid = state1.grid
     if grid != state2.grid:
         raise ValueError("both states must share the grid")
-    h2 = state2.h_shift.values + 1.0
-    m = float(h2.min())
+    _, u2, h2 = physical(state2)
+    m = float(h2.values.min())
     if m < delta:
         raise ValueError(f"h2-floor violation: min h2 = {m:.4g} < {delta}")
     # physical fields; the constant parts cancel in every difference
     rho_bar = state1.rho_shift - state2.rho_shift
     u_bar = state1.u_shift - state2.u_shift
     h_bar = state1.h_shift - state2.h_shift
-    rho2 = state2.rho_shift.values + 1.0
-    u2_phys = state2.u_shift.values + 1.0 - exp_minus_y(grid)
-    eta1 = Field(dy(state2.rho_shift).values / h2, grid)
-    eta2 = Field(dy(Field(u2_phys, grid)).values / h2, grid)
-    eta3 = Field(dy(state2.h_shift).values / h2, grid)
+    eta1 = Field(dy(state2.rho_shift).values / h2.values, grid)
+    eta2 = Field(dy(u2).values / h2.values, grid)
+    eta3 = Field(dy(state2.h_shift).values / h2.values, grid)
     phi_bar = integrate_y(h_bar)
     return DiffGoodUnknowns(
         eta1=eta1,

@@ -15,7 +15,8 @@ b_norms reads the time derivatives d_t^i of its first- and second-
 derivative families for every shift i < m; it walks each family once per
 tower level, over every Z^alpha that any shift reads, and then sums each
 shift's norms in conormal_walk's order, so the values are those of one
-walk per shift, bit for bit.
+walk per shift, bit for bit.  b_norms takes the physical triple (for a
+State, data.physical of it) and builds its tower on data.shifted of it.
 
 All time-derivative contributions are evaluated by substituting the
 governing equations (see pde.TimeTower), never by differencing stored
@@ -28,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .data import shifted
 from .grid import Field, GridSpec
 from .operators import d2x, d2y, dx, dy, z2
 from .pde import Physics, TimeTower, deriv_family, exp_minus_y, map_family, tower_family
@@ -213,16 +215,6 @@ def _shifted_sum(norms: dict, n: int, i: int, pick=lambda v: v) -> float:
     return float(np.sqrt(total))
 
 
-def shift_physical(rho: Field, u1: Field, h1: Field) -> tuple[Field, Field, Field]:
-    """Convert the physical triple to the decaying shifted unknowns."""
-    grid = rho.grid
-    return (
-        Field(rho.values - 1.0, grid),
-        Field(u1.values - 1.0 + exp_minus_y(grid), grid),
-        Field(h1.values - 1.0, grid),
-    )
-
-
 def b_norms(
     rho: Field,
     u1: Field,
@@ -247,8 +239,7 @@ def b_norms(
         raise ValueError("b_norms requires m >= 1")
     grid = rho.grid
     E_field = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
-    r, us, hs = shift_physical(rho, u1, h1)
-    state = initial_state(grid, r, us, hs)
+    state = initial_state(grid, *shifted(rho, u1, h1))
     tower = TimeTower(state, max_depth=2 * m + 1, physics=Physics(mu, kappa, eps=0.0))
     fr = tower_family(tower, "rho")
     fu = tower_family(tower, "u")

@@ -7,7 +7,9 @@ system, polynomial-in-time sources are built from the initial data:
     (r1, r2, ru, rh)(t) = sum_{i<m} t^i/i! * d_t^i(dx rho, dy rho, dx u1, dx h1)(0),
 
 where the time derivatives at t = 0 are bootstrapped through the
-unregularized equations (eps = 0), never by time differencing.
+unregularized equations (eps = 0), never by time differencing.  The data
+are the physical triple (for a State, data.physical of it); the tower is
+built on data.shifted of it.
 
 The equations read the sources only as eps (dx r1 + dy r2), eps dx ru and
 eps dx rh, so a SourceBundle differentiates each Taylor coefficient once
@@ -19,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial
 
+from .data import shifted
 from .grid import Field, GridSpec
-from .norms import shift_physical
 from .operators import dx, dy
 from .pde import DENSITY_FLOOR, DensityFloorError, Physics, TimeTower
 from .state import initial_state
@@ -84,9 +86,7 @@ def bootstrap_time_derivatives(
         raise DensityFloorError(
             f"initial density floor {rmin:.4g} below guard {DENSITY_FLOOR}"
         )
-    grid = rho0.grid
-    r, us, hs = shift_physical(rho0, u10, h10)
-    state = initial_state(grid, r, us, hs)
+    state = initial_state(rho0.grid, *shifted(rho0, u10, h10))
     tower = TimeTower(state, max_depth=m, physics=Physics(mu, kappa, eps=0.0))
     levels = []
     for i in range(m):

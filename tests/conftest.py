@@ -4,9 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from blmhd.data import equilibrium
 from blmhd.grid import Field, GridSpec, zero_field
 from blmhd.norms import index_set
-from blmhd.pde import apply_spatial
+from blmhd.pde import TimeTower, apply_spatial
 from blmhd.state import State, initial_state
 
 
@@ -20,15 +21,6 @@ def grid_small() -> GridSpec:
 def grid_fine() -> GridSpec:
     """Finer graded grid for quadrature-oracle comparisons."""
     return GridSpec(nx=32, ny=512, y_max=15.0, stretch=2.0)
-
-
-def equilibrium_state(grid: GridSpec, **fields) -> State:
-    """Uniform physical state (rho, u1, h1) = (1, 1, 1): shifted u = e^{-y}.
-
-    Keyword arguments (rho_shift, h_shift, time) go to initial_state."""
-    E = np.exp(-grid.y)[None, :]
-    u = Field(np.broadcast_to(E, (grid.nx, grid.ny)).copy(), grid)
-    return initial_state(grid, u_shift=u, **fields)
 
 
 def perturbed_state(
@@ -51,8 +43,22 @@ def perturbed_state(
 
 
 @pytest.fixture
+def tower_builds(monkeypatch):
+    """A counter of TimeTower constructions."""
+    builds = [0]
+    init = TimeTower.__init__
+
+    def counted(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TimeTower, "__init__", counted)
+    return builds
+
+
+@pytest.fixture
 def state_equilibrium(grid_small) -> State:
-    return equilibrium_state(grid_small)
+    return equilibrium(grid_small)
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from blmhd.cancellation import cancellation_residual, good_unknowns, norm_equivalence_check
+from blmhd.data import equilibrium, physical
 from blmhd.energy import instantaneous_functionals
 from blmhd.experiments import eps_sweep, stability_pair
 from blmhd.grid import Field, GridSpec, field_from_function
@@ -20,7 +21,7 @@ from blmhd.solver import SolverConfig, Trajectory, monitor, run
 from blmhd.sources import bootstrap_time_derivatives
 from blmhd.state import MultiIndex, initial_state
 
-from conftest import equilibrium_state, perturbed_state
+from conftest import perturbed_state
 
 
 def _report(num, desc, ok, detail=""):
@@ -94,7 +95,7 @@ def test_criterion_1_hardy_corpus():
 def test_criterion_2_norm_equivalence_corpus():
     t0 = time.perf_counter()
     grid = GridSpec(nx=24, ny=128, y_max=15.0, stretch=2.0)
-    states = [equilibrium_state(grid)]
+    states = [equilibrium(grid)]
     amps = [
         (0.002, 0.01, 0.02),
         (0.005, 0.03, 0.05),
@@ -180,7 +181,7 @@ def test_criterion_3_heat_bound_uniformity():
 def test_criterion_4_equilibrium_energy_drift():
     t0 = time.perf_counter()
     grid = GridSpec(nx=64, ny=128, y_max=15.0, stretch=2.0)
-    st = equilibrium_state(grid)
+    st = equilibrium(grid)
     cfg = SolverConfig(eps=0.01, dt=1e-3, t_end=1.0)
     traj = run(st, cfg, output_stride=1000)
     e0 = instantaneous_functionals(traj.states[0], 2, 2.0, 0.25).e_ml
@@ -446,13 +447,8 @@ def test_criterion_11_source_bootstrap():
     errs = []
     for nx, ny, dt in ((16, 64, 2e-3), (32, 128, 1e-3), (64, 256, 5e-4)):
         grid = GridSpec(nx=nx, ny=ny, y_max=15.0, stretch=2.0)
-        rho_s, u_s, h_s = _compatible_datum(grid)
-        E = np.exp(-grid.y)[None, :]
-        rho_phys = Field(rho_s.values + 1.0, grid)
-        u_phys = Field(u_s.values + 1.0 - E, grid)
-        h_phys = Field(h_s.values + 1.0, grid)
-        bundle = bootstrap_time_derivatives(rho_phys, u_phys, h_phys, m=2)
-        init = initial_state(grid, rho_shift=rho_s, u_shift=u_s, h_shift=h_s)
+        init = initial_state(grid, *_compatible_datum(grid))
+        bundle = bootstrap_time_derivatives(*physical(init), m=2)
         cfg = SolverConfig(eps=0.01, dt=dt, t_end=2 * dt)
         traj = run(init, cfg, bundle=bundle, output_stride=1)
         assert not traj.breached and len(traj.states) == 3

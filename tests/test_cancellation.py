@@ -16,6 +16,7 @@ from blmhd.cancellation import (
     good_unknowns,
     norm_equivalence_check,
 )
+from blmhd.data import equilibrium, physical
 from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.operators import dy
 from blmhd.pde import Physics, TimeTower
@@ -23,7 +24,7 @@ from blmhd.solver import SolverConfig, Trajectory, monitor, run
 from blmhd.sources import bootstrap_time_derivatives
 from blmhd.state import MultiIndex, State
 
-from conftest import equilibrium_state, perturbed_state
+from conftest import perturbed_state
 
 
 def _single_state_trajectory(st, cfg):
@@ -42,7 +43,7 @@ def test_good_unknown_point_oracle():
     # eta_h = -e^{-1} sin(pi/4) / (1 + 0.5 e^{-1} sin(pi/4))
     grid = GridSpec(nx=16, ny=451, y_max=15.0, stretch=0.0)
     h = field_from_function(grid, lambda x, y: 0.5 * np.exp(-(y**2)) * np.sin(x))
-    st = equilibrium_state(grid, h_shift=h)
+    st = equilibrium(grid, h_shift=h)
     gu = good_unknowns(st, MultiIndex(0, 1, 0), 0.125)
     i, j = 2, 30  # x = pi/4, y = 1
     assert grid.x[i] == pytest.approx(np.pi / 4.0)
@@ -80,7 +81,7 @@ def test_good_unknown_reconstruction_is_exact(grid_small, state_perturbed):
 
 
 def test_zero_magnetic_perturbation_collapses(grid_small):
-    st = equilibrium_state(
+    st = equilibrium(
         grid_small,
         rho_shift=field_from_function(
             grid_small, lambda x, y: 0.01 * np.cos(x) * np.exp(-(y**2))
@@ -152,7 +153,7 @@ def test_residual_selector_validation(grid_small, state_equilibrium):
 def test_h_floor_guard(grid_small):
     grid = grid_small
     h = field_from_function(grid, lambda x, y: -0.9 * np.exp(-(y**2)))
-    st = equilibrium_state(grid, h_shift=h)
+    st = equilibrium(grid, h_shift=h)
     with pytest.raises(HFloorError):
         good_unknowns(st, MultiIndex(0, 1, 0), 0.25)
 
@@ -177,7 +178,7 @@ def test_norm_equivalence_on_perturbed_state():
 def test_norm_equivalence_flat_h_saturates_b12(grid_small):
     # h constant in y: d_y h = 0, so the b12 bound is an equality
     h = field_from_function(grid_small, lambda x, y: 0.1 * np.cos(x) + 0.0 * y)
-    st = equilibrium_state(grid_small, h_shift=h)
+    st = equilibrium(grid_small, h_shift=h)
     out = norm_equivalence_check(st, MultiIndex(0, 1, 0), 2.0, 0.25)
     assert out["b12"]["ratio"] == pytest.approx(1.0, abs=1e-10)
     assert out["b12"]["passed"]
@@ -187,7 +188,7 @@ def test_norm_equivalence_validation(grid_small, state_equilibrium):
     with pytest.raises(ValueError):
         norm_equivalence_check(state_equilibrium, MultiIndex(0, 1, 0), 0.5, 0.25)
     h = field_from_function(grid_small, lambda x, y: -0.9 * np.exp(-(y**2)))
-    low = equilibrium_state(grid_small, h_shift=h)
+    low = equilibrium(grid_small, h_shift=h)
     with pytest.raises(HFloorError):
         norm_equivalence_check(low, MultiIndex(0, 1, 0), 2.0, 0.25)
 
@@ -203,16 +204,8 @@ def _sourced_trajectory(x_scheme, a_u=0.03):
     """Three stored slices of a run with a bootstrapped SourceBundle."""
     grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme)
     st = perturbed_state(grid, a_u=a_u)
-    E = np.exp(-grid.y)[None, :]
     cfg = SolverConfig(eps=0.05, mu=0.7, kappa=1.3, dt=1e-3, t_end=2e-3)
-    bundle = bootstrap_time_derivatives(
-        Field(st.rho_shift.values + 1.0, grid),
-        Field(st.u_shift.values + 1.0 - E, grid),
-        Field(st.h_shift.values + 1.0, grid),
-        m=2,
-        mu=cfg.mu,
-        kappa=cfg.kappa,
-    )
+    bundle = bootstrap_time_derivatives(*physical(st), m=2, mu=cfg.mu, kappa=cfg.kappa)
     traj = run(st, cfg, bundle, output_stride=1)
     assert not traj.breached and len(traj.states) == 3
     return traj
@@ -234,20 +227,6 @@ def _same(series, ref):
     return len(series) == len(ref) and all(
         np.array_equal(f.values, r) for f, r in zip(series, ref)
     )
-
-
-@pytest.fixture
-def tower_builds(monkeypatch):
-    """A counter of TimeTower constructions."""
-    builds = [0]
-    init = TimeTower.__init__
-
-    def counted(self, *args, **kwargs):
-        builds[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(TimeTower, "__init__", counted)
-    return builds
 
 
 @pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])

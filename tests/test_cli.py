@@ -120,6 +120,12 @@ def test_strict_reads_the_monitors_of_every_step(tmp_path, monkeypatch, flag, fa
     assert json.loads((out / "summary.json").read_text())["failures"] == [failure]
 
 
+def test_cancellation_builds_one_tower(tmp_path, tower_builds):
+    # the good unknowns and the norm-equivalence check share one tower
+    assert main(["cancellation", "--config", _write_cfg(tmp_path), "--out", str(tmp_path)]) == 0
+    assert tower_builds == [1]
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     bad = _write_cfg(tmp_path, "[grid]\nnx = 16\nny = 48\n[physics]\neps = -1\n")
     rc = main(["norms", "--config", bad, "--out", str(tmp_path / "o")])

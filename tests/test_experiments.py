@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 
 from blmhd import experiments
+from blmhd.data import physical
 from blmhd.experiments import (
     SweepResult,
     _run_all,
@@ -17,7 +18,7 @@ from blmhd.experiments import (
     matching_check,
     stability_pair,
 )
-from blmhd.grid import Field, GridSpec
+from blmhd.grid import GridSpec
 from blmhd.solver import SolverConfig, run
 from blmhd.sources import bootstrap_time_derivatives
 
@@ -233,14 +234,7 @@ def test_sweep_and_pair_equal_across_worker_counts(cpus, x_scheme, scheme):
 def test_trajectories_from_a_child_equal_run_and_refuse_writes(cpus, grid_small):
     forked = cpus(2)
     st = perturbed_state(grid_small)
-    grid = st.grid
-    E = np.exp(-grid.y)[None, :]
-    bundle = bootstrap_time_derivatives(
-        Field(st.rho_shift.values + 1.0, grid),
-        Field(st.u_shift.values + 1.0 - E, grid),
-        Field(st.h_shift.values + 1.0, grid),
-        m=1,
-    )
+    bundle = bootstrap_time_derivatives(*physical(st), m=1)
     cfgs = [SolverConfig(eps=e, dt=2e-3, t_end=6e-3) for e in (0.1, 0.05, 0.02, 0.01)]
     trajs = _run_all([(st, c) for c in cfgs], bundle, output_stride=3)
     assert len(forked) == 1 and _reaped(forked)

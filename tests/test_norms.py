@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from blmhd import norms
+from blmhd.data import physical, shifted
 from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.norms import (
     NormSpec,
@@ -14,7 +15,6 @@ from blmhd.norms import (
     conormal_norm,
     conormal_walk,
     index_set,
-    shift_physical,
     weighted_l2,
     weighted_linf,
 )
@@ -327,7 +327,7 @@ def _b_norms_per_shift(rho, u1, h1, m, l):
     grid = rho.grid
     E_field = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
     tower = TimeTower(
-        initial_state(grid, *shift_physical(rho, u1, h1)),
+        initial_state(grid, *shifted(rho, u1, h1)),
         max_depth=2 * m + 1,
         physics=Physics(1.0, 1.0, eps=0.0),
     )
@@ -364,19 +364,10 @@ def _b_norms_per_shift(rho, u1, h1, m, l):
     return float(bar_triple + bar_dy + bar_linf), float(hat), details
 
 
-def _physical(grid):
-    st = perturbed_state(grid)
-    return (
-        st.rho_shift + 1.0,
-        Field(st.u_shift.values + 1.0 - exp_minus_y(grid), grid),
-        st.h_shift + 1.0,
-    )
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_b_norms_equal_one_walk_per_time_shift(m):
     grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0)
-    rho, u1, h1 = _physical(grid)
+    rho, u1, h1 = physical(perturbed_state(grid))
     got = b_norms(rho, u1, h1, m=m, l=1.5)
     assert got == _b_norms_per_shift(rho, u1, h1, m, 1.5)
     assert len(got[2]["hat_groups"]) == m
@@ -399,7 +390,7 @@ def test_b_norms_takes_each_tower_level_and_derivative_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(norms, name, counted(name))
-    b_norms(*_physical(grid), m=3, l=1.0)
+    b_norms(*physical(perturbed_state(grid)), m=3, l=1.0)
     assert calls == {
         "weighted_l2": 338,
         "weighted_linf": 44,
@@ -416,14 +407,3 @@ def test_b_norms_requires_m_at_least_one():
     one = _ones(grid)
     with pytest.raises(ValueError):
         b_norms(one, one, one, m=0, l=0.0)
-
-
-def test_shift_physical_round_trip():
-    grid = _grid(ny=64)
-    rho = field_from_function(grid, lambda x, y: 1.0 + 0.1 * np.exp(-(y**2)))
-    u1 = field_from_function(grid, lambda x, y: 1.0 - np.exp(-y))
-    h1 = _ones(grid)
-    r, us, hs = shift_physical(rho, u1, h1)
-    assert np.allclose(r.values, rho.values - 1.0)
-    assert us.max_abs() < 1e-14  # u1 = 1 - e^{-y} shifts to zero
-    assert hs.max_abs() == 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blmhd import pde, state
+from blmhd.data import equilibrium
 from blmhd.grid import Field, GridSpec
 from blmhd.manufactured import ManufacturedSolution
 from blmhd.operators import dx, dy
@@ -19,11 +20,11 @@ from blmhd.pde import (
 )
 from blmhd.state import initial_state
 
-from conftest import equilibrium_state, perturbed_state
+from conftest import perturbed_state
 
 
 def test_equilibrium_time_derivatives_vanish(grid_small):
-    st = equilibrium_state(grid_small)
+    st = equilibrium(grid_small)
     for which in ("rho", "u", "h"):
         d = time_derivative_via_pde(st, which, order=1)
         assert d.max_abs() < 1e-12, which
@@ -56,7 +57,7 @@ def test_tower_level_one_matches_manufactured_tendency():
 
 
 def test_tower_depth_cap_and_level_validation(grid_small):
-    st = equilibrium_state(grid_small)
+    st = equilibrium(grid_small)
     tower = TimeTower(st, max_depth=2, physics=Physics())
     with pytest.raises(ValueError):
         tower.level(3)
@@ -65,13 +66,13 @@ def test_tower_depth_cap_and_level_validation(grid_small):
 
 
 def test_time_derivative_selector_validation(grid_small):
-    st = equilibrium_state(grid_small)
+    st = equilibrium(grid_small)
     with pytest.raises(ValueError):
         time_derivative_via_pde(st, "vorticity")
 
 
 def test_map_family_composes_a_spatial_operator(grid_small):
-    st = equilibrium_state(grid_small)
+    st = equilibrium(grid_small)
     fam = tower_family(TimeTower(st, physics=Physics()), "u")
     dfam = map_family(dx, fam)
     assert np.array_equal(dfam(0).values, dx(st.u_shift).values)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from blmhd import operators, solver, state
+from blmhd.data import equilibrium, physical
 from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.manufactured import ManufacturedSolution
 from blmhd.operators import _d2y_coeffs, d2x, d2y
@@ -37,7 +38,7 @@ from blmhd.solver import (
     tridiag_factor,
 )
 from blmhd.sources import SourceBundle, bootstrap_time_derivatives
-from conftest import equilibrium_state, perturbed_state
+from conftest import perturbed_state
 
 
 def test_monitor_equilibrium_passes(grid_small, state_equilibrium):
@@ -54,7 +55,7 @@ def test_monitor_equilibrium_passes(grid_small, state_equilibrium):
 def test_monitor_density_excess_breaches(grid_small):
     grid = grid_small
     rho = field_from_function(grid, lambda x, y: 0.4 * np.exp(-(y**2)))
-    st = equilibrium_state(grid, rho_shift=rho)
+    st = equilibrium(grid, rho_shift=rho)
     mon = monitor(st, 0.25, 2.0)
     # threshold (2l-1) delta^2 / 2 = 3 * 0.125^2 / 2 ~ 0.0234 << 0.4
     assert mon.rho_sup == pytest.approx(0.4, rel=1e-12)
@@ -66,7 +67,7 @@ def test_monitor_band_flag_without_breach(grid_small):
     # pick l large enough that the smallness threshold (2l-1) delta^2 / 2
     # exceeds the excess 0.6 while 1 + rho still leaves the [1/2, 3/2] band
     rho = field_from_function(grid, lambda x, y: 0.6 * np.exp(-(y**2)))
-    st = equilibrium_state(grid, rho_shift=rho)
+    st = equilibrium(grid, rho_shift=rho)
     mon = monitor(st, 0.25, 40.0)  # threshold 79 * 0.125^2 / 2 ~ 0.617 > 0.6
     assert not mon.breached
     assert not mon.rho_band_ok
@@ -303,7 +304,7 @@ def test_run_stride_and_times(grid_small, state_perturbed):
 def test_run_initially_breached(grid_small):
     grid = grid_small
     rho = field_from_function(grid, lambda x, y: 0.4 * np.exp(-(y**2)))
-    st = equilibrium_state(grid, rho_shift=rho)
+    st = equilibrium(grid, rho_shift=rho)
     cfg = SolverConfig(eps=0.01, dt=1e-3, t_end=0.01)
     traj = run(st, cfg)
     assert traj.breached
@@ -324,7 +325,7 @@ def test_run_stops_on_density_floor_breach():
 def test_diverging_run_is_a_breach_without_warnings(dt):
     # these steps overflow the unperturbed profiles to inf and NaN inside a
     # substep; the non-finite Field ends the run, and numpy warns of nothing
-    st = equilibrium_state(GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0))
+    st = equilibrium(GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = run(st, SolverConfig(eps=0.05, dt=dt, t_end=3 * dt))
@@ -462,7 +463,7 @@ def test_a_step_scans_only_its_new_arrays_and_the_shear(grid_small, monkeypatch,
 def test_step_raises_when_breached(grid_small):
     grid = grid_small
     rho = field_from_function(grid, lambda x, y: 0.4 * np.exp(-(y**2)))
-    st = equilibrium_state(grid, rho_shift=rho)
+    st = equilibrium(grid, rho_shift=rho)
     cfg = SolverConfig(eps=0.01, dt=1e-3, t_end=0.01)
     with pytest.raises(SolverError):
         step(st, cfg)
@@ -528,20 +529,6 @@ def test_boundary_incompatible_manufactured_rejected():
         pde_residual(st, bad)
 
 
-def _bootstrapped(state, m, mu=1.0, kappa=1.0):
-    """Compatibility sources bootstrapped from the state's physical triple."""
-    grid = state.grid
-    E = np.exp(-grid.y)[None, :]
-    return bootstrap_time_derivatives(
-        Field(state.rho_shift.values + 1.0, grid),
-        Field(state.u_shift.values + 1.0 - E, grid),
-        Field(state.h_shift.values + 1.0, grid),
-        m=m,
-        mu=mu,
-        kappa=kappa,
-    )
-
-
 def _stage_tower(st, cfg, bundle, forcing):
     """The level-0 tower a solver stage builds on a State of the arrays of st."""
     w = (st.rho_shift.values, st.u_shift.values, st.h_shift.values)
@@ -556,7 +543,7 @@ def test_explicit_terms_plus_diffusion_equal_pde_rhs(x_scheme):
     grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme)
     eps, mu, kappa = 0.05, 0.7, 1.3
     st = perturbed_state(grid)
-    bundle = _bootstrapped(st, m=2, mu=mu, kappa=kappa)
+    bundle = bootstrap_time_derivatives(*physical(st), m=2, mu=mu, kappa=kappa)
     forcing = ManufacturedSolution(mu=mu, kappa=kappa, eps=eps)
     cfg = SolverConfig(eps=eps, mu=mu, kappa=kappa)
     n_rho, n_u, n_h, _ = _explicit_terms(_stage_tower(st, cfg, bundle, forcing))
@@ -609,10 +596,10 @@ def test_source_flag(grid_small, eps):
     # flag stays down
     st = perturbed_state(grid_small)
     cfg = SolverConfig(eps=eps, dt=1e-3, t_end=1e-3)
-    assert step(st, cfg, _bootstrapped(st, m=1))[1].source_flag
+    assert step(st, cfg, bootstrap_time_derivatives(*physical(st), m=1))[1].source_flag
     assert not step(st, cfg, None)[1].source_flag
-    eq = equilibrium_state(grid_small)
-    assert not step(eq, cfg, _bootstrapped(eq, m=1))[1].source_flag
+    eq = equilibrium(grid_small)
+    assert not step(eq, cfg, bootstrap_time_derivatives(*physical(eq), m=1))[1].source_flag
 
 
 # ---------------------------------------------------------------------------
@@ -857,15 +844,8 @@ def test_diagnose_setup_residual_matches_the_benchmark_reference_at_seed_12():
         "[experiment]\nm = 2\ninitial = perturbed\namplitude = 0.02\n"
     )
     st = build_initial_state(cfg, 12)
-    grid = st.grid
-    E = np.exp(-grid.y)[None, :]
     bundle = bootstrap_time_derivatives(
-        Field(st.rho_shift.values + 1.0, grid),
-        Field(st.u_shift.values + 1.0 - E, grid),
-        Field(st.h_shift.values + 1.0, grid),
-        m=1,
-        mu=cfg.solver.mu,
-        kappa=cfg.solver.kappa,
+        *physical(st), m=1, mu=cfg.solver.mu, kappa=cfg.solver.kappa
     )
     traj = run(st, cfg.solver, bundle, output_stride=cfg.output_stride)
     assert not traj.breached

@@ -6,8 +6,9 @@ import pytest
 from scipy import special
 
 from blmhd import experiments
+from blmhd.data import equilibrium
 from blmhd.experiments import eps_sweep
-from blmhd.grid import Field, GridSpec, field_from_function
+from blmhd.grid import GridSpec, field_from_function
 from blmhd.operators import dx
 from blmhd.solver import SolverConfig
 from blmhd.state import (
@@ -48,10 +49,7 @@ def test_multi_index_defaults_and_ordering():
 
 
 def test_equilibrium_secondary_fields_vanish():
-    grid = _grid(nx=8, ny=64)
-    E = np.exp(-grid.y)[None, :]
-    u = Field(np.broadcast_to(E, (grid.nx, grid.ny)).copy(), grid)
-    st = initial_state(grid, u_shift=u)
+    st = equilibrium(_grid(nx=8, ny=64))
     assert st.v.max_abs() == 0.0
     assert st.g.max_abs() == 0.0
     assert st.psi.max_abs() == 0.0

@@ -1,6 +1,6 @@
 """No module in src/ or tests/ imports a name it never uses, every name
-the package exports exists, and every module-level function or class in
-src/ has a caller.
+the package exports exists, every module-level function or class in src/
+has a caller, and no function in src/ assigns a local it never reads.
 
 A stdlib `ast` scan: a name bound by `import` or `from ... import` counts
 as used when it appears as a name anywhere in the module or is listed in
@@ -10,7 +10,12 @@ second test checks that the package binds every name in `__all__`.
 
 A module-level definition in src/ is dead when no code in src/ outside its
 own body names it (as a name or an attribute) and the package does not
-export it; tests alone do not keep a definition alive."""
+export it; tests alone do not keep a definition alive.
+
+A local is unread when a function binds it by a plain `name = ...` or
+`name: T = ...` and no code of the function, nested functions included,
+loads that name; tuple-unpacking targets, `_` and global or nonlocal
+names are skipped."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -101,3 +106,30 @@ def test_scan_flags_a_dead_definition():
 def test_no_dead_definitions_in_src():
     trees = [ast.parse(p.read_text()) for p in _SRC]
     assert _dead_definitions(trees, set(blmhd.__all__)) == sorted(_KEPT)
+
+
+def _unread_locals(tree: ast.Module) -> list[str]:
+    unread = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes = list(ast.walk(func))
+            loads = [n for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+            read = {"_"} | {n.id for n in loads}
+            read |= {v for n in nodes if isinstance(n, (ast.Global, ast.Nonlocal)) for v in n.names}
+            for node in nodes:
+                targets = node.targets if isinstance(node, ast.Assign) else []
+                if isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets = [node.target]
+                names = [t for t in targets if isinstance(t, ast.Name)]
+                unread |= {(t.lineno, t.id) for t in names if t.id not in read}
+    return [f"line {line}: {name}" for line, name in sorted(unread)]
+
+
+def test_scan_flags_an_unread_local():
+    src = "def f(xs):\n a = 1\n b, c = xs\n _ = xs\n d: int = 2\n e = 3\n return lambda: e\n"
+    assert _unread_locals(ast.parse(src)) == ["line 2: a", "line 5: d"]
+
+
+@pytest.mark.parametrize("path", _SRC, ids=lambda p: str(p.relative_to(_ROOT)))
+def test_no_unread_locals_in_src(path):
+    assert _unread_locals(ast.parse(path.read_text())) == []
