@@ -61,6 +61,22 @@ class GridSpec:
         if self.x_scheme not in ("fd4", "spectral"):
             raise GridError(f"unknown x_scheme {self.x_scheme!r}")
 
+    def __hash__(self) -> int:
+        # hashed once: the lru caches keyed by a grid hash it on every lookup
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                (self.nx, self.ny, self.y_max, self.stretch, self.x_scheme)
+            )
+        return h
+
+    def __getstate__(self) -> dict:
+        # the hash of x_scheme, a str, is salted per process, so a pickle
+        # carries the cached arrays but not the hash
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @cached_property
     def x(self) -> np.ndarray:
         return np.arange(self.nx) * (TWO_PI / self.nx)
@@ -87,6 +103,11 @@ class GridSpec:
     @property
     def dx(self) -> float:
         return TWO_PI / self.nx
+
+    @cached_property
+    def dy_min(self) -> float:
+        """The smallest y spacing (the CFL rule's)."""
+        return float(np.min(np.diff(self.y)))
 
     @cached_property
     def weight_2d(self) -> np.ndarray:

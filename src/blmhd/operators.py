@@ -55,13 +55,29 @@ def _shifts(v: np.ndarray):
 
 
 def _dx_fd4(v: np.ndarray, dx: float) -> np.ndarray:
+    """(8 (v[i+1] - v[i-1]) - (v[i+2] - v[i-2])) / (12 dx), in two buffers."""
     vm2, vm1, vp1, vp2 = _shifts(v)
-    return (8.0 * (vp1 - vm1) - (vp2 - vm2)) / (12.0 * dx)
+    out = np.subtract(vp1, vm1)
+    out *= 8.0
+    tmp = np.subtract(vp2, vm2)
+    out -= tmp
+    out /= 12.0 * dx
+    return out
 
 
 def _d2x_fd4(v: np.ndarray, dx: float) -> np.ndarray:
+    """(-v[i+2] + 16 v[i+1] - 30 v[i] + 16 v[i-1] - v[i-2]) / (12 dx^2), left
+    to right, in two buffers: 16 v[i+1] - v[i+2] is -v[i+2] + 16 v[i+1]."""
     vm2, vm1, vp1, vp2 = _shifts(v)
-    return (-vp2 + 16.0 * vp1 - 30.0 * v + 16.0 * vm1 - vm2) / (12.0 * dx * dx)
+    out = np.multiply(16.0, vp1)
+    out -= vp2
+    tmp = np.multiply(30.0, v)
+    out -= tmp
+    np.multiply(16.0, vm1, out=tmp)
+    out += tmp
+    out -= vm2
+    out /= 12.0 * dx * dx
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -7,54 +7,44 @@ x-diffusion split around a two-stage midpoint predictor/corrector in y.
 imex-be is the first-order single-stage variant.
 
 Stages pass (rho, u, h) arrays, and a step builds one checked State, at
-its end.  Finiteness is checked once per step, there: the three new arrays
-are the step's checked Fields (grid.Field), while every Field built inside
-the step (operator results, a stage's State, tower levels, v and g) is
-computed from them and not scanned.  A NaN or an infinity that appears in
-any stage propagates to the end of its step, where it raises SolverError
-("... diverged ...").  The new State derives nothing: the next step's CFL
-rule reads its v, which it builds then, and its g and psi are built only
-if a diagnostic, a snapshot or a test reads them.  Each y stage wraps its
-lagged arrays in a State of Field._computed Fields and builds the level-0
-TimeTower on it, which takes v, g and dx u, dx h from state.closure (and
-no psi) and forms rho = r + 1 once; its TimeTower.explicit, the kernel the
-time-derivative tower differentiates, gives the explicit terms, and the
-tower's rho gives u's viscosity mu / rho.  Both imex-cn y stages start
-from the same fields, so a substep takes their explicit D_y^2 (_apply_dyy)
-once.
+its end: finiteness is checked there, once per step.  Every Field built
+inside the step (operator results, a stage's State, tower levels, v and g)
+is computed from checked data and not scanned, so a NaN or an infinity
+from any stage raises SolverError ("... diverged ...") at the end of its
+step.  The new State derives nothing until read; the next step's CFL rule
+builds its v.  Each y stage wraps its lagged arrays in a State and builds
+the level-0 TimeTower on it (v, g, dx u and dx h from state.closure, and
+rho = r + 1 once): TimeTower.explicit, the kernel the time-derivative
+tower differentiates, gives the explicit terms, and the tower's rho gives
+u's viscosity mu / rho; the stage frees both before its solve.  Both
+imex-cn y stages start from the same fields, so a substep takes their
+explicit D_y^2 (_apply_dyy) once.
 
-x half-steps: every field's Crank-Nicolson x step is a periodic
-tridiagonal solve along x, and rho, u, h and u's Sherman-Morrison seed
-share one stacked sweep.  The constant rho and h steps could be one
-product with a cached dense (I - c L)^{-1} (I + c L) each, which is
-faster, but it is a different arithmetic: it moves u by about one ulp on
-the wall row, and the Z_1^2 derivatives of the u_m residual, whose maximum
-sits there, amplify that ulp past a 1e-8 relative output gate.
+x half-steps: the constant rho and h steps could be one product with a
+cached dense (I - c L)^{-1} (I + c L) each, which is faster, but it is a
+different arithmetic: it moves u by about one ulp on the wall row, and the
+Z_1^2 derivatives of the u_m residual amplify that past a 1e-8 gate.
 
-Tridiagonal layout: the kernels solve along the first axis, and eliminate
-from both ends at once.  Rows j and n-1-j of every system are folded into
-one contiguous (2, ...) slab j of a (ceil(n/2), 2, ...) array (_fold); for
-odd n the middle row is alone in the last slab, beside a zero.  In the
-same ufunc calls the top chain eliminates downward and the bottom chain
-upward, with lo and up swapping roles in the bottom chain; the last slab
-joins the chains (a 2x2 solve for even n, the middle row for odd n), and
-back substitution runs both halves outward.  So every loop takes
-ceil(n/2) numpy calls per operation, on slabs twice as wide, which cost
-almost nothing extra.  The matrix arrays broadcast over the trailing
-axes.  The elimination has two halves: tridiag_factor (or
-periodic_thomas_batched) builds a matrix's folded forward factors and
-pivots, and thomas_batched sweeps folded right-hand sides with them.  The
-rho and h systems have constant coefficients (eps in x; eps and kappa in
-y), so their factors are built once per run (per grid, step and
-coefficient) and cached read-only; u's rows (eps / rho in x, mu / rho in
-y) are factored at every stage.  Each implicit stage builds its
-right-hand sides directly in the folded layout, stacked on the axis after
-the fold — (ceil(nx/2), 2, 4, ny) for an x half-step: rho, u, h and u's
-Sherman-Morrison seed; (ceil(ny/2), 2, 3, nx) for a y stage — runs one
-in-place sweep over all of them, and unfolds each field straight into its
-own C-contiguous array.  The cost of a sweep is per row, not per field:
-one sweep of three or four fields costs little more than one of a single
-field.
+Tridiagonal layout: the kernels solve along the first axis, from both
+ends at once.  Rows j and n-1-j of a system are folded into one
+contiguous (2, ...) slab j of a (ceil(n/2), 2, ...) array (_fold); for odd
+n the middle row is alone in the last slab, beside a zero.  The top chain
+eliminates downward and the bottom chain upward (lo and up swap roles) in
+the same ufunc calls, and the last slab joins them.  _eliminate factors a
+matrix's folded rows in place; thomas_batched sweeps folded right-hand
+sides.  A stage folds its right-hand sides into one block once, stacked
+after the fold axis (rho, u, h and, in x, u's Sherman-Morrison seed), runs
+one sweep and unfolds each field once, into arrays allocated before the
+block: the block is the stage's last large allocation and first free, so
+glibc reuses one top-of-heap region instead of trimming and refaulting
+it.  The constant rho and h systems (eps in x; eps, kappa in y) are cached
+read-only per grid, step and coefficient; in x, rho and h share one
+system and one Sherman-Morrison update when their scalars are equal.
+u's rows are built folded from its folded coefficient (in y by _y_rows,
+from cached folded D_y^2 weights), eliminated in a contiguous part of the
+block and copied into the stacked factors: strided slabs double the cost
+of each ufunc call in the loop, and factors broadcast over the stack
+make the sweep half as slow again.
 
 Boundary closure: Neumann rows (d_y rho = d_y h = 0 at the wall) use a
 second-order mirror ghost inside the implicit solve; Dirichlet rows (u at
@@ -255,105 +245,85 @@ def _unfold(f, n: int, out=None):
     return out
 
 
-def tridiag_factor(lo, di, up):
-    """Matrix half of the two-ended Thomas elimination along the first axis.
+def _eliminate(lo, cp, piv, n: int):
+    """Matrix half of the two-ended Thomas elimination, in place.
 
     For the systems lo[j] w[j-1] + di[j] w[j] + up[j] w[j+1] = rhs[j] of
-    n >= 2 rows (lo[0] and up[-1] ignored) it returns the folded factors
-    (lo, cp, piv) that thomas_batched sweeps with.  The top chain eliminates
-    rows 0, 1, ... downward and the bottom chain rows n-1, n-2, ... upward,
-    side by side in the slots (j, 0) and (j, 1) of _fold's layout; in the
-    bottom chain lo and up swap roles.  Per slot, piv[0] = di[0],
-    piv[j] = di[j] - lo[j] cp[j-1] and cp[j] = up[j] / piv[j].  The last slot
-    joins the chains: for even n its pivots carry the determinant
-    1 - cp[-1, 0] cp[-1, 1] of the 2x2 system of the two middle rows; for
-    odd n both its pivots are the middle row's, eliminated from both sides,
-    with cp = -1.  The arrays have at least one trailing axis.  The factors
-    are fresh C-contiguous arrays: the elimination's row slabs must be
-    contiguous, or each ufunc call in its loop costs about twice as much."""
-    n = len(di)
-    shape = np.broadcast_shapes(lo.shape, di.shape, up.shape)
-    fshape = ((n + 1) // 2, 2) + shape[1:]
-    lof, cp, piv = (np.empty(fshape) for _ in range(3))
-    _fold(lo, up, lof)
-    dif, upf = _fold(di), _fold(up, lo)
-    c, p, l = list(cp), list(piv), list(lof)
-    p[0][...] = dif[0]
-    np.divide(upf[0], p[0], c[0])
-    for j in range(1, len(p) - n % 2):
-        np.multiply(l[j], c[j - 1], p[j])
-        np.subtract(dif[j], p[j], p[j])
-        np.divide(upf[j], p[j], c[j])
+    n >= 2 rows (lo[0] and up[-1] ignored), lo, cp and piv hold the folded
+    rows _fold(lo, up), _fold(up, lo) and _fold(di) on entry, and the
+    factors thomas_batched sweeps with on exit: piv[0] = di[0],
+    piv[j] = di[j] - lo[j] cp[j-1] and cp[j] = up[j] / piv[j] per slot.
+    The last slot joins the chains: for even n its pivots carry the
+    determinant 1 - cp[-1, 0] cp[-1, 1] of the two middle rows; for odd n
+    both are the middle row's (slot (-1, 0) on entry), eliminated from
+    both sides, with cp = -1.  The arrays share one shape, with at least
+    one trailing axis."""
+    c, p, l = list(cp), list(piv), list(lo)
+    tmp = np.empty(p[0].shape)
+    mul, sub, div = np.multiply, np.subtract, np.divide
+    div(c[0], p[0], c[0])
+    last = len(p) - n % 2
+    for l_j, c_prev, c_j, p_j in zip(l[1:last], c, c[1:last], p[1:last]):
+        sub(p_j, mul(l_j, c_prev, tmp), p_j)
+        div(c_j, p_j, c_j)
     if n % 2:
-        # the middle row r: its up entry acts, in the sweep's last forward
-        # step, on the bottom chain's d, beside the zero of the right-hand
-        # side's padding slot
-        r = n // 2
-        l[-1][1] = up[r]
-        p[-1][...] = di[r] - lo[r] * c[-2][0] - up[r] * c[-2][1]
+        # the middle row: its up entry acts, in the sweep's last forward
+        # step, on the bottom chain's d, beside the zero padding slot
+        mid, t = p[-1][0], tmp[0]
+        l[-1][1] = c[-1][0]
+        sub(mid, mul(l[-1][0], c[-2][0], t), mid)
+        sub(mid, mul(c[-1][0], c[-2][1], t), mid)
+        p[-1][1] = mid
         c[-1][...] = -1.0
     else:
         p[-1] *= 1.0 - c[-1][0] * c[-1][1]
-    return lof, cp, piv
 
 
 def thomas_batched(lo, cp, piv, rhs, out=None):
     """Right-hand-side sweep of the two-ended Thomas elimination, with the
-    folded factors (lo, cp, piv) of tridiag_factor, on a right-hand side in
+    folded factors (lo, cp, piv) of _eliminate, on a right-hand side in
     _fold's layout (for odd n its slot (-1, 1) is zero); the solution comes
-    back folded.
-
-    Forward, both chains run toward the middle in the same calls; the last
-    slot joins them, x[-1] = d[-1] - cp[-1] d[-1, ::-1], and back
-    substitution runs both halves outward.  The matrix arrays
-    broadcast against rhs over the trailing axes (at least one), so
-    right-hand sides that share a matrix share one sweep.  out may be rhs
-    itself, and the sweep then runs in place."""
+    back folded.  Forward, both chains run toward the middle; the last slot
+    joins them, x[-1] = d[-1] - cp[-1] d[-1, ::-1], and back substitution
+    runs both halves outward.  The matrix arrays broadcast against rhs over
+    the trailing axes (at least one).  out may be rhs itself."""
     dp = np.empty(np.broadcast_shapes(cp.shape, rhs.shape)) if out is None else out
     d = list(dp)
     tmp = np.empty(dp.shape[1:])
-    np.divide(rhs[0], piv[0], d[0])
-    for j, (lo_j, piv_j, rhs_j) in enumerate(zip(lo[1:], piv[1:], rhs[1:]), 1):
-        np.multiply(lo_j, d[j - 1], tmp)
-        np.subtract(rhs_j, tmp, d[j])
-        np.divide(d[j], piv_j, d[j])
-    np.multiply(cp[-1], d[-1][::-1], tmp)
-    np.subtract(d[-1], tmp, d[-1])
-    for j in range(len(d) - 2, -1, -1):
-        np.multiply(cp[j], d[j + 1], tmp)
-        np.subtract(d[j], tmp, d[j])
+    mul, sub, div = np.multiply, np.subtract, np.divide
+    div(rhs[0], piv[0], d[0])
+    for lo_j, piv_j, rhs_j, d_prev, d_j in zip(lo[1:], piv[1:], rhs[1:], d, d[1:]):
+        sub(rhs_j, mul(lo_j, d_prev, tmp), d_j)
+        div(d_j, piv_j, d_j)
+    sub(d[-1], mul(cp[-1], d[-1][::-1], tmp), d[-1])
+    for cp_j, d_j, d_next in zip(cp[-2::-1], d[-2::-1], d[::-1]):
+        sub(d_j, mul(cp_j, d_next, tmp), d_j)
     return dp
 
 
-def periodic_thomas_batched(lo, di, up):
-    """Matrix half of periodic tridiagonal systems along the first axis
-    (corner entries lo[0] and up[-1]), by the Sherman-Morrison correction
-    of the open chain.
-
-    Returns the chain's folded factors (lo, cp, piv) for thomas_batched;
-    the folded right-hand side `seed` whose chain solution is the
-    correction vector q; and gamma = -di[0].  _sherman_morrison turns the
-    chain solution of a right-hand side into the periodic one."""
-    gamma = -di[0]
-    dmod = di.copy()
-    dmod[0] = di[0] - gamma
-    dmod[-1] = di[-1] - lo[0] * up[-1] / gamma
-    factors = tridiag_factor(lo, dmod, up)
-    seed = np.zeros(factors[1].shape)
-    seed[0, 0] = gamma
-    seed[0, 1] = up[-1]
-    return (*factors, seed, gamma)
+def periodic_thomas_batched(lo, cp, piv, seed, n: int):
+    """Matrix half of periodic tridiagonal systems of n rows, in place: the
+    Sherman-Morrison correction of the open chain.  lo, cp and piv hold the
+    folded rows as _eliminate takes them, with the corners lo[0] and up[-1]
+    in the slots (0, 0) and (0, 1) of lo, and are factored there.  seed
+    receives the folded right-hand side whose chain solution is the
+    correction vector q.  Returns gamma = -di[0] for _sherman_morrison."""
+    gamma = -piv[0, 0]
+    piv[0, 0] -= gamma
+    piv[0, 1] -= lo[0, 0] * lo[0, 1] / gamma
+    seed[...] = 0.0
+    seed[0] = gamma, lo[0, 1]
+    _eliminate(lo, cp, piv, n)
+    return gamma
 
 
-def _sherman_morrison(y, q, lo0, gamma, n: int):
-    """Periodic solution of n rows, unfolded into a new C-contiguous array,
-    from the folded chain solutions y (of the right-hand side; overwritten)
-    and q (of the seed) of periodic_thomas_batched; lo0 is the corner entry
-    lo[0]."""
+def _sherman_morrison(y, q, lo0, gamma, tmp):
+    """The periodic solutions, in place in y, from the folded chain solutions
+    y and q (of the seed); lo0 is the corner lo[0], tmp scratch."""
     num = y[0, 0] + lo0 * y[0, 1] / gamma
     den = 1.0 + q[0, 0] + lo0 * q[0, 1] / gamma
-    y -= (num / den) * q
-    return _unfold(y, n)
+    np.multiply(num / den, q, tmp)
+    y -= tmp
 
 
 @lru_cache(maxsize=16)
@@ -361,9 +331,10 @@ def _periodic_factors(n: int, c: float):
     """Read-only folded lo, cp, piv, Sherman-Morrison vector q and gamma of
     the constant periodic system (1 + 2c) w[i] - c (w[i-1] + w[i+1]) of n
     rows, as (ceil(n / 2), 2, 1) arrays (gamma (1,))."""
-    lo = np.full((n, 1), -c)
-    lof, cp, piv, seed, gamma = periodic_thomas_batched(lo, np.full((n, 1), 1.0 + 2.0 * c), lo)
-    return _frozen(lof, cp, piv, thomas_batched(lof, cp, piv, seed), gamma)
+    lo, cp, piv, q = np.full((4, (n + 1) // 2, 2, 1), -c)
+    piv[...] = 1.0 + 2.0 * c
+    gamma = periodic_thomas_batched(lo, cp, piv, q, n)
+    return _frozen(lo, cp, piv, thomas_batched(lo, cp, piv, q, out=q), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -373,92 +344,111 @@ def _periodic_factors(n: int, c: float):
 
 def _solve_x_cn(w, coeff, step: float, dx_: float):
     """Crank-Nicolson step of d_t w = coeff d_x^2 w, periodic in x (axis 0),
-    for a triple w of (nx, ny) arrays.
-
-    Second-order three-point stencil, applied in the folded layout of the
-    sweep.  A scalar coefficient (eps, for rho and h) gives a constant
-    system, factored once per (nx, step, eps) in a cache; an (nx, ny)
-    coefficient (eps / rho, for u) is factored here, and its
-    Sherman-Morrison seed rides along as one more right-hand side of the
-    one sweep.  Each field comes back as its own C-contiguous array."""
+    for the (rho, u, h) arrays w, with scalar coefficients for rho and h
+    (eps) and an (nx, ny) one for u (eps / rho), by the three-point stencil
+    in the folded layout.  Each field comes back C-contiguous."""
     a = 0.5 * step / dx_**2
     n, m = w[0].shape
-    k = len(w)
-    varying = [c for c in range(k) if np.ndim(coeff[c])]
-    # w folded, with a ghost slot at each end: the periodic neighbours of
-    # rows 0 and n-1 (slot 0 reversed), and those of the middle rows; for
-    # odd n the middle row also fills the padding slot, the bottom chain's
-    # neighbour of row n // 2 + 1
-    p = np.empty(((n + 1) // 2 + 2, 2, k, m))
+    half = (n + 1) // 2
+    rho_f, h_f = (_periodic_factors(n, a * c) for c in (coeff[0], coeff[2]))
+    # one block: right-hand sides of rho, u, h and u's seed, and their lo,
+    # cp and piv; cp and piv hold folded w, then u's rows, until filled
+    unit = half * 2 * m
+    out = tuple(np.empty((n, m)) for _ in range(3))
+    b, lo, cp, piv = block = np.empty((4, half, 2, 4, m))
+    # w folded, with ghost slots: the periodic neighbours of rows 0 and n-1
+    # (slot 0 reversed) and of the middle rows; for odd n the middle row
+    # also fills the padding slot, the bottom neighbour of row n // 2 + 1
+    p = block[2:].reshape(-1)[: 3 * unit + 12 * m].reshape(half + 2, 2, 3, m)
     for c, f in enumerate(w):
         _fold(f, out=p[1:-1, :, c])
     p[0] = p[1, ::-1]
     if n % 2:
         p[-2, 1] = p[-2, 0]
-        p[-1] = p[-3, ::-1]
-    else:
-        p[-1] = p[-2, ::-1]
+    p[-1] = p[-2 - n % 2, ::-1]
     wm, ws, wp = p[:-2], p[1:-1], p[2:]
-    b, lo, cp, piv = np.empty((4,) + ws.shape[:2] + (k + len(varying), m))
     # lap = (w[i+1] - 2 w[i]) + w[i-1] in the top chain; the bottom chain
     # reads its neighbours in the other order
-    lap = b[:, :, :k]
+    lap = b[:, :, :3]
     np.multiply(2.0, ws, out=lap)
     np.subtract(wp, lap, out=lap)
     lap += wm
-    corr = []
-    for c in range(k):
-        ac = a * coeff[c]
-        if np.ndim(ac) == 0:
-            *factors, q, gamma = _periodic_factors(n, ac)
-        else:
-            *factors, seed, gamma = periodic_thomas_batched(-ac, 1.0 + 2.0 * ac, -ac)
-            s = k + varying.index(c)
-            q = b[:, :, s]
-            q[...] = seed
-            lo[:, :, s], cp[:, :, s], piv[:, :, s] = factors
-        lo[:, :, c], cp[:, :, c], piv[:, :, c] = factors
-        corr.append((q, lo[0, 0, c], gamma))
-        # rhs = w + (a coeff) lap, with the folded lo = -(a coeff)
-        lap[:, :, c] *= lo[:, :, c]
-        np.subtract(ws[:, :, c], lap[:, :, c], out=lap[:, :, c])
+    # the folded lo = -(a coeff); rho and h are one group on a shared
+    # system, else one each
+    groups = [(slice(0, 3, 2), rho_f)]
+    if h_f is not rho_f:
+        groups = [(slice(0, 1), rho_f), (slice(2, 3), h_f)]
+    for g, f in groups:
+        lo[:, :, g] = f[0][:, :, None]
+    _fold(coeff[1], out=lo[:, :, 1])
+    lo[:, :, 1] *= a
+    np.negative(lo[:, :, 1], out=lo[:, :, 1])
+    # rhs = w + (a coeff) lap
+    lap *= lo[:, :, :3]
+    np.subtract(ws, lap, out=lap)
     if n % 2:
         b[-1, 1] = 0.0
+    # u's rows -(a coeff), 1 + 2 (a coeff), -(a coeff), where w was
+    ul, uc, ud = cp.reshape(-1)[: 3 * unit].reshape(3, half, 2, m)
+    ul[...] = uc[...] = lo[:, :, 1]
+    np.multiply(-2.0, ul, out=ud)
+    ud += 1.0
+    gamma = periodic_thomas_batched(ul, uc, ud, b[:, :, 3], n)
+    lo[:, :, 1::2], piv[:, :, 1::2] = ul[:, :, None], ud[:, :, None]
+    cp[:, :, 1::2] = uc[:, :, None]  # uc lies in cp: numpy copies it first
+    for g, f in groups:
+        cp[:, :, g], piv[:, :, g] = f[1][:, :, None], f[2][:, :, None]
     thomas_batched(lo, cp, piv, b, out=b)
-    return tuple(_sherman_morrison(b[:, :, c], *corr[c], n) for c in range(k))
+    for g, f in groups:  # cp is free: scratch for the corrections
+        _sherman_morrison(b[:, :, g], f[3][:, :, None], f[0][0, 0], f[4], cp[:, :, g])
+    _sherman_morrison(b[:, :, 1], b[:, :, 3], lo[0, 0, 1], gamma, cp[:, :, 1])
+    for c, f in enumerate(out):
+        _unfold(b[:, :, c], n, f)
+    return out
 
 
 # Wall closure of the y-systems, in (rho, u, h) order.
 _WALL_BCS = ("neumann", "dirichlet", "neumann")
 
 
-def _y_matrix(grid: GridSpec, ac: np.ndarray, wall_bc: str):
-    """Rows of (I - ac D_y^2) for one field, with y on axis 0.
-
-    ac is (ny, 1) or (ny, nx).  The wall row (j=0) is the mirror-ghost
-    second-order closure for 'neumann', an identity row for 'dirichlet';
-    the top row is always identity."""
+@lru_cache(maxsize=16)
+def _folded_dyy(grid: GridSpec):
+    """Read-only folded weights (lo, di, up), (ceil(ny / 2), 2, 1) each, of
+    D_y^2's interior rows, lo and up negated and swapped in the bottom chain
+    as _eliminate takes them; 0 on the wall and top rows."""
     lo2, di2, up2, _, _ = _d2y_coeffs(grid)
-    col = (slice(None),) + (None,) * (ac.ndim - 1)
-    lo, di, up = np.zeros_like(ac), np.ones_like(ac), np.zeros_like(ac)
-    lo[1:-1] = -ac[1:-1] * lo2[col]
-    di[1:-1] = 1.0 - ac[1:-1] * di2[col]
-    up[1:-1] = -ac[1:-1] * up2[col]
+    lo, di, up = np.zeros((3, grid.ny, 1))
+    lo[1:-1, 0], di[1:-1, 0], up[1:-1, 0] = -lo2, di2, -up2
+    return _frozen(_fold(lo, up), _fold(di), _fold(up, lo))
+
+
+def _y_rows(grid: GridSpec, wall_bc: str, lo, cp, piv):
+    """Rows of (I - ac D_y^2), y on the first axis, folded as _eliminate
+    takes them, written into lo, cp and piv; lo holds the folded ac on
+    entry.  The wall row (j=0) is the mirror-ghost second-order closure for
+    'neumann', an identity row for 'dirichlet'; the top row is identity."""
+    wlo, wdi, wup = _folded_dyy(grid)
+    np.multiply(lo, wdi, out=piv)
+    np.subtract(1.0, piv, out=piv)
+    np.multiply(lo, wup, out=cp)
     if wall_bc == "neumann":
         h1 = grid.y[1] - grid.y[0]
-        di[0] = 1.0 + ac[0] * 2.0 / h1**2
-        up[0] = -ac[0] * 2.0 / h1**2
-    return lo, di, up
+        piv[0, 0] = 1.0 + lo[0, 0] * 2.0 / h1**2
+        cp[0, 0] = -lo[0, 0] * 2.0 / h1**2
+    lo *= wlo
 
 
 @lru_cache(maxsize=16)
 def _y_factors(grid: GridSpec, ac: float, wall_bc: str):
     """Read-only folded lo, cp and piv of the constant system I - ac D_y^2."""
-    return _frozen(*tridiag_factor(*_y_matrix(grid, np.full((grid.ny, 1), ac), wall_bc)))
+    lo, cp, piv = np.full((3, (grid.ny + 1) // 2, 2, 1), ac)
+    _y_rows(grid, wall_bc, lo, cp, piv)
+    _eliminate(lo, cp, piv, grid.ny)
+    return _frozen(lo, cp, piv)
 
 
 def _apply_dyy(grid: GridSpec, w: np.ndarray, wall_bc: str) -> np.ndarray:
-    """Discrete D_y^2 w consistent with _y_matrix: the interior is d2y's
+    """Discrete D_y^2 w consistent with _y_rows: the interior is d2y's
     three-point stencil (operators._stencil, one pass over the flat
     buffer); the top row is zeroed, and so is the wall row for
     'dirichlet', while 'neumann' uses the mirror-ghost closure."""
@@ -475,28 +465,31 @@ def _apply_dyy(grid: GridSpec, w: np.ndarray, wall_bc: str) -> np.ndarray:
 def _solve_y_implicit(grid: GridSpec, coeff, a: float, rhs, traces: dict):
     """Solve (I - a coeff D_y^2) w = rhs for (rho, u, h) in one sweep.
 
-    coeff and rhs are (rho, u, h) triples; rhs holds (nx, ny) arrays,
-    stacked here in the folded layout as (ceil(ny / 2), 2, 3, nx).  A
-    scalar coefficient (eps for rho, kappa for h) gives a constant system,
-    factored once per (grid, a, coefficient) in a cache; an (nx, ny)
-    coefficient (mu / rho for u) is factored here.  Walls follow _WALL_BCS
-    with u clamped to traces['u_wall']; every top row is clamped to its top
+    coeff and rhs are (rho, u, h) triples: scalars (eps, kappa) or an
+    (nx, ny) array (mu / rho) and (nx, ny) arrays, folded as (ceil(ny / 2),
+    2, 3, nx) (see the module docstring).  Walls follow _WALL_BCS with u
+    clamped to traces['u_wall']; every top row is clamped to its top
     trace.  Each field comes back as its own C-contiguous array, which
     Field adopts without a copy."""
     ny, nx = grid.ny, grid.nx
-    b, lo, cp, piv = np.empty((4, (ny + 1) // 2, 2, 3, nx))
+    out = tuple(np.empty((nx, ny)) for _ in range(3))
+    # one block: right-hand sides, lo, cp and piv, and a varying matrix's rows
+    b, lo, cp, piv, rows = np.empty((5, (ny + 1) // 2, 2, 3, nx))
+    rows = rows.reshape(3, (ny + 1) // 2, 2, nx)
     for c, f in enumerate(rhs):
         _fold(f.T, out=b[:, :, c])
     b[0, 0, 1] = traces["u_wall"]
     b[0, 1] = (traces["rho_top"], traces["u_top"], traces["h_top"])
     for c, (k, wall_bc) in enumerate(zip(coeff, _WALL_BCS)):
         if np.ndim(k) == 0:
-            factors = _y_factors(grid, a * k, wall_bc)
+            lo[:, :, c], cp[:, :, c], piv[:, :, c] = _y_factors(grid, a * k, wall_bc)
         else:
-            factors = tridiag_factor(*_y_matrix(grid, a * k.T, wall_bc))
-        lo[:, :, c], cp[:, :, c], piv[:, :, c] = factors
+            _fold(k.T, out=rows[0])
+            rows[0] *= a
+            _y_rows(grid, wall_bc, *rows)
+            _eliminate(*rows, ny)
+            lo[:, :, c], cp[:, :, c], piv[:, :, c] = rows
     thomas_batched(lo, cp, piv, b, out=b)
-    out = tuple(np.empty((nx, ny)) for _ in range(3))
     for c, f in enumerate(out):
         _unfold(b[:, :, c], ny, f.T)
     return out
@@ -533,12 +526,11 @@ def _cfl_substeps(state: State, cfg: SolverConfig) -> int:
     E = exp_minus_y(grid)
     u_max = float(np.max(np.abs(state.u_shift.values + 1.0 - E)))
     v_max = float(np.max(np.abs(state.v.values)))
-    dy_min = float(np.min(np.diff(grid.y)))
     limits = []
     if u_max > 0:
         limits.append(grid.dx / u_max)
     if v_max > 0:
-        limits.append(dy_min / v_max)
+        limits.append(grid.dy_min / v_max)
     if not limits:
         return 1
     dt_cfl = cfg.cfl_safety * min(limits)
@@ -620,18 +612,24 @@ def _substep(grid, w, t, cfg, bundle, forcing, k, traces):
     def x_half(fields):
         if eps == 0.0:
             return fields
-        return _solve_x_cn(fields, (eps, eps / (fields[0] + 1.0), eps), a, grid.dx)
+        rho = fields[0] + 1.0
+        return _solve_x_cn(fields, (eps, np.divide(eps, rho, out=rho), eps), a, grid.dx)
 
     def y_stage(lagged, time):
         """Implicit y stage from w; the explicit terms and u's viscosity
         mu / rho are evaluated at the fields lagged."""
         stage = State(*(Field._computed(a, grid) for a in lagged), time=time)
         tower = TimeTower(stage, bundle, forcing, max_depth=0, physics=cfg)
-        *n_exp, flag = _explicit_terms(tower)
+        *rhs, flag = _explicit_terms(tower)
         coeff = (eps, mu / tower.rho, kappa)
-        rhs = [b + k * n for b, n in zip(w, n_exp)]
+        del stage, tower  # freed before the solve's block
+        # b + k n (+ (a c) D_y^2 w for imex-cn), in place on the fresh n
+        for r, b in zip(rhs, w):
+            r *= k
+            r += b
         if cn:
-            rhs = [f + a * c * d for f, c, d in zip(rhs, coeff, w_dyy)]
+            for r, c, d in zip(rhs, coeff, w_dyy):
+                r += a * c * d
         return _solve_y_implicit(grid, coeff, a, rhs, traces), flag
 
     w = x_half(w)
@@ -639,8 +637,10 @@ def _substep(grid, w, t, cfg, bundle, forcing, k, traces):
     w_dyy = [_apply_dyy(grid, b, bc) for b, bc in zip(w, _WALL_BCS)] if cn else None
     new, flag = y_stage(w, t)
     if cn:
-        mid = tuple(0.5 * (b + s) for b, s in zip(w, new))
-        new, flag2 = y_stage(mid, t + k / 2.0)
+        for b, s in zip(w, new):  # the midpoint 0.5 (w + new), in place
+            np.add(b, s, out=s)
+            s *= 0.5
+        new, flag2 = y_stage(new, t + k / 2.0)
         new = x_half(new)
         flag = flag or flag2
     return new, flag

@@ -55,6 +55,30 @@ def test_weight_2d_is_outer_product():
     assert np.allclose(spec.weight_2d, np.outer(spec.wx, spec.wy))
 
 
+def test_equal_grids_hash_once_and_share_cache_entries():
+    """A grid hashes once and keeps the hash, which a pickle does not carry
+    (the hash of x_scheme, a str, is salted per process); equal grids, a
+    pickled copy included, hash equal and hit one lru-cache entry."""
+    import pickle
+
+    from blmhd.operators import _dy_coeffs
+
+    grid = GridSpec(nx=9, ny=11, stretch=1.5, x_scheme="spectral")
+    twin = GridSpec(nx=9, ny=11, stretch=1.5, x_scheme="spectral")
+    assert hash(grid) == hash((9, 11, 15.0, 1.5, "spectral"))
+    assert grid.__dict__["_hash"] == hash(grid)
+    grid.y  # a cached array travels in the pickle; the hash does not
+    copy = pickle.loads(pickle.dumps(grid))
+    assert "_hash" not in copy.__dict__ and np.array_equal(copy.__dict__["y"], grid.y)
+    assert copy == grid == twin and hash(copy) == hash(grid) == hash(twin)
+    assert hash(GridSpec(nx=9, ny=12, stretch=1.5)) != hash(grid)
+    _dy_coeffs.cache_clear()
+    first = _dy_coeffs(grid)
+    assert _dy_coeffs(twin) is first and _dy_coeffs(copy) is first
+    assert _dy_coeffs.cache_info()[:2] == (2, 1)  # hits, misses
+    assert grid.dy_min == float(np.min(np.diff(grid.y)))
+
+
 def test_field_shape_and_finiteness_checks():
     grid = GridSpec(nx=8, ny=8, y_max=10.0)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from blmhd import operators, solver, state
-from blmhd.data import equilibrium, physical
+from blmhd.data import equilibrium, perturbed, physical
 from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.manufactured import ManufacturedSolution
 from blmhd.operators import _d2y_coeffs, d2x, d2y
@@ -20,6 +20,7 @@ from blmhd.solver import (
     SolverConfig,
     SolverError,
     _apply_dyy,
+    _eliminate,
     _explicit_terms,
     _fold,
     _periodic_factors,
@@ -28,14 +29,13 @@ from blmhd.solver import (
     _solve_y_implicit,
     _unfold,
     _y_factors,
-    _y_matrix,
+    _y_rows,
     monitor,
     pde_residual,
     periodic_thomas_batched,
     run,
     step,
     thomas_batched,
-    tridiag_factor,
 )
 from blmhd.sources import SourceBundle, bootstrap_time_derivatives
 from conftest import perturbed_state
@@ -623,15 +623,25 @@ def _dominant_diagonals(rng, shape):
     return lo, di, up
 
 
+def _folded_rows(lo, di, up):
+    """Natural-layout rows folded as _eliminate takes them."""
+    return _fold(lo, up), _fold(up, lo), _fold(di)
+
+
 def _open_solve(lo, di, up, rhs):
     """thomas_batched on natural-layout rows: fold in, unfold out."""
-    return _unfold(thomas_batched(*tridiag_factor(lo, di, up), _fold(rhs)), len(rhs))
+    lof, cp, piv = _folded_rows(lo, di, up)
+    _eliminate(lof, cp, piv, len(di))
+    return _unfold(thomas_batched(lof, cp, piv, _fold(rhs)), len(rhs))
 
 
 def _periodic_solve(lo, di, up, rhs):
-    lof, cp, piv, seed, gamma = periodic_thomas_batched(lo, di, up)
+    lof, cp, piv = _folded_rows(lo, di, up)
+    seed = np.empty(cp.shape)
+    gamma = periodic_thomas_batched(lof, cp, piv, seed, len(di))
     y, q = thomas_batched(lof, cp, piv, _fold(rhs)), thomas_batched(lof, cp, piv, seed)
-    return _sherman_morrison(y, q, lof[0, 0], gamma, len(rhs))
+    _sherman_morrison(y, q, lof[0, 0], gamma, np.empty(y.shape))
+    return _unfold(y, len(rhs))
 
 
 def _assert_matches_dense(sol, lo, di, up, rhs, periodic=False):
@@ -728,8 +738,16 @@ def test_y_matrix_rows_match_apply_dyy_and_dense_solve(grid_small):
     lo2, _, _, _, _ = _d2y_coeffs(grid)
     w = rng.standard_normal((grid.nx, grid.ny))
     rhs = rng.standard_normal((grid.ny, grid.nx, 3))
+    n = grid.ny
     for c, wall_bc in enumerate(_WALL_BCS):
-        lo, di, up = _y_matrix(grid, a * coeff[..., c], wall_bc)
+        # the folded builder's rows, unfolded: lo's bottom chain holds up,
+        # and cp's holds lo
+        lof, upf, dif = np.empty((3, (n + 1) // 2, 2, grid.nx))
+        _fold(a * coeff[..., c], out=lof)
+        _y_rows(grid, wall_bc, lof, upf, dif)
+        lo = _unfold(np.stack((lof[:, 0], upf[:, 1]), axis=1), n)
+        up = _unfold(np.stack((upf[:, 0], lof[:, 1]), axis=1), n)
+        di = _unfold(dif, n)
         sol = _open_solve(lo, di, up, rhs[..., c])
         for x in (0, grid.nx // 2):
             m = _dense(lo[:, x], di[:, x], up[:, x])
@@ -820,6 +838,218 @@ def test_cached_factors_follow_coefficients_and_step(grid_small):
     for arr in factors:
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracles: the per-field stages the folded builders replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_tridiag_factor(lo, di, up):
+    """Folded factors of natural-layout rows, by three folds into fresh
+    arrays and the two-ended elimination of their slots."""
+    n = len(di)
+    shape = np.broadcast_shapes(lo.shape, di.shape, up.shape)
+    fshape = ((n + 1) // 2, 2) + shape[1:]
+    lof, cp, piv = (np.empty(fshape) for _ in range(3))
+    _fold(lo, up, lof)
+    dif, upf = _fold(di), _fold(up, lo)
+    c, p, l = list(cp), list(piv), list(lof)
+    p[0][...] = dif[0]
+    np.divide(upf[0], p[0], c[0])
+    for j in range(1, len(p) - n % 2):
+        np.multiply(l[j], c[j - 1], p[j])
+        np.subtract(dif[j], p[j], p[j])
+        np.divide(upf[j], p[j], c[j])
+    if n % 2:
+        r = n // 2
+        l[-1][1] = up[r]
+        p[-1][...] = di[r] - lo[r] * c[-2][0] - up[r] * c[-2][1]
+        c[-1][...] = -1.0
+    else:
+        p[-1] *= 1.0 - c[-1][0] * c[-1][1]
+    return lof, cp, piv
+
+
+def _ref_thomas_batched(lo, cp, piv, rhs, out=None):
+    """The sweep with the folded factors, indexed slot by slot."""
+    dp = np.empty(np.broadcast_shapes(cp.shape, rhs.shape)) if out is None else out
+    d = list(dp)
+    tmp = np.empty(dp.shape[1:])
+    np.divide(rhs[0], piv[0], d[0])
+    for j, (lo_j, piv_j, rhs_j) in enumerate(zip(lo[1:], piv[1:], rhs[1:]), 1):
+        np.multiply(lo_j, d[j - 1], tmp)
+        np.subtract(rhs_j, tmp, d[j])
+        np.divide(d[j], piv_j, d[j])
+    np.multiply(cp[-1], d[-1][::-1], tmp)
+    np.subtract(d[-1], tmp, d[-1])
+    for j in range(len(d) - 2, -1, -1):
+        np.multiply(cp[j], d[j + 1], tmp)
+        np.subtract(d[j], tmp, d[j])
+    return dp
+
+
+def _ref_periodic_factors(lo, di, up):
+    gamma = -di[0]
+    dmod = di.copy()
+    dmod[0] = di[0] - gamma
+    dmod[-1] = di[-1] - lo[0] * up[-1] / gamma
+    factors = _ref_tridiag_factor(lo, dmod, up)
+    seed = np.zeros(factors[1].shape)
+    seed[0, 0] = gamma
+    seed[0, 1] = up[-1]
+    return (*factors, seed, gamma)
+
+
+def _ref_sherman_morrison(y, q, lo0, gamma, n):
+    num = y[0, 0] + lo0 * y[0, 1] / gamma
+    den = 1.0 + q[0, 0] + lo0 * q[0, 1] / gamma
+    y -= (num / den) * q
+    return _unfold(y, n)
+
+
+def _ref_solve_x_cn(w, coeff, step, dx_):
+    """The x half-step stacked by field: every field's factors copied into
+    its own slot, one Sherman-Morrison update per field."""
+    a = 0.5 * step / dx_**2
+    n, m = w[0].shape
+    k = len(w)
+    varying = [c for c in range(k) if np.ndim(coeff[c])]
+    p = np.empty(((n + 1) // 2 + 2, 2, k, m))
+    for c, f in enumerate(w):
+        _fold(f, out=p[1:-1, :, c])
+    p[0] = p[1, ::-1]
+    if n % 2:
+        p[-2, 1] = p[-2, 0]
+        p[-1] = p[-3, ::-1]
+    else:
+        p[-1] = p[-2, ::-1]
+    wm, ws, wp = p[:-2], p[1:-1], p[2:]
+    b, lo, cp, piv = np.empty((4,) + ws.shape[:2] + (k + len(varying), m))
+    lap = b[:, :, :k]
+    np.multiply(2.0, ws, out=lap)
+    np.subtract(wp, lap, out=lap)
+    lap += wm
+    corr = []
+    for c in range(k):
+        ac = a * coeff[c]
+        if np.ndim(ac) == 0:
+            lof, cpf, pivf, seed, gamma = _ref_periodic_factors(
+                np.full((n, 1), -ac), np.full((n, 1), 1.0 + 2.0 * ac), np.full((n, 1), -ac)
+            )
+            factors = (lof, cpf, pivf)
+            q = _ref_thomas_batched(lof, cpf, pivf, seed)
+        else:
+            *factors, seed, gamma = _ref_periodic_factors(-ac, 1.0 + 2.0 * ac, -ac)
+            s = k + varying.index(c)
+            q = b[:, :, s]
+            q[...] = seed
+            lo[:, :, s], cp[:, :, s], piv[:, :, s] = factors
+        lo[:, :, c], cp[:, :, c], piv[:, :, c] = factors
+        corr.append((q, lo[0, 0, c], gamma))
+        lap[:, :, c] *= lo[:, :, c]
+        np.subtract(ws[:, :, c], lap[:, :, c], out=lap[:, :, c])
+    if n % 2:
+        b[-1, 1] = 0.0
+    _ref_thomas_batched(lo, cp, piv, b, out=b)
+    return tuple(_ref_sherman_morrison(b[:, :, c], *corr[c], n) for c in range(k))
+
+
+def _ref_y_matrix(grid, ac, wall_bc):
+    """Natural-layout rows of (I - ac D_y^2), y on axis 0."""
+    lo2, di2, up2, _, _ = _d2y_coeffs(grid)
+    col = (slice(None),) + (None,) * (ac.ndim - 1)
+    lo, di, up = np.zeros_like(ac), np.ones_like(ac), np.zeros_like(ac)
+    lo[1:-1] = -ac[1:-1] * lo2[col]
+    di[1:-1] = 1.0 - ac[1:-1] * di2[col]
+    up[1:-1] = -ac[1:-1] * up2[col]
+    if wall_bc == "neumann":
+        h1 = grid.y[1] - grid.y[0]
+        di[0] = 1.0 + ac[0] * 2.0 / h1**2
+        up[0] = -ac[0] * 2.0 / h1**2
+    return lo, di, up
+
+
+def _ref_solve_y_implicit(grid, coeff, a, rhs, traces):
+    """The y stage with every matrix built in natural layout and folded."""
+    ny, nx = grid.ny, grid.nx
+    b, lo, cp, piv = np.empty((4, (ny + 1) // 2, 2, 3, nx))
+    for c, f in enumerate(rhs):
+        _fold(f.T, out=b[:, :, c])
+    b[0, 0, 1] = traces["u_wall"]
+    b[0, 1] = (traces["rho_top"], traces["u_top"], traces["h_top"])
+    for c, (k, wall_bc) in enumerate(zip(coeff, _WALL_BCS)):
+        ac = np.full((ny, 1), a * k) if np.ndim(k) == 0 else a * k.T
+        lo[:, :, c], cp[:, :, c], piv[:, :, c] = _ref_tridiag_factor(
+            *_ref_y_matrix(grid, ac, wall_bc)
+        )
+    _ref_thomas_batched(lo, cp, piv, b, out=b)
+    out = tuple(np.empty((nx, ny)) for _ in range(3))
+    for c, f in enumerate(out):
+        _unfold(b[:, :, c], ny, f.T)
+    return out
+
+
+def _stage_inputs(grid, seed):
+    """(rho, u, h) arrays, a density and traces: random, or on the
+    benchmark's 64x128 grid a perturbed state's fields."""
+    rng = np.random.default_rng(seed)
+    nx, ny = grid.nx, grid.ny
+    if (nx, ny) == (64, 128):
+        st = perturbed(grid, seed, 0.02)
+        w = (st.rho_shift.values, st.u_shift.values, st.h_shift.values)
+        rho = st.rho_shift.values
+    else:
+        w = tuple(rng.standard_normal((nx, ny)) for _ in range(3))
+        rho = 0.1 * rng.standard_normal((nx, ny))
+    traces = {key: rng.standard_normal(nx) for key in ("u_wall", "rho_top", "u_top", "h_top")}
+    return w, rho, traces
+
+
+_ORACLE_GRIDS = [(9, 11), (9, 12), (10, 11), (16, 48), (64, 128)]
+
+
+@pytest.mark.parametrize("nx, ny", _ORACLE_GRIDS)
+@pytest.mark.parametrize("eps, kappa, k", [(0.01, 0.01, 1e-3), (0.3, 0.5, 4e-2), (2.0, 3.0, 4.0)])
+def test_stages_equal_the_per_field_stages_bitwise(nx, ny, eps, kappa, k):
+    """The folded builders perform the per-field stages' arithmetic: the
+    solver's (eps, eps / rho, eps) in x and (eps, mu / rho, kappa) in y,
+    and distinct rho and h scalars, which must not share a matrix; a long
+    step makes the off-diagonal products as large as the diagonal, where a
+    reordered sum would show."""
+    if (nx, ny) == (64, 128):
+        grid = GridSpec(nx=nx, ny=ny, stretch=2.0)  # the benchmark's
+    else:
+        grid = GridSpec(nx=nx, ny=ny, y_max=12.0, stretch=1.5)
+    w, rho, traces = _stage_inputs(grid, nx + ny)
+    for x_coeff in ((eps, eps / (rho + 1.0), eps), (eps, eps / (rho + 1.0), kappa)):
+        got = _solve_x_cn(w, x_coeff, k / 2.0, grid.dx)
+        want = _ref_solve_x_cn(w, x_coeff, k / 2.0, grid.dx)
+        for g, r in zip(got, want):
+            assert g.flags.c_contiguous and np.array_equal(g, r)
+    y_coeff = (eps, 1.0 / (rho + 1.0), kappa)
+    got = _solve_y_implicit(grid, y_coeff, k / 2.0, w, traces)
+    want = _ref_solve_y_implicit(grid, y_coeff, k / 2.0, w, traces)
+    for g, r in zip(got, want):
+        assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("n", [8, 9, 11, 12])
+def test_cached_factors_equal_the_natural_layout_factors_bitwise(n):
+    """The constant x and y factors, built by the folded builders, are the
+    natural-layout builds' to the bit, for coefficients from weak to
+    strong coupling."""
+    grid = GridSpec(nx=8, ny=n, y_max=12.0, stretch=1.5)
+    for c in np.geomspace(1e-3, 1e3, 19):
+        lo = np.full((n, 1), -c)
+        lof, cp, piv, seed, gamma = _ref_periodic_factors(lo, np.full((n, 1), 1.0 + 2.0 * c), lo)
+        want = (lof, cp, piv, _ref_thomas_batched(lof, cp, piv, seed), gamma)
+        for g, r in zip(_periodic_factors(n, c), want):
+            assert np.array_equal(g, r)
+        for bc in set(_WALL_BCS):
+            want = _ref_tridiag_factor(*_ref_y_matrix(grid, np.full((n, 1), c), bc))
+            for g, r in zip(_y_factors(grid, c, bc), want):
+                assert np.array_equal(g, r)
 
 
 def test_diagnose_setup_residual_matches_the_benchmark_reference_at_seed_12():
