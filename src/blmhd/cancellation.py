@@ -199,8 +199,8 @@ class _Residual:
         )
         self.E = exp_minus_y(self.grid)
         self.h = state.h_shift.values
-        self.v = state.v.values
-        self.g_f = state.g.values
+        self.v = self.zt("v", 0, 0)
+        self.g_f = self.zt("g", 0, 0)
         self.rho = self.tower.rho
         self.U = state.u_shift.values + 1.0 - self.E
         self.gu = gu = good_unknowns(state, alpha1, delta_floor, tower=self.tower)

@@ -5,7 +5,10 @@ Verbs: simulate, verify-inequalities, cancellation, sweep, stability,
 norms.  Every verb reads an INI config (see config.py), writes its
 artifacts (CSV series, JSON summary, optional binary snapshots) plus a
 manifest.json into --out, and exits 0 iff all of its assertions pass;
-failures are listed machine-readably in the summary JSON.
+failures are listed machine-readably in the summary JSON.  A verb stopped
+by data outside the paper's hypotheses (a DensityFloorError, HFloorError
+or SolverError) writes both JSON files with that error as its failure and
+exits 1.
 
 The initial data are the config's `initial` family of blmhd.data, except
 for cancellation, which always analyses data.perturbed at the amplitude
@@ -21,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, data
-from .cancellation import good_unknowns, norm_equivalence_check
+from .cancellation import HFloorError, good_unknowns, norm_equivalence_check
 from .config import ConfigError, RunConfig, canonical_text, load_config
 from .energy import CSV_COLUMNS, instantaneous_functionals, trajectory_report
 from .grid import Field
@@ -33,9 +36,9 @@ from .inequalities import (
 )
 from .io import RunManifest, config_digest, write_csv, write_json, write_snapshot
 from .norms import b_norms
-from .pde import TimeTower
+from .pde import DensityFloorError, TimeTower
 from .sources import bootstrap_time_derivatives
-from .solver import run
+from .solver import SolverError, run
 from .state import MultiIndex, State, initial_state
 from .experiments import eps_sweep, stability_pair
 
@@ -318,9 +321,11 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     digest = config_digest(canonical_text(cfg))
     manifest = RunManifest.start(args.verb, digest, __version__)
-    summary, failures, outputs = _DISPATCH[args.verb](
-        cfg, args.out, args.seed, args.strict
-    )
+    try:
+        summary, failures, outputs = _DISPATCH[args.verb](cfg, args.out, args.seed, args.strict)
+    except (DensityFloorError, HFloorError, SolverError) as exc:
+        failures = [f"{type(exc).__name__}: {exc}"]
+        summary, outputs = {"failures": failures}, []
     write_json(os.path.join(args.out, "summary.json"), summary)
     manifest.outputs = outputs + ["summary.json"]
     manifest.finish(passed=not failures, failures=failures)

@@ -7,11 +7,14 @@ and Y_{m,l} (both include an additive 1); the dissipation functionals
 D_x and D_y; and the accumulating functionals Theta_{m,l} and Xi_{m,l},
 whose time integrals are trapezoidal sums over the trajectory's uniform
 output stride.  All time derivatives come from equation substitution
-(pde.TimeTower), never from differencing stored time levels.
+(pde.TimeTower), never from differencing stored time levels.  A slice's
+v, g and psi, like its derivatives, are read from the slice's tower and
+freed with it; the stored State keeps none of them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from .cancellation import T_DEPTH_CAP, good_unknowns
 from .grid import Field
 from .norms import NormSpec, conormal_linf, conormal_walk, weighted_l2, weighted_linf
 from .operators import d2y, dx, dy, dy_wall, phi, z2
-from .pde import Physics, TimeTower, deriv_family, exp_minus_y, tower_family
+from .pde import Physics, TimeTower, exp_minus_y
 from .solver import MonitorStatus, monitor
 from .state import MultiIndex, State
 
@@ -179,16 +182,8 @@ def _slice_functionals(
     grid = state.grid
     eps, mu, kappa = physics.eps, physics.mu, physics.kappa
     tower = TimeTower(state, sources=sources, forcing=forcing, physics=physics)
-    # the good unknowns below read psi; a stored state keeps it past the
-    # slice, so it is built before the walk's temporaries, not among them,
-    # where it left a heap hole that raised diagnose's peak RSS by ~1 MiB
-    state.psi
-    fr = tower_family(tower, "rho")
-    fu = tower_family(tower, "u")
-    fh = tower_family(tower, "h")
-    fv = tower_family(tower, "v")
-    fg = tower_family(tower, "g")
-    dyr, dyu, dyh = (deriv_family(tower, "y", name) for name in ("rho", "u", "h"))
+    fr, fu, fh, fv, fg = (partial(tower.field, name) for name in ("rho", "u", "h", "v", "g"))
+    dyr, dyu, dyh = (partial(tower.deriv, "y", name) for name in ("rho", "u", "h"))
     E_field = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
 
     # plain deviation u - e^{-y} (zero at the rest state) and its normal

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cancellation import HFloorError
 from .data import physical
 from .grid import Field
 from .norms import NormSpec, conormal_norm, weighted_l2
@@ -239,7 +240,7 @@ def diff_good_unknowns(state1: State, state2: State, delta: float) -> DiffGoodUn
     _, u2, h2 = physical(state2)
     m = float(h2.values.min())
     if m < delta:
-        raise ValueError(f"h2-floor violation: min h2 = {m:.4g} < {delta}")
+        raise HFloorError(f"h2-floor violation: min h2 = {m:.4g} < {delta}")
     # physical fields; the constant parts cancel in every difference
     rho_bar = state1.rho_shift - state2.rho_shift
     u_bar = state1.u_shift - state2.u_shift

@@ -12,13 +12,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import os
 import struct
 import time as _time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .state import State
+from .state import State, derive_secondary
 
 SNAPSHOT_MAGIC = b"BLMHD1"
 _SNAPSHOT_FIELDS = ("rho_shift", "u_shift", "h_shift", "v", "g", "psi")
@@ -66,22 +68,28 @@ def _json_default(o):
 
 
 def write_snapshot(path, state: State) -> None:
-    """Columnar binary snapshot of all six state fields."""
+    """Columnar binary snapshot of the three state fields and the v, g and
+    psi that derive_secondary builds from them."""
     grid = state.grid
+    fields = [state.rho_shift, state.u_shift, state.h_shift]
+    fields += [derive_secondary(state, name) for name in _SNAPSHOT_FIELDS[3:]]
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(
             _HEADER.pack(grid.nx, grid.ny, grid.y_max, grid.stretch, state.time)
         )
-        for name in _SNAPSHOT_FIELDS:
-            vals = np.ascontiguousarray(getattr(state, name).values, dtype="<f8")
+        for f in fields:
+            vals = np.ascontiguousarray(f.values, dtype="<f8")
             fh.write(vals.tobytes())
 
 
 def read_snapshot(path) -> dict:
     """Read a snapshot back: header dict plus field arrays.  A snapshot is
     where data enter the package, so a field body holding a NaN or an
-    infinity is a SnapshotError, as is a bad header, size or tail."""
+    infinity is a SnapshotError, as is a bad header, size or tail.  The
+    header must give nx, ny >= 8 (the GridSpec minimum) and a finite
+    y_max, stretch and time, and the file must hold exactly the six bodies
+    it announces; both are checked before any body is read."""
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
@@ -90,6 +98,15 @@ def read_snapshot(path) -> dict:
         if len(header) != _HEADER.size:
             raise SnapshotError("truncated header")
         nx, ny, y_max, stretch, t = _HEADER.unpack(header)
+        if min(nx, ny) < 8 or not all(map(math.isfinite, (y_max, stretch, t))):
+            raise SnapshotError(
+                f"bad header: nx={nx}, ny={ny}, y_max={y_max}, stretch={stretch}, time={t}"
+            )
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        want = 8 * nx * ny * len(_SNAPSHOT_FIELDS)
+        if size != want:
+            what = "truncated field bodies" if size < want else "trailing bytes after the bodies"
+            raise SnapshotError(f"{what}: {size} bytes, the header announces {want}")
         out = {
             "nx": nx,
             "ny": ny,
@@ -97,17 +114,11 @@ def read_snapshot(path) -> dict:
             "stretch": stretch,
             "time": t,
         }
-        count = nx * ny
         for name in _SNAPSHOT_FIELDS:
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise SnapshotError(f"truncated body for field {name}")
-            body = np.frombuffer(buf, dtype="<f8").reshape(nx, ny)
+            body = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8").reshape(nx, ny)
             if not np.isfinite(body).all():
                 raise SnapshotError(f"non-finite entries in field {name}")
             out[name] = body.copy()
-        if fh.read(1):
-            raise SnapshotError("trailing bytes after last field body")
     return out
 
 

@@ -4,9 +4,9 @@ data norms for the physical (unshifted) triple.
 A conormal norm sums ||<y>^l Z^alpha f|| over multi-indices alpha =
 (t, x, z2), Z^alpha = d_t^t Z1^x Z2^z2.  Its input is a Field (static
 data, whose time derivatives are zero), a field family (a callable k ->
-d_t^k f, e.g. pde.tower_family), or a tuple of these.  conormal_walk visits
-the index set once: each Z^alpha is one dx or z2 of a derivative it has
-already produced, so no index is taken from scratch.
+d_t^k f, e.g. functools.partial(tower.field, "u")), or a tuple of these.
+conormal_walk visits the index set once: each Z^alpha is one dx or z2 of
+a derivative it has already produced, so no index is taken from scratch.
 
 Each weight is computed once: weighted_l2 multiplies the squared field in
 place by a read-only weight_2d * (1+y)^{2l}, and weighted_linf by a
@@ -25,14 +25,14 @@ time levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .data import shifted
 from .grid import Field, GridSpec
 from .operators import d2x, d2y, dx, dy, z2
-from .pde import Physics, TimeTower, deriv_family, exp_minus_y, map_family, tower_family
+from .pde import Physics, TimeTower, exp_minus_y
 from .state import MultiIndex, initial_state
 
 _MODES = ("full", "tangential-capped", "tangential-only")
@@ -241,9 +241,7 @@ def b_norms(
     E_field = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
     state = initial_state(grid, *shifted(rho, u1, h1))
     tower = TimeTower(state, max_depth=2 * m + 1, physics=Physics(mu, kappa, eps=0.0))
-    fr = tower_family(tower, "rho")
-    fu = tower_family(tower, "u")
-    fh = tower_family(tower, "h")
+    fr, fu, fh = (partial(tower.field, name) for name in ("rho", "u", "h"))
 
     # plain deviation u1 - 1 (the e^{-y} shift is time-independent)
     def fu1(k: int) -> Field:
@@ -252,20 +250,18 @@ def b_norms(
 
     # physical normal derivatives (d_y of the plain deviations); dx and dy
     # of the tower levels come from the tower's derivative cache
-    dxr, dxu, dxh = (deriv_family(tower, "x", name) for name in ("rho", "u", "h"))
-    dyr = deriv_family(tower, "y", "rho")
-    dyh = deriv_family(tower, "y", "h")
-    dyu = map_family(dy, fu1)
+    dxr, dxu, dxh = (partial(tower.deriv, "x", name) for name in ("rho", "u", "h"))
+    dyr, dyh = (partial(tower.deriv, "y", name) for name in ("rho", "h"))
 
     full_m = NormSpec(m, l, "full")
     full_m1 = NormSpec(m - 1, l, "full")
     bar_triple = conormal_norm((fr, fu1, fh), full_m) ** 2
-    bar_dy = conormal_norm((dyr, dyu, dyh), full_m1) ** 2
+    bar_dy = conormal_norm((dyr, lambda k: dy(fu1(k)), dyh), full_m1) ** 2
     bar_linf = conormal_linf(dyr, NormSpec(1, 1.0, "full")) ** 2
     b_bar = bar_triple + bar_dy + bar_linf
 
     quad = (dxr, dyr, dxu, dxh)
-    dyquad = tuple(map_family(dy, q) for q in quad)
+    dyquad = tuple(lambda k, q=q: dy(q(k)) for q in quad)
     second = (lambda k: dy(d2x(fr(k))), lambda k: dy(d2y(fr(k))))
     n1 = _shifted_norms(quad, m, m, lambda z: weighted_l2(z, l))
     # the sups on the whole strip and on y <= 5 share one walk

@@ -16,13 +16,14 @@ sources and optional manufactured forcings (F_r, F_u, F_h) may be added.
 
 Time derivatives of any order are obtained by repeatedly differentiating
 these equations in time (Leibniz recursion), never by differencing stored
-time levels; TimeTower implements the recursion on a State, and each level
-takes its v, g and psi from state.closure, the one home of the
-divergence-free closure.  A level's psi is built only when it is asked for;
-the solver never asks.  The tower is also its slice's one derivative cache:
-the Z1^b of the level fields that the good unknowns, their residuals and
-the norm-equivalence check read, and the dx and dy of the level fields
-that the energy walk and the norms read, are each taken there once.
+time levels; TimeTower implements the recursion on a State, and each level,
+level 0 included, takes its v, g and psi from state.closure, the one home
+of the divergence-free closure.  A level's psi is built only when it is
+asked for; the solver never asks.  The tower is its slice's one home of
+the derived fields and its one derivative cache: the Z1^b of the level
+fields that the good unknowns, their residuals and the norm-equivalence
+check read, and the dx and dy of the level fields that the energy walk and
+the norms read, are each taken there once.
 
 TimeTower.explicit is the one kernel for the non-diffusive terms: the tower
 builds each level from it, and the solver takes its explicit tendencies
@@ -35,13 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
 from .grid import Field
 from .operators import d2x, d2y, dx, dy, z2
-from .state import MultiIndex, State, closure, keep_closure
+from .state import MultiIndex, State, closure
 
 DENSITY_FLOOR = 0.1
 
@@ -68,8 +69,9 @@ class Physics:
     eps: float = 0.01
 
     def __post_init__(self):
-        if min(self.mu, self.kappa, self.eps) < 0:
-            raise ValueError("mu, kappa, eps must be nonnegative")
+        # written so that a NaN fails every comparison and is refused
+        if not all(0 <= p < inf for p in (self.mu, self.kappa, self.eps)):
+            raise ValueError("mu, kappa, eps must be finite and nonnegative")
 
 
 @lru_cache(maxsize=64)
@@ -104,9 +106,7 @@ def _scaled(c: int, a):
     return a if c == 1 else c * a
 
 
-# the State attribute of each tower field; a field is selected by either name
-_STATE_FIELDS = dict(rho="rho_shift", u="u_shift", h="h_shift", v="v", g="g", psi="psi")
-_SELECTORS = {**{name: name for name in _STATE_FIELDS}, **{a: n for n, a in _STATE_FIELDS.items()}}
+_FIELDS = ("rho", "u", "h", "v", "g", "psi")
 
 
 class TimeTower:
@@ -115,9 +115,9 @@ class TimeTower:
     Level 0 is a State (state), whose Fields the tower holds; a solver
     stage wraps its lagged arrays in one.  Level i+1 is obtained by
     applying d_t to the governing equations i times (Leibniz rule for
-    products), and takes v and g from its (u, h) by state.closure; psi is
-    built, by closure or as the State's own, only when field("psi", i) or
-    z("psi", i, b) asks for it.  rho is the physical density r + 1 of
+    products).  Every level takes v and g from its (u, h) by state.closure;
+    psi is built by closure only when field("psi", i) or z("psi", i, b)
+    asks for it.  rho is the physical density r + 1 of
     level 0, formed once: the density-floor check, explicit, the higher
     levels and the solver's stages all read it.  physics (required) is any
     object with the attributes eps, mu and kappa.
@@ -131,8 +131,7 @@ class TimeTower:
 
     The tower is its time slice's one derivative cache: z(name, i, b) is
     Z1^b of a level field and deriv(axis, name, i, b) its dx or dy, each
-    taken once.  The closure's dx u and dx h seed that cache, at level 0
-    too when the tower builds the State's v or g.
+    taken once.  The closure's dx u and dx h of each level seed that cache.
 
     The level Fields are built by Field._computed, not scanned for NaN or
     infinity: a stored State's fields were checked, every higher level is
@@ -149,20 +148,11 @@ class TimeTower:
         self.grid, self.time = state.grid, state.time
         self._derivs = {}
         self._sources = {}
-        # a v or g the state has not built is built from the dx u or dx h
-        # that seeds the tower's cache, not from a second dx
-        for name, base in (("v", "u"), ("g", "h")):
-            if name not in vars(state):
-                f = self._derivs[("x", base, 0, 0)] = dx(getattr(state, _STATE_FIELDS[base]))
-                keep_closure(state, name, f)
-        self._fields = {
-            (name, 0): getattr(state, a) for name, a in _STATE_FIELDS.items() if name != "psi"
-        }
-        level = {name: f.values for (name, _), f in self._fields.items()}
+        self._fields = {}
         self._E, self._W = background(self.grid)
-        self.rho = level["rho"] + 1.0
+        self.rho = state.rho_shift.values + 1.0
         _check_density(self.rho)
-        self._levels = [level]
+        self._levels = [self._close(0, state.rho_shift, state.u_shift, state.h_shift)]
 
     def level(self, i: int) -> dict:
         if i < 0:
@@ -275,25 +265,20 @@ class TimeTower:
     # -- internals ---------------------------------------------------------
 
     def _operand(self, name: str, i: int) -> Field:
-        out = self._fields.get((name, i))
-        if out is None:
-            if name == "psi":
-                out = self.state.psi if i == 0 else closure("psi", self._operand("h", i))
-            else:
-                out = Field._computed(self._levels[i][name], self.grid)
-            self._fields[(name, i)] = out
-        return out
+        key = (name, i)
+        if key not in self._fields and name == "psi":
+            self._fields[key] = closure("psi", self._fields[("h", i)])
+        return self._fields[key]
 
-    def _close(self, i: int, rho, u, h) -> dict:
-        """Level i from its (rho, u, h) arrays: v and g by state.closure,
-        whose u, h, v and g Fields and dx u, dx h are kept."""
+    def _close(self, i: int, rho: Field, u: Field, h: Field) -> dict:
+        """Level i from its rho, u and h Fields: v and g by state.closure,
+        whose Fields and dx u, dx h are kept."""
         f = self._fields
-        u_f = f[("u", i)] = Field._computed(u, self.grid)
-        h_f = f[("h", i)] = Field._computed(h, self.grid)
-        ux = self._derivs[("x", "u", i, 0)] = dx(u_f)
-        hx = self._derivs[("x", "h", i, 0)] = dx(h_f)
-        v, g = f[("v", i)], f[("g", i)] = closure("v", ux), closure("g", hx)
-        return {"rho": rho, "u": u_f.values, "h": h_f.values, "v": v.values, "g": g.values}
+        f[("rho", i)], f[("u", i)], f[("h", i)] = rho, u, h
+        ux = self._derivs[("x", "u", i, 0)] = dx(u)
+        hx = self._derivs[("x", "h", i, 0)] = dx(h)
+        f[("v", i)], f[("g", i)] = closure("v", ux), closure("g", hx)
+        return {name: f[(name, i)].values for name in ("rho", "u", "h", "v", "g")}
 
     def _next_level(self) -> dict:
         i = len(self._levels) - 1
@@ -314,7 +299,8 @@ class TimeTower:
         acc = B
         for j in range(1, i + 1):
             acc = acc - _scaled(comb(i, j), L[j]["rho"]) * L[i + 1 - j]["u"]
-        return self._close(i + 1, drho, acc / self.rho, dh)
+        new = (Field._computed(a, self.grid) for a in (drho, acc / self.rho, dh))
+        return self._close(i + 1, *new)
 
 
 def pde_rhs(
@@ -329,11 +315,10 @@ def time_derivative_via_pde(
     state: State, which: str, order: int = 1, sources=None, forcing=None, physics=Physics()
 ) -> Field:
     """d_t^order of the selected field, by substituting the equations."""
-    name = _SELECTORS.get(which)
-    if name is None:
+    if which not in _FIELDS:
         raise ValueError(f"unknown field selector {which!r}")
     tower = TimeTower(state, sources, forcing, max_depth=order, physics=physics)
-    return tower.field(name, order)
+    return tower.field(which, order)
 
 
 def apply_spatial(f: Field, idx: MultiIndex) -> Field:
@@ -345,20 +330,3 @@ def apply_spatial(f: Field, idx: MultiIndex) -> Field:
         f = z2(f)
     return f
 
-
-def tower_family(tower: TimeTower, name: str):
-    """Field family k -> d_t^k of a named state field via the tower."""
-    sel = _SELECTORS[name]
-    return lambda k: tower.field(sel, k)
-
-
-def deriv_family(tower: TimeTower, axis: str, name: str):
-    """Field family k -> dx (axis "x") or dy (axis "y") of d_t^k of a named
-    state field, from the tower's derivative cache."""
-    sel = _SELECTORS[name]
-    return lambda k: tower.deriv(axis, sel, k)
-
-
-def map_family(op, fam):
-    """Compose a spatial operator with a family (spatial ops commute with d_t)."""
-    return lambda k: op(fam(k))

@@ -11,9 +11,9 @@ its end: finiteness is checked there, once per step.  Every Field built
 inside the step (operator results, a stage's State, tower levels, v and g)
 is computed from checked data and not scanned, so a NaN or an infinity
 from any stage raises SolverError ("... diverged ...") at the end of its
-step.  The new State derives nothing until read; the next step's CFL rule
-builds its v.  Each y stage wraps its lagged arrays in a State and builds
-the level-0 TimeTower on it (v, g, dx u and dx h from state.closure, and
+step.  The new State is its fields and time; the next step's CFL rule
+builds its v by derive_secondary.  Each y stage wraps its lagged arrays in
+a State and builds the level-0 TimeTower on it (v, g, dx u and dx h from state.closure, and
 rho = r + 1 once): TimeTower.explicit, the kernel the time-derivative
 tower differentiates, gives the explicit terms, and the tower's rho gives
 u's viscosity mu / rho; the stage frees both before its solve.  Both
@@ -70,7 +70,7 @@ from .grid import Field, GridSpec, NonFiniteError
 from .norms import weighted_linf
 from .operators import _d2y_coeffs, _frozen, _stencil, dy
 from .pde import DensityFloorError, Physics, TimeTower, exp_minus_y, pde_rhs
-from .state import State, initial_state
+from .state import State, derive_secondary, initial_state
 
 _SCHEMES = ("imex-be", "imex-cn")
 
@@ -96,12 +96,15 @@ class SolverConfig(Physics):
         super().__post_init__()
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        # written so that a NaN fails every comparison and is refused
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError("dt and t_end must be finite and positive")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.delta0 <= 0:
-            raise ValueError("delta0 must be positive")
+        if not 0 < self.delta0 < math.inf:
+            raise ValueError("delta0 must be finite and positive")
+        if not 1 <= self.l < math.inf:
+            raise ValueError("l must be finite and at least 1")
 
     @property
     def n_steps(self) -> int:
@@ -525,7 +528,7 @@ def _cfl_substeps(state: State, cfg: SolverConfig) -> int:
     grid = state.grid
     E = exp_minus_y(grid)
     u_max = float(np.max(np.abs(state.u_shift.values + 1.0 - E)))
-    v_max = float(np.max(np.abs(state.v.values)))
+    v_max = float(np.max(np.abs(derive_secondary(state, "v").values)))
     limits = []
     if u_max > 0:
         limits.append(grid.dx / u_max)
@@ -549,13 +552,14 @@ def step(
     rule), returning the new state and its monitor status.
 
     The substeps pass (rho, u, h) arrays; the new State is built once, at
-    the end, by initial_state, and derives nothing: the CFL rule of the
-    next step builds its v, the only derived field a step reads.  traces
-    holds the Dirichlet clamp values per field; when omitted they are
-    taken from the incoming state.  status is the incoming state's monitor
-    status, which run() already holds; when omitted the incoming state is
-    monitored here.  Either way a breached status raises SolverError
-    before the step.  bundle and forcing may be None (absent).
+    the end, by initial_state.  The CFL rule builds the v of the incoming
+    state by derive_secondary, the only derived field a step reads outside
+    its stages' towers.  traces holds the Dirichlet clamp values per
+    field; when omitted they are taken from the incoming state.  status is
+    the incoming state's monitor status, which run() already holds; when
+    omitted the incoming state is monitored here.  Either way a breached
+    status raises SolverError before the step.  bundle and forcing may be
+    None (absent).
 
     Finiteness is checked once, at the end of the step, on the three new
     arrays: a NaN or an infinity produced by any stage of any substep is

@@ -4,18 +4,16 @@ The shifted unknowns are rho_shift = rho - 1, u_shift = u1 - 1 + e^{-y},
 h_shift = h1 - 1; they decay at the top of the layer.  The derived fields
 v (vertical velocity), g (vertical magnetic field) and the stream function
 psi are recovered from the divergence-free constraints and d_y psi = h by
-closure, their one home.  A State builds each of them, through
-derive_secondary, the first time it is read, so a solver step derives only
-the v that the next step's CFL rule reads.  Every pde.TimeTower is built on
-a State (a solver stage wraps its lagged arrays in one), and its levels
-take v and g from closure too, and psi only when asked.  A tower built on
-a State that has not built its v or g builds them from the dx u and dx h
-it keeps (keep_closure), so that each is taken once.
+closure, their one home.  A State holds the three shifted fields and the
+time, nothing else.  Its derived fields live in the pde.TimeTower built on
+it (a solver stage wraps its lagged arrays in one), whose every level,
+level 0 included, takes v and g from closure, and psi only when asked.
+derive_secondary builds one of them without a tower, for the few readers
+that hold none: the solver's CFL rule, snapshots and divergence_defects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,33 +48,13 @@ class MultiIndex:
 @dataclass(frozen=True)
 class State:
     """Shifted unknowns and the time of the slice; the physical parameters
-    live in pde.Physics (SolverConfig), not here.
-
-    v, g and psi are built by closure on first read and then kept on the
-    instance (functools.cached_property writes its __dict__, which the
-    frozen dataclass leaves open).  A state pickles with those it has
-    built; one that crosses a pipe unread builds them on the other side,
-    from the same fields, to the same bits."""
+    live in pde.Physics (SolverConfig), and the derived fields v, g and psi
+    in the slice's pde.TimeTower (or derive_secondary), not here."""
 
     rho_shift: Field
     u_shift: Field
     h_shift: Field
     time: float = 0.0
-
-    @cached_property
-    def v(self) -> Field:
-        """Vertical velocity -int_0^y dx u."""
-        return derive_secondary(self, "v")
-
-    @cached_property
-    def g(self) -> Field:
-        """Vertical magnetic field -int_0^y dx h."""
-        return derive_secondary(self, "g")
-
-    @cached_property
-    def psi(self) -> Field:
-        """Stream function int_0^y h."""
-        return derive_secondary(self, "psi")
 
     @property
     def grid(self) -> GridSpec:
@@ -95,8 +73,7 @@ def initial_state(
     h_shift: Field | None = None,
     time: float = 0.0,
 ) -> State:
-    """Build a State from primary fields; a missing primary field is zero.
-    The derived fields are built when first read."""
+    """Build a State from primary fields; a missing primary field is zero."""
     primary = (rho_shift, u_shift, h_shift)
     if any(f is None for f in primary):
         z = zero_field(grid)
@@ -114,26 +91,19 @@ def closure(name: str, f: Field) -> Field:
 
 
 def derive_secondary(state: State, name: str) -> Field:
-    """The derived field name ("v", "g" or "psi") of a state by closure;
-    State builds each of its derived fields here, once, unless a caller
-    that holds the x-derivative has built it by keep_closure."""
+    """The derived field name ("v", "g" or "psi") of a state by closure,
+    for a reader that holds no tower; nothing is kept."""
     if name == "psi":
         return closure(name, state.h_shift)
     return closure(name, dx(state.u_shift if name == "v" else state.h_shift))
-
-
-def keep_closure(state: State, name: str, f: Field) -> None:
-    """Build v (f = dx u) or g (f = dx h) of a state that has not built it
-    yet, and keep it on the state as its first read would: the same bits
-    as derive_secondary, from an f the caller has already taken."""
-    vars(state)[name] = closure(name, f)
 
 
 def divergence_defects(state: State) -> tuple[float, float, float]:
     """Sup norms of (dx u + dy v, dx h + dy g, dy psi - h).
 
     These vanish to quadrature accuracy: v, g and psi come from closure."""
-    d1 = (dx(state.u_shift) + dy(state.v)).max_abs()
-    d2 = (dx(state.h_shift) + dy(state.g)).max_abs()
-    d3 = (dy(state.psi) - state.h_shift).max_abs()
+    v, g, psi = (derive_secondary(state, name) for name in ("v", "g", "psi"))
+    d1 = (dx(state.u_shift) + dy(v)).max_abs()
+    d2 = (dx(state.h_shift) + dy(g)).max_abs()
+    d3 = (dy(psi) - state.h_shift).max_abs()
     return d1, d2, d3

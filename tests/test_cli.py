@@ -126,6 +126,29 @@ def test_cancellation_builds_one_tower(tmp_path, tower_builds):
     assert tower_builds == [1]
 
 
+@pytest.mark.parametrize(
+    "verb, error",
+    [
+        ("simulate", "DensityFloorError"),
+        ("norms", "DensityFloorError"),
+        ("cancellation", "DensityFloorError"),
+        ("stability", "HFloorError"),
+    ],
+)
+def test_data_outside_the_hypotheses_is_a_recorded_failure(tmp_path, verb, error):
+    # perturbed data of amplitude 8 take the density and h + 1 below their
+    # floors: the verb records the error in both JSON files and exits 1
+    text = BASE.replace("amplitude = 0.004", "initial = perturbed\namplitude = 8")
+    out = tmp_path / "out"
+    assert main([verb, "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["passed"] is False and manifest["outputs"] == ["summary.json"]
+    assert manifest["failures"] == summary["failures"]
+    (failure,) = summary["failures"]
+    assert failure.startswith(error + ": ")
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     bad = _write_cfg(tmp_path, "[grid]\nnx = 16\nny = 48\n[physics]\neps = -1\n")
     rc = main(["norms", "--config", bad, "--out", str(tmp_path / "o")])

@@ -1,5 +1,6 @@
 """Configuration parsing and artifact serialization."""
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from blmhd.io import (
     write_json,
     write_snapshot,
 )
+from blmhd.state import derive_secondary
 
 from conftest import perturbed_state
 
@@ -171,7 +173,8 @@ def test_snapshot_round_trip(tmp_path, grid_small):
     assert back["y_max"] == grid_small.y_max
     assert back["time"] == st.time
     for name in ("rho_shift", "u_shift", "h_shift", "v", "g", "psi"):
-        assert np.array_equal(back[name], getattr(st, name).values)
+        f = getattr(st, name) if name.endswith("_shift") else derive_secondary(st, name)
+        assert np.array_equal(back[name], f.values)
 
 
 def test_snapshot_error_modes(tmp_path, grid_small):
@@ -199,6 +202,35 @@ def test_snapshot_error_modes(tmp_path, grid_small):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(SnapshotError, match="trailing"):
         read_snapshot(trailing)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        (0, 48, 15.0, 2.0, 0.0),
+        (-1, -1, 15.0, 2.0, 0.0),
+        (16, 7, 15.0, 2.0, 0.0),
+        (2**40, 48, 15.0, 2.0, 0.0),
+        (16, 48, np.nan, 2.0, 0.0),
+        (16, 48, 15.0, np.inf, 0.0),
+        (16, 48, 15.0, 2.0, -np.inf),
+    ],
+)
+def test_snapshot_with_a_bad_header_is_refused(tmp_path, grid_small, header):
+    # the header is checked before a body is read: a grid below the
+    # GridSpec minimum or a non-finite float is a SnapshotError, even with
+    # the (finite) bodies the header announces, and so is a size the file
+    # does not hold, not a ValueError or an OverflowError
+    st = perturbed_state(grid_small)
+    p = tmp_path / "s.bin"
+    write_snapshot(p, st)
+    raw = p.read_bytes()
+    start = len(SNAPSHOT_MAGIC)
+    n = 48 * header[0] * header[1]  # six float64 bodies of nx * ny
+    body = bytes(n) if 0 <= n <= len(raw) else raw[start + 40 :]
+    p.write_bytes(raw[:start] + struct.pack("<qqddd", *header) + body)
+    with pytest.raises(SnapshotError):
+        read_snapshot(p)
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf])

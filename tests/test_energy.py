@@ -1,6 +1,7 @@
 """Energy-functional reports: rest-state values, scaling, accumulation."""
 import sys
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,15 +19,7 @@ from blmhd.energy import (
 from blmhd.grid import Field
 from blmhd.norms import NormSpec, conormal_norm, index_set, weighted_l2, weighted_linf
 from blmhd.operators import d2y, dx, dy
-from blmhd.pde import (
-    Physics,
-    TimeTower,
-    apply_spatial,
-    background,
-    exp_minus_y,
-    map_family,
-    tower_family,
-)
+from blmhd.pde import Physics, TimeTower, apply_spatial, background, exp_minus_y
 from blmhd.solver import SolverConfig, Trajectory, monitor, run
 from blmhd.state import MultiIndex
 
@@ -57,9 +50,7 @@ def test_energy_scales_quadratically(grid_small):
 def test_energy_matches_direct_norm_recomputation(grid_small, state_perturbed):
     rep = instantaneous_functionals(state_perturbed, 2, 2.0, 0.25)
     tower = TimeTower(state_perturbed, physics=Physics())
-    fr = tower_family(tower, "rho")
-    fu = tower_family(tower, "u")
-    fh = tower_family(tower, "h")
+    fr, fu, fh = (partial(tower.field, n) for n in ("rho", "u", "h"))
     grid = grid_small
     E = np.exp(-grid.y)[None, :]
 
@@ -80,8 +71,8 @@ def _multi_pass_slice(state, m, l, delta0, physics):
     Z^alpha taken from scratch: the reference for the walked slice."""
     eps, mu, kappa = physics.eps, physics.mu, physics.kappa
     tower = TimeTower(state, physics=physics)
-    fr, fu, fh, fv, fg = (tower_family(tower, n) for n in ("rho", "u", "h", "v", "g"))
-    dyr, dyu, dyh = (map_family(dy, f) for f in (fr, fu, fh))
+    fr, fu, fh, fv, fg = (partial(tower.field, n) for n in ("rho", "u", "h", "v", "g"))
+    dyr, dyu, dyh = (lambda k, f=f: dy(f(k)) for f in (fr, fu, fh))
     grid = state.grid
     E = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
 
@@ -154,17 +145,15 @@ def test_slice_functionals_equal_the_multi_pass_formula(state_perturbed, m):
 
 
 def test_a_slice_takes_each_derivative_and_norm_once(monkeypatch, state_perturbed):
-    """One slice at 16x48, m = 2, l = 2, with the state's v, g and psi
-    built first.  When each index took its own dx, dy and dy dx, the slice
-    made 70 dx, 57 dy and 153 weighted_l2 calls: the head of row b + 1 is
-    the dx that row b's head took, dx and dy of a tower level were taken
-    again beside the tower's own, and the normal-derivative tail took the
-    norms of the level dy again.  The top level's derivatives are not
-    kept in the tower, apart from the dx u and dx h it builds the level
-    with.  The d2y calls are the walk's 18, with the grid's cached
-    background W built beforehand."""
+    """One slice at 16x48, m = 2, l = 2.  When each index took its own dx,
+    dy and dy dx, the slice made 70 dx, 57 dy and 153 weighted_l2 calls:
+    the head of row b + 1 is the dx that row b's head took, dx and dy of a
+    tower level were taken again beside the tower's own, and the
+    normal-derivative tail took the norms of the level dy again.  The top
+    level's derivatives are not kept in the tower, apart from the dx u and
+    dx h it builds the level with.  The d2y calls are the walk's 18, with
+    the grid's cached background W built beforehand."""
     st = state_perturbed
-    st.v, st.g, st.psi
     background(st.grid)
     counts = Counter()
     for name, fn in (

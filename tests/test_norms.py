@@ -1,4 +1,6 @@
 """Weighted and conormal norms: closed-form oracles and norm properties."""
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,15 +21,7 @@ from blmhd.norms import (
     weighted_linf,
 )
 from blmhd.operators import d2x, d2y, dx, dy, phi, z2
-from blmhd.pde import (
-    Physics,
-    TimeTower,
-    apply_spatial,
-    deriv_family,
-    exp_minus_y,
-    map_family,
-    tower_family,
-)
+from blmhd.pde import Physics, TimeTower, apply_spatial, exp_minus_y
 from blmhd.state import initial_state
 from blmhd.state import MultiIndex
 
@@ -147,7 +141,7 @@ def test_conormal_linf_matches_weighted_linf_at_order_zero():
 
 def _tower_families(grid):
     tower = TimeTower(perturbed_state(grid), physics=Physics(eps=0.02))
-    return [tower_family(tower, n) for n in ("rho", "u", "h")]
+    return [partial(tower.field, n) for n in ("rho", "u", "h")]
 
 
 @pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])
@@ -211,7 +205,7 @@ def test_walked_norms_equal_the_per_index_formula(mode):
     grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0)
     fr, fu, fh = _tower_families(grid)
     static = field_from_function(grid, lambda x, y: np.cos(x) * np.exp(-(y**2)))
-    fams = (fr, static, map_family(dy, fh), fu)
+    fams = (fr, static, lambda k: dy(fh(k)), fu)
     spec = NormSpec(3, 1.5, mode)
     assert conormal_norm(fams, spec) == per_index_norm(fams, spec, lambda z: weighted_l2(z, 1.5))
     for y_cap in (None, 4.0):
@@ -331,17 +325,16 @@ def _b_norms_per_shift(rho, u1, h1, m, l):
         max_depth=2 * m + 1,
         physics=Physics(1.0, 1.0, eps=0.0),
     )
-    fr, fu, fh = (tower_family(tower, n) for n in ("rho", "u", "h"))
+    fr, fu, fh = (partial(tower.field, n) for n in ("rho", "u", "h"))
 
     def fu1(k):
         return fu(k) - E_field if k == 0 else fu(k)
 
-    dxr, dxu, dxh = (deriv_family(tower, "x", n) for n in ("rho", "u", "h"))
-    dyr = deriv_family(tower, "y", "rho")
-    dyh = deriv_family(tower, "y", "h")
+    dxr, dxu, dxh = (partial(tower.deriv, "x", n) for n in ("rho", "u", "h"))
+    dyr, dyh = (partial(tower.deriv, "y", n) for n in ("rho", "h"))
     full_m, full_m1 = NormSpec(m, l), NormSpec(m - 1, l)
     bar_triple = conormal_norm((fr, fu1, fh), full_m) ** 2
-    bar_dy = conormal_norm((dyr, map_family(dy, fu1), dyh), full_m1) ** 2
+    bar_dy = conormal_norm((dyr, lambda k: dy(fu1(k)), dyh), full_m1) ** 2
     bar_linf = conormal_linf(dyr, NormSpec(1, 1.0)) ** 2
     hat, hat_y5, groups = 0.0, 0.0, []
     for i in range(m):
@@ -350,7 +343,7 @@ def _b_norms_per_shift(rho, u1, h1, m, l):
         g1 = conormal_norm(quad, full_m) ** 2
         g2 = conormal_linf(second, NormSpec(1, 0.0)) ** 2
         g2_y5 = conormal_linf(second, NormSpec(1, 0.0), y_cap=5.0) ** 2
-        g3 = conormal_norm(tuple(map_family(dy, q) for q in quad), full_m1) ** 2
+        g3 = conormal_norm(tuple(lambda k, q=q: dy(q(k)) for q in quad), full_m1) ** 2
         hat += g1 + g2 + g3
         hat_y5 += g2_y5
         groups.append({"first_deriv_hm": g1, "linf_second": g2, "dy_hm1": g3})

@@ -13,12 +13,10 @@ from blmhd.pde import (
     DensityFloorError,
     Physics,
     TimeTower,
-    map_family,
     pde_rhs,
     time_derivative_via_pde,
-    tower_family,
 )
-from blmhd.state import initial_state
+from blmhd.state import derive_secondary, initial_state
 
 from conftest import perturbed_state
 
@@ -71,15 +69,6 @@ def test_time_derivative_selector_validation(grid_small):
         time_derivative_via_pde(st, "vorticity")
 
 
-def test_map_family_composes_a_spatial_operator(grid_small):
-    st = equilibrium(grid_small)
-    fam = tower_family(TimeTower(st, physics=Physics()), "u")
-    dfam = map_family(dx, fam)
-    assert np.array_equal(dfam(0).values, dx(st.u_shift).values)
-    assert dfam(0).max_abs() < 1e-10  # e^{-y} does not vary in x
-    assert np.array_equal(dfam(1).values, dx(fam(1)).values)
-
-
 @pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])
 def test_homogeneous_density_vanishes_on_every_tower_level(x_scheme):
     # rho_shift = 0 with no sources: every term of d_t^i r carries a
@@ -93,10 +82,12 @@ def test_homogeneous_density_vanishes_on_every_tower_level(x_scheme):
 
 
 def test_a_tower_on_a_state_takes_each_x_derivative_once(grid_small, monkeypatch):
-    """A tower built on a State that has not built its v and g builds them
-    from the dx u and dx h that seed its cache.  Level 1 then takes dx of
-    rho, u and h at level 0 and of u and h at level 1, each once, and the
-    state keeps the v and g that a first read would build."""
+    """Level 0 of a tower is built like every other level: v and g by
+    closure from the dx u and dx h that seed its cache.  Level 1 then
+    takes dx of rho, u and h at level 0 and of u and h at level 1, each
+    once, and the tower's v and g at level 0 are derive_secondary's."""
+    st = perturbed_state(grid_small)
+    want = {name: derive_secondary(st, name) for name in ("v", "g")}
     seen = Counter()
 
     def keyed(f):
@@ -105,14 +96,12 @@ def test_a_tower_on_a_state_takes_each_x_derivative_once(grid_small, monkeypatch
 
     for mod in (pde, state):
         monkeypatch.setattr(mod, "dx", keyed)
-    st = perturbed_state(grid_small)
-    TimeTower(st, max_depth=1, physics=Physics()).level(1)
+    tower = TimeTower(st, max_depth=1, physics=Physics())
+    tower.level(1)
     assert sum(seen.values()) == 5
     assert max(seen.values()) == 1
-    built = dict(vars(st))
-    fresh = perturbed_state(grid_small)
-    for name in ("v", "g"):
-        assert np.array_equal(built[name].values, getattr(fresh, name).values)
+    for name, f in want.items():
+        assert np.array_equal(tower.field(name, 0).values, f.values)
 
 
 @pytest.mark.parametrize("name", ["rho", "u", "h", "psi"])

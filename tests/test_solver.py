@@ -13,7 +13,7 @@ from blmhd.data import equilibrium, perturbed, physical
 from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.manufactured import ManufacturedSolution
 from blmhd.operators import _d2y_coeffs, d2x, d2y
-from blmhd.pde import TimeTower, pde_rhs
+from blmhd.pde import Physics, TimeTower, pde_rhs
 from blmhd.solver import (
     _WALL_BCS,
     MonitorSummary,
@@ -168,32 +168,31 @@ def _count_closure_work(monkeypatch):
 @pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
 def test_a_step_builds_one_state(monkeypatch, state_perturbed, scheme):
     """The substeps pass arrays: a step of 3 substeps builds one checked
-    State, at its end, which derives nothing.  Each stage's level-0 tower,
-    on a State of its arrays, takes dx u and dx h and v and g from the
-    closure, and no psi, so a stage takes only dx rho besides them
-    (imex-cn: two stages per substep, imex-be: one)."""
+    State, at its end, which holds its fields and time only.  Each stage's
+    level-0 tower, on a State of its arrays, takes dx u and dx h and v and
+    g from the closure, and no psi, so a stage takes only dx rho besides
+    them (imex-cn: two stages per substep, imex-be: one)."""
     counts = _count_closure_work(monkeypatch)
     monkeypatch.setattr(solver, "_cfl_substeps", lambda st, cfg: 3)
     new, _ = step(state_perturbed, SolverConfig(eps=0.01, dt=1e-3, scheme=scheme))
     calls = {"imex-cn": (0, 18, 12, 6), "imex-be": (0, 9, 6, 3)}[scheme]
     assert tuple(counts[name] for name in _CLOSURE_WORK) == calls
-    assert vars(new).keys().isdisjoint(("v", "g", "psi"))
+    assert set(vars(new)) == {"rho_shift", "u_shift", "h_shift", "time"}
     assert new.time == pytest.approx(1e-3)
 
 
 @pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
 def test_a_step_derives_only_the_v_its_cfl_rule_reads(monkeypatch, state_perturbed, scheme):
     """In a run every step builds one derived field: the v of its incoming
-    state, which its CFL rule reads (one dx and one integrate_y); its
-    stages take v and g (two of each) and no psi.  At 16x48 a step of
-    dt = 1e-3 is one substep."""
+    state, which its CFL rule reads (one dx and one integrate_y) and does
+    not keep; its stages take v and g (two of each) and no psi.  At 16x48
+    a step of dt = 1e-3 is one substep."""
     counts = _count_closure_work(monkeypatch)
     cfg = SolverConfig(eps=0.01, dt=1e-3, scheme=scheme)
     new, _ = step(state_perturbed, cfg)
     calls = {"imex-cn": (1, 7, 5, 2), "imex-be": (1, 4, 3, 1)}[scheme]
     assert tuple(counts[name] for name in _CLOSURE_WORK) == calls
-    assert "v" in vars(state_perturbed)
-    assert vars(state_perturbed).keys().isdisjoint(("g", "psi"))
+    assert set(vars(state_perturbed)) == {"rho_shift", "u_shift", "h_shift", "time"}
     counts.clear()
     step(new, cfg)
     assert tuple(counts[name] for name in _CLOSURE_WORK) == calls
@@ -482,6 +481,32 @@ def test_solver_config_validation():
         SolverConfig(mu=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(delta0=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(mu=np.nan),
+        dict(kappa=np.inf),
+        dict(eps=np.nan),
+        dict(dt=np.nan),
+        dict(t_end=np.inf),
+        dict(delta0=np.nan),
+        dict(delta0=np.inf),
+        dict(l=np.nan),
+        dict(l=np.inf),
+        dict(l=0.5),
+    ],
+)
+def test_non_finite_physics_and_monitor_settings_are_refused(kwargs):
+    # with delta0 = NaN every monitor comparison is False and all three
+    # monitors would be off; the INI path already refuses these values
+    with pytest.raises(ValueError):
+        SolverConfig(**kwargs)
+    physics = {k: v for k, v in kwargs.items() if k in ("mu", "kappa", "eps")}
+    if physics:
+        with pytest.raises(ValueError):
+            Physics(**physics)
 
 
 def test_manufactured_residual_refines_at_second_order():

@@ -1,6 +1,7 @@
 """No module in src/ or tests/ imports a name it never uses, every name
 the package exports exists, every module-level function or class in src/
-has a caller, and no function in src/ assigns a local it never reads.
+has a caller, no function in src/ assigns a local it never reads, and none
+writes into another object's instance dict.
 
 A stdlib `ast` scan: a name bound by `import` or `from ... import` counts
 as used when it appears as a name anywhere in the module or is listed in
@@ -15,7 +16,11 @@ export it; tests alone do not keep a definition alive.
 A local is unread when a function binds it by a plain `name = ...` or
 `name: T = ...` and no code of the function, nested functions included,
 loads that name; tuple-unpacking targets, `_` and global or nonlocal
-names are skipped."""
+names are skipped.
+
+A foreign dict write is an assignment into vars(x)[...] or x.__dict__[...]
+for an x other than self: a cache one object keeps on another, which
+every reader of the other must then know about."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -133,3 +138,46 @@ def test_scan_flags_an_unread_local():
 @pytest.mark.parametrize("path", _SRC, ids=lambda p: str(p.relative_to(_ROOT)))
 def test_no_unread_locals_in_src(path):
     assert _unread_locals(ast.parse(path.read_text())) == []
+
+
+def _foreign_dict_writes(tree: ast.Module) -> list[str]:
+    def owner(target):
+        if isinstance(target, ast.Subscript):
+            d = target.value
+            if isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "vars":
+                return d.args[0] if d.args else None
+            if isinstance(d, ast.Attribute) and d.attr == "__dict__":
+                return d.value
+        return None
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                x = owner(sub)
+                if x is not None and not (isinstance(x, ast.Name) and x.id == "self"):
+                    found.append(f"line {sub.lineno}: {ast.unparse(sub)}")
+    return found
+
+
+def test_scan_flags_a_foreign_dict_write():
+    src = (
+        "def keep(state, f):\n vars(state)['v'] = f\n"
+        "def put(a, b, f):\n a.__dict__['g'] = b, f = f, 1\n"
+        "class C:\n def h(self):\n  x = self.__dict__['_h'] = 1\n  vars(self)['k'] += x\n"
+    )
+    assert _foreign_dict_writes(ast.parse(src)) == [
+        "line 2: vars(state)['v']",
+        "line 4: a.__dict__['g']",
+    ]
+
+
+@pytest.mark.parametrize("path", _SRC, ids=lambda p: str(p.relative_to(_ROOT)))
+def test_no_foreign_dict_writes_in_src(path):
+    assert _foreign_dict_writes(ast.parse(path.read_text())) == []
