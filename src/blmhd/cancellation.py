@@ -15,15 +15,21 @@ inequalities that relate raw and good-unknown norms.
 
 Every Z^(a,b) of a tower field, its dy and the eta weights' dy rho, dy u,
 dy h come from the slice's pde.TimeTower, its one derivative cache; this
-module keeps no chain of its own.  One evaluation per stored slice serves
-the residuals of all three good unknowns: a _Residual holds one tower and
-one good_unknowns result, and takes each term that more than one unknown
-reads once.  cancellation_residual returns the series asked for; the
-other two wait in a one-entry module slot, keyed by the trajectory's
-stored States (by identity), its bundle, forcing and config, alpha1 and
-the resolved delta_floor.  A call with the same key takes its series out
-of the slot, which is emptied when its last series is taken; any other
-call replaces it, so at most two series are held.
+module keeps no chain of its own.  The estimate controls every top-order
+tangential good unknown together, and so does the evaluation: one tower
+per stored slice serves the residuals of all three unknowns at every a1 of
+one order (top_tangential_indices), and a _Slice takes once each term that
+no a1 changes (the eta weights, their derivatives and their transport and
+dissipation sums).  Between two a1 the tower drops the dx and dy of its
+Z1^b (b >= 1), so it never holds more than one index's chain.
+
+cancellation_residual returns the series asked for; the others of its
+order (at most eight) wait in a one-entry module slot, keyed by the
+trajectory's stored States (by identity), its bundle, forcing and config,
+the order |a1| and the resolved delta_floor.  A call with the same key
+takes its series out of the slot, which is emptied when its last series is
+taken; any other call replaces it.  A caller that asks for one a1 pays for
+its whole order.
 """
 from __future__ import annotations
 
@@ -60,6 +66,13 @@ class GoodUnknowns:
     z_u: Field
     z_h: Field
     z_psi: Field
+
+
+def top_tangential_indices(m: int) -> list[MultiIndex]:
+    """Tangential indices of order exactly m within the time-depth cap, by
+    increasing t_count: the good unknowns that the estimate of order m
+    controls together."""
+    return [MultiIndex(a, m - a, 0) for a in range(min(m, T_DEPTH_CAP) + 1)]
 
 
 def _check_alpha1(alpha1: MultiIndex) -> None:
@@ -103,10 +116,15 @@ def good_unknowns(
     every Z^a1 are read from the tower, which keeps them."""
     _check_alpha1(alpha1)
     _check_h_floor(state, delta_floor)
-    grid = state.grid
     if tower is None:
         tower = TimeTower(state, physics=Physics())
-    eta_r, eta_u, eta_h = eta_fields(tower)
+    return _good_unknowns(tower, alpha1, eta_fields(tower))
+
+
+def _good_unknowns(tower: TimeTower, alpha1: MultiIndex, eta) -> GoodUnknowns:
+    """good_unknowns on tower, given its eta_fields; nothing is checked."""
+    grid = tower.grid
+    eta_r, eta_u, eta_h = eta
     a, b = alpha1.t_count, alpha1.x_count
     z_rho, z_u, z_h, z_psi = (tower.z(name, a, b) for name in ("rho", "u", "h", "psi"))
     psi = z_psi.values
@@ -130,17 +148,17 @@ def good_unknowns(
 # ---------------------------------------------------------------------------
 
 
-def _tf_field(res: _Residual, name: str, const0: float = 0.0, sub_exp0: bool = False):
+def _tf_field(s: _Slice, name: str, const0: float = 0.0, sub_exp0: bool = False):
     """Tangential function (t_count, x_count) -> array for a state field,
     optionally plus a constant / minus e^{-y} contributing only at (0, 0)."""
 
     def f(a: int, b: int) -> np.ndarray:
-        out = res.zt(name, a, b)
+        out = s.zt(name, a, b)
         if a == 0 and b == 0:
             if const0:
                 out = out + const0
             if sub_exp0:
-                out = out - res.E
+                out = out - s.E
         return out
 
     return f
@@ -173,58 +191,59 @@ def _index_splits(alpha1: MultiIndex, exclude_full: bool):
     return out
 
 
-class _Residual:
-    """One state slice of a residual evaluation, shared by the three good
-    unknowns: one tower, one good_unknowns result (the eta weights and the
-    Z^a1 fields), and each term that more than one unknown reads, taken
-    once.  Every Z^(a,b) of a tower field and its dy are the tower's:
-    Z^(a,b) is dx of Z^(a,b-1), so dx Z^(a,b) is Z^(a,b+1), and each is
-    taken once per slice.  What a single unknown reads stays local to its
-    residual function, so it is freed when that function returns.
+def _grad(f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(dx f, dy f) as arrays."""
+    return dx(f).values, dy(f).values
+
+
+class _Slice:
+    """What the residuals of a stored slice read at every tangential index:
+    the slice's tower (levels, closures, and the dx, dy of level fields)
+    and, taken once, every term that no index changes.  Each unknown w has
+    its eta weight, d_t eta_w (quotient rule through the tower) and dx
+    eta_w, and the eta sum of its right-hand side (eta_ops): transport and
+    dissipation for rho_m and h_m, rho times transport for u_m.  h_m also
+    reads dy eta_h, and u_m dxx eta_u.
 
     U is (u + 1) - e^{-y}, which the residuals are pinned to; the tower's
-    U(0) is u + (1 - e^{-y}), which differs from it in the last bit.
+    U(0) is u + (1 - e^{-y}), which differs from it in the last bit."""
 
-    src and frc are the arrays of d_t^{t_count} of the source terms
-    (dx r1, dy r2, dx ru, dx rh) and of the forcing (F_r, F_u, F_h) at the
-    slice, or None where absent or vanishing."""
-
-    def __init__(self, state, alpha1, delta_floor, bundle, forcing, physics):
-        _check_alpha1(alpha1)
-        self.grid = state.grid
-        self.alpha1 = alpha1
+    def __init__(self, tower: TimeTower, delta_floor: float):
+        state = tower.state
+        eps, kappa = tower.physics.eps, tower.physics.kappa
+        self.tower = tower
+        self.grid = tower.grid
         self.hp1 = _check_h_floor(state, delta_floor)
-        self.tower = TimeTower(
-            state, bundle, forcing, max_depth=alpha1.t_count + 1, physics=physics
-        )
         self.E = exp_minus_y(self.grid)
-        self.h = state.h_shift.values
         self.v = self.zt("v", 0, 0)
         self.g_f = self.zt("g", 0, 0)
-        self.rho = self.tower.rho
+        self.rho = tower.rho
         self.U = state.u_shift.values + 1.0 - self.E
-        self.gu = gu = good_unknowns(state, alpha1, delta_floor, tower=self.tower)
-        a = alpha1.t_count
         self.shear = self.dyz("u", 0, 0) + self.E  # d_y(u - e^{-y})
-        self.f_psi = -self.commutator_a_dx(
-            _tf_field(self, "u", const0=1.0, sub_exp0=True), "psi"
-        ) - self.sum_b_dyg(_tf_field(self, "v"), "psi")
-        self.d2y_psi = d2y(gu.z_psi).values
-        # Z^a1 of dx rh and of F_h, and their int_0^y, read by every unknown
-        self.src = self.tower.source_terms(a)
-        if self.src is not None:
-            self.z_dx_rh = self.zt_of(self.src[3])
-            self.inv_dy_z_dx_rh = self.inv_dy(self.z_dx_rh)
-        self.frc = provided_terms(forcing, state.grid, state.time, a)
-        if self.frc is not None:
-            self.z_Fh = self.zt_of(self.frc[2])
-            self.inv_dy_z_Fh = self.inv_dy(self.z_Fh)
+        self.eta_fields = eta_fields(tower)
+        eta_r, eta_u, eta_h = self.eta_fields
+        h_t = self.zt("h", 1, 0)
+        self.eta, self.eta_t = {}, {}
+        for w, eta in zip(("rho", "u", "h"), self.eta_fields):
+            self.eta[w] = eta.values
+            self.eta_t[w] = self.dyz(w, 1, 0) / self.hp1 - eta.values * h_t / self.hp1
+        (rx, ry), (ux, uy), (hx, self.eta_y_h) = (_grad(eta) for eta in self.eta_fields)
+        self.eta_x = {"rho": rx, "u": ux, "h": hx}
+        self.d2x_eta_u = d2x(eta_u).values
+        self.eta_ops = {
+            "rho": self.eta_t["rho"] + self.advect(rx, ry) - eps * d2x(eta_r).values,
+            "u": self.rho * self.eta_t["u"] + self.rho * self.advect(ux, uy),
+            "h": (
+                self.eta_t["h"]
+                + self.advect(hx, self.eta_y_h)
+                - eps * d2x(eta_h).values
+                - kappa * d2y(eta_h).values
+            ),
+        }
 
     def F(self, vals) -> Field:
         """A Field of an array computed at the slice (not scanned)."""
         return Field._computed(vals, self.grid)
-
-    # -- tower fields and their derivatives ---------------------------------
 
     def zt(self, name: str, a: int, b: int) -> np.ndarray:
         """d_t^a Z1^b of a tower field, from the tower."""
@@ -234,22 +253,43 @@ class _Residual:
         """d_y of zt(name, a, b), from the tower."""
         return self.tower.deriv("y", name, a, b).values
 
-    # -- eta weights and their derivatives ----------------------------------
-
-    def eta(self, which: str) -> np.ndarray:
-        return getattr(self.gu, "eta_" + which).values
-
-    def eta_dt(self, which: str) -> np.ndarray:
-        """d_t eta_w by the quotient rule through the tower."""
-        num = self.dyz(which, 1, 0)
-        h_t = self.zt("h", 1, 0)
-        return num / self.hp1 - self.eta(which) * h_t / self.hp1
-
-    # -- transport-type operators --------------------------------------------
-
     def advect(self, w_x: np.ndarray, w_y: np.ndarray) -> np.ndarray:
         """U dx w + v dy w, given dx w and dy w."""
         return self.U * w_x + self.v * w_y
+
+
+class _Residual:
+    """One tangential index alpha1 of a slice's residuals, shared by the
+    three good unknowns: one good_unknowns result (the Z^a1 fields) and
+    each alpha1-dependent term that more than one unknown reads, taken
+    once.  Every Z^(a,b) of a tower field and its dy are the tower's:
+    Z^(a,b) is dx of Z^(a,b-1), so dx Z^(a,b) is Z^(a,b+1).  What a single
+    unknown reads stays local to its residual function, so it is freed
+    when that function returns.
+
+    src and frc are the arrays of d_t^{t_count} of the source terms
+    (dx r1, dy r2, dx ru, dx rh) and of the forcing (F_r, F_u, F_h) at the
+    slice, or None where absent or vanishing."""
+
+    def __init__(self, s: _Slice, alpha1: MultiIndex):
+        tower = s.tower
+        self.s = s
+        self.alpha1 = alpha1
+        self.gu = gu = _good_unknowns(tower, alpha1, s.eta_fields)
+        a = alpha1.t_count
+        self.f_psi = -self.commutator_a_dx(
+            _tf_field(s, "u", const0=1.0, sub_exp0=True), "psi"
+        ) - self.sum_b_dyg(_tf_field(s, "v"), "psi")
+        self.d2y_psi = d2y(gu.z_psi).values
+        # Z^a1 of dx rh and of F_h, and their int_0^y, read by every unknown
+        self.src = tower.source_terms(a)
+        if self.src is not None:
+            self.z_dx_rh = self.zt_of(self.src[3])
+            self.inv_dy_z_dx_rh = self.inv_dy(self.z_dx_rh)
+        self.frc = provided_terms(tower.forcing, tower.grid, tower.time, a)
+        if self.frc is not None:
+            self.z_Fh = self.zt_of(self.frc[2])
+            self.inv_dy_z_Fh = self.inv_dy(self.z_Fh)
 
     # -- commutator sums -----------------------------------------------------
 
@@ -257,54 +297,49 @@ class _Residual:
         """[Z^a1, a d_x] w = sum C Z^b1 a  Z^g1 d_x w  over beta1 != 0."""
         acc = 0.0
         for (i, j), (p, q), c in _index_splits(self.alpha1, exclude_full=False):
-            acc = acc + c * A(i, j) * self.zt(w_name, p, q + 1)
+            acc = acc + c * A(i, j) * self.s.zt(w_name, p, q + 1)
         return acc
 
     def commutator_a_dt(self, A, w_name: str):
         """[Z^a1, a d_t] w = sum C Z^b1 a  Z^g1 d_t w  over beta1 != 0."""
         acc = 0.0
         for (i, j), (p, q), c in _index_splits(self.alpha1, exclude_full=False):
-            acc = acc + c * A(i, j) * self.zt(w_name, p + 1, q)
+            acc = acc + c * A(i, j) * self.s.zt(w_name, p + 1, q)
         return acc
 
     def sum_b_dyg(self, B, w_name: str):
         """sum C Z^b1 b  Z^g1 d_y w  over beta1 != 0 and != alpha1."""
         acc = 0.0
         for (i, j), (p, q), c in _index_splits(self.alpha1, exclude_full=True):
-            acc = acc + c * B(i, j) * self.dyz(w_name, p, q)
+            acc = acc + c * B(i, j) * self.s.dyz(w_name, p, q)
         return acc
 
     # -- sources and forcing at the slice ------------------------------------
 
     def zt_of(self, arr: np.ndarray) -> np.ndarray:
         """Z^a1 of a source or forcing term, given its d_t^{t_count} arr."""
-        return apply_spatial(self.F(arr), MultiIndex(x_count=self.alpha1.x_count)).values
+        return apply_spatial(self.s.F(arr), MultiIndex(x_count=self.alpha1.x_count)).values
 
     def inv_dy(self, arr: np.ndarray) -> np.ndarray:
-        return integrate_y(self.F(arr)).values
+        return integrate_y(self.s.F(arr)).values
 
 
-def _grad(f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """(dx f, dy f) as arrays."""
-    return dx(f).values, dy(f).values
-
-
-def _dt_good_unknown(res: _Residual, which: str, eta_t: np.ndarray) -> np.ndarray:
-    """d_t w_m = Z^{a1+e_t} w - (d_t eta_w) Z^a1 psi - eta_w Z^{a1+e_t} psi,
-    given eta_t = d_t eta_w."""
+def _dt_good_unknown(res: _Residual, which: str) -> np.ndarray:
+    """d_t w_m = Z^{a1+e_t} w - (d_t eta_w) Z^a1 psi - eta_w Z^{a1+e_t} psi."""
+    s = res.s
     a, b = res.alpha1.t_count, res.alpha1.x_count
     return (
-        res.zt(which, a + 1, b)
-        - eta_t * res.gu.z_psi.values
-        - res.eta(which) * res.zt("psi", a + 1, b)
+        s.zt(which, a + 1, b)
+        - s.eta_t[which] * res.gu.z_psi.values
+        - s.eta[which] * s.zt("psi", a + 1, b)
     )
 
 
-# The slot: (objects, values, {which: series}) for the series the last
-# evaluation's caller did not ask for.  objects (the trajectory's bundle,
-# forcing, config and stored States) match by identity; the slot holds
-# them, so their ids cannot be recycled.  values (alpha1 and the resolved
-# delta_floor) match by equality.
+# The slot: (objects, values, {(alpha1, which): series}) for the series of
+# the last evaluated order that its callers have not taken yet.  objects
+# (the trajectory's bundle, forcing, config and stored States) match by
+# identity; the slot holds them, so their ids cannot be recycled.  values
+# (the order and the resolved delta_floor) match by equality.
 _SLOT = None
 
 
@@ -316,96 +351,114 @@ def cancellation_residual(
 ) -> list[Field]:
     """LHS - RHS of the evolution equation of the chosen good unknown,
     evaluated discretely on every stored state of the trajectory, with the
-    trajectory config's eps, mu and kappa.  The series of the other two
-    unknowns are evaluated with it and wait in the module's slot (see the
-    module docstring)."""
+    trajectory config's eps, mu and kappa.  The series of the three
+    unknowns at every index of alpha1's order (top_tangential_indices) are
+    evaluated with it, on one tower per slice, and the other (at most
+    eight) wait in the module's slot, so the first call of an order pays
+    for all of them (see the module docstring)."""
     global _SLOT
     if which not in _RESIDUALS:
         raise ValueError(f"which must be rho_m, u_m or h_m, got {which!r}")
+    _check_alpha1(alpha1)
     cfg = trajectory.config
     if delta_floor is None:
         delta_floor = cfg.delta0 / 2.0
     objects = (trajectory.bundle, trajectory.forcing, cfg, *trajectory.states)
-    values = (alpha1, delta_floor)
+    values = (alpha1.order, delta_floor)
+    key = (alpha1, which)
     if _SLOT is not None:
         held_objects, held_values, series = _SLOT
         if (
-            which in series
+            key in series
             and held_values == values
             and len(held_objects) == len(objects)
             and all(a is b for a, b in zip(held_objects, objects))
         ):
-            out = series.pop(which)
+            out = series.pop(key)
             if not series:
                 _SLOT = None
             return out
     _SLOT = None
-    series = {w: [] for w in _RESIDUALS}
-    for st in trajectory.states:
-        res = _Residual(st, alpha1, delta_floor, trajectory.bundle, trajectory.forcing, cfg)
-        for w, residual in _RESIDUALS.items():
-            series[w].append(residual(res, cfg))
-        del res  # before the next slice's is built, so that two are never held
-    out = series.pop(which)
+    series = _order_residuals(trajectory, alpha1.order, delta_floor)
+    out = series.pop(key)
     _SLOT = (objects, values, series)
     return out
 
 
+def _order_residuals(trajectory, m: int, delta_floor: float) -> dict:
+    """{(alpha1, which): series} over top_tangential_indices(m) and the
+    three unknowns, from one tower per stored slice, deep enough for the
+    largest t_count.  Each index's chain is dropped from the tower once
+    its three residuals are taken."""
+    cfg = trajectory.config
+    alphas = top_tangential_indices(m)
+    depth = alphas[-1].t_count + 1
+    series = {(alpha1, w): [] for alpha1 in alphas for w in _RESIDUALS}
+    for st in trajectory.states:
+        tower = TimeTower(
+            st, trajectory.bundle, trajectory.forcing, max_depth=depth, physics=cfg
+        )
+        s = _Slice(tower, delta_floor)
+        for alpha1 in alphas:
+            res = _Residual(s, alpha1)
+            for w, residual in _RESIDUALS.items():
+                series[alpha1, w].append(residual(res, cfg))
+            del res
+            tower.drop_chains()
+        del s, tower  # before the next slice's is built, so that two are never held
+    return series
+
+
 def _f_h(res: _Residual) -> np.ndarray:
-    tf_U = _tf_field(res, "u", const0=1.0, sub_exp0=True)
-    tf_hp1 = _tf_field(res, "h", const0=1.0)
+    s = res.s
+    tf_U = _tf_field(s, "u", const0=1.0, sub_exp0=True)
+    tf_hp1 = _tf_field(s, "h", const0=1.0)
     return (
         -res.commutator_a_dx(tf_U, "h")
         + res.commutator_a_dx(tf_hp1, "u")
-        - res.sum_b_dyg(_tf_field(res, "v"), "h")
-        + res.sum_b_dyg(_tf_field(res, "g"), "u")
+        - res.sum_b_dyg(_tf_field(s, "v"), "h")
+        + res.sum_b_dyg(_tf_field(s, "g"), "u")
     )
 
 
 def _f_rho(res: _Residual) -> np.ndarray:
-    tf_U = _tf_field(res, "u", const0=1.0, sub_exp0=True)
-    return -res.commutator_a_dx(tf_U, "rho") - res.sum_b_dyg(_tf_field(res, "v"), "rho")
+    s = res.s
+    tf_U = _tf_field(s, "u", const0=1.0, sub_exp0=True)
+    return -res.commutator_a_dx(tf_U, "rho") - res.sum_b_dyg(_tf_field(s, "v"), "rho")
 
 
 def _f_u(res: _Residual) -> np.ndarray:
-    tf_rho = _tf_field(res, "rho", const0=1.0)
-    tf_U = _tf_field(res, "u", const0=1.0, sub_exp0=True)
-    tf_hp1 = _tf_field(res, "h", const0=1.0)
+    s = res.s
+    tf_rho = _tf_field(s, "rho", const0=1.0)
+    tf_U = _tf_field(s, "u", const0=1.0, sub_exp0=True)
+    tf_hp1 = _tf_field(s, "h", const0=1.0)
     tf_rhoU = _tf_product(tf_rho, tf_U)
-    tf_rhov = _tf_product(tf_rho, _tf_field(res, "v"))
+    tf_rhov = _tf_product(tf_rho, _tf_field(s, "v"))
     acc = (
         -res.commutator_a_dt(tf_rho, "u")
         - res.commutator_a_dx(tf_rhoU, "u")
         + res.commutator_a_dx(tf_hp1, "h")
     )
     for (i, j), (p, q), c in _index_splits(res.alpha1, exclude_full=False):
-        acc = acc - c * tf_rho(i, j) * res.zt("v", p, q) * res.shear
-    acc = acc - res.sum_b_dyg(tf_rhov, "u") + res.sum_b_dyg(_tf_field(res, "g"), "h")
+        acc = acc - c * tf_rho(i, j) * s.zt("v", p, q) * s.shear
+    acc = acc - res.sum_b_dyg(tf_rhov, "u") + res.sum_b_dyg(_tf_field(s, "g"), "h")
     return acc
 
 
 def _residual_hm(res: _Residual, cfg) -> Field:
     eps, kappa = cfg.eps, cfg.kappa
-    gu = res.gu
+    s, gu = res.s, res.gu
     a, b = res.alpha1.t_count, res.alpha1.x_count
     z_psi = gu.z_psi.values
-    eta_h = res.eta("h")
-    eta_t = res.eta_dt("h")
-    eta_x, eta_y = _grad(gu.eta_h)
+    eta_h = s.eta["h"]
     lhs = (
-        _dt_good_unknown(res, "h", eta_t)
-        + res.advect(*_grad(gu.h_m))
+        _dt_good_unknown(res, "h")
+        + s.advect(*_grad(gu.h_m))
         - eps * d2x(gu.h_m).values
         - kappa * d2y(gu.h_m).values
-        - (res.h + 1.0) * res.zt("u", a, b + 1)
-        - res.g_f * res.dyz("u", a, b)
-        - res.zt("g", a, b) * res.shear
-    )
-    eta_ops = (
-        eta_t
-        + res.advect(eta_x, eta_y)
-        - eps * d2x(gu.eta_h).values
-        - kappa * d2y(gu.eta_h).values
+        - s.hp1 * s.zt("u", a, b + 1)
+        - s.g_f * s.dyz("u", a, b)
+        - s.zt("g", a, b) * s.shear
     )
     rhs = 0.0
     if res.src is not None:
@@ -414,80 +467,74 @@ def _residual_hm(res: _Residual, cfg) -> Field:
         rhs
         + _f_h(res)
         - eta_h * res.f_psi
-        + 2.0 * eps * eta_x * res.zt("psi", a, b + 1)
-        + 2.0 * kappa * eta_y * res.dyz("psi", a, b)
-        - z_psi * eta_ops
+        + 2.0 * eps * s.eta_x["h"] * s.zt("psi", a, b + 1)
+        + 2.0 * kappa * s.eta_y_h * s.dyz("psi", a, b)
+        - z_psi * s.eta_ops["h"]
     )
     if res.frc is not None:
         rhs = rhs + res.z_Fh - eta_h * res.inv_dy_z_Fh
-    return res.F(lhs - rhs)
+    return s.F(lhs - rhs)
 
 
 def _residual_rhom(res: _Residual, cfg) -> Field:
     eps, kappa = cfg.eps, cfg.kappa
-    gu = res.gu
+    s, gu = res.s, res.gu
     a, b = res.alpha1.t_count, res.alpha1.x_count
     z_psi = gu.z_psi.values
-    eta_r = res.eta("rho")
-    eta_t = res.eta_dt("rho")
-    eta_x, eta_y = _grad(gu.eta_rho)
+    eta_r = s.eta["rho"]
     lhs = (
-        _dt_good_unknown(res, "rho", eta_t)
-        + res.advect(*_grad(gu.rho_m))
+        _dt_good_unknown(res, "rho")
+        + s.advect(*_grad(gu.rho_m))
         - eps * d2x(gu.rho_m).values
         - eps * d2y(gu.rho_m).values
     )
-    eta_ops = eta_t + res.advect(eta_x, eta_y) - eps * d2x(gu.eta_rho).values
     rhs = (
         _f_rho(res)
         - eta_r * res.f_psi
-        + 2.0 * eps * eta_x * res.zt("psi", a, b + 1)
+        + 2.0 * eps * s.eta_x["rho"] * s.zt("psi", a, b + 1)
         - kappa * eta_r * res.d2y_psi
-        + eps * d2y(res.F(eta_r * z_psi)).values
-        - z_psi * eta_ops
+        + eps * d2y(s.F(eta_r * z_psi)).values
+        - z_psi * s.eta_ops["rho"]
     )
     if res.src is not None:
         z_div = res.zt_of(res.src[0] + res.src[1])
         rhs = rhs - eps * z_div + eps * eta_r * res.inv_dy_z_dx_rh
     if res.frc is not None:
         rhs = rhs + res.zt_of(res.frc[0]) - eta_r * res.inv_dy_z_Fh
-    return res.F(lhs - rhs)
+    return s.F(lhs - rhs)
 
 
 def _residual_um(res: _Residual, cfg) -> Field:
     eps, mu, kappa = cfg.eps, cfg.mu, cfg.kappa
-    gu = res.gu
+    s, gu = res.s, res.gu
     a, b = res.alpha1.t_count, res.alpha1.x_count
     z_psi = gu.z_psi.values
-    eta_u = res.eta("u")
-    eta_t = res.eta_dt("u")
-    eta_x, eta_y = _grad(gu.eta_u)
-    rho = res.rho
+    eta_u = s.eta["u"]
+    rho = s.rho
     lhs = (
-        rho * _dt_good_unknown(res, "u", eta_t)
-        + rho * res.advect(*_grad(gu.u_m))
+        rho * _dt_good_unknown(res, "u")
+        + rho * s.advect(*_grad(gu.u_m))
         - eps * d2x(gu.u_m).values
         - mu * d2y(gu.u_m).values
-        - (res.h + 1.0) * res.zt("h", a, b + 1)
-        - res.g_f * res.dyz("h", a, b)
-        - res.zt("g", a, b) * res.dyz("h", 0, 0)
+        - s.hp1 * s.zt("h", a, b + 1)
+        - s.g_f * s.dyz("h", a, b)
+        - s.zt("g", a, b) * s.dyz("h", 0, 0)
     )
-    eta_transport = rho * eta_t + rho * res.advect(eta_x, eta_y)
     rhs = (
         _f_u(res)
         - rho * eta_u * res.f_psi
-        - z_psi * eta_transport
+        - z_psi * s.eta_ops["u"]
         - eps * (rho - 1.0) * eta_u * d2x(gu.z_psi).values
         - kappa * rho * eta_u * res.d2y_psi
-        + 2.0 * eps * eta_x * res.zt("psi", a, b + 1)
-        + eps * d2x(gu.eta_u).values * z_psi
-        + mu * d2y(res.F(eta_u * z_psi)).values
+        + 2.0 * eps * s.eta_x["u"] * s.zt("psi", a, b + 1)
+        + eps * s.d2x_eta_u * z_psi
+        + mu * d2y(s.F(eta_u * z_psi)).values
     )
     if res.src is not None:
         rhs = rhs - eps * res.zt_of(res.src[2]) + eps * rho * eta_u * res.inv_dy_z_dx_rh
     if res.frc is not None:
         rhs = rhs + res.zt_of(res.frc[1]) - rho * eta_u * res.inv_dy_z_Fh
-    return res.F(lhs - rhs)
+    return s.F(lhs - rhs)
 
 
 # every residual, by the good unknown it belongs to, in evaluation order

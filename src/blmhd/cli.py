@@ -296,6 +296,14 @@ _DISPATCH = {
 }
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take nonnegative integers only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="blmhd",
@@ -306,7 +314,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="path to the INI config")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="perturbation seed")
+        p.add_argument("--seed", type=_seed, default=0, help="perturbation seed (>= 0)")
         p.add_argument(
             "--strict",
             action="store_true",

@@ -10,6 +10,8 @@ Sections and keys (defaults in parentheses; nx and ny are required):
 [experiment] m (2), initial (equilibrium), amplitude (0.05),
              ladder (0.1,0.05,0.025,0.0125), perturbation (1e-6)
 
+m runs from 1 to pde.DEPTH_CAP, the deepest time derivative a tower builds.
+
 Unknown sections or keys are errors; duplicate keys are errors citing both
 line numbers; range violations name the offending "section.key".  The
 steps round(t_end / dt) must be a multiple of output_stride (or fewer than
@@ -24,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .grid import GridSpec
+from .pde import DEPTH_CAP
 from .solver import SolverConfig
 
 
@@ -80,7 +83,7 @@ _RANGES = {
     "solver.output_stride": lambda v: v >= 1,
     "monitors.delta0": lambda v: v > 0.0,
     "monitors.l": lambda v: v >= 1.0,
-    "experiment.m": lambda v: v >= 1,
+    "experiment.m": lambda v: 1 <= v <= DEPTH_CAP,
     "experiment.initial": lambda v: v in ("equilibrium", "perturbed"),
     "experiment.amplitude": lambda v: v >= 0.0,
     "experiment.perturbation": lambda v: v >= 0.0,

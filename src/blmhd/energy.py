@@ -18,13 +18,13 @@ from functools import partial
 
 import numpy as np
 
-from .cancellation import T_DEPTH_CAP, good_unknowns
+from .cancellation import good_unknowns, top_tangential_indices
 from .grid import Field
 from .norms import NormSpec, conormal_linf, conormal_walk, weighted_l2, weighted_linf
 from .operators import d2y, dx, dy, dy_wall, phi, z2
 from .pde import Physics, TimeTower, exp_minus_y
 from .solver import MonitorStatus, monitor
-from .state import MultiIndex, State
+from .state import State
 
 CSV_COLUMNS = (
     "time",
@@ -100,13 +100,6 @@ class EnergyReport:
             self.monitor.shear_sup,
             self.monitor.breached,
         ]
-
-
-def _top_tangential_indices(m: int) -> list[MultiIndex]:
-    """Tangential indices of order exactly m within the time-depth cap."""
-    return [
-        MultiIndex(a, m - a, 0) for a in range(min(m, T_DEPTH_CAP) + 1)
-    ]
 
 
 def _v_over_phi_family(state: State, fv):
@@ -262,7 +255,7 @@ def _slice_functionals(
     dx_good = 0.0
     dy_good = 0.0
     delta = delta0 / 2.0
-    for idx in _top_tangential_indices(m):
+    for idx in top_tangential_indices(m):
         gu = good_unknowns(state, idx, delta, tower=tower)
         for w, coef in ((gu.rho_m, eps), (gu.u_m, mu), (gu.h_m, kappa)):
             gm_sq += weighted_l2(w, l) ** 2

@@ -45,6 +45,9 @@ from .operators import d2x, d2y, dx, dy, z2
 from .state import MultiIndex, State, closure
 
 DENSITY_FLOOR = 0.1
+# the deepest time derivative a TimeTower builds unless told otherwise; the
+# energy functionals of order m read level m, so experiment.m stops here
+DEPTH_CAP = 6
 
 
 class DensityFloorError(ValueError):
@@ -139,7 +142,7 @@ class TimeTower:
     Fields that end their step.
     """
 
-    def __init__(self, state: State, sources=None, forcing=None, max_depth: int = 6, *, physics):
+    def __init__(self, state: State, sources=None, forcing=None, max_depth: int = DEPTH_CAP, *, physics):
         self.physics = physics
         self.sources = sources
         self.forcing = forcing
@@ -185,6 +188,12 @@ class TimeTower:
             if keep:
                 self._derivs[key] = out
         return out
+
+    def drop_chains(self) -> None:
+        """Forget the dx and dy of every Z1^b with b >= 1, keeping the
+        levels and the dx, dy of their fields: a caller that walks one
+        tangential index after another holds one index's chain at a time."""
+        self._derivs = {key: f for key, f in self._derivs.items() if key[3] == 0}
 
     def source_terms(self, i: int):
         """provided_terms of the sources at level i, once per tower."""

@@ -1,6 +1,7 @@
 """Good unknowns, their evolution residuals, and norm equivalence."""
 import gc
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -12,6 +13,7 @@ from blmhd import cancellation, operators
 from blmhd.cancellation import (
     HFloorError,
     _Residual,
+    _Slice,
     cancellation_residual,
     good_unknowns,
     norm_equivalence_check,
@@ -139,15 +141,16 @@ def test_residual_with_time_index_refines():
     assert order >= 0.8, errs
 
 
-def test_residual_selector_validation(grid_small, state_equilibrium):
+def test_residual_selector_validation(grid_small, state_equilibrium, tower_builds):
     cfg = SolverConfig()
     traj = _single_state_trajectory(state_equilibrium, cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="which"):
         cancellation_residual(traj, MultiIndex(0, 1, 0), "v_m")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tangential"):
         cancellation_residual(traj, MultiIndex(0, 1, 1), "h_m")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds cap"):
         cancellation_residual(traj, MultiIndex(3, 0, 0), "h_m")
+    assert tower_builds[0] == 0  # each is refused before any tower is built
 
 
 def test_h_floor_guard(grid_small):
@@ -194,10 +197,19 @@ def test_norm_equivalence_validation(grid_small, state_equilibrium):
 
 
 # ---------------------------------------------------------------------------
-# One evaluation per slice serves the three unknowns
+# One evaluation per slice serves the three unknowns of every index of an order
 # ---------------------------------------------------------------------------
 
-ALPHAS = (MultiIndex(0, 1, 0), MultiIndex(0, 2, 0), MultiIndex(1, 1, 0), MultiIndex(2, 0, 0))
+ALPHAS = (
+    MultiIndex(0, 1, 0),
+    MultiIndex(0, 2, 0),
+    MultiIndex(1, 1, 0),
+    MultiIndex(2, 0, 0),
+    MultiIndex(0, 3, 0),
+    MultiIndex(1, 2, 0),
+    MultiIndex(2, 1, 0),
+)
+UNKNOWNS = ("rho_m", "u_m", "h_m")
 
 
 def _sourced_trajectory(x_scheme, a_u=0.03):
@@ -212,15 +224,19 @@ def _sourced_trajectory(x_scheme, a_u=0.03):
 
 
 def _fresh(traj, alpha1, which, delta_floor=None):
-    """The residual series from a fresh _Residual per slice for this one
-    unknown alone: the reference for the shared evaluation."""
+    """The residual series from a fresh tower and _Residual per slice for
+    this one index and unknown alone: the reference for the shared
+    evaluation."""
     cfg = traj.config
     delta = cfg.delta0 / 2.0 if delta_floor is None else delta_floor
     residual = cancellation._RESIDUALS[which]
-    return [
-        residual(_Residual(st, alpha1, delta, traj.bundle, traj.forcing, cfg), cfg).values
-        for st in traj.states
-    ]
+    out = []
+    for st in traj.states:
+        tower = TimeTower(
+            st, traj.bundle, traj.forcing, max_depth=alpha1.t_count + 1, physics=cfg
+        )
+        out.append(residual(_Residual(_Slice(tower, delta), alpha1), cfg).values)
+    return out
 
 
 def _same(series, ref):
@@ -241,13 +257,17 @@ def test_shared_residuals_equal_one_evaluation_per_unknown(x_scheme):
 
 
 def test_one_alpha_of_three_unknowns_builds_one_tower_per_slice(tower_builds):
+    """The nine calls of one order build one tower per slice, and a call of
+    another order or another delta builds again."""
     traj = _sourced_trajectory("fd4")
     n = len(traj.states)
-    for alpha1 in ALPHAS[:2]:
+    order2 = [MultiIndex(2, 0, 0), MultiIndex(0, 2, 0), MultiIndex(1, 1, 0)]
+    for m, delta_floor in ((2, None), (1, None), (2, None), (2, 0.2)):
         before = tower_builds[0]
-        for which in ("h_m", "rho_m", "u_m"):
-            cancellation_residual(traj, alpha1, which)
-        assert tower_builds[0] - before == n, alpha1
+        for alpha1 in order2 if m == 2 else [MultiIndex(1, 0, 0), MultiIndex(0, 1, 0)]:
+            for which in ("h_m", "rho_m", "u_m"):
+                cancellation_residual(traj, alpha1, which, delta_floor)
+        assert tower_builds[0] - before == n, (m, delta_floor)
 
 
 def _recomputes(traj, alpha1, which, tower_builds, delta_floor=None):
@@ -271,9 +291,14 @@ def test_the_held_series_serve_only_the_same_call(tower_builds):
     assert _recomputes(traj, alpha1, "u_m", tower_builds)
     traj.states.append(other.states[2])  # an appended state
     assert _recomputes(traj, alpha1, "h_m", tower_builds)
-    # a lone unknown, after the slot has been emptied
-    cancellation_residual(traj, alpha1, "rho_m")
-    cancellation_residual(traj, alpha1, "u_m")
+    # a series already taken, once the other eight of its order have been
+    # taken from the slot without building a tower
+    before = tower_builds[0]
+    for index in (MultiIndex(0, 2, 0), MultiIndex(1, 1, 0), MultiIndex(2, 0, 0)):
+        for which in UNKNOWNS:
+            if (index, which) != (alpha1, "h_m"):
+                cancellation_residual(traj, index, which)
+    assert tower_builds[0] == before and cancellation._SLOT is None
     assert _recomputes(traj, alpha1, "h_m", tower_builds)
     # another config with the same states
     cancellation_residual(traj, alpha1, "rho_m")
@@ -285,8 +310,9 @@ def test_nothing_is_held_once_the_three_series_are_taken():
     alpha1 = MultiIndex(1, 1, 0)
     traj = _sourced_trajectory("fd4")
     state = weakref.ref(traj.states[1])
-    for which in ("u_m", "h_m", "rho_m"):
-        cancellation_residual(traj, alpha1, which)
+    for index in (alpha1, MultiIndex(2, 0, 0), MultiIndex(0, 2, 0)):
+        for which in ("u_m", "h_m", "rho_m"):
+            cancellation_residual(traj, index, which)
     del traj
     gc.collect()
     assert state() is None
@@ -303,12 +329,40 @@ def test_nothing_is_held_once_the_three_series_are_taken():
     assert state() is None
 
 
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of the allocations fn makes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_order_holds_one_index_chain_at_a_time():
+    """The nine series of one order cost their own bytes and little more:
+    the peak may exceed that of a fresh (2,0) evaluation of one unknown by
+    the nine series plus 10 %.  A tower that kept every index's chain
+    would exceed it."""
+    traj = _sourced_trajectory("fd4")
+    grid = traj.states[0].grid
+    alpha1 = MultiIndex(2, 0, 0)
+    fresh = max(_traced_peak(lambda: _fresh(traj, alpha1, w)) for w in UNKNOWNS)
+    order = _traced_peak(lambda: cancellation_residual(traj, alpha1, "h_m"))
+    series = 9 * len(traj.states) * grid.nx * grid.ny * 8
+    assert order <= 1.1 * fresh + series, (order, fresh, series)
+
+
 def test_residuals_of_three_alphas_take_the_pinned_operator_calls(monkeypatch, state_perturbed):
-    """Three stored slices at 16x48 and one call per alpha of order 2,
-    each of which evaluates all three unknowns: every Z1^b and its dy are
-    taken once per slice, in the slice's tower.  Each of the nine towers
-    builds its own level-0 v, g and psi (27 of the integrate_y calls): the
-    stored States keep none."""
+    """Three stored slices at 16x48 and one call per alpha of order 2: the
+    first evaluates the nine residuals of the order on one tower per slice,
+    and the other two take theirs from the slot.  Each tower builds its
+    levels 0 to 3 and their v, g and psi once (all 12 of a slice's
+    integrate_y calls: the stored States keep none), and the eta terms are
+    taken once per slice.  The dx and dy of an index's Z1^b (b >= 1) are
+    dropped when its residuals are done, so a later index of the order
+    that reads one of them takes it again."""
     traj = run(state_perturbed, SolverConfig(dt=1e-3, t_end=0.002), output_stride=1)
     assert len(traj.states) == 3
     counts = Counter()
@@ -324,4 +378,4 @@ def test_residuals_of_three_alphas_take_the_pinned_operator_calls(monkeypatch, s
                 monkeypatch.setattr(mod, name, wrapper)
     for alpha1 in (MultiIndex(0, 2, 0), MultiIndex(1, 1, 0), MultiIndex(2, 0, 0)):
         cancellation_residual(traj, alpha1, "rho_m")
-    assert counts == {"dx": 228, "dy": 168, "d2x": 117, "d2y": 117, "integrate_y": 81}
+    assert counts == {"dx": 144, "dy": 111, "d2x": 72, "d2y": 84, "integrate_y": 36}

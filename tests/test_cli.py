@@ -156,6 +156,16 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_a_bad_seed_is_a_usage_error(tmp_path, capsys, seed):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", _write_cfg(tmp_path), "--out", str(out), "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_off_stride_final_state_is_a_config_error(tmp_path, capsys):
     # 5 steps at stride 2 would store steps 0, 2, 4 and 5, a non-uniform
     # stride that trajectory_report refuses after the run; the config is

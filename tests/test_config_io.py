@@ -16,6 +16,7 @@ from blmhd.io import (
     write_json,
     write_snapshot,
 )
+from blmhd.pde import DEPTH_CAP
 from blmhd.state import derive_secondary
 
 from conftest import perturbed_state
@@ -42,6 +43,16 @@ def test_out_of_range_names_the_key():
     text = MINIMAL + "[physics]\neps = -1\n"
     with pytest.raises(ConfigError, match=r"physics\.eps"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("m,ok", [(0, False), (DEPTH_CAP, True), (DEPTH_CAP + 1, False)])
+def test_m_runs_from_one_to_the_tower_depth_cap(m, ok):
+    text = MINIMAL + f"[experiment]\nm = {m}\n"
+    if ok:
+        assert parse_config(text).m == m
+    else:
+        with pytest.raises(ConfigError, match=r"experiment\.m"):
+            parse_config(text)
 
 
 def test_duplicate_key_cites_both_lines():
