@@ -15,11 +15,17 @@ inequalities that relate raw and good-unknown norms.
 
 Every Z^(a,b) of a tower field, its dy and the eta weights' dy rho, dy u,
 dy h come from the slice's pde.TimeTower, its one derivative cache; this
-module keeps no chain of its own.  The estimate controls every top-order
-tangential good unknown together, and so does the evaluation: one tower
-per stored slice serves the residuals of all three unknowns at every a1 of
-one order (top_tangential_indices), and a _Slice takes once each term that
-no a1 changes (the eta weights, their derivatives and their transport and
+module keeps no chain of its own.  good_unknowns and norm_equivalence_check
+take that tower as their one input and read the State, the physics (the
+time parts of the good unknowns depend on eps, mu and kappa), the sources
+and the forcing from it.  Every delta floor must be positive (else a
+ValueError) and at most min(h + 1) (else an HFloorError).
+
+The estimate controls every top-order tangential good unknown together,
+and so does the evaluation: one tower per stored slice serves the
+residuals of all three unknowns at every a1 of one order
+(top_tangential_indices), and a _Slice takes once each term that no a1
+changes (the eta weights, their derivatives and their transport and
 dissipation sums).  Between two a1 the tower drops the dx and dy of its
 Z1^b (b >= 1), so it never holds more than one index's chain.
 
@@ -41,8 +47,8 @@ import numpy as np
 from .grid import Field
 from .norms import weighted_l2, weighted_linf
 from .operators import d2x, d2y, dx, dy, integrate_y, z2
-from .pde import Physics, TimeTower, apply_spatial, exp_minus_y, provided_terms
-from .state import MultiIndex, State
+from .pde import TimeTower, apply_spatial, exp_minus_y
+from .state import MultiIndex
 
 T_DEPTH_CAP = 2
 
@@ -84,8 +90,14 @@ def _check_alpha1(alpha1: MultiIndex) -> None:
         )
 
 
-def _check_h_floor(state: State, delta_floor: float) -> np.ndarray:
-    hp1 = state.h_shift.values + 1.0
+def _check_delta(delta: float) -> None:
+    if not delta > 0:  # a NaN is refused too
+        raise ValueError(f"delta must be positive, got {delta}")
+
+
+def _check_h_floor(tower: TimeTower, delta_floor: float) -> np.ndarray:
+    _check_delta(delta_floor)
+    hp1 = tower.state.h_shift.values + 1.0
     m = float(hp1.min())
     if m < delta_floor:
         raise HFloorError(f"h-floor violation: min(h+1) = {m:.4g} < {delta_floor}")
@@ -104,20 +116,13 @@ def eta_fields(tower: TimeTower) -> tuple[Field, Field, Field]:
     return tuple(Field._computed(eta, grid) for eta in (eta_r, eta_u, eta_h))
 
 
-def good_unknowns(
-    state: State,
-    alpha1: MultiIndex,
-    delta_floor: float,
-    tower: TimeTower | None = None,
-) -> GoodUnknowns:
-    """Build the good unknowns; time parts of Z^a1 via PDE substitution
-    through tower (which carries any sources and forcing), else through a
-    tower with the Physics() defaults and neither.  The eta weights and
-    every Z^a1 are read from the tower, which keeps them."""
+def good_unknowns(tower: TimeTower, alpha1: MultiIndex, delta_floor: float) -> GoodUnknowns:
+    """The good unknowns of the tower's State; the time parts of Z^a1 come
+    by PDE substitution through the tower, with its physics, sources and
+    forcing.  The eta weights and every Z^a1 are read from the tower,
+    which keeps them."""
     _check_alpha1(alpha1)
-    _check_h_floor(state, delta_floor)
-    if tower is None:
-        tower = TimeTower(state, physics=Physics())
+    _check_h_floor(tower, delta_floor)
     return _good_unknowns(tower, alpha1, eta_fields(tower))
 
 
@@ -209,16 +214,15 @@ class _Slice:
     U(0) is u + (1 - e^{-y}), which differs from it in the last bit."""
 
     def __init__(self, tower: TimeTower, delta_floor: float):
-        state = tower.state
         eps, kappa = tower.physics.eps, tower.physics.kappa
         self.tower = tower
         self.grid = tower.grid
-        self.hp1 = _check_h_floor(state, delta_floor)
+        self.hp1 = _check_h_floor(tower, delta_floor)
         self.E = exp_minus_y(self.grid)
         self.v = self.zt("v", 0, 0)
         self.g_f = self.zt("g", 0, 0)
         self.rho = tower.rho
-        self.U = state.u_shift.values + 1.0 - self.E
+        self.U = tower.state.u_shift.values + 1.0 - self.E
         self.shear = self.dyz("u", 0, 0) + self.E  # d_y(u - e^{-y})
         self.eta_fields = eta_fields(tower)
         eta_r, eta_u, eta_h = self.eta_fields
@@ -267,9 +271,9 @@ class _Residual:
     unknown reads stays local to its residual function, so it is freed
     when that function returns.
 
-    src and frc are the arrays of d_t^{t_count} of the source terms
-    (dx r1, dy r2, dx ru, dx rh) and of the forcing (F_r, F_u, F_h) at the
-    slice, or None where absent or vanishing."""
+    src and frc are the tower's arrays of d_t^{t_count} of the source terms
+    (dx r1, dy r2, dx ru, dx rh) and of the forcing (F_r, F_u, F_h), or None
+    where absent or vanishing."""
 
     def __init__(self, s: _Slice, alpha1: MultiIndex):
         tower = s.tower
@@ -282,11 +286,11 @@ class _Residual:
         ) - self.sum_b_dyg(_tf_field(s, "v"), "psi")
         self.d2y_psi = d2y(gu.z_psi).values
         # Z^a1 of dx rh and of F_h, and their int_0^y, read by every unknown
-        self.src = tower.source_terms(a)
+        self.src = tower.provided("sources", a)
         if self.src is not None:
             self.z_dx_rh = self.zt_of(self.src[3])
             self.inv_dy_z_dx_rh = self.inv_dy(self.z_dx_rh)
-        self.frc = provided_terms(tower.forcing, tower.grid, tower.time, a)
+        self.frc = tower.provided("forcing", a)
         if self.frc is not None:
             self.z_Fh = self.zt_of(self.frc[2])
             self.inv_dy_z_Fh = self.inv_dy(self.z_Fh)
@@ -363,6 +367,7 @@ def cancellation_residual(
     cfg = trajectory.config
     if delta_floor is None:
         delta_floor = cfg.delta0 / 2.0
+    _check_delta(delta_floor)
     objects = (trajectory.bundle, trajectory.forcing, cfg, *trajectory.states)
     values = (alpha1.order, delta_floor)
     key = (alpha1, which)
@@ -547,27 +552,19 @@ _RESIDUALS = {"rho_m": _residual_rhom, "u_m": _residual_um, "h_m": _residual_hm}
 
 
 def norm_equivalence_check(
-    state: State,
-    alpha1: MultiIndex,
-    l: float,
-    delta: float,
-    tower: TimeTower | None = None,
-    tol: float = 1e-2,
+    tower: TimeTower, alpha1: MultiIndex, l: float, delta: float, tol: float = 1e-2
 ) -> dict:
     """The four explicit-constant inequalities relating raw tangential
-    derivatives to good unknowns (built as in good_unknowns), plus the
-    combined triple bound.  One tower (tower, else one built here as
-    good_unknowns builds it) serves the good unknowns and every dx and dy
-    the bounds read.
+    derivatives of the tower's State to its good unknowns, plus the
+    combined triple bound.  The tower serves the good unknowns and every dx
+    and dy the bounds read.
 
     Returns {name: {lhs, rhs, ratio, passed}} for b11..b14 and b22."""
     if l < 1:
         raise ValueError(f"norm equivalence requires l >= 1, got {l}")
-    hp1 = _check_h_floor(state, delta)
-    grid = state.grid
-    if tower is None:
-        tower = TimeTower(state, physics=Physics())
-    gu = good_unknowns(state, alpha1, delta, tower=tower)
+    hp1 = _check_h_floor(tower, delta)
+    grid = tower.grid
+    gu = good_unknowns(tower, alpha1, delta)
     a, b = alpha1.t_count, alpha1.x_count
     c_hardy = 2.0 / (delta * (2.0 * l - 1.0))
     h_m_norm = weighted_l2(gu.h_m, l)

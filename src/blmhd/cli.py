@@ -165,16 +165,12 @@ def _verb_inequalities(cfg: RunConfig, out: str, seed: int, strict: bool):
 
 
 def _verb_cancellation(cfg: RunConfig, out: str, seed: int, strict: bool):
-    state = data.perturbed(cfg.grid, seed, cfg.amplitude)
-    tower = TimeTower(state, physics=cfg.solver)
+    tower = TimeTower(data.perturbed(cfg.grid, seed, cfg.amplitude), physics=cfg.solver)
     delta = cfg.solver.delta0 / 2.0
-    alpha1 = MultiIndex(0, cfg.m, 0)
-    gu = good_unknowns(state, alpha1, delta, tower=tower)
+    gu = good_unknowns(tower, MultiIndex(0, cfg.m, 0), delta)
     defect = gu.h_m.values - (gu.z_h.values - gu.eta_h.values * gu.z_psi.values)
     recon = float(np.max(np.abs(defect)))
-    checks = norm_equivalence_check(
-        state, MultiIndex(0, 1, 0), l=cfg.solver.l, delta=delta, tower=tower
-    )
+    checks = norm_equivalence_check(tower, MultiIndex(0, 1, 0), l=cfg.solver.l, delta=delta)
     rows = [["reconstruction", "max_abs_defect", recon, recon <= 1e-12]]
     for name, c in checks.items():
         rows.append([name, "ratio", c["ratio"], c["passed"]])
@@ -264,7 +260,7 @@ def _verb_norms(cfg: RunConfig, out: str, seed: int, strict: bool):
         *data.physical(state), m=cfg.m, l=cfg.solver.l, mu=cfg.solver.mu, kappa=cfg.solver.kappa
     )
     rep = instantaneous_functionals(
-        state, m=cfg.m, l=cfg.solver.l, delta0=cfg.solver.delta0, physics=cfg.solver
+        TimeTower(state, physics=cfg.solver), m=cfg.m, l=cfg.solver.l, delta0=cfg.solver.delta0
     )
     rows = [
         ["b_bar", bar],

@@ -34,6 +34,7 @@ class ConfigError(ValueError):
     """Malformed or out-of-range configuration."""
 
 
+_SOLVER = SolverConfig()  # the defaults of [physics], [solver] and [monitors]
 _SCHEMA = {
     "grid": {
         "nx": ("int", None),
@@ -43,20 +44,20 @@ _SCHEMA = {
         "x_scheme": ("str", "fd4"),
     },
     "physics": {
-        "mu": ("float", 1.0),
-        "kappa": ("float", 1.0),
-        "eps": ("float", 0.01),
+        "mu": ("float", _SOLVER.mu),
+        "kappa": ("float", _SOLVER.kappa),
+        "eps": ("float", _SOLVER.eps),
     },
     "solver": {
-        "dt": ("float", 0.001),
-        "t_end": ("float", 0.1),
-        "scheme": ("str", "imex-cn"),
-        "cfl_safety": ("float", 0.9),
+        "dt": ("float", _SOLVER.dt),
+        "t_end": ("float", _SOLVER.t_end),
+        "scheme": ("str", _SOLVER.scheme),
+        "cfl_safety": ("float", _SOLVER.cfl_safety),
         "output_stride": ("int", 1),
     },
     "monitors": {
-        "delta0": ("float", 0.25),
-        "l": ("float", 2.0),
+        "delta0": ("float", _SOLVER.delta0),
+        "l": ("float", _SOLVER.l),
     },
     "experiment": {
         "m": ("int", 2),

@@ -8,8 +8,12 @@ D_x and D_y; and the accumulating functionals Theta_{m,l} and Xi_{m,l},
 whose time integrals are trapezoidal sums over the trajectory's uniform
 output stride.  All time derivatives come from equation substitution
 (pde.TimeTower), never from differencing stored time levels.  A slice's
-v, g and psi, like its derivatives, are read from the slice's tower and
-freed with it; the stored State keeps none of them.
+functionals take the slice's tower as their one input and read its State,
+physics (eps, mu, kappa weigh the dissipation), sources and forcing from
+it; trajectory_report builds one tower per stored slice from the run's
+config, bundle and forcing.  A slice's v, g and psi, like its derivatives,
+are read from the tower and freed with it; the stored State keeps none of
+them.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from .cancellation import good_unknowns, top_tangential_indices
 from .grid import Field
 from .norms import NormSpec, conormal_linf, conormal_walk, weighted_l2, weighted_linf
 from .operators import d2y, dx, dy, dy_wall, phi, z2
-from .pde import Physics, TimeTower, exp_minus_y
+from .pde import TimeTower, exp_minus_y
 from .solver import MonitorStatus, monitor
 from .state import State
 
@@ -160,11 +164,9 @@ def _norm_sq(total: float) -> float:
     return float(np.sqrt(total)) ** 2
 
 
-def _slice_functionals(
-    state: State, m: int, l: float, delta0: float, sources, forcing, physics
-) -> dict:
-    """Every instantaneous piece at one slice, plus the Theta/Xi integrands;
-    the tower and the dissipation weights use physics' eps, mu, kappa.
+def _slice_functionals(tower: TimeTower, m: int, l: float, delta0: float) -> dict:
+    """Every instantaneous piece at the tower's slice, plus the Theta/Xi
+    integrands; the dissipation weights are the tower's eps, mu, kappa.
 
     dx and dy of a tower level field come from the tower's cache; those of
     the top level m, which no later part of the slice reads when m > 1,
@@ -172,9 +174,8 @@ def _slice_functionals(
     not a tower field, so its derivatives are taken here."""
     if m < 1:
         raise ValueError(f"energy functionals require m >= 1, got {m}")
-    grid = state.grid
-    eps, mu, kappa = physics.eps, physics.mu, physics.kappa
-    tower = TimeTower(state, sources=sources, forcing=forcing, physics=physics)
+    state, grid = tower.state, tower.grid
+    eps, mu, kappa = tower.physics.eps, tower.physics.mu, tower.physics.kappa
     fr, fu, fh, fv, fg = (partial(tower.field, name) for name in ("rho", "u", "h", "v", "g"))
     dyr, dyu, dyh = (partial(tower.deriv, "y", name) for name in ("rho", "u", "h"))
     E_field = Field(np.broadcast_to(exp_minus_y(grid), (grid.nx, grid.ny)), grid)
@@ -256,7 +257,7 @@ def _slice_functionals(
     dy_good = 0.0
     delta = delta0 / 2.0
     for idx in top_tangential_indices(m):
-        gu = good_unknowns(state, idx, delta, tower=tower)
+        gu = good_unknowns(tower, idx, delta)
         for w, coef in ((gu.rho_m, eps), (gu.u_m, mu), (gu.h_m, kappa)):
             gm_sq += weighted_l2(w, l) ** 2
             dx_good += eps * weighted_l2(dx(w), l) ** 2
@@ -286,78 +287,27 @@ def _slice_functionals(
     }
 
 
-def instantaneous_functionals(
-    state: State,
-    m: int,
-    l: float,
-    delta0: float,
-    physics=Physics(),
-) -> EnergyReport:
-    """EnergyReport for one slice, without sources or forcing; the
-    time-integral slots are zero, so theta_ml equals y_ml and xi_ml equals
-    x_ml."""
-    p = _slice_functionals(state, m, l, delta0, None, None, physics)
-    return EnergyReport(
-        time=state.time,
-        e_ml=p["e_ml"],
-        q_inst=p["q_inst"],
-        q_sup=p["q_inst"],
-        x_ml=p["x_ml"],
-        y_ml=p["y_ml"],
-        theta_ml=p["y_ml"],
-        xi_ml=p["x_ml"],
-        dx_ml=p["dx_ml"],
-        dy_ml=p["dy_ml"],
-        monitor=monitor(state, delta0, l),
-    )
-
-
-def trajectory_report(
-    trajectory,
-    m: int,
-    l: float,
-    delta0: float | None = None,
-) -> list[EnergyReport]:
-    """Per-slice reports with running suprema and trapezoidal integrals.
-
-    theta_ml(t_k) = sup_{j<=k} Y + accumulated dissipation integrals;
-    xi_ml(t_k) = sup_{j<=k} X + its integrals; q_sup is the running sup
-    of q_inst.  The physics is the trajectory's config.  Each report's
-    monitor is the run's stored one when delta0 and l are the config's,
-    else one evaluated at them (with the stored source flag).  Requires a
-    uniform output stride."""
-    cfg = trajectory.config
-    if delta0 is None:
-        delta0 = cfg.delta0
-    times = np.asarray(trajectory.times, dtype=float)
-    if times.size >= 3:
-        strides = np.diff(times)
-        if np.max(np.abs(strides - strides[0])) > 1e-9 * max(1.0, strides[0]):
-            raise ValueError("trajectory_report requires a uniform output stride")
+def _reports(rows) -> list[EnergyReport]:
+    """The EnergyReports of (time, functionals, monitor) rows in time
+    order: q_sup is the running sup of q_inst, theta_ml (xi_ml) the running
+    sup of y_ml (x_ml) plus the trapezoidal integral of its integrand.  A
+    single row's report is its instantaneous one."""
     reports = []
     sup_y = sup_x = sup_q = 0.0
     int_theta = int_xi = 0.0
     prev = None
-    stored = trajectory.monitors if len(trajectory.monitors) == len(trajectory.states) else None
-    at_config = stored is not None and (delta0, l) == (cfg.delta0, cfg.l)
-    for k, st in enumerate(trajectory.states):
-        p = _slice_functionals(
-            st, m, l, delta0, trajectory.bundle, trajectory.forcing, physics=cfg
-        )
+    for t, p, mon in rows:
         sup_y = max(sup_y, p["y_ml"])
         sup_x = max(sup_x, p["x_ml"])
         sup_q = max(sup_q, p["q_inst"])
         if prev is not None:
-            dt = times[k] - times[k - 1]
-            int_theta += 0.5 * dt * (prev["theta_integrand"] + p["theta_integrand"])
-            int_xi += 0.5 * dt * (prev["xi_integrand"] + p["xi_integrand"])
-        if at_config:
-            mon = stored[k]
-        else:
-            mon = monitor(st, delta0, l, source_flag=stored is not None and stored[k].source_flag)
+            t0, p0 = prev
+            dt = t - t0
+            int_theta += 0.5 * dt * (p0["theta_integrand"] + p["theta_integrand"])
+            int_xi += 0.5 * dt * (p0["xi_integrand"] + p["xi_integrand"])
         reports.append(
             EnergyReport(
-                time=float(times[k]),
+                time=float(t),
                 e_ml=p["e_ml"],
                 q_inst=p["q_inst"],
                 q_sup=sup_q,
@@ -370,5 +320,51 @@ def trajectory_report(
                 monitor=mon,
             )
         )
-        prev = p
+        prev = t, p
     return reports
+
+
+def instantaneous_functionals(tower: TimeTower, m: int, l: float, delta0: float) -> EnergyReport:
+    """EnergyReport of the tower's slice, with its physics, sources and
+    forcing; the time-integral slots are zero, so theta_ml equals y_ml and
+    xi_ml equals x_ml."""
+    p = _slice_functionals(tower, m, l, delta0)
+    return _reports([(tower.time, p, monitor(tower.state, delta0, l))])[0]
+
+
+def trajectory_report(
+    trajectory,
+    m: int,
+    l: float,
+    delta0: float | None = None,
+) -> list[EnergyReport]:
+    """Per-slice reports with running suprema and trapezoidal integrals.
+
+    theta_ml(t_k) = sup_{j<=k} Y + accumulated dissipation integrals;
+    xi_ml(t_k) = sup_{j<=k} X + its integrals; q_sup is the running sup
+    of q_inst.  Each slice's tower has the trajectory's config as physics
+    and its bundle and forcing, and is freed before the next is built.
+    Each report's monitor is the run's stored one when delta0 and l are the
+    config's, else one evaluated at them (with the stored source flag).
+    Requires a uniform output stride."""
+    cfg = trajectory.config
+    if delta0 is None:
+        delta0 = cfg.delta0
+    times = np.asarray(trajectory.times, dtype=float)
+    if times.size >= 3:
+        strides = np.diff(times)
+        if np.max(np.abs(strides - strides[0])) > 1e-9 * max(1.0, strides[0]):
+            raise ValueError("trajectory_report requires a uniform output stride")
+    stored = trajectory.monitors if len(trajectory.monitors) == len(trajectory.states) else None
+    at_config = stored is not None and (delta0, l) == (cfg.delta0, cfg.l)
+    rows = []
+    for k, st in enumerate(trajectory.states):
+        tower = TimeTower(st, trajectory.bundle, trajectory.forcing, physics=cfg)
+        p = _slice_functionals(tower, m, l, delta0)
+        del tower  # freed before the next slice's is built
+        if at_config:
+            mon = stored[k]
+        else:
+            mon = monitor(st, delta0, l, source_flag=stored is not None and stored[k].source_flag)
+        rows.append((times[k], p, mon))
+    return _reports(rows)

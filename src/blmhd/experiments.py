@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cancellation import HFloorError
+from .cancellation import HFloorError, _check_delta
 from .data import physical
 from .grid import Field
 from .norms import NormSpec, conormal_norm, weighted_l2
@@ -143,9 +143,12 @@ class SweepResult:
     valid: tuple
 
     def __post_init__(self):
-        lad = self.eps_ladder
-        if any(b >= a for a, b in zip(lad, lad[1:])):
-            raise ValueError("eps_ladder must be strictly decreasing")
+        _check_decreasing(self.eps_ladder)
+
+
+def _check_decreasing(ladder: tuple) -> None:
+    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("eps_ladder must be strictly decreasing")
 
 
 def _diff_norm(s1: State, s2: State) -> float:
@@ -168,10 +171,11 @@ def eps_sweep(
     output_stride: int = 1,
 ) -> SweepResult:
     """Run the same initial data per ladder entry (side by side, _run_all)
-    and compare pairwise."""
+    and compare pairwise.  The ladder is checked before any run."""
     ladder = tuple(float(e) for e in ladder)
     if not ladder:
         raise ValueError("the eps ladder needs at least one rung")
+    _check_decreasing(ladder)
     jobs = [(state, replace(cfg, eps=eps)) for eps in ladder]
     trajectories = _run_all(jobs, bundle, forcing, output_stride)
     valid = [not t.breached for t in trajectories]
@@ -232,8 +236,7 @@ class DiffGoodUnknowns:
 
 def diff_good_unknowns(state1: State, state2: State, delta: float) -> DiffGoodUnknowns:
     """Build the difference quantities; requires min h2 >= delta > 0."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     grid = state1.grid
     if grid != state2.grid:
         raise ValueError("both states must share the grid")

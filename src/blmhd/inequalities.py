@@ -379,15 +379,15 @@ class _Duhamel:
     tables: tuple
 
 
-def _duhamel_data(p: HeatProblem, n_times: int, n_quad: int) -> _Duhamel:
-    times = np.linspace(0.0, p.t_end, n_times + 1)
+def _duhamel_data(p: HeatProblem) -> _Duhamel:
+    times = np.linspace(0.0, p.t_end, _HEAT_N_TIMES + 1)
     fe = _odd_extension(p.f0)[None, :]
     tables = []
     for t in times:
         if p.forcing is None or t == 0.0:
             tables.append((np.array([t]), np.ones(1), fe, 0.0))
             continue
-        s_nodes = np.linspace(0.0, t, n_quad + 1)
+        s_nodes = np.linspace(0.0, t, _HEAT_N_QUAD + 1)
         ws = _trap_weights(s_nodes)
         G = np.array([p.forcing(s, p.x) for s in s_nodes], dtype=float)
         lags = np.concatenate([[t], t - s_nodes[:-1]])
@@ -407,15 +407,15 @@ def _heat_solution(p: HeatProblem, duhamel: _Duhamel) -> np.ndarray:
     return out
 
 
-def heat_solve(p: HeatProblem, n_times: int = _HEAT_N_TIMES, n_quad: int = _HEAT_N_QUAD):
+def heat_solve(p: HeatProblem):
     """Solve the half-line heat problem by odd extension, exact Gaussian
     kernel convolution, and Duhamel quadrature for the forcing: each
     output time applies one kernel table over the data and all its
     quadrature lags.
 
-    Returns (times, F) with F.shape == (n_times + 1, len(p.x)); F[k] is the
-    solution at times[k], and F[:, 0] = 0 to quadrature accuracy."""
-    duhamel = _duhamel_data(p, n_times, n_quad)
+    Returns (times, F) with F.shape == (_HEAT_N_TIMES + 1, len(p.x)); F[k]
+    is the solution at times[k], and F[:, 0] = 0 to quadrature accuracy."""
+    duhamel = _duhamel_data(p)
     return duhamel.times, _heat_solution(p, duhamel)
 
 
@@ -464,7 +464,7 @@ def heat_bound_check(
     ]
     ratios = {}
     if problems:
-        duhamel = _duhamel_data(problems[0], _HEAT_N_TIMES, _HEAT_N_QUAD)
+        duhamel = _duhamel_data(problems[0])
         denom = heat_data_functional(problems[0], duhamel.times)
         for p in problems:
             num = float(np.max(np.abs(_x_dx(p.x, _heat_solution(p, duhamel)))))

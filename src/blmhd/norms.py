@@ -221,8 +221,9 @@ def b_norms(
     h1: Field,
     m: int,
     l: float,
-    mu: float = 1.0,
-    kappa: float = 1.0,
+    *,
+    mu: float,
+    kappa: float,
 ) -> tuple[float, float, dict]:
     """Composite data norms of the physical triple at a time slice.
 
@@ -233,7 +234,8 @@ def b_norms(
     quadruple (dx rho, dy rho, dx u1, dx h1), the squared H^{1,infty}_0 norm
     of d_t^i d_y (dxx rho, dyy rho), and the squared H^{m-1}_l norm of
     d_t^i d_y of the quadruple.  Time derivatives come from the governing
-    equations with no artificial diffusion (eps = 0) and no sources.
+    equations with viscosity mu and resistivity kappa (both required), no
+    artificial diffusion (eps = 0) and no sources.
     """
     if m < 1:
         raise ValueError("b_norms requires m >= 1")

@@ -23,7 +23,10 @@ asked for; the solver never asks.  The tower is its slice's one home of
 the derived fields and its one derivative cache: the Z1^b of the level
 fields that the good unknowns, their residuals and the norm-equivalence
 check read, and the dx and dy of the level fields that the energy walk and
-the norms read, are each taken there once.
+the norms read, are each taken there once, and so are each level's source
+and forcing terms.  A per-slice diagnostic takes the tower as its one
+input, physics included: TimeTower, pde_rhs and time_derivative_via_pde
+all require a physics, and none picks one for its caller.
 
 TimeTower.explicit is the one kernel for the non-diffusive terms: the tower
 builds each level from it, and the solver takes its explicit tendencies
@@ -93,16 +96,6 @@ def background(grid):
     return E, d2y(Field(np.broadcast_to(E, (grid.nx, grid.ny)), grid)).values
 
 
-def provided_terms(provider, grid, t: float, i: int):
-    """The arrays of a source or forcing provider's i-th time derivative at
-    time t, or None if the provider is absent (None) or that derivative
-    vanishes."""
-    if provider is None:
-        return None
-    out = provider.fields(grid, t, deriv=i)
-    return None if out is None else [f.values for f in out]
-
-
 def _scaled(c: int, a):
     """c * a, without the full-array pass when the binomial factor c is 1
     (every factor at levels 0 and 1): multiplying by 1 is exact."""
@@ -150,7 +143,7 @@ class TimeTower:
         self.state = state
         self.grid, self.time = state.grid, state.time
         self._derivs = {}
-        self._sources = {}
+        self._terms = {}
         self._fields = {}
         self._E, self._W = background(self.grid)
         self.rho = state.rho_shift.values + 1.0
@@ -195,11 +188,16 @@ class TimeTower:
         tangential index after another holds one index's chain at a time."""
         self._derivs = {key: f for key, f in self._derivs.items() if key[3] == 0}
 
-    def source_terms(self, i: int):
-        """provided_terms of the sources at level i, once per tower."""
-        if i not in self._sources:
-            self._sources[i] = provided_terms(self.sources, self.grid, self.time, i)
-        return self._sources[i]
+    def provided(self, which: str, i: int):
+        """The arrays of d_t^i, at the tower's time, of its "sources" or its
+        "forcing" (which), or None where absent or vanishing; each is asked
+        of its provider once per tower."""
+        key = (which, i)
+        if key not in self._terms:
+            provider = getattr(self, which)
+            out = None if provider is None else provider.fields(self.grid, self.time, deriv=i)
+            self._terms[key] = None if out is None else [f.values for f in out]
+        return self._terms[key]
 
     def U(self, j: int) -> np.ndarray:
         """d_t^j of the advection velocity U = u + 1 - e^{-y}."""
@@ -227,8 +225,7 @@ class TimeTower:
         Us = [self.U(j) for j in range(i + 1)]
         RHO = [self.rho] + [L[j]["rho"] for j in range(1, i + 1)]
         HP1 = [L[0]["h"] + 1.0] + [L[j]["h"] for j in range(1, i + 1)]
-        src = self.source_terms(i)
-        frc = provided_terms(self.forcing, self.grid, self.time, i)
+        src, frc = self.provided("sources", i), self.provided("forcing", i)
         drho, dh, B = diffusion
 
         # --- density -------------------------------------------------------
@@ -312,16 +309,14 @@ class TimeTower:
         return self._close(i + 1, *new)
 
 
-def pde_rhs(
-    state: State, sources=None, forcing=None, physics=Physics()
-) -> tuple[Field, Field, Field]:
+def pde_rhs(state: State, sources=None, forcing=None, *, physics) -> tuple[Field, Field, Field]:
     """Instantaneous (d_t rho_shift, d_t u_shift, d_t h_shift)."""
     tower = TimeTower(state, sources, forcing, max_depth=1, physics=physics)
     return tuple(tower.field(name, 1) for name in ("rho", "u", "h"))
 
 
 def time_derivative_via_pde(
-    state: State, which: str, order: int = 1, sources=None, forcing=None, physics=Physics()
+    state: State, which: str, order: int = 1, sources=None, forcing=None, *, physics
 ) -> Field:
     """d_t^order of the selected field, by substituting the equations."""
     if which not in _FIELDS:

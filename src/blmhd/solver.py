@@ -513,7 +513,7 @@ def _explicit_terms(tower: TimeTower):
     without sources it is down."""
     n_rho, n_h, B = tower.explicit(0, (0.0, 0.0, 0.0))
     L0 = tower.level(0)
-    src = tower.source_terms(0)
+    src = tower.provided("sources", 0)
     if src is None:
         return n_rho, B / tower.rho, n_h, False
     rx, ry = tower.deriv("x", "rho", 0).values, tower.deriv("y", "rho", 0).values

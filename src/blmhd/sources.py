@@ -70,15 +70,16 @@ def bootstrap_time_derivatives(
     u10: Field,
     h10: Field,
     m: int,
-    mu: float = 1.0,
-    kappa: float = 1.0,
+    *,
+    mu: float,
+    kappa: float,
 ) -> SourceBundle:
     """Bootstrap d_t^i of the coefficient quadruple for i = 0..m-1.
 
     The physical initial triple is shifted, a time-derivative tower of the
-    unregularized system (eps = 0, no sources) is built, and the spatial
-    derivatives are taken per level.  Level 0 reduces to direct spatial
-    derivatives of the data."""
+    unregularized system (eps = 0, the required mu and kappa, no sources) is
+    built, and the spatial derivatives are taken per level.  Level 0
+    reduces to direct spatial derivatives of the data."""
     if m < 1:
         raise ValueError(f"bootstrap depth m must be >= 1, got {m}")
     rmin = float(rho0.values.min())

@@ -16,7 +16,7 @@ from blmhd.grid import Field, GridSpec, field_from_function
 from blmhd.inequalities import HeatProblem, hardy_check, heat_bound_check, heat_solve
 from blmhd.manufactured import ManufacturedSolution
 from blmhd.norms import weighted_l2
-from blmhd.pde import Physics, time_derivative_via_pde
+from blmhd.pde import Physics, TimeTower, time_derivative_via_pde
 from blmhd.solver import SolverConfig, Trajectory, monitor, run
 from blmhd.sources import bootstrap_time_derivatives
 from blmhd.state import MultiIndex, initial_state
@@ -113,7 +113,8 @@ def test_criterion_2_norm_equivalence_corpus():
     ok = True
     for st in states:
         for alpha1 in (MultiIndex(0, 1, 0), MultiIndex(0, 2, 0)):
-            out = norm_equivalence_check(st, alpha1, l=2.0, delta=0.5)
+            tower = TimeTower(st, physics=Physics())
+            out = norm_equivalence_check(tower, alpha1, l=2.0, delta=0.5)
             for rep in out.values():
                 worst = max(worst, rep["ratio"])
                 ok = ok and rep["passed"]
@@ -184,8 +185,10 @@ def test_criterion_4_equilibrium_energy_drift():
     st = equilibrium(grid)
     cfg = SolverConfig(eps=0.01, dt=1e-3, t_end=1.0)
     traj = run(st, cfg, output_stride=1000)
-    e0 = instantaneous_functionals(traj.states[0], 2, 2.0, 0.25).e_ml
-    e1 = instantaneous_functionals(traj.states[-1], 2, 2.0, 0.25).e_ml
+    e0, e1 = (
+        instantaneous_functionals(TimeTower(s, physics=Physics()), 2, 2.0, 0.25).e_ml
+        for s in (traj.states[0], traj.states[-1])
+    )
     drift = abs(e1 - e0)
     elapsed = time.perf_counter() - t0
     ok = not traj.breached and drift <= 1e-8 and elapsed < 60.0
@@ -271,7 +274,7 @@ def test_criterion_7_cancellation_reconstruction_and_residual():
     t0 = time.perf_counter()
     grid = GridSpec(nx=32, ny=128, y_max=15.0, stretch=2.0)
     st = perturbed_state(grid)
-    gu = good_unknowns(st, MultiIndex(0, 2, 0), 0.125)
+    gu = good_unknowns(TimeTower(st, physics=Physics()), MultiIndex(0, 2, 0), 0.125)
     recon = max(
         np.max(np.abs(gu.rho_m.values + gu.eta_rho.values * gu.z_psi.values - gu.z_rho.values)),
         np.max(np.abs(gu.u_m.values + gu.eta_u.values * gu.z_psi.values - gu.z_u.values)),
@@ -439,7 +442,7 @@ def test_criterion_11_source_bootstrap():
     # constant outer state: every source level vanishes identically
     grid0 = GridSpec(nx=8, ny=48, y_max=15.0, stretch=2.0)
     ones = Field(np.ones((grid0.nx, grid0.ny)), grid0)
-    bundle0 = bootstrap_time_derivatives(ones, ones, ones, m=2)
+    bundle0 = bootstrap_time_derivatives(ones, ones, ones, m=2, mu=1.0, kappa=1.0)
     zero_exact = all(c.max_abs() == 0.0 for lvl in bundle0.levels for c in lvl)
 
     # initial-tendency agreement: the eps-regularized run with sources has
@@ -448,7 +451,7 @@ def test_criterion_11_source_bootstrap():
     for nx, ny, dt in ((16, 64, 2e-3), (32, 128, 1e-3), (64, 256, 5e-4)):
         grid = GridSpec(nx=nx, ny=ny, y_max=15.0, stretch=2.0)
         init = initial_state(grid, *_compatible_datum(grid))
-        bundle = bootstrap_time_derivatives(*physical(init), m=2)
+        bundle = bootstrap_time_derivatives(*physical(init), m=2, mu=1.0, kappa=1.0)
         cfg = SolverConfig(eps=0.01, dt=dt, t_end=2 * dt)
         traj = run(init, cfg, bundle=bundle, output_stride=1)
         assert not traj.breached and len(traj.states) == 3

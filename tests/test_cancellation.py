@@ -46,7 +46,7 @@ def test_good_unknown_point_oracle():
     grid = GridSpec(nx=16, ny=451, y_max=15.0, stretch=0.0)
     h = field_from_function(grid, lambda x, y: 0.5 * np.exp(-(y**2)) * np.sin(x))
     st = equilibrium(grid, h_shift=h)
-    gu = good_unknowns(st, MultiIndex(0, 1, 0), 0.125)
+    gu = good_unknowns(TimeTower(st, physics=Physics()), MultiIndex(0, 1, 0), 0.125)
     i, j = 2, 30  # x = pi/4, y = 1
     assert grid.x[i] == pytest.approx(np.pi / 4.0)
     assert grid.y[j] == pytest.approx(1.0)
@@ -58,24 +58,37 @@ def test_good_unknown_point_oracle():
 
 def test_eta_weights_read_dy_from_a_tower_of_the_same_state(monkeypatch, state_perturbed):
     # every tower serves dy rho, dy u and dy h from its cache: one built
-    # from the State, one of a stage's State of the same arrays, and the
-    # one good_unknowns builds itself
+    # from the State and one of a stage's State of the same arrays
     st = state_perturbed
     fields = (st.rho_shift, st.u_shift, st.h_shift)
     stage_state = State(*(Field._computed(f.values, st.grid) for f in fields), time=st.time)
     stage = TimeTower(stage_state, physics=Physics())
     calls = []
     monkeypatch.setattr(cancellation, "dy", lambda f: calls.append(f) or dy(f))
-    ref = good_unknowns(st, MultiIndex(1, 1, 0), 0.125, tower=stage)
-    for tower in (TimeTower(st, physics=Physics()), None):
-        gu = good_unknowns(st, MultiIndex(1, 1, 0), 0.125, tower=tower)
-        for name in ("eta_rho", "eta_u", "eta_h", "rho_m", "u_m", "h_m"):
-            assert np.array_equal(getattr(gu, name).values, getattr(ref, name).values), name
+    ref = good_unknowns(stage, MultiIndex(1, 1, 0), 0.125)
+    gu = good_unknowns(TimeTower(st, physics=Physics()), MultiIndex(1, 1, 0), 0.125)
+    for name in ("eta_rho", "eta_u", "eta_h", "rho_m", "u_m", "h_m"):
+        assert np.array_equal(getattr(gu, name).values, getattr(ref, name).values), name
     assert calls == []
 
 
+def test_good_unknowns_take_the_physics_of_their_tower(state_perturbed):
+    # the time parts of the good unknowns come by substituting the
+    # equations, so they move with eps, mu and kappa; the tower's physics
+    # is the one used, and the zero-time parts do not depend on it
+    alpha1 = MultiIndex(1, 1, 0)
+    unit = good_unknowns(TimeTower(state_perturbed, physics=Physics()), alpha1, 0.125)
+    run_physics = Physics(mu=0.3, kappa=2.0, eps=0.05)
+    gu = good_unknowns(TimeTower(state_perturbed, physics=run_physics), alpha1, 0.125)
+    for name in ("eta_rho", "eta_u", "eta_h"):
+        assert np.array_equal(getattr(gu, name).values, getattr(unit, name).values), name
+    for name in ("u_m", "h_m"):
+        assert np.max(np.abs(getattr(gu, name).values - getattr(unit, name).values)) > 1e-3, name
+
+
 def test_good_unknown_reconstruction_is_exact(grid_small, state_perturbed):
-    gu = good_unknowns(state_perturbed, MultiIndex(0, 2, 0), 0.125)
+    tower = TimeTower(state_perturbed, physics=Physics())
+    gu = good_unknowns(tower, MultiIndex(0, 2, 0), 0.125)
     recon = gu.h_m.values + gu.eta_h.values * gu.z_psi.values
     assert np.max(np.abs(recon - gu.z_h.values)) < 1e-13
     recon_r = gu.rho_m.values + gu.eta_rho.values * gu.z_psi.values
@@ -89,7 +102,7 @@ def test_zero_magnetic_perturbation_collapses(grid_small):
             grid_small, lambda x, y: 0.01 * np.cos(x) * np.exp(-(y**2))
         ),
     )
-    gu = good_unknowns(st, MultiIndex(0, 1, 0), 0.125)
+    gu = good_unknowns(TimeTower(st, physics=Physics()), MultiIndex(0, 1, 0), 0.125)
     assert gu.z_psi.max_abs() == 0.0
     assert gu.eta_h.max_abs() == 0.0
     assert gu.h_m.max_abs() < 1e-15
@@ -100,7 +113,7 @@ def test_zero_magnetic_perturbation_collapses(grid_small):
 def test_constant_density_gives_raw_rho_unknown(grid_small, state_perturbed):
     # d_y rho = 0 => eta_rho = 0 => rho_m = Z rho
     st = perturbed_state(grid_small, a_rho=0.0)
-    gu = good_unknowns(st, MultiIndex(0, 1, 0), 0.125)
+    gu = good_unknowns(TimeTower(st, physics=Physics()), MultiIndex(0, 1, 0), 0.125)
     assert gu.eta_rho.max_abs() < 1e-14
     assert np.max(np.abs(gu.rho_m.values - gu.z_rho.values)) < 1e-13
 
@@ -158,11 +171,12 @@ def test_h_floor_guard(grid_small):
     h = field_from_function(grid, lambda x, y: -0.9 * np.exp(-(y**2)))
     st = equilibrium(grid, h_shift=h)
     with pytest.raises(HFloorError):
-        good_unknowns(st, MultiIndex(0, 1, 0), 0.25)
+        good_unknowns(TimeTower(st, physics=Physics()), MultiIndex(0, 1, 0), 0.25)
 
 
 def test_norm_equivalence_zero_magnetic_field(grid_small, state_equilibrium):
-    out = norm_equivalence_check(state_equilibrium, MultiIndex(0, 1, 0), 2.0, 0.25)
+    tower = TimeTower(state_equilibrium, physics=Physics())
+    out = norm_equivalence_check(tower, MultiIndex(0, 1, 0), 2.0, 0.25)
     assert set(out) == {"b11", "b12", "b13", "b14", "b22"}
     for rep in out.values():
         assert rep["ratio"] == 0.0 and rep["passed"]
@@ -172,7 +186,7 @@ def test_norm_equivalence_on_perturbed_state():
     grid = GridSpec(nx=24, ny=128, y_max=15.0, stretch=2.0)
     st = perturbed_state(grid)
     for alpha1 in (MultiIndex(0, 1, 0), MultiIndex(0, 2, 0)):
-        out = norm_equivalence_check(st, alpha1, 2.0, 0.25)
+        out = norm_equivalence_check(TimeTower(st, physics=Physics()), alpha1, 2.0, 0.25)
         for name, rep in out.items():
             assert rep["ratio"] <= 1.01, (alpha1, name, rep)
             assert rep["passed"]
@@ -182,18 +196,37 @@ def test_norm_equivalence_flat_h_saturates_b12(grid_small):
     # h constant in y: d_y h = 0, so the b12 bound is an equality
     h = field_from_function(grid_small, lambda x, y: 0.1 * np.cos(x) + 0.0 * y)
     st = equilibrium(grid_small, h_shift=h)
-    out = norm_equivalence_check(st, MultiIndex(0, 1, 0), 2.0, 0.25)
+    out = norm_equivalence_check(TimeTower(st, physics=Physics()), MultiIndex(0, 1, 0), 2.0, 0.25)
     assert out["b12"]["ratio"] == pytest.approx(1.0, abs=1e-10)
     assert out["b12"]["passed"]
 
 
 def test_norm_equivalence_validation(grid_small, state_equilibrium):
     with pytest.raises(ValueError):
-        norm_equivalence_check(state_equilibrium, MultiIndex(0, 1, 0), 0.5, 0.25)
+        norm_equivalence_check(
+            TimeTower(state_equilibrium, physics=Physics()), MultiIndex(0, 1, 0), 0.5, 0.25
+        )
     h = field_from_function(grid_small, lambda x, y: -0.9 * np.exp(-(y**2)))
-    low = equilibrium(grid_small, h_shift=h)
+    low = TimeTower(equilibrium(grid_small, h_shift=h), physics=Physics())
     with pytest.raises(HFloorError):
         norm_equivalence_check(low, MultiIndex(0, 1, 0), 2.0, 0.25)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, np.nan])
+def test_a_delta_that_is_not_positive_is_refused(state_perturbed, tower_builds, delta):
+    # delta = 0 once passed good_unknowns and ended norm_equivalence_check
+    # in a ZeroDivisionError; a NaN passed every floor comparison
+    alpha1 = MultiIndex(0, 1, 0)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        cancellation_residual(
+            _single_state_trajectory(state_perturbed, SolverConfig()), alpha1, "h_m", delta
+        )
+    assert tower_builds[0] == 0  # refused before any tower is built
+    tower = TimeTower(state_perturbed, physics=Physics())
+    with pytest.raises(ValueError, match="delta must be positive"):
+        good_unknowns(tower, alpha1, delta)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        norm_equivalence_check(tower, alpha1, 2.0, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from blmhd.io import (
     write_snapshot,
 )
 from blmhd.pde import DEPTH_CAP
+from blmhd.solver import SolverConfig
 from blmhd.state import derive_secondary
 
 from conftest import perturbed_state
@@ -146,6 +147,22 @@ def test_canonical_text_and_digest_are_stable():
     d = config_digest(canonical_text(a))
     assert len(d) == 64 and all(c in "0123456789abcdef" for c in d)
     assert d == config_digest(canonical_text(b))
+
+
+def test_minimal_config_takes_the_solver_defaults():
+    # the [physics], [solver] and [monitors] defaults are SolverConfig's;
+    # the canonical text (and so every manifest digest) is pinned
+    cfg = parse_config("[grid]\nnx = 8\nny = 8\n")
+    assert cfg.solver == SolverConfig()
+    assert canonical_text(cfg) == (
+        "[experiment]\namplitude = 0.05\ninitial = 'equilibrium'\n"
+        "ladder = '0.1,0.05,0.025,0.0125'\nm = 2\nperturbation = 1e-06\n"
+        "[grid]\nnx = 8\nny = 8\nstretch = 2.0\nx_scheme = 'fd4'\ny_max = 15.0\n"
+        "[monitors]\ndelta0 = 0.25\nl = 2.0\n"
+        "[physics]\neps = 0.01\nkappa = 1.0\nmu = 1.0\n"
+        "[solver]\ncfl_safety = 0.9\ndt = 0.001\noutput_stride = 1\n"
+        "scheme = 'imex-cn'\nt_end = 0.1\n"
+    )
 
 
 def test_load_config_round_trip(tmp_path):

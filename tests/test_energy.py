@@ -27,7 +27,7 @@ from conftest import per_index_norm, perturbed_state
 
 
 def test_rest_state_functional_values(state_equilibrium):
-    rep = instantaneous_functionals(state_equilibrium, 2, 2.0, 0.25)
+    rep = instantaneous_functionals(TimeTower(state_equilibrium, physics=Physics()), 2, 2.0, 0.25)
     assert rep.e_ml <= 1e-12
     assert abs(rep.x_ml - 1.0) <= 5e-3
     assert abs(rep.y_ml - 1.0) <= 5e-3
@@ -41,15 +41,17 @@ def test_energy_scales_quadratically(grid_small):
     c = 0.5
     base = perturbed_state(grid_small, a_rho=0.004, a_u=0.02, a_h=0.02)
     scaled = perturbed_state(grid_small, a_rho=c * 0.004, a_u=c * 0.02, a_h=c * 0.02)
-    e1 = instantaneous_functionals(base, 2, 2.0, 0.25).e_ml
-    e2 = instantaneous_functionals(scaled, 2, 2.0, 0.25).e_ml
+    e1, e2 = (
+        instantaneous_functionals(TimeTower(st, physics=Physics()), 2, 2.0, 0.25).e_ml
+        for st in (base, scaled)
+    )
     # E is quadratic up to the nonlinear (time-derivative) contributions
     assert e2 / e1 == pytest.approx(c**2, rel=0.02)
 
 
 def test_energy_matches_direct_norm_recomputation(grid_small, state_perturbed):
-    rep = instantaneous_functionals(state_perturbed, 2, 2.0, 0.25)
     tower = TimeTower(state_perturbed, physics=Physics())
+    rep = instantaneous_functionals(tower, 2, 2.0, 0.25)
     fr, fu, fh = (partial(tower.field, n) for n in ("rho", "u", "h"))
     grid = grid_small
     E = np.exp(-grid.y)[None, :]
@@ -95,7 +97,7 @@ def _multi_pass_slice(state, m, l, delta0, physics):
     linf_tail = per_index_norm((dyr,), NormSpec(1, 1.0), sup) ** 2
     gm_sq = dx_good = dy_good = 0.0
     for a in range(min(m, T_DEPTH_CAP) + 1):
-        gu = good_unknowns(state, MultiIndex(a, m - a, 0), delta0 / 2.0, tower=tower)
+        gu = good_unknowns(tower, MultiIndex(a, m - a, 0), delta0 / 2.0)
         for w, coef in ((gu.rho_m, eps), (gu.u_m, mu), (gu.h_m, kappa)):
             gm_sq += l2(w) ** 2
             dx_good += eps * l2(dx(w)) ** 2
@@ -140,7 +142,7 @@ def _multi_pass_slice(state, m, l, delta0, physics):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_slice_functionals_equal_the_multi_pass_formula(state_perturbed, m):
     physics = Physics(mu=0.7, kappa=1.3, eps=0.05)
-    got = _slice_functionals(state_perturbed, m, 2.0, 0.25, None, None, physics)
+    got = _slice_functionals(TimeTower(state_perturbed, physics=physics), m, 2.0, 0.25)
     assert got == _multi_pass_slice(state_perturbed, m, 2.0, 0.25, physics)
 
 
@@ -178,7 +180,7 @@ def test_a_slice_takes_each_derivative_and_norm_once(monkeypatch, state_perturbe
         towers.append(self)
 
     monkeypatch.setattr(TimeTower, "__init__", kept)
-    _slice_functionals(st, 2, 2.0, 0.25, None, None, Physics())
+    _slice_functionals(TimeTower(st, physics=Physics()), 2, 2.0, 0.25)
     assert counts == {"dx": 54, "dy": 43, "d2y": 18, "weighted_l2": 130}
     (tower,) = towers
     assert {key for key in tower._derivs if key[2] == 2} == {("x", "u", 2, 0), ("x", "h", 2, 0)}
@@ -257,7 +259,7 @@ def test_nonuniform_stride_rejected(grid_small, state_equilibrium):
 
 def test_m_zero_rejected(state_equilibrium):
     with pytest.raises(ValueError):
-        instantaneous_functionals(state_equilibrium, 0, 2.0, 0.25)
+        instantaneous_functionals(TimeTower(state_equilibrium, physics=Physics()), 0, 2.0, 0.25)
 
 
 def test_trajectory_report_uses_the_run_physics(grid_small):
@@ -266,7 +268,7 @@ def test_trajectory_report_uses_the_run_physics(grid_small):
     state = perturbed_state(grid_small)
     cfg = SolverConfig(eps=0.05, mu=0.7, kappa=1.3, dt=1e-3, t_end=2e-3)
     traj = run(state, cfg)
-    expected = instantaneous_functionals(state, 2, 2.0, 0.25, physics=cfg).dy_ml
+    expected = instantaneous_functionals(TimeTower(state, physics=cfg), 2, 2.0, 0.25).dy_ml
     assert trajectory_report(traj, 2, 2.0)[0].dy_ml == pytest.approx(expected, rel=1e-12)
 
 

@@ -101,6 +101,20 @@ def test_sweep_refuses_an_empty_ladder_before_any_run(monkeypatch, state_equilib
         eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=0.004), ladder=())
 
 
+@pytest.mark.parametrize("ladder", [(0.01, 0.02), (0.1, 0.05, 0.05)])
+def test_sweep_refuses_a_ladder_that_does_not_decrease_before_any_run(
+    monkeypatch, state_equilibrium, ladder
+):
+    # every rung used to run, one of them in a forked child, before the
+    # result refused the ladder
+    def no_runs(jobs, *args, **kwargs):
+        raise AssertionError(f"a ladder that does not decrease started {len(jobs)} runs")
+
+    monkeypatch.setattr(experiments, "_run_all", no_runs)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=0.004), ladder=ladder)
+
+
 # ---------------------------------------------------------------------------
 # Difference good unknowns and stability
 # ---------------------------------------------------------------------------
@@ -115,8 +129,9 @@ def test_diff_good_unknowns_identical_states(grid_small, state_perturbed):
 
 
 def test_diff_good_unknowns_validation(grid_small, state_perturbed):
-    with pytest.raises(ValueError):
-        diff_good_unknowns(state_perturbed, state_perturbed, 0.0)
+    for delta in (0.0, np.nan):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            diff_good_unknowns(state_perturbed, state_perturbed, delta)
     other = perturbed_state(GridSpec(nx=8, ny=64, y_max=15.0, stretch=2.0))
     with pytest.raises(ValueError):
         diff_good_unknowns(state_perturbed, other, 0.125)
@@ -234,7 +249,7 @@ def test_sweep_and_pair_equal_across_worker_counts(cpus, x_scheme, scheme):
 def test_trajectories_from_a_child_equal_run_and_refuse_writes(cpus, grid_small):
     forked = cpus(2)
     st = perturbed_state(grid_small)
-    bundle = bootstrap_time_derivatives(*physical(st), m=1)
+    bundle = bootstrap_time_derivatives(*physical(st), m=1, mu=1.0, kappa=1.0)
     cfgs = [SolverConfig(eps=e, dt=2e-3, t_end=6e-3) for e in (0.1, 0.05, 0.02, 0.01)]
     trajs = _run_all([(st, c) for c in cfgs], bundle, output_stride=3)
     assert len(forked) == 1 and _reaped(forked)

@@ -278,7 +278,7 @@ def _ones(grid):
 def test_b_norms_outer_state_is_zero():
     grid = _grid(ny=64)
     one = _ones(grid)
-    b_bar, b_hat, _ = b_norms(one, one, one, m=1, l=2.0)
+    b_bar, b_hat, _ = b_norms(one, one, one, m=1, l=2.0, mu=1.0, kappa=1.0)
     assert b_bar < 1e-20 and b_hat < 1e-18
 
 
@@ -286,7 +286,7 @@ def test_b_norms_lower_bound_by_order_zero_term():
     grid = _grid(ny=128)
     one = _ones(grid)
     h1 = field_from_function(grid, lambda x, y: 1.0 + np.exp(-(y**2)))
-    b_bar, _, _ = b_norms(one, one, h1, m=1, l=2.0)
+    b_bar, _, _ = b_norms(one, one, h1, m=1, l=2.0, mu=1.0, kappa=1.0)
     hs = field_from_function(grid, lambda x, y: np.exp(-(y**2)))
     assert np.sqrt(b_bar) >= weighted_l2(hs, 2.0) - 1e-10
 
@@ -298,7 +298,7 @@ def test_b_norms_exponential_density_oracle():
     grid = _grid()
     rho = field_from_function(grid, lambda x, y: 1.0 + a * np.exp(-y))
     one = _ones(grid)
-    b_bar, b_hat, details = b_norms(rho, one, one, m=1, l=0.0)
+    b_bar, b_hat, details = b_norms(rho, one, one, m=1, l=0.0, mu=1.0, kappa=1.0)
     i_phi, _ = integrate.quad(
         lambda y: phi(np.array([y]))[0] ** 2 * np.exp(-2 * y), 0, 50
     )
@@ -361,7 +361,7 @@ def _b_norms_per_shift(rho, u1, h1, m, l):
 def test_b_norms_equal_one_walk_per_time_shift(m):
     grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0)
     rho, u1, h1 = physical(perturbed_state(grid))
-    got = b_norms(rho, u1, h1, m=m, l=1.5)
+    got = b_norms(rho, u1, h1, m=m, l=1.5, mu=1.0, kappa=1.0)
     assert got == _b_norms_per_shift(rho, u1, h1, m, 1.5)
     assert len(got[2]["hat_groups"]) == m
 
@@ -383,7 +383,7 @@ def test_b_norms_takes_each_tower_level_and_derivative_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(norms, name, counted(name))
-    b_norms(*physical(perturbed_state(grid)), m=3, l=1.0)
+    b_norms(*physical(perturbed_state(grid)), m=3, l=1.0, mu=1.0, kappa=1.0)
     assert calls == {
         "weighted_l2": 338,
         "weighted_linf": 44,
@@ -399,4 +399,4 @@ def test_b_norms_requires_m_at_least_one():
     grid = _grid(ny=64)
     one = _ones(grid)
     with pytest.raises(ValueError):
-        b_norms(one, one, one, m=0, l=0.0)
+        b_norms(one, one, one, m=0, l=0.0, mu=1.0, kappa=1.0)

@@ -24,10 +24,10 @@ from conftest import perturbed_state
 def test_equilibrium_time_derivatives_vanish(grid_small):
     st = equilibrium(grid_small)
     for which in ("rho", "u", "h"):
-        d = time_derivative_via_pde(st, which, order=1)
+        d = time_derivative_via_pde(st, which, order=1, physics=Physics())
         assert d.max_abs() < 1e-12, which
     for which in ("rho", "u", "h"):
-        d2 = time_derivative_via_pde(st, which, order=2)
+        d2 = time_derivative_via_pde(st, which, order=2, physics=Physics())
         assert d2.max_abs() < 1e-11, which
 
 
@@ -36,7 +36,7 @@ def test_density_floor_guard(grid_small):
     rho = Field(np.full((grid.nx, grid.ny), -0.95), grid)
     st = initial_state(grid, rho_shift=rho)
     with pytest.raises(DensityFloorError):
-        pde_rhs(st)
+        pde_rhs(st, physics=Physics())
 
 
 def test_tower_level_one_matches_manufactured_tendency():
@@ -45,7 +45,7 @@ def test_tower_level_one_matches_manufactured_tendency():
     for nx, ny in ((16, 64), (32, 128)):
         grid = GridSpec(nx=nx, ny=ny, y_max=15.0, stretch=2.0)
         st = ms.state_at(grid, 0.1)
-        dr, du, dh = pde_rhs(st, forcing=ms)
+        dr, du, dh = pde_rhs(st, forcing=ms, physics=Physics())
         er, eu, eh = ms.exact_time_derivatives(grid, 0.1)
         errs.append(
             max((dr - er).max_abs(), (du - eu).max_abs(), (dh - eh).max_abs())
@@ -66,7 +66,7 @@ def test_tower_depth_cap_and_level_validation(grid_small):
 def test_time_derivative_selector_validation(grid_small):
     st = equilibrium(grid_small)
     with pytest.raises(ValueError):
-        time_derivative_via_pde(st, "vorticity")
+        time_derivative_via_pde(st, "vorticity", physics=Physics())
 
 
 @pytest.mark.parametrize("x_scheme", ["fd4", "spectral"])

@@ -621,10 +621,11 @@ def test_source_flag(grid_small, eps):
     # flag stays down
     st = perturbed_state(grid_small)
     cfg = SolverConfig(eps=eps, dt=1e-3, t_end=1e-3)
-    assert step(st, cfg, bootstrap_time_derivatives(*physical(st), m=1))[1].source_flag
+    unit = dict(mu=1.0, kappa=1.0)
+    assert step(st, cfg, bootstrap_time_derivatives(*physical(st), m=1, **unit))[1].source_flag
     assert not step(st, cfg, None)[1].source_flag
     eq = equilibrium(grid_small)
-    assert not step(eq, cfg, bootstrap_time_derivatives(*physical(eq), m=1))[1].source_flag
+    assert not step(eq, cfg, bootstrap_time_derivatives(*physical(eq), m=1, **unit))[1].source_flag
 
 
 # ---------------------------------------------------------------------------

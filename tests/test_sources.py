@@ -26,13 +26,13 @@ def _varying_bundle(grid, m):
     rho = field_from_function(grid, lambda x, y: 1.0 + 0.05 * np.exp(-(y**2)) * np.cos(x))
     u1 = field_from_function(grid, lambda x, y: 1.0 + 0.05 * y**2 * np.exp(-(y**2)) * np.sin(x))
     h1 = field_from_function(grid, lambda x, y: 1.0 + 0.03 * np.exp(-(y**2)) * np.cos(x))
-    return bootstrap_time_derivatives(rho, u1, h1, m=m)
+    return bootstrap_time_derivatives(rho, u1, h1, m=m, mu=1.0, kappa=1.0)
 
 
 def test_equilibrium_bundle_is_identically_zero():
     grid = _grid(nx=8, ny=48)
     one = _ones(grid)
-    bundle = bootstrap_time_derivatives(one, one, one, m=2)
+    bundle = bootstrap_time_derivatives(one, one, one, m=2, mu=1.0, kappa=1.0)
     for level in bundle.levels:
         for comp in level:
             assert comp.max_abs() < 1e-12
@@ -46,7 +46,7 @@ def test_level_zero_equals_direct_spatial_derivatives():
     rho = field_from_function(grid, lambda x, y: 1.0 + 0.05 * np.exp(-(y**2)) * np.cos(x))
     u1 = field_from_function(grid, lambda x, y: 1.0 + 0.05 * y**2 * np.exp(-(y**2)) * np.sin(x))
     h1 = _ones(grid)
-    bundle = bootstrap_time_derivatives(rho, u1, h1, m=1)
+    bundle = bootstrap_time_derivatives(rho, u1, h1, m=1, mu=1.0, kappa=1.0)
     lvl0 = bundle.levels[0]
     assert np.array_equal(lvl0[0].values, dx(rho).values)
     # dy acts on the deviation internally, so allow constant-offset roundoff
@@ -63,7 +63,7 @@ def test_transport_oracle_for_density_tendency():
     grid = _grid(nx=64, ny=256)
     rho = field_from_function(grid, lambda x, y: 1.0 + a * np.exp(-y) * np.cos(x))
     one = _ones(grid)
-    bundle = bootstrap_time_derivatives(rho, one, one, m=2)
+    bundle = bootstrap_time_derivatives(rho, one, one, m=2, mu=1.0, kappa=1.0)
     X = grid.x[:, None]
     Y = grid.y[None, :]
     dx_exact = a * np.exp(-Y) * np.cos(X)  # d_x (a e^{-y} sin x)
@@ -77,7 +77,7 @@ def test_x_independent_data_kills_x_derivative_entries():
     rho = field_from_function(grid, lambda x, y: 1.0 + 0.05 * np.exp(-(y**2)))
     u1 = field_from_function(grid, lambda x, y: 1.0 + 0.05 * y**2 * np.exp(-(y**2)))
     h1 = _ones(grid)
-    bundle = bootstrap_time_derivatives(rho, u1, h1, m=2)
+    bundle = bootstrap_time_derivatives(rho, u1, h1, m=2, mu=1.0, kappa=1.0)
     for level in bundle.levels:
         assert level[0].max_abs() < 1e-11  # d_x rho entries
         assert level[2].max_abs() < 1e-11  # d_x u entries
@@ -136,7 +136,7 @@ def test_bundle_of_zeros_and_validation():
         zb.fields(grid, -1.0)
     one = _ones(grid)
     with pytest.raises(ValueError):
-        bootstrap_time_derivatives(one, one, one, m=0)
+        bootstrap_time_derivatives(one, one, one, m=0, mu=1.0, kappa=1.0)
     low = Field(np.full((grid.nx, grid.ny), 0.05), grid)
     with pytest.raises(DensityFloorError):
-        bootstrap_time_derivatives(low, one, one, m=1)
+        bootstrap_time_derivatives(low, one, one, m=1, mu=1.0, kappa=1.0)

@@ -20,7 +20,12 @@ names are skipped.
 
 A foreign dict write is an assignment into vars(x)[...] or x.__dict__[...]
 for an x other than self: a cache one object keeps on another, which
-every reader of the other must then know about."""
+every reader of the other must then know about.
+
+No function in src/ picks a physics for its caller: none defaults a
+parameter named physics, mu, kappa or eps, and no code calls Physics()
+with no arguments.  A default there would let a diagnostic run silently
+with coefficients other than the run's."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -41,6 +46,14 @@ _KEPT = {
     "ManufacturedSolution": "the exact-solution oracle of the residual and order tests",
     "matching_check": "the symbolic outer-trace matching check of the paper's relations",
 }
+
+
+# functions that may default a physical parameter, each with its reason
+_KEPT_PHYSICS_DEFAULTS = {
+    "ManufacturedSolution.__init__": "an exact solution is built for chosen coefficients, "
+    "and its own mu, kappa and eps are then the physics of its tower",
+}
+_PHYSICS_PARAMETERS = {"physics", "mu", "kappa", "eps"}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -181,3 +194,58 @@ def test_scan_flags_a_foreign_dict_write():
 @pytest.mark.parametrize("path", _SRC, ids=lambda p: str(p.relative_to(_ROOT)))
 def test_no_foreign_dict_writes_in_src(path):
     assert _foreign_dict_writes(ast.parse(path.read_text())) == []
+
+
+def _physics_defaults(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name of the enclosing function, finding) for every
+    defaulted physics parameter and every bare Physics() call."""
+    found = []
+
+    def visit(node, qualname):
+        for child in ast.iter_child_nodes(node):
+            name = qualname
+            if isinstance(child, ast.ClassDef):
+                name = f"{qualname}.{child.name}".lstrip(".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{qualname}.{getattr(child, 'name', '<lambda>')}".lstrip(".")
+                a = child.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+                ]
+                found.extend(
+                    (name, f"line {arg.lineno}: {name} defaults {arg.arg}")
+                    for arg in defaulted
+                    if arg.arg in _PHYSICS_PARAMETERS
+                )
+            elif isinstance(child, ast.Call) and not (child.args or child.keywords):
+                f = child.func
+                if getattr(f, "id", getattr(f, "attr", None)) == "Physics":
+                    where = qualname or "module"
+                    found.append((qualname, f"line {child.lineno}: Physics() in {where}"))
+            visit(child, name)
+
+    visit(tree, "")
+    return found
+
+
+def test_scan_flags_a_physics_default():
+    src = (
+        "def f(state, physics=Physics()):\n pass\n"
+        "class T:\n def g(self, x, *, mu=1.0, kappa):\n  return pde.Physics()\n"
+        "h = lambda eps=0.0: Physics(mu=1.0)\n"
+        "def k(mu, kappa, eps, physics):\n return Physics(mu, kappa, eps)\n"
+    )
+    assert [text for _, text in _physics_defaults(ast.parse(src))] == [
+        "line 1: f defaults physics",
+        "line 1: Physics() in f",
+        "line 4: T.g defaults mu",
+        "line 5: Physics() in T.g",
+        "line 6: <lambda> defaults eps",
+    ]
+
+
+def test_no_function_in_src_picks_physics_for_its_caller():
+    found = [hit for p in _SRC for hit in _physics_defaults(ast.parse(p.read_text()))]
+    assert [text for name, text in found if name not in _KEPT_PHYSICS_DEFAULTS] == []
+    assert {name for name, _ in found} == set(_KEPT_PHYSICS_DEFAULTS)
