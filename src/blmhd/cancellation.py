@@ -27,7 +27,10 @@ residuals of all three unknowns at every a1 of one order
 (top_tangential_indices), and a _Slice takes once each term that no a1
 changes (the eta weights, their derivatives and their transport and
 dissipation sums).  Between two a1 the tower drops the dx and dy of its
-Z1^b (b >= 1), so it never holds more than one index's chain.
+Z1^b (b >= 1), so it never holds more than one index's chain.  The stored
+slices are independent, so their residuals go side by side
+(workers.side_by_side: one worker per usable CPU, each holding one tower
+at a time), bitwise those of the slices in turn.
 
 cancellation_residual returns the series asked for; the others of its
 order (at most eight) wait in a one-entry module slot, keyed by the
@@ -49,6 +52,7 @@ from .norms import weighted_l2, weighted_linf
 from .operators import d2x, d2y, dx, dy, integrate_y, z2
 from .pde import TimeTower, apply_spatial, exp_minus_y
 from .state import MultiIndex
+from .workers import side_by_side
 
 T_DEPTH_CAP = 2
 
@@ -393,25 +397,29 @@ def cancellation_residual(
 def _order_residuals(trajectory, m: int, delta_floor: float) -> dict:
     """{(alpha1, which): series} over top_tangential_indices(m) and the
     three unknowns, from one tower per stored slice, deep enough for the
-    largest t_count.  Each index's chain is dropped from the tower once
-    its three residuals are taken."""
+    largest t_count; the slices go side by side (workers.side_by_side).
+    Each index's chain is dropped from the tower once its three residuals
+    are taken."""
     cfg = trajectory.config
     alphas = top_tangential_indices(m)
     depth = alphas[-1].t_count + 1
-    series = {(alpha1, w): [] for alpha1 in alphas for w in _RESIDUALS}
-    for st in trajectory.states:
+
+    def slice_residuals(st) -> list[Field]:
         tower = TimeTower(
             st, trajectory.bundle, trajectory.forcing, max_depth=depth, physics=cfg
         )
         s = _Slice(tower, delta_floor)
+        out = []
         for alpha1 in alphas:
             res = _Residual(s, alpha1)
-            for w, residual in _RESIDUALS.items():
-                series[alpha1, w].append(residual(res, cfg))
+            out.extend(residual(res, cfg) for residual in _RESIDUALS.values())
             del res
             tower.drop_chains()
-        del s, tower  # before the next slice's is built, so that two are never held
-    return series
+        return out
+
+    keys = [(alpha1, w) for alpha1 in alphas for w in _RESIDUALS]
+    rows = side_by_side(slice_residuals, trajectory.states)
+    return {key: [row[i] for row in rows] for i, key in enumerate(keys)}
 
 
 def _f_h(res: _Residual) -> np.ndarray:

@@ -13,7 +13,11 @@ physics (eps, mu, kappa weigh the dissipation), sources and forcing from
 it; trajectory_report builds one tower per stored slice from the run's
 config, bundle and forcing.  A slice's v, g and psi, like its derivatives,
 are read from the tower and freed with it; the stored State keeps none of
-them.
+them.  Given the trajectory, the slices are independent, so
+trajectory_report computes their functionals side by side
+(workers.side_by_side, one worker per usable CPU, each holding one tower
+at a time) and folds the rows in time order here; the reports are
+bitwise those of the slices in turn.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from .operators import d2y, dx, dy, dy_wall, phi, z2
 from .pde import TimeTower, exp_minus_y
 from .solver import MonitorStatus, monitor
 from .state import State
+from .workers import side_by_side
 
 CSV_COLUMNS = (
     "time",
@@ -344,6 +349,8 @@ def trajectory_report(
     xi_ml(t_k) = sup_{j<=k} X + its integrals; q_sup is the running sup
     of q_inst.  Each slice's tower has the trajectory's config as physics
     and its bundle and forcing, and is freed before the next is built.
+    The slices go side by side (workers.side_by_side), each worker sending
+    back its slices' (time, functionals, monitor) rows for the fold.
     Each report's monitor is the run's stored one when delta0 and l are the
     config's, else one evaluated at them (with the stored source flag).
     Requires a uniform output stride."""
@@ -357,8 +364,9 @@ def trajectory_report(
             raise ValueError("trajectory_report requires a uniform output stride")
     stored = trajectory.monitors if len(trajectory.monitors) == len(trajectory.states) else None
     at_config = stored is not None and (delta0, l) == (cfg.delta0, cfg.l)
-    rows = []
-    for k, st in enumerate(trajectory.states):
+
+    def row(k):
+        st = trajectory.states[k]
         tower = TimeTower(st, trajectory.bundle, trajectory.forcing, physics=cfg)
         p = _slice_functionals(tower, m, l, delta0)
         del tower  # freed before the next slice's is built
@@ -366,5 +374,6 @@ def trajectory_report(
             mon = stored[k]
         else:
             mon = monitor(st, delta0, l, source_flag=stored is not None and stored[k].source_flag)
-        rows.append((times[k], p, mon))
-    return _reports(rows)
+        return times[k], p, mon
+
+    return _reports(side_by_side(row, range(len(trajectory.states))))

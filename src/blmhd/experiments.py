@@ -10,17 +10,14 @@ physical variables, reweights them with quotient weights over the second
 solution's magnetic field, and fits a Gronwall growth constant to the
 squared difference norm.
 
-The runs of a sweep or a pair share nothing, so _run_all runs them side by
-side: one worker per usable CPU (os.sched_getaffinity), the first in this
-process and the others forked, each sending its trajectories back pickled
+The runs of a sweep or a pair share nothing, so they go side by side on
+workers.side_by_side: one worker per usable CPU, the first in this process
+and the others forked, each sending its runs' states and monitors back
 through a pipe.  The results are bitwise those of running them in turn.
 With one usable CPU (`taskset -c 0`, for example) nothing is forked.
 """
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +29,7 @@ from .norms import NormSpec, conormal_norm, weighted_l2
 from .operators import dy, integrate_y
 from .solver import SolverConfig, Trajectory, run
 from .state import State
+from .workers import side_by_side
 
 GRONWALL_FLOOR = 1e-28
 
@@ -41,83 +39,23 @@ GRONWALL_FLOOR = 1e-28
 # ---------------------------------------------------------------------------
 
 
-def _reply(sink, work) -> None:
-    """In a forked child: pickle (True, work()) or (False, the exception it
-    raised) into the pipe file sink, then end the process; a child never
-    returns into the stack it was forked from."""
-    status = 0
-    try:
-        try:
-            reply = (True, work())
-        except BaseException as exc:
-            reply = (False, exc)
-        with sink:
-            pickle.dump(reply, sink, protocol=pickle.HIGHEST_PROTOCOL)
-    except BaseException:
-        status = 1
-    finally:
-        os._exit(status)
-
-
-def _run_all(jobs, bundle=None, forcing=None, output_stride: int = 1) -> list:
+def _runs(jobs, bundle, forcing, output_stride: int) -> list[Trajectory]:
     """The Trajectory of run(state, cfg, bundle, forcing, output_stride) for
-    each (state, cfg) job, in job order.
+    each (state, cfg) job, in job order, side by side (side_by_side).  A
+    worker sends back each run's states, monitors, breach flag and
+    every-step summary; the config, bundle and forcing of each Trajectory
+    are the caller's."""
 
-    The jobs are dealt round-robin into one chunk per usable CPU, at most
-    one per job.  Chunk 0 runs in this process, each other chunk in a child
-    forked for it, which pickles its runs' states, monitors, breach flags
-    and every-step summaries (or the exception that stopped it) into a
-    pipe and ends with os._exit; the config, bundle and forcing of each
-    Trajectory are the caller's.  The children's results are read after
-    chunk 0, in chunk order, and a child's exception is raised here.  No
-    child outlives the call: when anything here raises, the children not
-    yet reaped are killed and reaped.  With one usable CPU, or without
-    os.fork, this is the loop over the jobs in turn."""
-    jobs = list(jobs)
-    n = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
+    def one(job):
+        t = run(job[0], job[1], bundle, forcing=forcing, output_stride=output_stride)
+        return t.states, t.monitors, t.breached, t.every_step
 
-    def chunk(k):
-        return [run(s, c, bundle, forcing=forcing, output_stride=output_stride) for s, c in jobs[k::n]]
-
-    out = [None] * len(jobs)
-    pids, pipes, reaped = [], [], set()  # pids and read ends in chunk order
-    try:
-        for k in range(1, n):
-            r, w = os.pipe()
-            pipes.append(os.fdopen(r, "rb"))
-            # this process closes the write end once forked, so a child that
-            # dies leaves its reader at end of file
-            with os.fdopen(w, "wb") as sink:
-                pid = os.fork()
-                if pid == 0:
-                    _reply(
-                        sink,
-                        lambda: [(t.states, t.monitors, t.breached, t.every_step) for t in chunk(k)],
-                    )
-                pids.append(pid)
-        out[0::n] = chunk(0)
-        for k, (pid, pipe) in enumerate(zip(pids, pipes), 1):
-            try:
-                ok, reply = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                ok, reply = False, RuntimeError(f"worker {pid} ended without a result")
-            os.waitpid(pid, 0)
-            reaped.add(pid)
-            if not ok:
-                raise reply
-            out[k::n] = [
-                Trajectory(states, monitors, c, bundle, forcing, breached, every_step)
-                for (states, monitors, breached, every_step), (_, c) in zip(reply, jobs[k::n])
-            ]
-    finally:
-        for pid in set(pids) - reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-    return out
+    return [
+        Trajectory(states, monitors, cfg, bundle, forcing, breached, every_step)
+        for (states, monitors, breached, every_step), (_, cfg) in zip(
+            side_by_side(one, jobs), jobs
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +108,14 @@ def eps_sweep(
     forcing=None,
     output_stride: int = 1,
 ) -> SweepResult:
-    """Run the same initial data per ladder entry (side by side, _run_all)
+    """Run the same initial data per ladder entry (side by side, _runs)
     and compare pairwise.  The ladder is checked before any run."""
     ladder = tuple(float(e) for e in ladder)
     if not ladder:
         raise ValueError("the eps ladder needs at least one rung")
     _check_decreasing(ladder)
     jobs = [(state, replace(cfg, eps=eps)) for eps in ladder]
-    trajectories = _run_all(jobs, bundle, forcing, output_stride)
+    trajectories = _runs(jobs, bundle, forcing, output_stride)
     valid = [not t.breached for t in trajectories]
     n_times = min(len(t.states) for t in trajectories)
     times = tuple(float(t) for t in trajectories[0].times[:n_times])
@@ -294,11 +232,11 @@ def stability_pair(
     delta: float | None = None,
     tol: float = 0.5,
 ) -> StabilityResult:
-    """Evolve both data sets (side by side, _run_all) and fit the Gronwall
+    """Evolve both data sets (side by side, _runs) and fit the Gronwall
     constant of the weighted-difference norm growth."""
     if delta is None:
         delta = cfg.delta0 / 2.0
-    t1, t2 = _run_all([(state1, cfg), (state2, cfg)], bundle, forcing, output_stride)
+    t1, t2 = _runs([(state1, cfg), (state2, cfg)], bundle, forcing, output_stride)
     n = min(len(t1.states), len(t2.states))
     times = tuple(float(t) for t in t1.times[:n])
     series = []

@@ -7,12 +7,13 @@ trapezoidal in y.
 Finiteness is checked where data enter, not in every Field.  Field(values,
 grid) scans its values and raises NonFiniteError on a NaN or an infinity:
 the data builders, field_from_function, zero_field, Field arithmetic (whose
-operand may be any array) and the solver's new arrays at the end of every
-step are built so.  Field._computed skips the scan, for arrays the package
-computes from Fields that were already checked (the operators, the time
-tower, v and g of the closure, the good unknowns and their residuals): a
-diagnostic pass builds thousands of those, and a non-finite value in a
-solver step still reaches the checked Fields at the step's end.
+operand may be any array), an unpickled Field and the solver's new arrays
+at the end of every step are built so.  Field._computed skips the scan,
+for arrays the package computes from Fields that were already checked
+(the operators, the time tower, v and g of the closure, the good unknowns
+and their residuals): a diagnostic pass builds thousands of those, and a
+non-finite value in a solver step still reaches the checked Fields at the
+step's end.
 """
 from __future__ import annotations
 
@@ -141,7 +142,9 @@ class Field:
     Field(values, grid) is the checked entry point: it also raises
     NonFiniteError, before adopting anything, if values hold a NaN or an
     infinity.  Field._computed adopts or copies in the same way without
-    that scan (see the module docstring for where each is used)."""
+    that scan (see the module docstring for where each is used).  A
+    Field unpickles through Field(values, grid), so a copy that crosses a
+    worker's pipe is read-only and checked like any other data entering."""
 
     values: np.ndarray
     grid: GridSpec = field(repr=False)
@@ -160,6 +163,11 @@ class Field:
         object.__setattr__(f, "values", _owned(_shaped(values, grid)))
         object.__setattr__(f, "grid", grid)
         return f
+
+    def __reduce__(self):
+        # unpickled through the checked entry point: read-only at every
+        # pickle protocol, and scanned, as data that enter
+        return type(self), (self.values, self.grid)
 
     def __add__(self, other):
         return Field(self.values + _vals(other), self.grid)

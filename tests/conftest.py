@@ -1,6 +1,8 @@
 """Shared fixtures: small grids and standard states used across the suite."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,39 @@ def tower_builds(monkeypatch):
 
     monkeypatch.setattr(TimeTower, "__init__", counted)
     return builds
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes n CPUs usable to workers.side_by_side; returns the list
+    of the pids it forks from then on."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return forked
+
+    return use
+
+
+def reaped(pids) -> bool:
+    """True when none of pids is a child of this process any more."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
 
 
 @pytest.fixture

@@ -289,9 +289,11 @@ def test_shared_residuals_equal_one_evaluation_per_unknown(x_scheme):
                 assert _same(series, ref[which]), (alpha1, order, which)
 
 
-def test_one_alpha_of_three_unknowns_builds_one_tower_per_slice(tower_builds):
+def test_one_alpha_of_three_unknowns_builds_one_tower_per_slice(tower_builds, cpus):
     """The nine calls of one order build one tower per slice, and a call of
-    another order or another delta builds again."""
+    another order or another delta builds again.  The towers are counted in
+    this process, so the slices run in turn (one usable CPU)."""
+    cpus(1)
     traj = _sourced_trajectory("fd4")
     n = len(traj.states)
     order2 = [MultiIndex(2, 0, 0), MultiIndex(0, 2, 0), MultiIndex(1, 1, 0)]
@@ -311,7 +313,8 @@ def _recomputes(traj, alpha1, which, tower_builds, delta_floor=None):
     return built == len(traj.states) and _same(series, _fresh(traj, alpha1, which, delta_floor))
 
 
-def test_the_held_series_serve_only_the_same_call(tower_builds):
+def test_the_held_series_serve_only_the_same_call(tower_builds, cpus):
+    cpus(1)  # the towers are counted in this process
     alpha1 = MultiIndex(0, 2, 0)
     traj = _sourced_trajectory("fd4")
     other = _sourced_trajectory("fd4", a_u=0.05)
@@ -373,11 +376,13 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_one_order_holds_one_index_chain_at_a_time():
+def test_one_order_holds_one_index_chain_at_a_time(cpus):
     """The nine series of one order cost their own bytes and little more:
     the peak may exceed that of a fresh (2,0) evaluation of one unknown by
     the nine series plus 10 %.  A tower that kept every index's chain
-    would exceed it."""
+    would exceed it.  The peak is one process's evaluation of every slice,
+    so the slices run in turn (one usable CPU)."""
+    cpus(1)
     traj = _sourced_trajectory("fd4")
     grid = traj.states[0].grid
     alpha1 = MultiIndex(2, 0, 0)
@@ -387,7 +392,9 @@ def test_one_order_holds_one_index_chain_at_a_time():
     assert order <= 1.1 * fresh + series, (order, fresh, series)
 
 
-def test_residuals_of_three_alphas_take_the_pinned_operator_calls(monkeypatch, state_perturbed):
+def test_residuals_of_three_alphas_take_the_pinned_operator_calls(
+    monkeypatch, state_perturbed, cpus
+):
     """Three stored slices at 16x48 and one call per alpha of order 2: the
     first evaluates the nine residuals of the order on one tower per slice,
     and the other two take theirs from the slot.  Each tower builds its
@@ -395,7 +402,9 @@ def test_residuals_of_three_alphas_take_the_pinned_operator_calls(monkeypatch, s
     integrate_y calls: the stored States keep none), and the eta terms are
     taken once per slice.  The dx and dy of an index's Z1^b (b >= 1) are
     dropped when its residuals are done, so a later index of the order
-    that reads one of them takes it again."""
+    that reads one of them takes it again.  The calls are counted in this
+    process, so the slices run in turn (one usable CPU)."""
+    cpus(1)
     traj = run(state_perturbed, SolverConfig(dt=1e-3, t_end=0.002), output_stride=1)
     assert len(traj.states) == 3
     counts = Counter()

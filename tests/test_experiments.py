@@ -12,7 +12,7 @@ from blmhd import experiments
 from blmhd.data import physical
 from blmhd.experiments import (
     SweepResult,
-    _run_all,
+    _runs,
     diff_good_unknowns,
     eps_sweep,
     matching_check,
@@ -22,7 +22,7 @@ from blmhd.grid import GridSpec
 from blmhd.solver import SolverConfig, run
 from blmhd.sources import bootstrap_time_derivatives
 
-from conftest import perturbed_state
+from conftest import perturbed_state, reaped
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_sweep_refuses_an_empty_ladder_before_any_run(monkeypatch, state_equilib
     def no_runs(*args, **kwargs):
         raise AssertionError("an empty ladder started a run")
 
-    monkeypatch.setattr(experiments, "_run_all", no_runs)
+    monkeypatch.setattr(experiments, "side_by_side", no_runs)
     with pytest.raises(ValueError, match="ladder"):
         eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=0.004), ladder=())
 
@@ -107,10 +107,10 @@ def test_sweep_refuses_a_ladder_that_does_not_decrease_before_any_run(
 ):
     # every rung used to run, one of them in a forked child, before the
     # result refused the ladder
-    def no_runs(jobs, *args, **kwargs):
+    def no_runs(fn, jobs):
         raise AssertionError(f"a ladder that does not decrease started {len(jobs)} runs")
 
-    monkeypatch.setattr(experiments, "_run_all", no_runs)
+    monkeypatch.setattr(experiments, "side_by_side", no_runs)
     with pytest.raises(ValueError, match="strictly decreasing"):
         eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=0.004), ladder=ladder)
 
@@ -187,40 +187,8 @@ def test_sweep_and_pair_refuse_an_off_stride_final_state(state_equilibrium):
 
 
 # ---------------------------------------------------------------------------
-# Independent runs side by side (_run_all)
+# Independent runs side by side (_runs)
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """cpus(n) makes n CPUs usable to _run_all; returns the pids it forks."""
-    forked = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-
-    def use(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        return forked
-
-    return use
-
-
-def _reaped(pids):
-    """True when none of pids is a child of this process any more."""
-    for pid in pids:
-        try:
-            os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            continue
-        return False
-    return True
 
 
 @pytest.mark.parametrize("x_scheme, scheme", [("fd4", "imex-cn"), ("spectral", "imex-be")])
@@ -251,8 +219,8 @@ def test_trajectories_from_a_child_equal_run_and_refuse_writes(cpus, grid_small)
     st = perturbed_state(grid_small)
     bundle = bootstrap_time_derivatives(*physical(st), m=1, mu=1.0, kappa=1.0)
     cfgs = [SolverConfig(eps=e, dt=2e-3, t_end=6e-3) for e in (0.1, 0.05, 0.02, 0.01)]
-    trajs = _run_all([(st, c) for c in cfgs], bundle, output_stride=3)
-    assert len(forked) == 1 and _reaped(forked)
+    trajs = _runs([(st, c) for c in cfgs], bundle, None, 3)
+    assert len(forked) == 1 and reaped(forked)
     # the config, bundle and forcing are the caller's, not pickled copies
     for traj, cfg in zip(trajs, cfgs, strict=True):
         assert traj.config is cfg and traj.bundle is bundle and traj.forcing is None
@@ -285,7 +253,7 @@ def test_an_exception_in_a_child_is_raised_here(cpus, monkeypatch, state_equilib
     monkeypatch.setattr(experiments, "run", failing)
     with pytest.raises(LookupError, match="no rung 0.05"):
         eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=4e-3), ladder=(0.1, 0.05))
-    assert len(forked) == 1 and _reaped(forked)
+    assert len(forked) == 1 and reaped(forked)
 
 
 def test_a_child_that_dies_without_a_result_is_an_error(cpus, monkeypatch, state_equilibrium):
@@ -300,7 +268,7 @@ def test_a_child_that_dies_without_a_result_is_an_error(cpus, monkeypatch, state
     monkeypatch.setattr(experiments, "run", dying)
     with pytest.raises(RuntimeError, match="without a result"):
         eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=4e-3), ladder=(0.1, 0.05))
-    assert len(forked) == 1 and _reaped(forked)
+    assert len(forked) == 1 and reaped(forked)
 
 
 def test_children_are_killed_when_this_process_raises(cpus, monkeypatch, state_equilibrium):
@@ -316,7 +284,7 @@ def test_children_are_killed_when_this_process_raises(cpus, monkeypatch, state_e
     with pytest.raises(KeyError, match="stop"):
         eps_sweep(state_equilibrium, SolverConfig(), ladder=(0.1, 0.05, 0.02))
     assert time.monotonic() - t < 30.0
-    assert len(forked) == 2 and _reaped(forked)
+    assert len(forked) == 2 and reaped(forked)
 
 
 def test_one_usable_cpu_forks_nothing(monkeypatch, state_equilibrium):

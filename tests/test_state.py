@@ -1,4 +1,6 @@
 """State construction, derived fields, and conormal multi-indices."""
+import pickle
+
 import numpy as np
 import pytest
 from scipy import special
@@ -6,7 +8,7 @@ from scipy import special
 from blmhd.cancellation import cancellation_residual
 from blmhd.data import equilibrium
 from blmhd.energy import trajectory_report
-from blmhd.grid import GridSpec, field_from_function
+from blmhd.grid import Field, GridSpec, NonFiniteError, field_from_function
 from blmhd.operators import dx
 from blmhd.pde import TimeTower
 from blmhd.solver import SolverConfig, run, step
@@ -135,3 +137,23 @@ def test_a_state_keeps_only_its_fields_and_time(scheme):
         cancellation_residual(traj, MultiIndex(1, 1, 0), which)
     for s in (st, *traj.states):
         assert set(vars(s)) == _RECORD, s.time
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_an_unpickled_field_or_state_is_read_only(state_perturbed, protocol):
+    """A Field unpickles through Field(values, grid) at every protocol, so
+    its values are read-only and scanned for non-finite entries."""
+    st = state_perturbed
+    copy = pickle.loads(pickle.dumps(st, protocol))
+    assert copy.time == st.time and set(vars(copy)) == _RECORD
+    pairs = [(pickle.loads(pickle.dumps(st.u_shift, protocol)), st.u_shift)]
+    pairs += [(getattr(copy, n), getattr(st, n)) for n in ("rho_shift", "u_shift", "h_shift")]
+    for f, ref in pairs:
+        assert type(f) is Field and f.grid == ref.grid
+        assert np.array_equal(f.values, ref.values)
+        assert not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 1.0
+    bad = Field._computed(np.full(st.u_shift.values.shape, np.nan), st.grid)
+    with pytest.raises(NonFiniteError):
+        pickle.loads(pickle.dumps(bad, protocol))

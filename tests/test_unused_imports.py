@@ -25,7 +25,10 @@ every reader of the other must then know about.
 No function in src/ picks a physics for its caller: none defaults a
 parameter named physics, mu, kappa or eps, and no code calls Physics()
 with no arguments.  A default there would let a diagnostic run silently
-with coefficients other than the run's."""
+with coefficients other than the run's.
+
+Process parallelism has one home, blmhd.workers: no other module in src/
+names os.fork, os.pipe or os._exit, or imports or names pickle."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -249,3 +252,50 @@ def test_no_function_in_src_picks_physics_for_its_caller():
     found = [hit for p in _SRC for hit in _physics_defaults(ast.parse(p.read_text()))]
     assert [text for name, text in found if name not in _KEPT_PHYSICS_DEFAULTS] == []
     assert {name for name, _ in found} == set(_KEPT_PHYSICS_DEFAULTS)
+
+
+_PROCESS_CALLS = {"fork", "pipe", "_exit"}
+
+
+def _process_parallelism(tree: ast.Module) -> list[str]:
+    """Every os.fork, os.pipe, os._exit (also imported from os) and pickle
+    (imported, or named) in the module."""
+    found = []
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+            names = [f"os.{node.attr}"] if node.attr in _PROCESS_CALLS else []
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "pickle"):
+            names = [
+                f"{node.module}.{a.name}"
+                for a in node.names
+                if node.module == "pickle" or a.name in _PROCESS_CALLS
+            ]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name == "pickle"]
+        elif isinstance(node, ast.Name) and node.id == "pickle":
+            names = ["pickle"]
+        found.extend((node.lineno, n) for n in names)
+    return [f"line {line}: {n}" for line, n in sorted(found)]
+
+
+def test_scan_flags_process_parallelism():
+    src = (
+        "import os, pickle\nfrom os import fork, getpid\nfrom pickle import dumps\n"
+        "def f(x):\n r, w = os.pipe()\n os.getpid()\n pickle.dump(x, w)\n os._exit(0)\n"
+    )
+    assert _process_parallelism(ast.parse(src)) == [
+        "line 1: pickle",
+        "line 2: os.fork",
+        "line 3: pickle.dumps",
+        "line 5: os.pipe",
+        "line 7: pickle",
+        "line 8: os._exit",
+    ]
+
+
+def test_process_parallelism_has_one_home():
+    found = {
+        str(p.relative_to(_ROOT)): _process_parallelism(ast.parse(p.read_text())) for p in _SRC
+    }
+    assert {path for path, hits in found.items() if hits} == {"src/blmhd/workers.py"}
