@@ -35,10 +35,10 @@ at a time), bitwise those of the slices in turn.
 cancellation_residual returns the series asked for; the others of its
 order (at most eight) wait in a one-entry module slot, keyed by the
 trajectory's stored States (by identity), its bundle, forcing and config,
-the order |a1| and the resolved delta_floor.  A call with the same key
-takes its series out of the slot, which is emptied when its last series is
-taken; any other call replaces it.  A caller that asks for one a1 pays for
-its whole order.
+and the order |a1|; the floor of h + 1 is the config's delta0 / 2, the
+run monitor's.  A call with the same key takes its series out of the slot,
+which is emptied when its last series is taken; any other call replaces
+it.  A caller that asks for one a1 pays for its whole order.
 """
 from __future__ import annotations
 
@@ -48,6 +48,7 @@ from math import comb
 import numpy as np
 
 from .grid import Field
+from .inequalities import _make_report
 from .norms import weighted_l2, weighted_linf
 from .operators import d2x, d2y, dx, dy, integrate_y, z2
 from .pde import TimeTower, apply_spatial, exp_minus_y
@@ -343,23 +344,19 @@ def _dt_good_unknown(res: _Residual, which: str) -> np.ndarray:
     )
 
 
-# The slot: (objects, values, {(alpha1, which): series}) for the series of
-# the last evaluated order that its callers have not taken yet.  objects
-# (the trajectory's bundle, forcing, config and stored States) match by
-# identity; the slot holds them, so their ids cannot be recycled.  values
-# (the order and the resolved delta_floor) match by equality.
+# The slot: (objects, {(alpha1, which): series}) for the series of the
+# last evaluated order that its callers have not taken yet.  objects (the
+# trajectory's bundle, forcing, config and stored States) match by
+# identity; the slot holds them, so their ids cannot be recycled.  The
+# order matches through the keys: every held alpha1 has that order.
 _SLOT = None
 
 
-def cancellation_residual(
-    trajectory,
-    alpha1: MultiIndex,
-    which: str,
-    delta_floor: float | None = None,
-) -> list[Field]:
+def cancellation_residual(trajectory, alpha1: MultiIndex, which: str) -> list[Field]:
     """LHS - RHS of the evolution equation of the chosen good unknown,
     evaluated discretely on every stored state of the trajectory, with the
-    trajectory config's eps, mu and kappa.  The series of the three
+    trajectory config's eps, mu and kappa and its h + 1 floor delta0 / 2
+    (an HFloorError below it).  The series of the three
     unknowns at every index of alpha1's order (top_tangential_indices) are
     evaluated with it, on one tower per slice, and the other (at most
     eight) wait in the module's slot, so the first call of an order pays
@@ -368,18 +365,12 @@ def cancellation_residual(
     if which not in _RESIDUALS:
         raise ValueError(f"which must be rho_m, u_m or h_m, got {which!r}")
     _check_alpha1(alpha1)
-    cfg = trajectory.config
-    if delta_floor is None:
-        delta_floor = cfg.delta0 / 2.0
-    _check_delta(delta_floor)
-    objects = (trajectory.bundle, trajectory.forcing, cfg, *trajectory.states)
-    values = (alpha1.order, delta_floor)
+    objects = (trajectory.bundle, trajectory.forcing, trajectory.config, *trajectory.states)
     key = (alpha1, which)
     if _SLOT is not None:
-        held_objects, held_values, series = _SLOT
+        held_objects, series = _SLOT
         if (
             key in series
-            and held_values == values
             and len(held_objects) == len(objects)
             and all(a is b for a, b in zip(held_objects, objects))
         ):
@@ -388,13 +379,13 @@ def cancellation_residual(
                 _SLOT = None
             return out
     _SLOT = None
-    series = _order_residuals(trajectory, alpha1.order, delta_floor)
+    series = _order_residuals(trajectory, alpha1.order)
     out = series.pop(key)
-    _SLOT = (objects, values, series)
+    _SLOT = (objects, series)
     return out
 
 
-def _order_residuals(trajectory, m: int, delta_floor: float) -> dict:
+def _order_residuals(trajectory, m: int) -> dict:
     """{(alpha1, which): series} over top_tangential_indices(m) and the
     three unknowns, from one tower per stored slice, deep enough for the
     largest t_count; the slices go side by side (workers.side_by_side).
@@ -408,7 +399,7 @@ def _order_residuals(trajectory, m: int, delta_floor: float) -> dict:
         tower = TimeTower(
             st, trajectory.bundle, trajectory.forcing, max_depth=depth, physics=cfg
         )
-        s = _Slice(tower, delta_floor)
+        s = _Slice(tower, cfg.delta0 / 2.0)
         out = []
         for alpha1 in alphas:
             res = _Residual(s, alpha1)
@@ -559,15 +550,14 @@ _RESIDUALS = {"rho_m": _residual_rhom, "u_m": _residual_um, "h_m": _residual_hm}
 # ---------------------------------------------------------------------------
 
 
-def norm_equivalence_check(
-    tower: TimeTower, alpha1: MultiIndex, l: float, delta: float, tol: float = 1e-2
-) -> dict:
+def norm_equivalence_check(tower: TimeTower, alpha1: MultiIndex, l: float, delta: float) -> dict:
     """The four explicit-constant inequalities relating raw tangential
     derivatives of the tower's State to its good unknowns, plus the
     combined triple bound.  The tower serves the good unknowns and every dx
     and dy the bounds read.
 
-    Returns {name: {lhs, rhs, ratio, passed}} for b11..b14 and b22."""
+    Returns {name: {lhs, rhs, ratio, passed}} for b11..b14 and b22, by the
+    ratio rule of the inequality checks with tolerance 1e-2."""
     if l < 1:
         raise ValueError(f"norm equivalence requires l >= 1, got {l}")
     hp1 = _check_h_floor(tower, delta)
@@ -579,13 +569,8 @@ def norm_equivalence_check(
     results = {}
 
     def record(name, lhs, rhs):
-        ratio = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
-        results[name] = {
-            "lhs": float(lhs),
-            "rhs": float(rhs),
-            "ratio": float(ratio),
-            "passed": bool(ratio <= 1.0 + tol),
-        }
+        rep = _make_report(name, lhs, rhs, 1.0, 1e-2, {})
+        results[name] = {"lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio, "passed": rep.passed}
 
     # b11: || Z^a1 psi / (h+1) ||_{l-1}  <=  (2/delta(2l-1)) ||h_m||_l
     lhs = weighted_l2(Field(gu.z_psi.values / hp1, grid), l - 1.0)

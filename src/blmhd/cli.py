@@ -8,7 +8,8 @@ manifest.json into --out, and exits 0 iff all of its assertions pass;
 failures are listed machine-readably in the summary JSON.  A verb stopped
 by data outside the paper's hypotheses (a DensityFloorError, HFloorError
 or SolverError) writes both JSON files with that error as its failure and
-exits 1.
+exits 1.  A config that cannot be loaded or an --out that cannot be created
+exits 2 before the verb runs, with the reason on stderr.
 
 The initial data are the config's `initial` family of blmhd.data, except
 for cancellation, which always analyses data.perturbed at the amplitude
@@ -322,7 +323,11 @@ def main(argv=None) -> int:
     except (OSError, ConfigError) as exc:
         print(f"blmhd: configuration error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"blmhd: cannot create output directory {args.out!r}: {exc}", file=sys.stderr)
+        return 2
     digest = config_digest(canonical_text(cfg))
     manifest = RunManifest.start(args.verb, digest, __version__)
     try:

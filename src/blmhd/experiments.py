@@ -10,10 +10,11 @@ physical variables, reweights them with quotient weights over the second
 solution's magnetic field, and fits a Gronwall growth constant to the
 squared difference norm.
 
-The runs of a sweep or a pair share nothing, so they go side by side on
-workers.side_by_side: one worker per usable CPU, the first in this process
-and the others forked, each sending its runs' states and monitors back
-through a pipe.  The results are bitwise those of running them in turn.
+Every run takes the data and the config alone: no compatibility sources
+and no forcing.  The runs of a sweep or a pair share nothing, so they go
+side by side on workers.side_by_side: one worker per usable CPU, the first
+in this process and the others forked, each sending its runs' states and
+monitors back through a pipe.  The results are bitwise those of running them in turn.
 With one usable CPU (`taskset -c 0`, for example) nothing is forked.
 """
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .state import State
 from .workers import side_by_side
 
 GRONWALL_FLOOR = 1e-28
+ENVELOPE_TOL = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -39,19 +41,18 @@ GRONWALL_FLOOR = 1e-28
 # ---------------------------------------------------------------------------
 
 
-def _runs(jobs, bundle, forcing, output_stride: int) -> list[Trajectory]:
-    """The Trajectory of run(state, cfg, bundle, forcing, output_stride) for
+def _runs(jobs, output_stride: int) -> list[Trajectory]:
+    """The Trajectory of run(state, cfg, output_stride=output_stride) for
     each (state, cfg) job, in job order, side by side (side_by_side).  A
     worker sends back each run's states, monitors, breach flag and
-    every-step summary; the config, bundle and forcing of each Trajectory
-    are the caller's."""
+    every-step summary; the config of each Trajectory is the caller's."""
 
     def one(job):
-        t = run(job[0], job[1], bundle, forcing=forcing, output_stride=output_stride)
+        t = run(job[0], job[1], output_stride=output_stride)
         return t.states, t.monitors, t.breached, t.every_step
 
     return [
-        Trajectory(states, monitors, cfg, bundle, forcing, breached, every_step)
+        Trajectory(states, monitors, cfg, breached=breached, every_step=every_step)
         for (states, monitors, breached, every_step), (_, cfg) in zip(
             side_by_side(one, jobs), jobs
         )
@@ -100,14 +101,7 @@ def _diff_norm(s1: State, s2: State) -> float:
     return conormal_norm(diffs, spec)
 
 
-def eps_sweep(
-    state: State,
-    cfg: SolverConfig,
-    ladder=(0.1, 0.05, 0.025, 0.0125),
-    bundle=None,
-    forcing=None,
-    output_stride: int = 1,
-) -> SweepResult:
+def eps_sweep(state: State, cfg: SolverConfig, ladder, output_stride: int = 1) -> SweepResult:
     """Run the same initial data per ladder entry (side by side, _runs)
     and compare pairwise.  The ladder is checked before any run."""
     ladder = tuple(float(e) for e in ladder)
@@ -115,7 +109,7 @@ def eps_sweep(
         raise ValueError("the eps ladder needs at least one rung")
     _check_decreasing(ladder)
     jobs = [(state, replace(cfg, eps=eps)) for eps in ladder]
-    trajectories = _runs(jobs, bundle, forcing, output_stride)
+    trajectories = _runs(jobs, output_stride)
     valid = [not t.breached for t in trajectories]
     n_times = min(len(t.states) for t in trajectories)
     times = tuple(float(t) for t in trajectories[0].times[:n_times])
@@ -212,7 +206,7 @@ class StabilityResult:
     difference triple at times[k]; gronwall_c the least-squares exponential
     growth rate of norms_sq (log fit with an additive floor); envelope_ok
     asserts norms_sq(t) <= (norms_sq(t0) + floor) * exp(C (t - t0)) * (1+tol)
-    from the first stored positive time t0."""
+    from the first stored positive time t0, with tol = ENVELOPE_TOL."""
 
     times: tuple
     norms_sq: tuple
@@ -223,20 +217,13 @@ class StabilityResult:
 
 
 def stability_pair(
-    state1: State,
-    state2: State,
-    cfg: SolverConfig,
-    bundle=None,
-    forcing=None,
-    output_stride: int = 1,
-    delta: float | None = None,
-    tol: float = 0.5,
+    state1: State, state2: State, cfg: SolverConfig, output_stride: int = 1
 ) -> StabilityResult:
     """Evolve both data sets (side by side, _runs) and fit the Gronwall
-    constant of the weighted-difference norm growth."""
-    if delta is None:
-        delta = cfg.delta0 / 2.0
-    t1, t2 = _runs([(state1, cfg), (state2, cfg)], bundle, forcing, output_stride)
+    constant of the weighted-difference norm growth; the quotient weights'
+    floor of h2 is the config's delta0 / 2, the run monitor's."""
+    delta = cfg.delta0 / 2.0
+    t1, t2 = _runs([(state1, cfg), (state2, cfg)], output_stride)
     n = min(len(t1.states), len(t2.states))
     times = tuple(float(t) for t in t1.times[:n])
     series = []
@@ -261,7 +248,7 @@ def stability_pair(
         base = norms_sq[1] + GRONWALL_FLOOR
         t0 = tarr[1]
         for k in range(1, n):
-            bound = base * np.exp(c_fit * (tarr[k] - t0)) * (1.0 + tol)
+            bound = base * np.exp(c_fit * (tarr[k] - t0)) * (1.0 + ENVELOPE_TOL)
             if norms_sq[k] > bound + GRONWALL_FLOOR:
                 envelope_ok = False
                 break

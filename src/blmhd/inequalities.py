@@ -30,6 +30,7 @@ SOBOLEV_CSTAR = 2.0
 MOSER_CSTAR = 2.0
 HEAT_CSTAR = 10.0
 HEAT_SPREAD_MAX = 4.0
+HEAT_EPS_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 _HEAT_N_TIMES = 8
 _HEAT_N_QUAD = 64
 
@@ -38,8 +39,8 @@ _HEAT_N_QUAD = 64
 class InequalityReport:
     """Outcome of one inequality evaluation.
 
-    ratio = lhs / (constant * rhs) with the convention 0/0 -> 0; the check
-    passes iff ratio <= 1 + tol."""
+    ratio = lhs / (constant * rhs) with 0/0 -> 0 and x/0 -> inf
+    (_check_ratio); the check passes iff ratio <= 1 + tol."""
 
     name: str
     lhs: float
@@ -51,9 +52,13 @@ class InequalityReport:
     metadata: dict = dc_field(default_factory=dict)
 
 
+def _check_ratio(lhs, rhs):
+    """lhs / rhs with 0/0 -> 0 and x/0 -> inf: the ratio of every check."""
+    return 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
+
+
 def _make_report(name, lhs, rhs, constant, tol, metadata) -> InequalityReport:
-    denom = constant * rhs
-    ratio = 0.0 if lhs == 0.0 else (np.inf if denom == 0.0 else lhs / denom)
+    ratio = _check_ratio(lhs, constant * rhs)
     return InequalityReport(
         name=name,
         lhs=float(lhs),
@@ -66,7 +71,7 @@ def _make_report(name, lhs, rhs, constant, tol, metadata) -> InequalityReport:
     )
 
 
-def hardy_check(f: Field, lam: float, tol: float = 1e-2) -> InequalityReport:
+def hardy_check(f: Field, lam: float) -> InequalityReport:
     """Sharp-form Hardy inequality on the half line in y:
 
         ||f||_{L^2_lam} <= (2/(2 lam + 1)) ||d_y f||_{L^2_{lam+1}}
@@ -83,16 +88,14 @@ def hardy_check(f: Field, lam: float, tol: float = 1e-2) -> InequalityReport:
     lhs = weighted_l2(f, lam)
     rhs = weighted_l2(dy(f), lam + 1.0)
     c = 2.0 / (2.0 * lam + 1.0)
-    return _make_report(
-        "hardy", lhs, rhs, c, tol, {"lambda": lam, "ny": f.grid.ny}
-    )
+    return _make_report("hardy", lhs, rhs, c, 1e-2, {"lambda": lam, "ny": f.grid.ny})
 
 
-def sobolev_check(f: Field, cstar: float = SOBOLEV_CSTAR, tol: float = 0.0) -> InequalityReport:
+def sobolev_check(f: Field) -> InequalityReport:
     """Embedding ||f||_{L^inf_0} <= C (||f|| + ||dx f|| + ||dy f|| + ||dxy f||)_{L^2_0}.
 
-    The constant cstar is a corpus-wide fixture; the raw (constant-free)
-    ratio is recorded in the metadata."""
+    The constant C = SOBOLEV_CSTAR is a corpus-wide fixture; the raw
+    (constant-free) ratio is recorded in the metadata."""
     lhs = weighted_linf(f, 0.0)
     fx = dx(f)
     rhs = (
@@ -101,8 +104,8 @@ def sobolev_check(f: Field, cstar: float = SOBOLEV_CSTAR, tol: float = 0.0) -> I
         + weighted_l2(dy(f), 0.0)
         + weighted_l2(dy(fx), 0.0)
     )
-    raw = 0.0 if lhs == 0.0 else lhs / rhs
-    return _make_report("sobolev", lhs, rhs, cstar, tol, {"raw_ratio": raw})
+    raw = _check_ratio(lhs, rhs)
+    return _make_report("sobolev", lhs, rhs, SOBOLEV_CSTAR, 0.0, {"raw_ratio": raw})
 
 
 def moser_check(
@@ -114,16 +117,15 @@ def moser_check(
     m: int,
     l: float,
     l1: float,
-    cstar: float = MOSER_CSTAR,
-    tol: float = 0.0,
 ) -> InequalityReport:
     """Product inequality for time-indexed fields:
 
         int_0^t ||Z^beta f Z^gamma g||^2_{L^2_l}
           <= C_m ( sup|<y>^{l1} f|^2 int ||g||^2_{H^m_{l2}} + symmetric ),
 
-    with |beta + gamma| = m and l2 = l - l1.  Only spatial multi-indices
-    are accepted (the inputs are snapshots without a time model)."""
+    with |beta + gamma| = m, l2 = l - l1 and C_m = MOSER_CSTAR.  Only
+    spatial multi-indices are accepted (the inputs are snapshots without a
+    time model)."""
     if beta.order + gamma.order != m:
         raise ValueError(
             f"index mismatch: |beta| + |gamma| = {beta.order + gamma.order} != m = {m}"
@@ -149,13 +151,13 @@ def moser_check(
     rhs = f_sup**2 * float(np.trapezoid(g_hm_sq, times)) + g_sup**2 * float(
         np.trapezoid(f_hm_sq, times)
     )
-    raw = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
+    raw = _check_ratio(lhs, rhs)
     return _make_report(
         "moser",
         lhs,
         rhs,
-        cstar,
-        tol,
+        MOSER_CSTAR,
+        0.0,
         {"beta": beta, "gamma": gamma, "m": m, "l": l, "l1": l1, "raw_ratio": raw},
     )
 
@@ -438,46 +440,36 @@ def heat_data_functional(p: HeatProblem, times: np.ndarray) -> float:
     return denom
 
 
-def heat_bound_check(
-    x: np.ndarray,
-    f0: np.ndarray,
-    forcing,
-    eps_grid=(1e-1, 1e-2, 1e-3, 1e-4),
-    t_end: float = 1.0,
-    cstar: float = HEAT_CSTAR,
-    spread_max: float = HEAT_SPREAD_MAX,
-    tol: float = 0.0,
-) -> InequalityReport:
+def heat_bound_check(x: np.ndarray, f0: np.ndarray, forcing) -> InequalityReport:
     """Diffusion-uniform weighted gradient bound:
 
         ||x dx F(t)||_inf <= C (||F0||_inf + ||x dx F0||_inf)
                              + C int_0^t (||G||_inf + ||x dx G||_inf),
 
-    with C independent of eps.  Asserts max/min of the per-eps ratio over
-    the grid <= spread_max and every ratio <= cstar.
+    with C independent of eps, on t in [0, 1] and the fixed ladder
+    HEAT_EPS_LADDER.  Asserts max/min of the per-eps ratio over the ladder
+    <= HEAT_SPREAD_MAX and every ratio <= HEAT_CSTAR.
 
     Everything that does not depend on eps is built once for the ladder:
     the Duhamel nodes and forcing samples of heat_solve and the data
     functional.  Each eps takes x dx of all its output times at once."""
-    problems = [
-        HeatProblem(eps=eps, x=x, f0=f0, forcing=forcing, t_end=t_end) for eps in eps_grid
-    ]
+    problems = [HeatProblem(eps=eps, x=x, f0=f0, forcing=forcing) for eps in HEAT_EPS_LADDER]
+    duhamel = _duhamel_data(problems[0])
+    denom = heat_data_functional(problems[0], duhamel.times)
     ratios = {}
-    if problems:
-        duhamel = _duhamel_data(problems[0])
-        denom = heat_data_functional(problems[0], duhamel.times)
-        for p in problems:
-            num = float(np.max(np.abs(_x_dx(p.x, _heat_solution(p, duhamel)))))
-            ratios[p.eps] = 0.0 if num == 0.0 else num / denom
-    worst = max(ratios.values(), default=0.0)
+    for p in problems:
+        num = float(np.max(np.abs(_x_dx(p.x, _heat_solution(p, duhamel)))))
+        ratios[p.eps] = _check_ratio(num, denom)
+    worst = max(ratios.values())
     nonzero = [r for r in ratios.values() if r > 0]
     spread = max(nonzero) / min(nonzero) if nonzero else 1.0
+    spread_max = HEAT_SPREAD_MAX
     rep = _make_report(
         "heat_bound",
         worst,
         1.0,
-        cstar,
-        tol,
+        HEAT_CSTAR,
+        0.0,
         {"ratios": ratios, "spread": spread, "spread_max": spread_max},
     )
     return replace(rep, passed=rep.passed and spread <= spread_max)

@@ -37,12 +37,12 @@ def _sympy():
     return (sp, *sp.symbols("t x y", real=True))
 
 
-def _default_expressions(a_rho=0.05, a_u=0.1, a_h=0.1):
+def _default_expressions():
     sp, t, x, y = _sympy()
     decay = sp.exp(-y**2)
-    rho = a_rho * sp.exp(-t) * sp.cos(x) * decay
-    u = a_u * sp.exp(-t) * sp.sin(x) * y**2 * decay
-    h = a_h * sp.exp(-t) * sp.cos(x) * decay
+    rho = 0.05 * sp.exp(-t) * sp.cos(x) * decay
+    u = 0.1 * sp.exp(-t) * sp.sin(x) * y**2 * decay
+    h = 0.1 * sp.exp(-t) * sp.cos(x) * decay
     return rho, u, h
 
 
@@ -127,8 +127,9 @@ class ManufacturedSolution:
             time=t,
         )
 
-    def exact_time_derivatives(self, grid: GridSpec, t: float, order: int = 1):
-        return tuple(self.eval(n, grid, t, t_deriv=order) for n in ("rho", "u", "h"))
+    def exact_time_derivatives(self, grid: GridSpec, t: float):
+        """d_t (rho, u, h) at t."""
+        return tuple(self.eval(n, grid, t, t_deriv=1) for n in ("rho", "u", "h"))
 
     def fields(self, grid: GridSpec, t: float, deriv: int = 0):
         """Forcing-provider interface: d_t^deriv (F_rho, F_u, F_h) at t."""

@@ -315,13 +315,12 @@ def pde_rhs(state: State, sources=None, forcing=None, *, physics) -> tuple[Field
     return tuple(tower.field(name, 1) for name in ("rho", "u", "h"))
 
 
-def time_derivative_via_pde(
-    state: State, which: str, order: int = 1, sources=None, forcing=None, *, physics
-) -> Field:
-    """d_t^order of the selected field, by substituting the equations."""
+def time_derivative_via_pde(state: State, which: str, order: int = 1, *, physics) -> Field:
+    """d_t^order of the selected field, by substituting the unforced,
+    source-free equations."""
     if which not in _FIELDS:
         raise ValueError(f"unknown field selector {which!r}")
-    tower = TimeTower(state, sources, forcing, max_depth=order, physics=physics)
+    tower = TimeTower(state, max_depth=order, physics=physics)
     return tower.field(which, order)
 
 

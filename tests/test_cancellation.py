@@ -213,20 +213,32 @@ def test_norm_equivalence_validation(grid_small, state_equilibrium):
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, np.nan])
-def test_a_delta_that_is_not_positive_is_refused(state_perturbed, tower_builds, delta):
+def test_a_delta_that_is_not_positive_is_refused(state_perturbed, delta):
     # delta = 0 once passed good_unknowns and ended norm_equivalence_check
     # in a ZeroDivisionError; a NaN passed every floor comparison
     alpha1 = MultiIndex(0, 1, 0)
-    with pytest.raises(ValueError, match="delta must be positive"):
-        cancellation_residual(
-            _single_state_trajectory(state_perturbed, SolverConfig()), alpha1, "h_m", delta
-        )
-    assert tower_builds[0] == 0  # refused before any tower is built
     tower = TimeTower(state_perturbed, physics=Physics())
     with pytest.raises(ValueError, match="delta must be positive"):
         good_unknowns(tower, alpha1, delta)
     with pytest.raises(ValueError, match="delta must be positive"):
         norm_equivalence_check(tower, alpha1, 2.0, delta)
+
+
+def test_the_residuals_floor_h_at_the_monitors_delta(grid_small):
+    """cancellation_residual refuses min(h + 1) below the config's
+    delta0 / 2, the floor that monitor() holds the run to."""
+    h = field_from_function(grid_small, lambda x, y: -0.8 * np.exp(-(y**2)))
+    st = equilibrium(grid_small, h_shift=h)  # min(h + 1) = 0.2
+    for delta0, refused in ((0.5, True), (0.25, False)):
+        cfg = SolverConfig(delta0=delta0)
+        mon = monitor(st, cfg.delta0, cfg.l)
+        assert (mon.h_floor < mon.delta) is refused
+        traj = _single_state_trajectory(st, cfg)
+        if refused:
+            with pytest.raises(HFloorError, match=f"< {mon.delta}"):
+                cancellation_residual(traj, MultiIndex(0, 1, 0), "h_m")
+        else:
+            assert len(cancellation_residual(traj, MultiIndex(0, 1, 0), "h_m")) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +268,12 @@ def _sourced_trajectory(x_scheme, a_u=0.03):
     return traj
 
 
-def _fresh(traj, alpha1, which, delta_floor=None):
+def _fresh(traj, alpha1, which):
     """The residual series from a fresh tower and _Residual per slice for
     this one index and unknown alone: the reference for the shared
     evaluation."""
     cfg = traj.config
-    delta = cfg.delta0 / 2.0 if delta_floor is None else delta_floor
+    delta = cfg.delta0 / 2.0
     residual = cancellation._RESIDUALS[which]
     out = []
     for st in traj.states:
@@ -291,26 +303,26 @@ def test_shared_residuals_equal_one_evaluation_per_unknown(x_scheme):
 
 def test_one_alpha_of_three_unknowns_builds_one_tower_per_slice(tower_builds, cpus):
     """The nine calls of one order build one tower per slice, and a call of
-    another order or another delta builds again.  The towers are counted in
-    this process, so the slices run in turn (one usable CPU)."""
+    another order builds again.  The towers are counted in this process, so
+    the slices run in turn (one usable CPU)."""
     cpus(1)
     traj = _sourced_trajectory("fd4")
     n = len(traj.states)
     order2 = [MultiIndex(2, 0, 0), MultiIndex(0, 2, 0), MultiIndex(1, 1, 0)]
-    for m, delta_floor in ((2, None), (1, None), (2, None), (2, 0.2)):
+    for m in (2, 1, 2):
         before = tower_builds[0]
         for alpha1 in order2 if m == 2 else [MultiIndex(1, 0, 0), MultiIndex(0, 1, 0)]:
             for which in ("h_m", "rho_m", "u_m"):
-                cancellation_residual(traj, alpha1, which, delta_floor)
-        assert tower_builds[0] - before == n, (m, delta_floor)
+                cancellation_residual(traj, alpha1, which)
+        assert tower_builds[0] - before == n, m
 
 
-def _recomputes(traj, alpha1, which, tower_builds, delta_floor=None):
+def _recomputes(traj, alpha1, which, tower_builds):
     """The call builds one tower per slice and equals a fresh evaluation."""
     before = tower_builds[0]
-    series = cancellation_residual(traj, alpha1, which, delta_floor)
+    series = cancellation_residual(traj, alpha1, which)
     built = tower_builds[0] - before
-    return built == len(traj.states) and _same(series, _fresh(traj, alpha1, which, delta_floor))
+    return built == len(traj.states) and _same(series, _fresh(traj, alpha1, which))
 
 
 def test_the_held_series_serve_only_the_same_call(tower_builds, cpus):
@@ -320,8 +332,6 @@ def test_the_held_series_serve_only_the_same_call(tower_builds, cpus):
     other = _sourced_trajectory("fd4", a_u=0.05)
     cancellation_residual(traj, alpha1, "rho_m")
     assert _recomputes(other, alpha1, "u_m", tower_builds)  # another trajectory
-    cancellation_residual(traj, alpha1, "rho_m")
-    assert _recomputes(traj, alpha1, "u_m", tower_builds, delta_floor=0.2)
     cancellation_residual(traj, alpha1, "rho_m")
     traj.states[1] = other.states[1]  # a replaced state
     assert _recomputes(traj, alpha1, "u_m", tower_builds)

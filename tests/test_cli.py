@@ -184,6 +184,19 @@ def test_missing_config_file_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_an_out_that_cannot_be_created_exits_2(tmp_path, capsys):
+    # it was a FileExistsError traceback and exit 1, the code of a failed check
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    cfg = _write_cfg(tmp_path)
+    for verb in VERBS:
+        for out in (taken, taken / "sub"):
+            assert main([verb, "--config", cfg, "--out", str(out)]) == 2, (verb, out)
+            assert "blmhd: cannot create output directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini", "taken"]
+
+
 def test_missing_verb_is_usage_error():
     with pytest.raises(SystemExit):
         main([])

@@ -9,7 +9,6 @@ import pytest
 import sympy as sp
 
 from blmhd import experiments
-from blmhd.data import physical
 from blmhd.experiments import (
     SweepResult,
     _runs,
@@ -20,7 +19,6 @@ from blmhd.experiments import (
 )
 from blmhd.grid import GridSpec
 from blmhd.solver import SolverConfig, run
-from blmhd.sources import bootstrap_time_derivatives
 
 from conftest import perturbed_state, reaped
 
@@ -217,13 +215,12 @@ def test_sweep_and_pair_equal_across_worker_counts(cpus, x_scheme, scheme):
 def test_trajectories_from_a_child_equal_run_and_refuse_writes(cpus, grid_small):
     forked = cpus(2)
     st = perturbed_state(grid_small)
-    bundle = bootstrap_time_derivatives(*physical(st), m=1, mu=1.0, kappa=1.0)
     cfgs = [SolverConfig(eps=e, dt=2e-3, t_end=6e-3) for e in (0.1, 0.05, 0.02, 0.01)]
-    trajs = _runs([(st, c) for c in cfgs], bundle, None, 3)
+    trajs = _runs([(st, c) for c in cfgs], 3)
     assert len(forked) == 1 and reaped(forked)
-    # the config, bundle and forcing are the caller's, not pickled copies
+    # the config is the caller's, not a pickled copy; no run has sources or forcing
     for traj, cfg in zip(trajs, cfgs, strict=True):
-        assert traj.config is cfg and traj.bundle is bundle and traj.forcing is None
+        assert traj.config is cfg and traj.bundle is None and traj.forcing is None
     # jobs 1 and 3 ran in the child; states come back through pickle as
     # their fields and time, and the fields read-only
     for s in trajs[1].states[1:] + trajs[3].states[1:]:
@@ -233,7 +230,7 @@ def test_trajectories_from_a_child_equal_run_and_refuse_writes(cpus, grid_small)
             with pytest.raises(ValueError):
                 f.values[0, 0] = 1.0
     for traj, cfg in zip(trajs, cfgs):
-        ref = run(st, cfg, bundle, output_stride=3)
+        ref = run(st, cfg, output_stride=3)
         assert traj.breached == ref.breached and traj.monitors == ref.monitors
         for a, b in zip(traj.states, ref.states, strict=True):
             assert a.time == b.time

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from blmhd import inequalities
 from blmhd.grid import GridSpec, field_from_function, zero_field
 from blmhd.inequalities import (
     HeatProblem,
+    _check_ratio,
     _erfc,
     _norm_cdf,
     hardy_check,
@@ -22,6 +24,12 @@ from blmhd.state import MultiIndex
 
 def _grid(nx=8, ny=512):
     return GridSpec(nx=nx, ny=ny, y_max=15.0, stretch=0.0)
+
+
+def test_the_check_ratio_takes_0_over_0_to_0_and_x_over_0_to_infinity():
+    assert _check_ratio(0.0, 0.0) == 0.0
+    assert _check_ratio(1e-300, 0.0) == np.inf
+    assert _check_ratio(1.0, 4.0) == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +375,15 @@ def test_heat_bound_samples_the_forcing_once_per_ladder():
     calls = []
     heat_bound_check(*_cli_heat_corpus(calls))
     assert len(calls) == 8 * 65 + 9
+
+
+def test_a_spread_over_its_bound_fails_the_heat_check(monkeypatch):
+    # the bounds are read when the check runs, so a tighter one applies
+    monkeypatch.setattr(inequalities, "HEAT_SPREAD_MAX", 1.0)
+    rep = heat_bound_check(*_cli_heat_corpus([]))
+    assert max(rep.metadata["ratios"].values()) <= inequalities.HEAT_CSTAR
+    assert rep.ratio <= 1.0 and rep.metadata["spread"] > rep.metadata["spread_max"] == 1.0
+    assert rep.passed is False
 
 
 def test_heat_data_functional_calculus_oracle():

@@ -28,7 +28,16 @@ with no arguments.  A default there would let a diagnostic run silently
 with coefficients other than the run's.
 
 Process parallelism has one home, blmhd.workers: no other module in src/
-names os.fork, os.pipe or os._exit, or imports or names pickle."""
+names os.fork, os.pipe or os._exit, or imports or names pickle.
+
+Every defaulted parameter of a def in src/ has a caller that sets it: some
+call in src/, tests/, tools/ or perfbench/ passes it by keyword or by
+position.  A call is matched by the name it calls (a Name, or the
+attribute of an attribute call), so Class(...) counts for Class.__init__
+and obj.m(...) for every method m; a method's positions start after self.
+A starred argument sets no position from its own on, and **kwargs sets
+nothing.  A default that no caller sets is a constant spelt as an
+option."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -38,8 +47,11 @@ import pytest
 import blmhd
 
 _ROOT = Path(__file__).resolve().parents[1]
-_FILES = sorted(p for d in ("src", "tests") for p in (_ROOT / d).rglob("*.py"))
+_FILES = sorted(p for d in ("src", "tests", "tools") for p in (_ROOT / d).rglob("*.py"))
 _SRC = sorted((_ROOT / "src").rglob("*.py"))
+_CALLERS = sorted(
+    p for d in ("src", "tests", "tools", "perfbench") for p in (_ROOT / d).rglob("*.py")
+)
 
 # definitions kept without a caller in src/, each with its reason
 _KEPT = {
@@ -57,6 +69,10 @@ _KEPT_PHYSICS_DEFAULTS = {
     "and its own mu, kappa and eps are then the physics of its tower",
 }
 _PHYSICS_PARAMETERS = {"physics", "mu", "kappa", "eps"}
+
+# defaulted parameters in src/ that no call sets, as "module.qualname:
+# parameter", each with its reason
+_KEPT_UNSET_DEFAULTS: dict[str, str] = {}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -299,3 +315,76 @@ def test_process_parallelism_has_one_home():
         str(p.relative_to(_ROOT)): _process_parallelism(ast.parse(p.read_text())) for p in _SRC
     }
     assert {path for path, hits in found.items() if hits} == {"src/blmhd/workers.py"}
+
+
+def _unset_defaults(defining: dict[str, ast.Module], calling: list[ast.Module]) -> list[str]:
+    """"module.qualname: parameter" for every defaulted parameter of a def in
+    the defining modules that no call in calling sets."""
+    defaults = []  # (names a call reaches it by, label, parameter, position)
+
+    def visit(node, module, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {child.name}
+                if in_class and child.name == "__init__":
+                    names.add(prefix.rstrip(".").rsplit(".", 1)[-1])
+                label = f"{module}.{prefix}{child.name}"
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                skip = int(in_class and not static)
+                a = child.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    defaults.append((names, label, arg.arg, i - skip))
+                for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+                    if d is not None:
+                        defaults.append((names, label, arg.arg, None))
+                visit(child, module, f"{prefix}{child.name}.", False)
+            else:
+                visit(child, module, prefix, in_class)
+
+    for module, tree in defining.items():
+        visit(tree, module, "", False)
+    keywords, positions = set(), Counter()
+    for tree in calling:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                keywords |= {(name, k.arg) for k in call.keywords}
+                starred = [isinstance(arg, ast.Starred) for arg in call.args] + [True]
+                positions[name] = max(positions[name], starred.index(True))
+    return sorted(
+        f"{label}: {param}"
+        for names, label, param, at in defaults
+        if not any((n, param) in keywords or (at is not None and positions[n] > at) for n in names)
+    )
+
+
+def test_scan_flags_an_unset_default():
+    defining = {
+        "m": ast.parse(
+            "def f(a, b=1, c=2, *, d=3, e=4):\n pass\n"
+            "class C:\n def __init__(self, x=0, y=0):\n  pass\n def k(self, z=1):\n  pass\n"
+            " @staticmethod\n def s(w=1):\n  pass\n"
+            "def g(p=1):\n def inner(q=2):\n  pass\n return inner(2)\n"
+        )
+    }
+    calling = [
+        defining["m"],
+        ast.parse("f(0, 1, e=5)\nf(*xs, **kw)\nC(1)\n"),
+        ast.parse("import m\nm.C(0).k(3)\nm.C.s(1)\nm.g()\n"),
+    ]
+    assert _unset_defaults(defining, calling) == [
+        "m.C.__init__: y",
+        "m.f: c",
+        "m.f: d",
+        "m.g: p",
+    ]
+
+
+def test_every_defaulted_parameter_in_src_has_a_caller_that_sets_it():
+    defining = {p.stem: ast.parse(p.read_text()) for p in _SRC}
+    calling = [ast.parse(p.read_text()) for p in _CALLERS]
+    assert _unset_defaults(defining, calling) == sorted(_KEPT_UNSET_DEFAULTS)
