@@ -11,11 +11,16 @@ solution's magnetic field, and fits a Gronwall growth constant to the
 squared difference norm.
 
 Every run takes the data and the config alone: no compatibility sources
-and no forcing.  The runs of a sweep or a pair share nothing, so they go
-side by side on workers.side_by_side: one worker per usable CPU, the first
-in this process and the others forked, each sending its runs' states and
-monitors back through a pipe.  The results are bitwise those of running them in turn.
-With one usable CPU (`taskset -c 0`, for example) nothing is forked.
+and no forcing.  The runs of a sweep or a pair share their grid, scheme
+and steps, so they go side by side on workers.side_by_side_chunks: one
+worker per usable CPU, the first in this process and the others forked,
+each taking its round-robin chunk of runs and stepping them in lockstep
+(solver.run_lockstep: the runs sit side by side after the field axis of
+every implicit solve, and each keeps its own monitors and end).  A child
+sends its runs' states and monitors back through a pipe.  The results
+are bitwise those of running each run alone.  With one usable CPU
+(`taskset -c 0`, for example) nothing is forked, and a sweep's runs step
+as one batch.
 """
 from __future__ import annotations
 
@@ -28,9 +33,9 @@ from .data import physical
 from .grid import Field
 from .norms import NormSpec, conormal_norm, weighted_l2
 from .operators import dy, integrate_y
-from .solver import SolverConfig, Trajectory, run
+from .solver import SolverConfig, Trajectory, run_lockstep
 from .state import State
-from .workers import side_by_side
+from .workers import side_by_side_chunks
 
 GRONWALL_FLOOR = 1e-28
 ENVELOPE_TOL = 0.5
@@ -43,18 +48,20 @@ ENVELOPE_TOL = 0.5
 
 def _runs(jobs, output_stride: int) -> list[Trajectory]:
     """The Trajectory of run(state, cfg, output_stride=output_stride) for
-    each (state, cfg) job, in job order, side by side (side_by_side).  A
-    worker sends back each run's states, monitors, breach flag and
-    every-step summary; the config of each Trajectory is the caller's."""
+    each (state, cfg) job, in job order.  Each worker of
+    side_by_side_chunks takes its whole chunk and steps its runs in
+    lockstep (run_lockstep), sending back each run's states, monitors,
+    breach flag and every-step summary; the config of each Trajectory is
+    the caller's."""
 
-    def one(job):
-        t = run(job[0], job[1], output_stride=output_stride)
-        return t.states, t.monitors, t.breached, t.every_step
+    def chunk(part):
+        trajs = run_lockstep([(state, cfg, None, None) for state, cfg in part], output_stride)
+        return [(t.states, t.monitors, t.breached, t.every_step) for t in trajs]
 
     return [
         Trajectory(states, monitors, cfg, breached=breached, every_step=every_step)
         for (states, monitors, breached, every_step), (_, cfg) in zip(
-            side_by_side(one, jobs), jobs
+            side_by_side_chunks(chunk, jobs), jobs
         )
     ]
 

@@ -135,16 +135,19 @@ class Field:
     values is read-only and C-contiguous.  A C-contiguous float64 array
     that owns its data (base is None) is adopted, not copied: its write
     flag is turned off in place, so a later write to it through any other
-    name raises ValueError instead of changing the field.  A view,
-    broadcasts included, is copied, since its base could still be written
-    to; so is a non-contiguous array.
+    name raises ValueError instead of changing the field.  So is one whose
+    memory is an immutable bytes object, which no name can write to.  A
+    view, broadcasts included, is copied, since its base could still be
+    written to; so is a non-contiguous array.
 
     Field(values, grid) is the checked entry point: it also raises
     NonFiniteError, before adopting anything, if values hold a NaN or an
     infinity.  Field._computed adopts or copies in the same way without
     that scan (see the module docstring for where each is used).  A
-    Field unpickles through Field(values, grid), so a copy that crosses a
-    worker's pipe is read-only and checked like any other data entering."""
+    Field pickles its values as bytes and unpickles through Field(values,
+    grid) on those bytes, so a copy that crosses a worker's pipe is
+    read-only, checked like any other data entering, and held once: the
+    bytes read from the pipe are its values."""
 
     values: np.ndarray
     grid: GridSpec = field(repr=False)
@@ -167,7 +170,7 @@ class Field:
     def __reduce__(self):
         # unpickled through the checked entry point: read-only at every
         # pickle protocol, and scanned, as data that enter
-        return type(self), (self.values, self.grid)
+        return _unpickled, (self.values.tobytes(), self.grid)
 
     def __add__(self, other):
         return Field(self.values + _vals(other), self.grid)
@@ -197,11 +200,17 @@ def _shaped(values, grid: GridSpec) -> np.ndarray:
 
 def _owned(v: np.ndarray) -> np.ndarray:
     """v adopted (write-protected in place) if it is a C-contiguous array
-    that owns its data, else a read-only copy."""
-    if v.base is not None or not v.flags.c_contiguous:
+    whose memory no other name can write to: it owns its data, or its
+    data is an immutable bytes object.  Else a read-only copy."""
+    if not (v.base is None or isinstance(v.base, bytes)) or not v.flags.c_contiguous:
         v = v.copy()
     v.setflags(write=False)
     return v
+
+
+def _unpickled(data: bytes, grid: GridSpec) -> Field:
+    """The Field of pickled values, checked and adopted on their bytes."""
+    return Field(np.ndarray((grid.nx, grid.ny), buffer=data), grid)
 
 
 def _vals(x):

@@ -31,6 +31,7 @@ MOSER_CSTAR = 2.0
 HEAT_CSTAR = 10.0
 HEAT_SPREAD_MAX = 4.0
 HEAT_EPS_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
+HEAT_T_END = 1.0
 _HEAT_N_TIMES = 8
 _HEAT_N_QUAD = 64
 
@@ -169,7 +170,8 @@ def moser_check(
 
 @dataclass(frozen=True)
 class HeatProblem:
-    """d_t F - eps d_x^2 F = G on x > 0, F(t, 0) = 0, F(0, x) = f0.
+    """d_t F - eps d_x^2 F = G on x > 0, F(t, 0) = 0, F(0, x) = f0, for t
+    in [0, HEAT_T_END].
 
     x: uniform 1D grid of at least 2 nodes with x[0] = 0; f0 sampled on x
     with f0[0] = 0; forcing: callable (t, x-array) -> array, or None."""
@@ -178,15 +180,12 @@ class HeatProblem:
     x: np.ndarray
     f0: np.ndarray
     forcing: object = None
-    t_end: float = 1.0
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         f0 = np.asarray(self.f0, dtype=float)
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
         if x.ndim != 1 or x.size < 2:
             raise ValueError(f"x must be a 1D grid of at least 2 nodes, got shape {x.shape}")
         if x[0] != 0.0 or np.any(np.diff(x) <= 0):
@@ -382,7 +381,7 @@ class _Duhamel:
 
 
 def _duhamel_data(p: HeatProblem) -> _Duhamel:
-    times = np.linspace(0.0, p.t_end, _HEAT_N_TIMES + 1)
+    times = np.linspace(0.0, HEAT_T_END, _HEAT_N_TIMES + 1)
     fe = _odd_extension(p.f0)[None, :]
     tables = []
     for t in times:

@@ -129,16 +129,18 @@ def config_digest(canonical: str) -> str:
 
 @dataclass
 class RunManifest:
-    """Provenance record for one CLI invocation."""
+    """Provenance record for one CLI invocation: start() fills in what is
+    known before the verb runs, the CLI its outputs, and finish() the
+    rest."""
 
     verb: str
     config_digest: str
     version: str
     started: str
-    finished: str = ""
-    outputs: list = field(default_factory=list)
-    passed: bool = False
-    failures: list = field(default_factory=list)
+    finished: str = field(init=False, default="")
+    outputs: list = field(init=False, default_factory=list)
+    passed: bool = field(init=False, default=False)
+    failures: list = field(init=False, default_factory=list)
 
     @staticmethod
     def start(verb: str, digest: str, version: str) -> "RunManifest":

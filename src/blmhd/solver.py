@@ -6,19 +6,31 @@ explicit.  imex-cn is second order: a Strang-symmetrized Crank-Nicolson
 x-diffusion split around a two-stage midpoint predictor/corrector in y.
 imex-be is the first-order single-stage variant.
 
-Stages pass (rho, u, h) arrays, and a step builds one checked State, at
-its end: finiteness is checked there, once per step.  Every Field built
-inside the step (operator results, a stage's State, tower levels, v and g)
-is computed from checked data and not scanned, so a NaN or an infinity
-from any stage raises SolverError ("... diverged ...") at the end of its
-step.  The new State is its fields and time; the next step's CFL rule
-builds its v by derive_secondary.  Each y stage wraps its lagged arrays in
-a State and builds the level-0 TimeTower on it (v, g, dx u and dx h from state.closure, and
-rho = r + 1 once): TimeTower.explicit, the kernel the time-derivative
-tower differentiates, gives the explicit terms, and the tower's rho gives
-u's viscosity mu / rho; the stage frees both before its solve.  Both
-imex-cn y stages start from the same fields, so a substep takes their
-explicit D_y^2 (_apply_dyy) once.
+Runs step in lockstep: step() advances a batch of Runs that share the
+grid and the scheme, and run() is the batch of one of run_lockstep.  Each
+run keeps its own config, traces, sources, forcing, CFL substep count,
+monitors and end (a run that breaches, hits the density floor or goes
+non-finite leaves the batch at its last healthy state), and its explicit
+terms come from its own stage tower.  What the runs share is every
+implicit solve: each stacks the active runs after the field axis of its
+one block (below), so all runs' u rows take one elimination and all
+right-hand sides one sweep, and each run's result is bitwise its result
+alone.  A run at eps = 0 has no x diffusion and stays out of the x steps.
+
+Stages pass (rho, u, h) arrays, and a step builds one checked State per
+run, at its end: finiteness is checked there, once per step.  Every Field
+built inside the step (operator results, a stage's State, tower levels, v
+and g) is computed from checked data and not scanned, so a NaN or an
+infinity from any stage ends its run with SolverError ("... diverged
+...") at the end of its step.  The new State is its fields and time; the
+next step's CFL rule builds its v by derive_secondary.  Each y stage wraps
+a run's lagged arrays in a State and builds the level-0 TimeTower on it
+(v, g, dx u and dx h from state.closure, and rho = r + 1 once):
+TimeTower.explicit, the kernel the time-derivative tower differentiates,
+gives the explicit terms, and the tower's rho gives u's viscosity
+mu / rho; the stage frees both before its solve.  Both imex-cn y stages
+start from the same fields, so a substep takes their explicit D_y^2
+(_apply_dyy) once.
 
 x half-steps: the constant rho and h steps could be one product with a
 cached dense (I - c L)^{-1} (I + c L) each, which is faster, but it is a
@@ -33,18 +45,22 @@ eliminates downward and the bottom chain upward (lo and up swap roles) in
 the same ufunc calls, and the last slab joins them.  _eliminate factors a
 matrix's folded rows in place; thomas_batched sweeps folded right-hand
 sides.  A stage folds its right-hand sides into one block once, stacked
-after the fold axis (rho, u, h and, in x, u's Sherman-Morrison seed), runs
-one sweep and unfolds each field once, into arrays allocated before the
-block: the block is the stage's last large allocation and first free, so
-glibc reuses one top-of-heap region instead of trimming and refaulting
-it.  The constant rho and h systems (eps in x; eps, kappa in y) are cached
-read-only per grid, step and coefficient; in x, rho and h share one
-system and one Sherman-Morrison update when their scalars are equal.
-u's rows are built folded from its folded coefficient (in y by _y_rows,
-from cached folded D_y^2 weights), eliminated in a contiguous part of the
-block and copied into the stacked factors: strided slabs double the cost
-of each ufunc call in the loop, and factors broadcast over the stack
-make the sweep half as slow again.
+after the fold axis by field (rho, u, h and, in x, u's Sherman-Morrison
+seed) and then by run, each run's columns beside the next:
+(ceil(n/2), 2, fields, runs * m).  It runs one sweep and unfolds each
+run's fields once, into arrays allocated before the block: the block is
+the stage's last large allocation and first free, so glibc reuses one
+top-of-heap region instead of trimming and refaulting it.  The constant
+rho and h systems (eps in x; eps, kappa in y) are cached read-only per
+grid, step and coefficient; in x, rho and h share one system when their
+scalars are equal, and one Sherman-Morrison update serves every field.
+Neighbouring runs that share a scalar (a system, a step) take one
+operation over their columns together.  u's rows are built folded from
+its folded coefficient (in y by _y_rows, from cached folded D_y^2
+weights), eliminated in a contiguous part of the block and copied into
+the stacked factors: strided slabs double the cost of each ufunc call in
+the loop, and factors broadcast over the stack make the sweep half as
+slow again.
 
 Boundary closure: Neumann rows (d_y rho = d_y h = 0 at the wall) use a
 second-order mirror ghost inside the implicit solve; Dirichlet rows (u at
@@ -63,6 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -345,68 +362,101 @@ def _periodic_factors(n: int, c: float):
 # ---------------------------------------------------------------------------
 
 
-def _solve_x_cn(w, coeff, step: float, dx_: float):
-    """Crank-Nicolson step of d_t w = coeff d_x^2 w, periodic in x (axis 0),
-    for the (rho, u, h) arrays w, with scalar coefficients for rho and h
-    (eps) and an (nx, ny) one for u (eps / rho), by the three-point stencil
-    in the folded layout.  Each field comes back C-contiguous."""
-    a = 0.5 * step / dx_**2
-    n, m = w[0].shape
+def _spans(keys, width: int):
+    """(key, columns) for each stretch of consecutive runs with equal keys,
+    where run r owns the columns r * width to (r + 1) * width of a batch's
+    block: runs that share a scalar take one operation."""
+    spans = []
+    for r, key in enumerate(keys):
+        if spans and spans[-1][0] == key:
+            spans[-1] = (key, slice(spans[-1][1].start, (r + 1) * width))
+        else:
+            spans.append((key, slice(r * width, (r + 1) * width)))
+    return spans
+
+
+def _solve_x_cn(ws, coeffs, steps, dx_):
+    """Crank-Nicolson steps of d_t w = coeff d_x^2 w, periodic in x (axis 0),
+    for a batch of runs, by the three-point stencil in the folded layout.
+    Run r gives its (rho, u, h) arrays ws[r], its coefficients coeffs[r]
+    (scalars for rho and h, eps, and an (nx, ny) array for u, eps / rho)
+    and its step steps[r].  The runs sit side by side after the field axis
+    of the one block, so all u rows take one elimination, every right-hand
+    side one sweep and every field one Sherman-Morrison update.  Returns
+    each run's fields, each C-contiguous."""
+    n, m = ws[0][0].shape
     half = (n + 1) // 2
-    rho_f, h_f = (_periodic_factors(n, a * c) for c in (coeff[0], coeff[2]))
+    a = [0.5 * s / dx_**2 for s in steps]
+    # the cached rho and h systems of each stretch of runs with equal
+    # scalars: rho and h one group on a shared system, else one each
+    groups = []
+    for (a_rho, a_h), col in _spans([(ar * c[0], ar * c[2]) for ar, c in zip(a, coeffs)], m):
+        rho_f, h_f = _periodic_factors(n, a_rho), _periodic_factors(n, a_h)
+        if h_f is rho_f:
+            groups.append((slice(0, 3, 2), rho_f, col))
+        else:
+            groups += [(slice(0, 1), rho_f, col), (slice(2, 3), h_f, col)]
     # one block: right-hand sides of rho, u, h and u's seed, and their lo,
-    # cp and piv; cp and piv hold folded w, then u's rows, until filled
-    unit = half * 2 * m
-    out = tuple(np.empty((n, m)) for _ in range(3))
-    b, lo, cp, piv = block = np.empty((4, half, 2, 4, m))
+    # cp and piv, each run's m columns side by side; cp and piv hold folded
+    # w, then u's rows, until filled
+    width = len(ws) * m
+    unit = half * 2 * width
+    out = [tuple(np.empty((n, m)) for _ in range(3)) for _ in ws]
+    b, lo, cp, piv = block = np.empty((4, half, 2, 4, width))
     # w folded, with ghost slots: the periodic neighbours of rows 0 and n-1
     # (slot 0 reversed) and of the middle rows; for odd n the middle row
     # also fills the padding slot, the bottom neighbour of row n // 2 + 1
-    p = block[2:].reshape(-1)[: 3 * unit + 12 * m].reshape(half + 2, 2, 3, m)
-    for c, f in enumerate(w):
-        _fold(f, out=p[1:-1, :, c])
+    p = block[2:].reshape(-1)[: 3 * unit + 12 * width].reshape(half + 2, 2, 3, width)
+    for r, w in enumerate(ws):
+        for c, f in enumerate(w):
+            _fold(f, out=p[1:-1, :, c, r * m : (r + 1) * m])
     p[0] = p[1, ::-1]
     if n % 2:
         p[-2, 1] = p[-2, 0]
     p[-1] = p[-2 - n % 2, ::-1]
-    wm, ws, wp = p[:-2], p[1:-1], p[2:]
+    wm, wc, wp = p[:-2], p[1:-1], p[2:]
     # lap = (w[i+1] - 2 w[i]) + w[i-1] in the top chain; the bottom chain
     # reads its neighbours in the other order
     lap = b[:, :, :3]
-    np.multiply(2.0, ws, out=lap)
+    np.multiply(2.0, wc, out=lap)
     np.subtract(wp, lap, out=lap)
     lap += wm
-    # the folded lo = -(a coeff); rho and h are one group on a shared
-    # system, else one each
-    groups = [(slice(0, 3, 2), rho_f)]
-    if h_f is not rho_f:
-        groups = [(slice(0, 1), rho_f), (slice(2, 3), h_f)]
-    for g, f in groups:
-        lo[:, :, g] = f[0][:, :, None]
-    _fold(coeff[1], out=lo[:, :, 1])
-    lo[:, :, 1] *= a
+    # the folded lo = -(a coeff)
+    for g, f, col in groups:
+        lo[:, :, g, col] = f[0][:, :, None]
+    for r, c in enumerate(coeffs):
+        _fold(c[1], out=lo[:, :, 1, r * m : (r + 1) * m])
+    for ar, col in _spans(a, m):
+        lo[:, :, 1, col] *= ar
     np.negative(lo[:, :, 1], out=lo[:, :, 1])
     # rhs = w + (a coeff) lap
     lap *= lo[:, :, :3]
-    np.subtract(ws, lap, out=lap)
+    np.subtract(wc, lap, out=lap)
     if n % 2:
         b[-1, 1] = 0.0
     # u's rows -(a coeff), 1 + 2 (a coeff), -(a coeff), where w was
-    ul, uc, ud = cp.reshape(-1)[: 3 * unit].reshape(3, half, 2, m)
+    ul, uc, ud = cp.reshape(-1)[: 3 * unit].reshape(3, half, 2, width)
     ul[...] = uc[...] = lo[:, :, 1]
     np.multiply(-2.0, ul, out=ud)
     ud += 1.0
-    gamma = periodic_thomas_batched(ul, uc, ud, b[:, :, 3], n)
+    u_gamma = periodic_thomas_batched(ul, uc, ud, b[:, :, 3], n)
     lo[:, :, 1::2], piv[:, :, 1::2] = ul[:, :, None], ud[:, :, None]
     cp[:, :, 1::2] = uc[:, :, None]  # uc lies in cp: numpy copies it first
-    for g, f in groups:
-        cp[:, :, g], piv[:, :, g] = f[1][:, :, None], f[2][:, :, None]
+    for g, f, col in groups:
+        cp[:, :, g, col], piv[:, :, g, col] = f[1][:, :, None], f[2][:, :, None]
     thomas_batched(lo, cp, piv, b, out=b)
-    for g, f in groups:  # cp is free: scratch for the corrections
-        _sherman_morrison(b[:, :, g], f[3][:, :, None], f[0][0, 0], f[4], cp[:, :, g])
-    _sherman_morrison(b[:, :, 1], b[:, :, 3], lo[0, 0, 1], gamma, cp[:, :, 1])
-    for c, f in enumerate(out):
-        _unfold(b[:, :, c], n, f)
+    # one Sherman-Morrison update of every field: u's correction vector is
+    # its seed's solution, rho's and h's the cached one.  cp, piv and lo's
+    # seed slot are free now: q goes in cp, gamma in three rows of lo's
+    # seed slot, and piv is the scratch
+    q, gamma = cp[:, :, :3], lo[:3, 0, 3]
+    q[:, :, 1], gamma[1] = b[:, :, 3], u_gamma
+    for g, f, col in groups:
+        q[:, :, g, col], gamma[g, col] = f[3][:, :, None], f[4]
+    _sherman_morrison(b[:, :, :3], q, lo[0, 0, :3], gamma, piv[:, :, :3])
+    for r, fields in enumerate(out):
+        for c, f in enumerate(fields):
+            _unfold(b[:, :, c, r * m : (r + 1) * m], n, f)
     return out
 
 
@@ -465,36 +515,46 @@ def _apply_dyy(grid: GridSpec, w: np.ndarray, wall_bc: str) -> np.ndarray:
     return out
 
 
-def _solve_y_implicit(grid: GridSpec, coeff, a: float, rhs, traces: dict):
-    """Solve (I - a coeff D_y^2) w = rhs for (rho, u, h) in one sweep.
+def _solve_y_implicit(grid: GridSpec, coeffs, a, rhs, traces):
+    """Solve (I - a coeff D_y^2) w = rhs for (rho, u, h) of a batch of runs
+    in one sweep.
 
-    coeff and rhs are (rho, u, h) triples: scalars (eps, kappa) or an
-    (nx, ny) array (mu / rho) and (nx, ny) arrays, folded as (ceil(ny / 2),
-    2, 3, nx) (see the module docstring).  Walls follow _WALL_BCS with u
-    clamped to traces['u_wall']; every top row is clamped to its top
-    trace.  Each field comes back as its own C-contiguous array, which
-    Field adopts without a copy."""
+    Run r gives its coefficients coeffs[r] (scalars eps and kappa for rho
+    and h, an (nx, ny) array mu / rho for u), its a[r], its (rho, u, h)
+    right-hand sides rhs[r], (nx, ny) arrays, and its traces[r].  They are
+    folded as (ceil(ny / 2), 2, 3, runs * nx), each run's nx columns side
+    by side after the field axis (see the module docstring), so all u rows
+    take one elimination and every right-hand side one sweep.  Walls
+    follow _WALL_BCS with u clamped to traces['u_wall']; every top row is
+    clamped to its top trace.  Returns each run's fields, each its own
+    C-contiguous array, which Field adopts without a copy."""
     ny, nx = grid.ny, grid.nx
-    out = tuple(np.empty((nx, ny)) for _ in range(3))
-    # one block: right-hand sides, lo, cp and piv, and a varying matrix's rows
-    b, lo, cp, piv, rows = np.empty((5, (ny + 1) // 2, 2, 3, nx))
-    rows = rows.reshape(3, (ny + 1) // 2, 2, nx)
-    for c, f in enumerate(rhs):
-        _fold(f.T, out=b[:, :, c])
-    b[0, 0, 1] = traces["u_wall"]
-    b[0, 1] = (traces["rho_top"], traces["u_top"], traces["h_top"])
-    for c, (k, wall_bc) in enumerate(zip(coeff, _WALL_BCS)):
-        if np.ndim(k) == 0:
-            lo[:, :, c], cp[:, :, c], piv[:, :, c] = _y_factors(grid, a * k, wall_bc)
-        else:
-            _fold(k.T, out=rows[0])
-            rows[0] *= a
-            _y_rows(grid, wall_bc, *rows)
-            _eliminate(*rows, ny)
-            lo[:, :, c], cp[:, :, c], piv[:, :, c] = rows
+    width = len(rhs) * nx
+    out = [tuple(np.empty((nx, ny)) for _ in range(3)) for _ in rhs]
+    # one block: right-hand sides, lo, cp and piv, and u's rows
+    b, lo, cp, piv, rows = np.empty((5, (ny + 1) // 2, 2, 3, width))
+    rows = rows.reshape(3, (ny + 1) // 2, 2, width)
+    for r, (k, fields, tr) in enumerate(zip(coeffs, rhs, traces)):
+        col = slice(r * nx, (r + 1) * nx)
+        for c, f in enumerate(fields):
+            _fold(f.T, out=b[:, :, c, col])
+        b[0, 0, 1, col] = tr["u_wall"]
+        b[0, 1, :, col] = (tr["rho_top"], tr["u_top"], tr["h_top"])
+        _fold(k[1].T, out=rows[0][..., col])
+    for c in (0, 2):
+        for ac, col in _spans([ar * k[c] for ar, k in zip(a, coeffs)], nx):
+            lo[:, :, c, col], cp[:, :, c, col], piv[:, :, c, col] = _y_factors(
+                grid, ac, _WALL_BCS[c]
+            )
+    for ar, col in _spans(a, nx):
+        rows[0][..., col] *= ar
+    _y_rows(grid, _WALL_BCS[1], *rows)
+    _eliminate(*rows, ny)
+    lo[:, :, 1], cp[:, :, 1], piv[:, :, 1] = rows
     thomas_batched(lo, cp, piv, b, out=b)
-    for c, f in enumerate(out):
-        _unfold(b[:, :, c], ny, f.T)
+    for r, fields in enumerate(out):
+        for c, f in enumerate(fields):
+            _unfold(b[:, :, c, r * nx : (r + 1) * nx], ny, f.T)
     return out
 
 
@@ -540,57 +600,95 @@ def _cfl_substeps(state: State, cfg: SolverConfig) -> int:
     return max(1, int(math.ceil(cfg.dt / dt_cfl)))
 
 
-def step(
-    state: State,
-    cfg: SolverConfig,
-    bundle=None,
-    forcing=None,
-    traces: dict | None = None,
-    status: MonitorStatus | None = None,
-) -> tuple[State, MonitorStatus]:
-    """Advance one nominal dt (internally subdivided to satisfy the CFL
-    rule), returning the new state and its monitor status.
+class Run(NamedTuple):
+    """One run's part of a lockstep step: its state, config, source bundle
+    and forcing (None when absent), its Dirichlet traces (make_traces of
+    its initial state) and the monitor status of its state."""
 
-    The substeps pass (rho, u, h) arrays; the new State is built once, at
+    state: State
+    cfg: SolverConfig
+    bundle: object
+    forcing: object
+    traces: dict
+    status: MonitorStatus
+
+
+class _Lane:
+    """A run inside step(): its config, sources, forcing and traces, its
+    substep count n_sub and length k = dt / n_sub, a = theta k, the
+    implicit step of its stages, its arrays w at time t, the source flag
+    its stages raised, and its outcome, None while it steps."""
+
+    def __init__(self, r: Run):
+        self.cfg, self.bundle, self.forcing, self.traces = r.cfg, r.bundle, r.forcing, r.traces
+        self.w = (r.state.rho_shift.values, r.state.u_shift.values, r.state.h_shift.values)
+        self.t, self.flag, self.dyy, self.outcome = r.state.time, False, None, None
+        self.n_sub = 0
+        if r.status.breached:
+            self.outcome = SolverError(f"monitor breached before step: {r.status}")
+            return
+        self.n_sub = _cfl_substeps(r.state, self.cfg)
+        self.k = self.cfg.dt / self.n_sub
+        # imex-cn: x half-steps around theta = 1/2 y stages; imex-be: one x
+        # step and theta = 1.  a is also the x step.
+        self.a = self.k / 2.0 if self.cfg.scheme == "imex-cn" else self.k
+
+
+def _diverged(t: float, exc: NonFiniteError) -> SolverError:
+    err = SolverError(f"solver diverged at t = {t:.6g}: {exc}")
+    err.__cause__ = exc
+    return err
+
+
+def step(runs) -> list:
+    """Advance each Run of a lockstep batch one nominal dt (internally
+    subdivided to satisfy its CFL rule).  Returns per run its new state and
+    monitor status, or the SolverError or DensityFloorError that ended it.
+
+    Every implicit solve of a substep takes the runs at once, and nothing
+    else is shared: each run steps bitwise as it would alone.  Substep s
+    takes the runs with more than s substeps (k = dt / n_sub each).  The
+    substeps pass (rho, u, h) arrays; a run's new State is built once, at
     the end, by initial_state.  The CFL rule builds the v of the incoming
     state by derive_secondary, the only derived field a step reads outside
-    its stages' towers.  traces holds the Dirichlet clamp values per
-    field; when omitted they are taken from the incoming state.  status is
-    the incoming state's monitor status, which run() already holds; when
-    omitted the incoming state is monitored here.  Either way a breached
-    status raises SolverError before the step.  bundle and forcing may be
-    None (absent).
+    its stages' towers.  A run whose status is breached ends with a
+    SolverError before the step.
 
-    Finiteness is checked once, at the end of the step, on the three new
-    arrays: a NaN or an infinity produced by any stage of any substep is
-    carried there (numpy's overflow and invalid warnings are off inside
-    the step) and raises SolverError ("solver diverged ...")."""
-    if traces is None:
-        traces = make_traces(state)
-    mon = monitor(state, cfg.delta0, cfg.l) if status is None else status
-    if mon.breached:
-        raise SolverError(f"monitor breached before step: {mon}")
-    grid = state.grid
-    n_sub = _cfl_substeps(state, cfg)
-    k = cfg.dt / n_sub
-    w = (state.rho_shift.values, state.u_shift.values, state.h_shift.values)
-    t = state.time
-    src_flag = False
+    Finiteness is checked once, at the end of the step, on each run's
+    three new arrays: a NaN or an infinity produced by any stage of any
+    substep is carried there (numpy's overflow and invalid warnings are off
+    inside the step) and ends the run with SolverError ("solver diverged
+    ...").  A density below the floor in a stage's tower ends the run
+    there, with the DensityFloorError.  Runs on another grid or scheme
+    than the first raise ValueError before any step."""
+    if len({(r.state.grid, r.cfg.scheme) for r in runs}) > 1:
+        raise ValueError("lockstep runs must share the grid and the scheme")
+    lanes = [_Lane(r) for r in runs]
+    grid = runs[0].state.grid if runs else None
     # a diverging step overflows on its way to the non-finite arrays that
     # end it; the checked Fields built from them report it, not numpy's
     # warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for s in range(max((lane.n_sub for lane in lanes), default=0)):
+            live = [lane for lane in lanes if lane.outcome is None and lane.n_sub > s]
+            if live:
+                _substep(grid, live)
+        for lane in lanes:
+            if lane.outcome is None:
+                lane.outcome = _ended_step(grid, lane)
+    return [lane.outcome for lane in lanes]
+
+
+def _ended_step(grid: GridSpec, lane: _Lane):
+    """A lane's new State, checked, and its monitor status; or the
+    SolverError of a non-finite array or a breached monitor."""
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for _ in range(n_sub):
-                w, flag = _substep(grid, w, t, cfg, bundle, forcing, k, traces)
-                t += k
-                src_flag = src_flag or flag
-            cur = initial_state(grid, *(Field(f, grid) for f in w), time=t)
-            mon = monitor(cur, cfg.delta0, cfg.l, source_flag=src_flag)
+        cur = initial_state(grid, *(Field(f, grid) for f in lane.w), time=lane.t)
+        mon = monitor(cur, lane.cfg.delta0, lane.cfg.l, source_flag=lane.flag)
     except NonFiniteError as exc:
-        raise SolverError(f"solver diverged at t = {t:.6g}: {exc}") from exc
+        return _diverged(lane.t, exc)
     if mon.breached:
-        raise SolverError(f"monitor breached at t = {cur.time:.6g}: {mon}")
+        return SolverError(f"monitor breached at t = {cur.time:.6g}: {mon}")
     return cur, mon
 
 
@@ -604,50 +702,99 @@ def make_traces(state: State) -> dict:
     }
 
 
-def _substep(grid, w, t, cfg, bundle, forcing, k, traces):
-    """One substep of length k from the (rho, u, h) arrays w at time t;
-    returns the new arrays and the source flag."""
-    eps, mu, kappa = cfg.eps, cfg.mu, cfg.kappa
-    cn = cfg.scheme == "imex-cn"
-    # imex-cn: x half-steps around theta = 1/2 y stages; imex-be: one x step
-    # and theta = 1.  a = theta * k is also the x step.
-    a = k / 2.0 if cn else k
+def _x_half(grid: GridSpec, lanes, ws) -> list:
+    """The x step of length a of each lane's arrays ws[i], for every lane
+    with eps > 0, in one _solve_x_cn; a lane at eps = 0 has no x diffusion
+    and keeps its arrays."""
+    ws = list(ws)
+    moved = [i for i, lane in enumerate(lanes) if lane.cfg.eps != 0.0]
+    if moved:
+        coeffs = []
+        for i in moved:
+            eps, rho = lanes[i].cfg.eps, ws[i][0] + 1.0
+            coeffs.append((eps, np.divide(eps, rho, out=rho), eps))
+        new = _solve_x_cn([ws[i] for i in moved], coeffs, [lanes[i].a for i in moved], grid.dx)
+        for i, w in zip(moved, new):
+            ws[i] = w
+    return ws
 
-    def x_half(fields):
-        if eps == 0.0:
-            return fields
-        rho = fields[0] + 1.0
-        return _solve_x_cn(fields, (eps, np.divide(eps, rho, out=rho), eps), a, grid.dx)
 
-    def y_stage(lagged, time):
-        """Implicit y stage from w; the explicit terms and u's viscosity
-        mu / rho are evaluated at the fields lagged."""
-        stage = State(*(Field._computed(a, grid) for a in lagged), time=time)
-        tower = TimeTower(stage, bundle, forcing, max_depth=0, physics=cfg)
-        *rhs, flag = _explicit_terms(tower)
-        coeff = (eps, mu / tower.rho, kappa)
+def _y_stage(grid: GridSpec, lanes, lagged, times):
+    """The implicit y stage of each lane from its w, in one
+    _solve_y_implicit: the explicit terms and u's viscosity mu / rho are
+    evaluated at the lane's arrays lagged, at its time, from the level-0
+    TimeTower of their State.  Returns the lanes that passed the stage and
+    their new arrays; a lane whose tower raises ends there."""
+    kept, coeffs, rhs = [], [], []
+    for lane, fields, time in zip(lanes, lagged, times):
+        cfg = lane.cfg
+        try:
+            stage = State(*(Field._computed(f, grid) for f in fields), time=time)
+            tower = TimeTower(stage, lane.bundle, lane.forcing, max_depth=0, physics=cfg)
+            *r, flag = _explicit_terms(tower)
+        except DensityFloorError as exc:
+            lane.outcome = exc
+            continue
+        except NonFiniteError as exc:
+            lane.outcome = _diverged(lane.t, exc)
+            continue
+        coeff = (cfg.eps, cfg.mu / tower.rho, cfg.kappa)
         del stage, tower  # freed before the solve's block
         # b + k n (+ (a c) D_y^2 w for imex-cn), in place on the fresh n
-        for r, b in zip(rhs, w):
-            r *= k
-            r += b
-        if cn:
-            for r, c, d in zip(rhs, coeff, w_dyy):
-                r += a * c * d
-        return _solve_y_implicit(grid, coeff, a, rhs, traces), flag
+        for x, b in zip(r, lane.w):
+            x *= lane.k
+            x += b
+        if lane.dyy is not None:
+            for x, c, d in zip(r, coeff, lane.dyy):
+                x += lane.a * c * d
+        lane.flag = lane.flag or flag
+        kept.append(lane)
+        coeffs.append(coeff)
+        rhs.append(r)
+    if not kept:
+        return kept, []
+    traces = [lane.traces for lane in kept]
+    return kept, _solve_y_implicit(grid, coeffs, [lane.a for lane in kept], rhs, traces)
 
-    w = x_half(w)
-    # both imex-cn y stages start from w: its D_y^2 is taken once
-    w_dyy = [_apply_dyy(grid, b, bc) for b, bc in zip(w, _WALL_BCS)] if cn else None
-    new, flag = y_stage(w, t)
-    if cn:
-        for b, s in zip(w, new):  # the midpoint 0.5 (w + new), in place
+
+def _midpoints(ws, new) -> None:
+    """The midpoints 0.5 (w + s), in place in each lane's stage output s.
+    A function of its own, so that no loop name holds them after the
+    second y stage, which frees them."""
+    for w, fields in zip(ws, new):
+        for b, s in zip(w, fields):
             np.add(b, s, out=s)
             s *= 0.5
-        new, flag2 = y_stage(new, t + k / 2.0)
-        new = x_half(new)
-        flag = flag or flag2
-    return new, flag
+
+
+def _substep(grid: GridSpec, lanes) -> None:
+    """One substep of each lane, in lockstep: its arrays w at time t become
+    those at t + k, and its flag takes its stages' source flags.  Each
+    implicit solve takes the lanes at once.  A lane's arrays of t and of
+    its first x half-step live until the substep's end (held, lane.w):
+    freed earlier, between the stages' blocks, they let glibc trim the
+    heap top under each block and fault it in again, about 8,200 minor
+    faults per 64x128 imex-cn run against 470.  The midpoints live until
+    the second y stage ends (_midpoints), so the second x half-step's
+    block does not sit on top of them."""
+    cn = lanes[0].cfg.scheme == "imex-cn"
+    held = [lane.w for lane in lanes]
+    for lane, w in zip(lanes, _x_half(grid, lanes, held)):
+        lane.w = w
+    # both imex-cn y stages start from w: its D_y^2 is taken once
+    if cn:
+        for lane in lanes:
+            lane.dyy = [_apply_dyy(grid, b, bc) for b, bc in zip(lane.w, _WALL_BCS)]
+    lanes, new = _y_stage(grid, lanes, [lane.w for lane in lanes], [lane.t for lane in lanes])
+    if cn:
+        _midpoints([lane.w for lane in lanes], new)
+        times = [lane.t + lane.k / 2.0 for lane in lanes]
+        lanes, new = _y_stage(grid, lanes, new, times)
+        new = _x_half(grid, lanes, new)
+    for lane, fields in zip(lanes, new):
+        lane.w = fields
+        lane.t += lane.k
+        lane.dyy = None
 
 
 def run(
@@ -658,41 +805,67 @@ def run(
     output_stride: int = 1,
 ) -> Trajectory:
     """Integrate to t_end (or monitor breach), storing every output_stride-th
-    state and summarising the monitors of every step in every_step.  The
-    initial state is always stored; on breach (a SolverError, or a
-    DensityFloorError from a substep whose density fell below the floor)
-    the trajectory is returned with breached = True and ends at the
-    last healthy state.  bundle and forcing may be None (absent).  A stride
-    that would store the final state off-stride (SolverConfig.check_stride)
-    raises ValueError before any step."""
-    cfg.check_stride(output_stride)
-    traces = make_traces(initial)
-    n_steps = cfg.n_steps
-    states = [initial]
-    monitors = [monitor(initial, cfg.delta0, cfg.l)]
-    traj = Trajectory(
-        states=states,
-        monitors=monitors,
-        config=cfg,
-        bundle=bundle,
-        forcing=forcing,
-        every_step=MonitorSummary().add(monitors[0]),
-    )
-    if monitors[0].breached:
-        traj.breached = True
-        return traj
-    cur, mon = initial, monitors[0]
+    state and summarising the monitors of every step in every_step: the
+    batch of one of run_lockstep.  The initial state is always stored; on
+    breach (a SolverError, or a DensityFloorError from a substep whose
+    density fell below the floor) the trajectory is returned with
+    breached = True and ends at the last healthy state.  bundle and
+    forcing may be None (absent).  A stride that would store the final
+    state off-stride (SolverConfig.check_stride) raises ValueError before
+    any step."""
+    return run_lockstep([(initial, cfg, bundle, forcing)], output_stride)[0]
+
+
+def run_lockstep(jobs, output_stride: int) -> list[Trajectory]:
+    """The Trajectory of run(initial, cfg, bundle, forcing, output_stride)
+    for each (initial, cfg, bundle, forcing) job, in job order, with the
+    runs stepping in lockstep: each nominal step is one step() of the runs
+    still going, so their implicit solves share every sweep.  The jobs must
+    share the grid, scheme, dt and step count (ValueError otherwise, as for
+    an off-stride stride, before any step).  Each run keeps its own
+    traces, monitors and end: one that breaches leaves the batch at its
+    last healthy state, and every trajectory is bitwise the one run()
+    gives alone."""
+    shared = {(j[0].grid, j[1].scheme, j[1].dt, j[1].n_steps) for j in jobs}
+    if len(shared) > 1:
+        raise ValueError("lockstep runs must share the grid, scheme, dt and step count")
+    for _, cfg, _, _ in jobs:
+        cfg.check_stride(output_stride)
+    trajs, runs = [], []
+    for initial, cfg, bundle, forcing in jobs:
+        traces = make_traces(initial)
+        mon = monitor(initial, cfg.delta0, cfg.l)
+        traj = Trajectory(
+            states=[initial],
+            monitors=[mon],
+            config=cfg,
+            bundle=bundle,
+            forcing=forcing,
+            breached=mon.breached,
+            every_step=MonitorSummary().add(mon),
+        )
+        trajs.append(traj)
+        runs.append(Run(initial, cfg, bundle, forcing, traces, mon))
+    # runs[i] is replaced after each step: no name keeps a run's previous
+    # state through the next step, whose peak memory it would raise
+    live = [i for i, traj in enumerate(trajs) if not traj.breached]
+    n_steps = jobs[0][1].n_steps if jobs else 0
     for n in range(1, n_steps + 1):
-        try:
-            cur, mon = step(cur, cfg, bundle, forcing, traces, mon)
-        except (SolverError, DensityFloorError):
-            traj.breached = True
-            return traj
-        traj.every_step = traj.every_step.add(mon)
-        if n % output_stride == 0 or n == n_steps:
-            states.append(cur)
-            monitors.append(mon)
-    return traj
+        if not live:
+            break
+        for i, outcome in zip(live, step([runs[i] for i in live])):
+            traj = trajs[i]
+            if isinstance(outcome, Exception):
+                traj.breached = True
+                continue
+            cur, mon = outcome
+            traj.every_step = traj.every_step.add(mon)
+            if n % output_stride == 0 or n == n_steps:
+                traj.states.append(cur)
+                traj.monitors.append(mon)
+            runs[i] = runs[i]._replace(state=cur, status=mon)
+        live = [i for i in live if not trajs[i].breached]
+    return trajs
 
 
 def pde_residual(state: State, manufactured):

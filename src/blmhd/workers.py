@@ -8,6 +8,10 @@ results (or the exception that stopped it) into a pipe and ends with
 os._exit.  Only results cross the pipe, so fn may be a closure; what it
 returns must pickle.  With one usable CPU or one item, or without
 os.fork, nothing is forked: `taskset -c 0` makes every caller serial.
+side_by_side_chunks(fn, items) deals the same chunks but hands each
+worker its whole chunk, for work that is cheaper done together: the runs
+of a chunk step in lockstep (solver.run_lockstep), so under
+`taskset -c 0` one worker steps them all as one batch.
 
 This is the package's one home of process parallelism.  The runs of a
 sweep or a stability pair (experiments), the stored slices of an energy
@@ -41,7 +45,14 @@ def _reply(sink, work) -> None:
 
 
 def side_by_side(fn, items) -> list:
-    """[fn(x) for x in items], with the chunks of items side by side.
+    """[fn(x) for x in items], with the chunks of items side by side
+    (side_by_side_chunks)."""
+    return side_by_side_chunks(lambda chunk: [fn(x) for x in chunk], items)
+
+
+def side_by_side_chunks(fn, items) -> list:
+    """fn(chunk) of each chunk of items, side by side, flattened back into
+    item order: fn returns one result per item of its chunk, in order.
 
     Chunk k holds items[k::n] for n workers.  The children's results are
     read after chunk 0, in chunk order, and a child's exception is raised
@@ -54,7 +65,7 @@ def side_by_side(fn, items) -> list:
         n = max(1, min(len(items), len(os.sched_getaffinity(0))))
 
     def chunk(k):
-        return [fn(x) for x in items[k::n]]
+        return fn(items[k::n])
 
     out = [None] * len(items)
     pids, pipes, reaped = [], [], set()  # pids and read ends in chunk order

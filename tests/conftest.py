@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from blmhd import solver
 from blmhd.data import equilibrium
 from blmhd.grid import Field, GridSpec, zero_field
 from blmhd.norms import index_set
@@ -42,6 +43,18 @@ def perturbed_state(
     u = E + a_u * np.sin(X) * Y**2 * g
     h = a_h * (1.0 - 2.0 * Y**2) * g * np.sin(X)
     return initial_state(grid, Field(rho, grid), Field(u, grid), Field(h, grid))
+
+
+def solo_step(state, cfg, bundle=None, forcing=None, traces=None, status=None):
+    """solver.step on a batch of one, raising what ended the run: the new
+    state and its status.  traces default to the state's own and status
+    to its monitor, as a run's first step takes them."""
+    traces = solver.make_traces(state) if traces is None else traces
+    status = solver.monitor(state, cfg.delta0, cfg.l) if status is None else status
+    (outcome,) = solver.step([solver.Run(state, cfg, bundle, forcing, traces, status)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @pytest.fixture

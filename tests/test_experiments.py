@@ -1,6 +1,7 @@
 """Diffusion-ladder sweeps, two-solution stability, outer-trace matching,
 and the side-by-side runs they share."""
 import os
+import pickle
 import time
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 import sympy as sp
 
 from blmhd import experiments
+from blmhd import grid as grid_module
 from blmhd.experiments import (
     SweepResult,
     _runs,
@@ -17,8 +19,9 @@ from blmhd.experiments import (
     matching_check,
     stability_pair,
 )
-from blmhd.grid import GridSpec
-from blmhd.solver import SolverConfig, run
+from blmhd.grid import GridSpec, field_from_function
+from blmhd.solver import SolverConfig, _cfl_substeps, run, run_lockstep
+from blmhd.state import initial_state
 
 from conftest import perturbed_state, reaped
 
@@ -94,7 +97,7 @@ def test_sweep_refuses_an_empty_ladder_before_any_run(monkeypatch, state_equilib
     def no_runs(*args, **kwargs):
         raise AssertionError("an empty ladder started a run")
 
-    monkeypatch.setattr(experiments, "side_by_side", no_runs)
+    monkeypatch.setattr(experiments, "side_by_side_chunks", no_runs)
     with pytest.raises(ValueError, match="ladder"):
         eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=0.004), ladder=())
 
@@ -108,7 +111,7 @@ def test_sweep_refuses_a_ladder_that_does_not_decrease_before_any_run(
     def no_runs(fn, jobs):
         raise AssertionError(f"a ladder that does not decrease started {len(jobs)} runs")
 
-    monkeypatch.setattr(experiments, "side_by_side", no_runs)
+    monkeypatch.setattr(experiments, "side_by_side_chunks", no_runs)
     with pytest.raises(ValueError, match="strictly decreasing"):
         eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=0.004), ladder=ladder)
 
@@ -238,16 +241,101 @@ def test_trajectories_from_a_child_equal_run_and_refuse_writes(cpus, grid_small)
                 assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
 
 
+def _no_slip(grid, amplitude):
+    """The rest state with u = -A sin x y e^{-y}, a no-slip datum on which
+    h + 1 falls toward the monitor's floor (ROADMAP item 8)."""
+    u = field_from_function(grid, lambda x, y: -amplitude * np.sin(x) * y * np.exp(-y))
+    return initial_state(grid, None, u, None)
+
+
+def _lockstep_jobs(grid, scheme, case):
+    """(jobs, output_stride) of one lockstep case; at two CPUs jobs 0 and 2
+    share a chunk."""
+    if case == "ladder_to_0":
+        st = perturbed_state(grid)
+        ladder = (0.1, 0.05, 0.01, 0.0)
+        cfgs = [SolverConfig(eps=e, dt=2e-3, t_end=8e-3, scheme=scheme) for e in ladder]
+        return [(st, cfg) for cfg in cfgs], 2
+    if case == "cfl_counts":  # dt 0.8: 3, 3 and 8 substeps a step
+        cfg = SolverConfig(eps=0.01, dt=0.8, t_end=1.6, scheme=scheme)
+        return [(perturbed_state(grid, a_u=a), cfg) for a in (0.03, 0.5, 2.0)], 1
+    # A = 6 breaches on the h floor mid-run, A = 4 runs to t_end
+    cfg = SolverConfig(eps=0.01, dt=0.02, t_end=0.8, scheme=scheme)
+    return [(_no_slip(grid, a), cfg) for a in (6.0, 5.0, 4.0)], 4
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("case", ["ladder_to_0", "cfl_counts", "breach_mid_run"])
+@pytest.mark.parametrize("x_scheme, scheme", [("fd4", "imex-cn"), ("spectral", "imex-be")])
+def test_lockstep_runs_equal_solo_runs(cpus, x_scheme, scheme, case, n_cpus):
+    """A worker steps its chunk of runs in lockstep, each run bitwise as
+    run() alone: a ladder down to eps = 0, runs whose CFL rule takes
+    different substep counts, and a run that breaches mid-run beside one
+    that does not."""
+    grid = GridSpec(nx=16, ny=48, y_max=15.0, stretch=2.0, x_scheme=x_scheme)
+    jobs, stride = _lockstep_jobs(grid, scheme, case)
+    refs = [run(state, cfg, output_stride=stride) for state, cfg in jobs]
+    if case == "cfl_counts":
+        assert [_cfl_substeps(state, cfg) for state, cfg in jobs] == [3, 3, 8]
+    if case == "breach_mid_run":
+        assert refs[0].breached and 2 < len(refs[0].states) < len(refs[2].states)
+        assert not refs[2].breached
+    forked = cpus(n_cpus)
+    trajs = _runs(jobs, stride)
+    assert len(forked) == n_cpus - 1 and reaped(forked)
+    for traj, ref in zip(trajs, refs, strict=True):
+        assert traj.breached == ref.breached and traj.every_step == ref.every_step
+        assert traj.monitors == ref.monitors
+        for a, b in zip(traj.states, ref.states, strict=True):
+            assert a.time == b.time
+            for name in ("rho_shift", "u_shift", "h_shift"):
+                assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+
+
+def test_a_childs_runs_load_with_one_copy_per_field(cpus, monkeypatch, grid_small):
+    """A child's lockstep chunk unpickles with one copy of each Field's
+    values, the bytes read from the pipe: Field adopts them, read-only."""
+    forked = cpus(2)
+    st = perturbed_state(grid_small)
+    cfgs = [SolverConfig(eps=e, dt=2e-3, t_end=4e-3) for e in (0.1, 0.05, 0.02)]
+    trajs = _runs([(st, c) for c in cfgs], 1)
+    assert len(forked) == 1 and reaped(forked)
+    fields = [f for s in trajs[1].states for f in (s.rho_shift, s.u_shift, s.h_shift)]
+    assert len(fields) == 9
+    for f in fields:
+        assert isinstance(f.values.base, bytes) and not f.values.flags.writeable
+    # the reply the child pickles, loaded here: no Field copies its values
+    trajs = run_lockstep([(st, c, None, None) for c in cfgs[1:]], 1)
+    reply = [(t.states, t.monitors, t.breached, t.every_step) for t in trajs]
+    data = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+    copies = []
+    owned = grid_module._owned
+
+    def counted(v):
+        out = owned(v)
+        if out is not v:
+            copies.append(v.shape)
+        return out
+
+    monkeypatch.setattr(grid_module, "_owned", counted)
+    loaded = pickle.loads(data)
+    assert copies == []
+    for (states, *_), t in zip(loaded, trajs, strict=True):
+        for a, b in zip(states, t.states, strict=True):
+            for name in ("rho_shift", "u_shift", "h_shift"):
+                assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+
+
 def test_an_exception_in_a_child_is_raised_here(cpus, monkeypatch, state_equilibrium):
     forked = cpus(2)
-    real_run = experiments.run
+    real_runs = experiments.run_lockstep
 
-    def failing(state, cfg, *args, **kw):
-        if cfg.eps == 0.05:  # job 1: the child's
-            raise LookupError(f"no rung {cfg.eps}")
-        return real_run(state, cfg, *args, **kw)
+    def failing(jobs, output_stride):
+        if jobs[0][1].eps == 0.05:  # job 1: the child's
+            raise LookupError(f"no rung {jobs[0][1].eps}")
+        return real_runs(jobs, output_stride)
 
-    monkeypatch.setattr(experiments, "run", failing)
+    monkeypatch.setattr(experiments, "run_lockstep", failing)
     with pytest.raises(LookupError, match="no rung 0.05"):
         eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=4e-3), ladder=(0.1, 0.05))
     assert len(forked) == 1 and reaped(forked)
@@ -255,14 +343,14 @@ def test_an_exception_in_a_child_is_raised_here(cpus, monkeypatch, state_equilib
 
 def test_a_child_that_dies_without_a_result_is_an_error(cpus, monkeypatch, state_equilibrium):
     forked = cpus(2)
-    real_run = experiments.run
+    real_runs = experiments.run_lockstep
 
-    def dying(state, cfg, *args, **kw):
-        if cfg.eps == 0.05:
+    def dying(jobs, output_stride):
+        if jobs[0][1].eps == 0.05:
             os._exit(3)
-        return real_run(state, cfg, *args, **kw)
+        return real_runs(jobs, output_stride)
 
-    monkeypatch.setattr(experiments, "run", dying)
+    monkeypatch.setattr(experiments, "run_lockstep", dying)
     with pytest.raises(RuntimeError, match="without a result"):
         eps_sweep(state_equilibrium, SolverConfig(dt=2e-3, t_end=4e-3), ladder=(0.1, 0.05))
     assert len(forked) == 1 and reaped(forked)
@@ -271,12 +359,12 @@ def test_a_child_that_dies_without_a_result_is_an_error(cpus, monkeypatch, state
 def test_children_are_killed_when_this_process_raises(cpus, monkeypatch, state_equilibrium):
     forked = cpus(3)
 
-    def slow_or_failing(state, cfg, *args, **kw):
-        if cfg.eps == 0.1:  # job 0: this process's
+    def slow_or_failing(jobs, output_stride):
+        if jobs[0][1].eps == 0.1:  # job 0: this process's
             raise KeyError("stop")
         time.sleep(60)  # the children's
 
-    monkeypatch.setattr(experiments, "run", slow_or_failing)
+    monkeypatch.setattr(experiments, "run_lockstep", slow_or_failing)
     t = time.monotonic()
     with pytest.raises(KeyError, match="stop"):
         eps_sweep(state_equilibrium, SolverConfig(), ladder=(0.1, 0.05, 0.02))

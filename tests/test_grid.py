@@ -159,6 +159,14 @@ def test_field_adopts_owned_arrays_and_copies_views():
     # an owned array of another layout is copied to C order
     fo = np.asfortranarray(np.ones((8, 8)))
     assert Field(fo, grid).values.flags.c_contiguous and fo.flags.writeable
+    # an array on an immutable bytes object is adopted; on a bytearray,
+    # which its owner can still write to, it is copied
+    data = np.ones((8, 8)).tobytes()
+    assert Field(np.ndarray((8, 8), buffer=data), grid).values.base is data
+    mutable = bytearray(data)
+    h = Field(np.ndarray((8, 8), buffer=mutable), grid)
+    mutable[:8] = bytes(8)
+    assert h.values.base is None and h.values[0, 0] == 1.0
 
 
 def test_field_from_function_and_zero_field():

@@ -8,6 +8,7 @@ from scipy.special import ndtr
 from blmhd import inequalities
 from blmhd.grid import GridSpec, field_from_function, zero_field
 from blmhd.inequalities import (
+    HEAT_T_END,
     HeatProblem,
     _check_ratio,
     _erfc,
@@ -169,8 +170,6 @@ def test_heat_problem_validation():
     with pytest.raises(ValueError):
         HeatProblem(eps=0.0, x=x, f0=f0)
     with pytest.raises(ValueError):
-        HeatProblem(eps=0.1, x=x, f0=f0, t_end=0.0)
-    with pytest.raises(ValueError):
         HeatProblem(eps=0.1, x=x + 1.0, f0=f0)
     with pytest.raises(ValueError):
         HeatProblem(eps=0.1, x=x, f0=f0 + 1.0)
@@ -191,7 +190,7 @@ def test_heat_solve_zero_data():
 def test_heat_solve_maximum_principle_and_wall():
     x = _x_axis()
     f0 = x * np.exp(-x)
-    p = HeatProblem(eps=0.01, x=x, f0=f0, t_end=1.0)
+    p = HeatProblem(eps=0.01, x=x, f0=f0)
     times, F = heat_solve(p)
     assert np.all(F[:, 0] == 0.0)
     assert np.max(np.abs(F)) <= np.exp(-1.0) + 1e-10
@@ -202,7 +201,6 @@ def test_heat_solve_duhamel_bound():
     x = _x_axis()
     p = HeatProblem(
         eps=0.01, x=x, f0=np.zeros_like(x), forcing=lambda s, xs: xs * np.exp(-xs),
-        t_end=1.0,
     )
     times, F = heat_solve(p)
     for k, t in enumerate(times):
@@ -274,7 +272,7 @@ def _reference_heat_solve(p, n_times=8, n_quad=64):
         return np.correlate(left, dcdf - w_r, "valid") + np.correlate(right, w_r, "valid")
 
     odd = lambda f: np.concatenate([-f[:0:-1], f])
-    times = np.linspace(0.0, p.t_end, n_times + 1)
+    times = np.linspace(0.0, HEAT_T_END, n_times + 1)
     out = np.empty((n_times + 1, p.x.size))
     for k, t in enumerate(times):
         F = convolve(t, odd(p.f0))
@@ -298,7 +296,6 @@ def test_heat_solve_duhamel_matches_per_node_reference(eps):
         x=x,
         f0=x * np.exp(-x),
         forcing=lambda s, xs: np.cos(3.0 * s) * xs**2 * np.exp(-xs),
-        t_end=1.0,
     )
     times, F = heat_solve(p)
     ref_times, ref = _reference_heat_solve(p)
@@ -328,7 +325,6 @@ def test_heat_solve_wide_window_matches_per_node_reference(eps):
         x=x,
         f0=x * np.exp(-x),
         forcing=lambda s, xs: np.cos(3.0 * s) * xs**2 * np.exp(-xs),
-        t_end=1.0,
     )
     _, F = heat_solve(p)
     _, ref = _reference_heat_solve(p)

@@ -2,6 +2,8 @@
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,11 +36,10 @@ from blmhd.solver import (
     pde_residual,
     periodic_thomas_batched,
     run,
-    step,
     thomas_batched,
 )
 from blmhd.sources import SourceBundle, bootstrap_time_derivatives
-from conftest import perturbed_state
+from conftest import perturbed_state, solo_step
 
 
 def test_monitor_equilibrium_passes(grid_small, state_equilibrium):
@@ -75,7 +76,7 @@ def test_monitor_band_flag_without_breach(grid_small):
 
 def test_equilibrium_is_discretely_steady(grid_small, state_equilibrium):
     cfg = SolverConfig(eps=0.01, dt=1e-3, t_end=5e-3)
-    new, mon = step(state_equilibrium, cfg)
+    new, mon = solo_step(state_equilibrium, cfg)
     assert (new.rho_shift - state_equilibrium.rho_shift).max_abs() < 1e-12
     assert (new.u_shift - state_equilibrium.u_shift).max_abs() < 1e-12
     assert (new.h_shift - state_equilibrium.h_shift).max_abs() < 1e-12
@@ -84,7 +85,7 @@ def test_equilibrium_is_discretely_steady(grid_small, state_equilibrium):
 
 def test_equilibrium_is_discretely_steady_imex_be(grid_small, state_equilibrium):
     cfg = SolverConfig(eps=0.01, dt=1e-3, t_end=5e-3, scheme="imex-be")
-    new, mon = step(state_equilibrium, cfg)
+    new, mon = solo_step(state_equilibrium, cfg)
     assert (new.rho_shift - state_equilibrium.rho_shift).max_abs() < 1e-12
     assert (new.u_shift - state_equilibrium.u_shift).max_abs() < 1e-12
     assert (new.h_shift - state_equilibrium.h_shift).max_abs() < 1e-12
@@ -174,7 +175,7 @@ def test_a_step_builds_one_state(monkeypatch, state_perturbed, scheme):
     them (imex-cn: two stages per substep, imex-be: one)."""
     counts = _count_closure_work(monkeypatch)
     monkeypatch.setattr(solver, "_cfl_substeps", lambda st, cfg: 3)
-    new, _ = step(state_perturbed, SolverConfig(eps=0.01, dt=1e-3, scheme=scheme))
+    new, _ = solo_step(state_perturbed, SolverConfig(eps=0.01, dt=1e-3, scheme=scheme))
     calls = {"imex-cn": (0, 18, 12, 6), "imex-be": (0, 9, 6, 3)}[scheme]
     assert tuple(counts[name] for name in _CLOSURE_WORK) == calls
     assert set(vars(new)) == {"rho_shift", "u_shift", "h_shift", "time"}
@@ -189,12 +190,12 @@ def test_a_step_derives_only_the_v_its_cfl_rule_reads(monkeypatch, state_perturb
     a step of dt = 1e-3 is one substep."""
     counts = _count_closure_work(monkeypatch)
     cfg = SolverConfig(eps=0.01, dt=1e-3, scheme=scheme)
-    new, _ = step(state_perturbed, cfg)
+    new, _ = solo_step(state_perturbed, cfg)
     calls = {"imex-cn": (1, 7, 5, 2), "imex-be": (1, 4, 3, 1)}[scheme]
     assert tuple(counts[name] for name in _CLOSURE_WORK) == calls
     assert set(vars(state_perturbed)) == {"rho_shift", "u_shift", "h_shift", "time"}
     counts.clear()
-    step(new, cfg)
+    solo_step(new, cfg)
     assert tuple(counts[name] for name in _CLOSURE_WORK) == calls
 
 
@@ -213,7 +214,7 @@ def test_a_substep_takes_the_y_diffusion_of_its_base_once(
 
     monkeypatch.setattr(solver, "_apply_dyy", counted)
     monkeypatch.setattr(solver, "_cfl_substeps", lambda st, cfg: 3)
-    step(state_perturbed, SolverConfig(eps=0.01, dt=1e-3, scheme=scheme))
+    solo_step(state_perturbed, SolverConfig(eps=0.01, dt=1e-3, scheme=scheme))
     assert calls["dyy"] == 3 * per_substep
 
 
@@ -236,7 +237,7 @@ def test_run_monitors_each_state_once(monkeypatch, state_perturbed, scheme):
     traces = solver.make_traces(state_perturbed)
     cur, walked = state_perturbed, [monitor(state_perturbed, cfg.delta0, cfg.l)]
     for _ in range(4):
-        cur, mon = step(cur, cfg, traces=traces)
+        cur, mon = solo_step(cur, cfg, traces=traces)
         walked.append(mon)
     assert traj.monitors == walked
 
@@ -249,7 +250,7 @@ def test_every_step_summarises_the_monitors_of_unstored_steps(state_perturbed, s
     traces = solver.make_traces(state_perturbed)
     cur, walked = state_perturbed, [monitor(state_perturbed, cfg.delta0, cfg.l)]
     for _ in range(4):
-        cur, mon = step(cur, cfg, traces=traces)
+        cur, mon = solo_step(cur, cfg, traces=traces)
         walked.append(mon)
     assert traj.every_step == MonitorSummary(
         h_floor=min(m.h_floor for m in walked),
@@ -262,8 +263,8 @@ def test_every_step_summarises_the_monitors_of_unstored_steps(state_perturbed, s
 
 def test_step_is_deterministic(grid_small, state_perturbed):
     cfg = SolverConfig(eps=0.01, dt=2e-3, t_end=0.01)
-    a, _ = step(state_perturbed, cfg)
-    b, _ = step(state_perturbed, cfg)
+    a, _ = solo_step(state_perturbed, cfg)
+    b, _ = solo_step(state_perturbed, cfg)
     assert np.array_equal(a.rho_shift.values, b.rho_shift.values)
     assert np.array_equal(a.u_shift.values, b.u_shift.values)
     assert np.array_equal(a.h_shift.values, b.h_shift.values)
@@ -277,14 +278,14 @@ def test_cfl_subdivision_matches_explicit_substeps(grid_small, state_perturbed):
     cfg = SolverConfig(eps=0.01, dt=0.8, t_end=0.8, cfl_safety=0.9)
     n = _cfl_substeps(state_perturbed, cfg)
     assert n > 1
-    big, _ = step(state_perturbed, cfg)
+    big, _ = solo_step(state_perturbed, cfg)
     small_cfg = SolverConfig(eps=0.01, dt=cfg.dt / n, t_end=0.8, cfl_safety=1.0)
     traces = make_traces(state_perturbed)
     cur = state_perturbed
     for _ in range(n):
         # dt/n also satisfies the CFL so no further subdivision occurs
         assert _cfl_substeps(cur, small_cfg) == 1
-        cur, _ = step(cur, small_cfg, traces=traces)
+        cur, _ = solo_step(cur, small_cfg, traces=traces)
     assert (big.rho_shift - cur.rho_shift).max_abs() < 1e-12
     assert (big.u_shift - cur.u_shift).max_abs() < 1e-12
     assert (big.h_shift - cur.h_shift).max_abs() < 1e-12
@@ -381,6 +382,38 @@ def test_run_refuses_an_off_stride_final_state_before_stepping(state_perturbed, 
         run(state_perturbed, cfg, output_stride=0)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [{"dt": 2e-3, "t_end": 1e-2}, {"t_end": 6e-3}, {"scheme": "imex-be"}, {"grid": True}],
+)
+def test_lockstep_refuses_runs_that_do_not_share_their_steps(state_perturbed, monkeypatch, change):
+    """Runs in lockstep share the grid, scheme, dt and step count: another
+    of any is refused before a step.  step() itself refuses a batch on
+    another grid or scheme before a substep."""
+
+    def stepped(*args, **kw):
+        raise AssertionError("stepped")
+
+    step = solver.step
+    monkeypatch.setattr(solver, "step", stepped)
+    monkeypatch.setattr(solver, "_substep", stepped)
+    cfg = SolverConfig(dt=1e-3, t_end=5e-3)
+    other, options = state_perturbed, dict(change)
+    if options.pop("grid", False):
+        other = perturbed_state(GridSpec(nx=16, ny=48, y_max=15.0, stretch=1.0))
+    jobs = [(state_perturbed, cfg, None, None), (other, replace(cfg, **options), None, None)]
+    with pytest.raises(ValueError, match="must share the grid, scheme, dt and step count"):
+        solver.run_lockstep(jobs, 1)
+    if "t_end" in change:
+        return  # one step() takes each run's own dt
+    runs = [
+        solver.Run(s, c, None, None, solver.make_traces(s), solver.monitor(s, c.delta0, c.l))
+        for s, c, _, _ in jobs
+    ]
+    with pytest.raises(ValueError, match="must share the grid and the scheme"):
+        step(runs)
+
+
 def _poisoned(out, field: int):
     """A stage's (rho, u, h) output with one NaN in the field-th array."""
     out = list(out)
@@ -392,8 +425,8 @@ def _poisoned(out, field: int):
 # each stage a NaN can appear in: the solver function that makes it, and
 # how its output is poisoned in one of rho, u, h
 _POISONED_STAGES = {
-    "x_half_step": ("_solve_x_cn", _poisoned),
-    "y_solve": ("_solve_y_implicit", _poisoned),
+    "x_half_step": ("_solve_x_cn", lambda out, c: [_poisoned(o, c) for o in out]),
+    "y_solve": ("_solve_y_implicit", lambda out, c: [_poisoned(o, c) for o in out]),
     "explicit_terms": ("_explicit_terms", lambda out, c: (*_poisoned(out[:3], c), out[3])),
 }
 
@@ -415,7 +448,7 @@ def test_non_finite_substep_is_recorded_as_a_breach(
     st = perturbed_state(grid_small)
     cfg = SolverConfig(dt=1e-3, t_end=3e-3, scheme=scheme)
     with pytest.raises(SolverError, match="diverged"):
-        step(st, cfg)
+        solo_step(st, cfg)
     traj = run(st, cfg)
     assert traj.breached
     assert len(traj.states) == 1 and traj.states[0] is st
@@ -437,7 +470,7 @@ def test_a_non_finite_shear_at_the_end_of_a_step_is_a_divergence(grid_small, mon
 
     monkeypatch.setattr(solver, "dy", poisoned)
     with pytest.raises(SolverError, match="diverged"):
-        step(st, cfg, status=mon)
+        solo_step(st, cfg, status=mon)
 
 
 @pytest.mark.parametrize("scheme", ["imex-cn", "imex-be"])
@@ -446,7 +479,7 @@ def test_a_step_scans_only_its_new_arrays_and_the_shear(grid_small, monkeypatch,
     # new arrays and the monitor's shear are a step's only checked Fields;
     # every operator result, tower level, v and g is built unscanned
     cfg = SolverConfig(dt=1e-3, t_end=2e-3, scheme=scheme)
-    st, mon = step(perturbed_state(grid_small), cfg)  # warms the caches
+    st, mon = solo_step(perturbed_state(grid_small), cfg)  # warms the caches
     scans = []
     real = Field.__post_init__
 
@@ -455,7 +488,7 @@ def test_a_step_scans_only_its_new_arrays_and_the_shear(grid_small, monkeypatch,
         real(self)
 
     monkeypatch.setattr(Field, "__post_init__", counted)
-    step(st, cfg, status=mon)  # as run() calls it, with the status it holds
+    solo_step(st, cfg, status=mon)  # as run() calls it, with the status it holds
     assert len(scans) == 4
 
 
@@ -465,7 +498,7 @@ def test_step_raises_when_breached(grid_small):
     st = equilibrium(grid, rho_shift=rho)
     cfg = SolverConfig(eps=0.01, dt=1e-3, t_end=0.01)
     with pytest.raises(SolverError):
-        step(st, cfg)
+        solo_step(st, cfg)
 
 
 def test_solver_config_validation():
@@ -622,10 +655,12 @@ def test_source_flag(grid_small, eps):
     st = perturbed_state(grid_small)
     cfg = SolverConfig(eps=eps, dt=1e-3, t_end=1e-3)
     unit = dict(mu=1.0, kappa=1.0)
-    assert step(st, cfg, bootstrap_time_derivatives(*physical(st), m=1, **unit))[1].source_flag
-    assert not step(st, cfg, None)[1].source_flag
+    bundle = bootstrap_time_derivatives(*physical(st), m=1, **unit)
+    assert solo_step(st, cfg, bundle)[1].source_flag
+    assert not solo_step(st, cfg, None)[1].source_flag
     eq = equilibrium(grid_small)
-    assert not step(eq, cfg, bootstrap_time_derivatives(*physical(eq), m=1, **unit))[1].source_flag
+    bundle = bootstrap_time_derivatives(*physical(eq), m=1, **unit)
+    assert not solo_step(eq, cfg, bundle)[1].source_flag
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +834,44 @@ def _periodic_laplacian(n):
     return lap
 
 
+def _dense_y(grid, coeff, k, w, traces):
+    """Each field's y solve by the dense matrix of (I - k coeff D_y^2), with
+    D_y^2 closed as _apply_dyy closes it and the clamped rows of the
+    traces."""
+    nx, ny = grid.nx, grid.ny
+    dyy = {bc: _apply_dyy(grid, np.eye(ny), bc).T for bc in set(_WALL_BCS)}
+    tops = (traces["rho_top"], traces["u_top"], traces["h_top"])
+    out = []
+    for c, wall_bc in enumerate(_WALL_BCS):
+        ac = k * np.broadcast_to(coeff[c], (nx, ny))
+        sol = np.empty((nx, ny))
+        for x in range(nx):
+            m = np.eye(ny) - ac[x][:, None] * dyy[wall_bc]
+            b = w[c][x].copy()
+            b[-1] = tops[c][x]
+            if wall_bc == "dirichlet":
+                b[0] = traces["u_wall"][x]
+            sol[x] = np.linalg.solve(m, b)
+        out.append(sol)
+    return out
+
+
+def _dense_x(w, coeff, k, dx_):
+    """Each field's Crank-Nicolson x step by the dense periodic matrices."""
+    nx, ny = w[0].shape
+    a = 0.5 * k / dx_**2
+    lap_x = _periodic_laplacian(nx)
+    out = []
+    for c in range(3):
+        ac = a * np.broadcast_to(coeff[c], (nx, ny))
+        sol = np.empty((nx, ny))
+        for y in range(ny):
+            dl = ac[:, y][:, None] * lap_x
+            sol[:, y] = np.linalg.solve(np.eye(nx) - dl, w[c][:, y] + dl @ w[c][:, y])
+        out.append(sol)
+    return out
+
+
 def _check_directional_solves(grid, eps, kappa, k, rng, err_msg=""):
     """_solve_y_implicit and _solve_x_cn on random data equal dense solves of
     the stage matrices (distinct scalars on rho and h, so that a swap shows)."""
@@ -806,36 +879,62 @@ def _check_directional_solves(grid, eps, kappa, k, rng, err_msg=""):
     w = tuple(rng.standard_normal((nx, ny)) for _ in range(3))
     rho = 0.1 * rng.standard_normal((nx, ny))
     traces = {key: rng.standard_normal(nx) for key in ("u_wall", "rho_top", "u_top", "h_top")}
-    # D_y^2 with the closures the y rows use, built from _apply_dyy
-    dyy = {bc: _apply_dyy(grid, np.eye(ny), bc).T for bc in set(_WALL_BCS)}
     coeff = (eps, 1.0 / (rho + 1.0), kappa)
-    out = _solve_y_implicit(grid, coeff, k, w, traces)
-    tops = (traces["rho_top"], traces["u_top"], traces["h_top"])
-    for c, wall_bc in enumerate(_WALL_BCS):
-        assert out[c].flags.c_contiguous and out[c].base is None
-        ac = k * np.broadcast_to(coeff[c], (nx, ny))
-        for x in range(nx):
-            m = np.eye(ny) - ac[x][:, None] * dyy[wall_bc]
-            b = w[c][x].copy()
-            b[-1] = tops[c][x]
-            if wall_bc == "dirichlet":
-                b[0] = traces["u_wall"][x]
-            np.testing.assert_allclose(
-                out[c][x], np.linalg.solve(m, b), rtol=1e-12, atol=1e-12, err_msg=err_msg
-            )
+    (out,) = _solve_y_implicit(grid, [coeff], [k], [w], [traces])
+    for got, dense in zip(out, _dense_y(grid, coeff, k, w, traces), strict=True):
+        assert got.flags.c_contiguous and got.base is None
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12, err_msg=err_msg)
     coeff = (eps, eps / (rho + 1.0), kappa)
-    out = _solve_x_cn(w, coeff, k, grid.dx)
-    a = 0.5 * k / grid.dx**2
-    lap_x = _periodic_laplacian(nx)
-    for c in range(3):
-        assert out[c].flags.c_contiguous and out[c].base is None
-        ac = a * np.broadcast_to(coeff[c], (nx, ny))
-        for y in range(ny):
-            dl = ac[:, y][:, None] * lap_x
-            exact = np.linalg.solve(np.eye(nx) - dl, w[c][:, y] + dl @ w[c][:, y])
-            np.testing.assert_allclose(
-                out[c][:, y], exact, rtol=1e-12, atol=1e-12, err_msg=err_msg
-            )
+    (out,) = _solve_x_cn([w], [coeff], [k], grid.dx)
+    for got, dense in zip(out, _dense_x(w, coeff, k, grid.dx), strict=True):
+        assert got.flags.c_contiguous and got.base is None
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12, err_msg=err_msg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    runs=hst.integers(1, 4),
+    nx=hst.integers(8, 11),
+    ny=hst.integers(8, 13),
+    at_zero=hst.integers(0, 4),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_stacked_solves_equal_the_solo_solves(runs, nx, ny, at_zero, seed):
+    """Runs side by side in one solve, each with its own eps, mu, kappa,
+    density and step, come out bitwise as each run's solve alone, and
+    equal to dense solves.  The x step leaves out a run at eps = 0 (run
+    at_zero, if there is one), which keeps its arrays."""
+    grid = GridSpec(nx=nx, ny=ny, y_max=12.0, stretch=1.5)
+    rng = np.random.default_rng(seed)
+    lanes = []
+    for r in range(runs):
+        eps = 0.0 if r == at_zero else float(rng.uniform(0.01, 1.0))
+        mu, kappa, k = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0), rng.uniform(1e-3, 5e-2)
+        w = tuple(rng.standard_normal((nx, ny)) * s for s in (0.1, 1.0, 1.0))
+        traces = {key: rng.standard_normal(nx) for key in ("u_wall", "rho_top", "u_top", "h_top")}
+        cfg = SolverConfig(eps=eps, mu=float(mu), kappa=float(kappa))
+        lanes.append(SimpleNamespace(cfg=cfg, w=w, a=float(k), traces=traces))
+    coeffs = [(ln.cfg.eps, ln.cfg.mu / (ln.w[0] + 1.0), ln.cfg.kappa) for ln in lanes]
+    stacked = _solve_y_implicit(
+        grid, coeffs, [ln.a for ln in lanes], [ln.w for ln in lanes], [ln.traces for ln in lanes]
+    )
+    for ln, coeff, out in zip(lanes, coeffs, stacked, strict=True):
+        (alone,) = _solve_y_implicit(grid, [coeff], [ln.a], [ln.w], [ln.traces])
+        for got, solo, dense in zip(out, alone, _dense_y(grid, coeff, ln.a, ln.w, ln.traces)):
+            assert got.flags.c_contiguous and np.array_equal(got, solo)
+            np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
+    before = [ln.w for ln in lanes]
+    after = solver._x_half(grid, lanes, before)
+    for ln, w, new in zip(lanes, before, after, strict=True):
+        eps = ln.cfg.eps
+        if eps == 0.0:
+            assert new is w
+            continue
+        coeff = (eps, eps / (w[0] + 1.0), eps)
+        (alone,) = _solve_x_cn([w], [coeff], [ln.a], grid.dx)
+        for got, solo, dense in zip(new, alone, _dense_x(w, coeff, ln.a, grid.dx)):
+            assert got.flags.c_contiguous and np.array_equal(got, solo)
+            np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("nx, ny", [(9, 11), (9, 12), (10, 11)])
@@ -1049,12 +1148,12 @@ def test_stages_equal_the_per_field_stages_bitwise(nx, ny, eps, kappa, k):
         grid = GridSpec(nx=nx, ny=ny, y_max=12.0, stretch=1.5)
     w, rho, traces = _stage_inputs(grid, nx + ny)
     for x_coeff in ((eps, eps / (rho + 1.0), eps), (eps, eps / (rho + 1.0), kappa)):
-        got = _solve_x_cn(w, x_coeff, k / 2.0, grid.dx)
+        (got,) = _solve_x_cn([w], [x_coeff], [k / 2.0], grid.dx)
         want = _ref_solve_x_cn(w, x_coeff, k / 2.0, grid.dx)
         for g, r in zip(got, want):
             assert g.flags.c_contiguous and np.array_equal(g, r)
     y_coeff = (eps, 1.0 / (rho + 1.0), kappa)
-    got = _solve_y_implicit(grid, y_coeff, k / 2.0, w, traces)
+    (got,) = _solve_y_implicit(grid, [y_coeff], [k / 2.0], [w], [traces])
     want = _ref_solve_y_implicit(grid, y_coeff, k / 2.0, w, traces)
     for g, r in zip(got, want):
         assert np.array_equal(g, r)

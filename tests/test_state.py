@@ -11,7 +11,7 @@ from blmhd.energy import trajectory_report
 from blmhd.grid import Field, GridSpec, NonFiniteError, field_from_function
 from blmhd.operators import dx
 from blmhd.pde import TimeTower
-from blmhd.solver import SolverConfig, run, step
+from blmhd.solver import SolverConfig, run
 from blmhd.state import (
     MultiIndex,
     closure,
@@ -20,7 +20,7 @@ from blmhd.state import (
     initial_state,
 )
 
-from conftest import perturbed_state
+from conftest import perturbed_state, solo_step
 
 _DERIVED = ("v", "g", "psi")
 _RECORD = {"rho_shift", "u_shift", "h_shift", "time"}
@@ -130,7 +130,7 @@ def test_a_state_keeps_only_its_fields_and_time(scheme):
     tower = TimeTower(st, max_depth=2, physics=cfg)
     for name in ("rho", "u", "h", *_DERIVED):
         tower.z(name, 2, 1)
-    step(st, cfg)
+    solo_step(st, cfg)
     traj = run(st, cfg, output_stride=1)
     trajectory_report(traj, m=2, l=2.0)
     for which in ("rho_m", "u_m", "h_m"):

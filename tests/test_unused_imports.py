@@ -317,15 +317,44 @@ def test_process_parallelism_has_one_home():
     assert {path for path, hits in found.items() if hits} == {"src/blmhd/workers.py"}
 
 
+def _dataclass_fields(cls: ast.ClassDef, field_names: set[str]):
+    """[(name, defaulted)] of the __init__ fields a @dataclass class declares,
+    in order (a field(init=False) is none; field_names are the names
+    dataclasses.field goes by in its module), or None for another class."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+        return None
+    fields = []
+    for node in cls.body:
+        if not isinstance(node, ast.AnnAssign) or "ClassVar" in ast.unparse(node.annotation):
+            continue
+        value, defaulted = node.value, node.value is not None
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) in field_names:
+            options = {k.arg: k.value for k in value.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                continue
+            defaulted = "default" in options or "default_factory" in options
+        fields.append((node.target.id, defaulted))
+    return fields
+
+
 def _unset_defaults(defining: dict[str, ast.Module], calling: list[ast.Module]) -> list[str]:
     """"module.qualname: parameter" for every defaulted parameter of a def in
-    the defining modules that no call in calling sets."""
+    the defining modules that no call in calling sets, and "module.Class:
+    field" for every defaulted __init__ field of a dataclass there that
+    none sets.  A dataclass field is set by a call of its class or of a
+    dataclass that extends it, or by keyword in a call of replace."""
     defaults = []  # (names a call reaches it by, label, parameter, position)
+    dataclasses = {}  # class name: (module, fields, names of its bases)
 
-    def visit(node, module, prefix, in_class):
+    def visit(node, module, prefix, in_class, field_names):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, module, f"{prefix}{child.name}.", True)
+                fields = _dataclass_fields(child, field_names)
+                if fields is not None:
+                    bases = [getattr(b, "id", getattr(b, "attr", None)) for b in child.bases]
+                    dataclasses[child.name] = (module, fields, bases)
+                visit(child, module, f"{prefix}{child.name}.", True, field_names)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 names = {child.name}
                 if in_class and child.name == "__init__":
@@ -341,12 +370,36 @@ def _unset_defaults(defining: dict[str, ast.Module], calling: list[ast.Module]) 
                 for arg, d in zip(a.kwonlyargs, a.kw_defaults):
                     if d is not None:
                         defaults.append((names, label, arg.arg, None))
-                visit(child, module, f"{prefix}{child.name}.", False)
+                visit(child, module, f"{prefix}{child.name}.", False, field_names)
             else:
-                visit(child, module, prefix, in_class)
+                visit(child, module, prefix, in_class, field_names)
 
     for module, tree in defining.items():
-        visit(tree, module, "", False)
+        field_names = {
+            a.asname or a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+            for a in node.names
+            if a.name == "field"
+        }
+        visit(tree, module, "", False, field_names)
+
+    def all_fields(name):
+        """The __init__ fields of dataclass name, its bases' first."""
+        _, fields, bases = dataclasses[name]
+        inherited = [f for b in bases if b in dataclasses for f in all_fields(b)]
+        return inherited + fields
+
+    def extending(name):
+        """name and every dataclass that extends it."""
+        subs = {c for c, (_, _, bases) in dataclasses.items() if name in bases}
+        return {name}.union(*(extending(c) for c in subs))
+
+    for name, (module, fields, _) in dataclasses.items():
+        first = len(all_fields(name)) - len(fields)
+        for i, (field, defaulted) in enumerate(fields, first):
+            if defaulted:
+                defaults.append((extending(name) | {"replace"}, f"{module}.{name}", field, i))
     keywords, positions = set(), Counter()
     for tree in calling:
         for call in ast.walk(tree):
@@ -358,7 +411,10 @@ def _unset_defaults(defining: dict[str, ast.Module], calling: list[ast.Module]) 
     return sorted(
         f"{label}: {param}"
         for names, label, param, at in defaults
-        if not any((n, param) in keywords or (at is not None and positions[n] > at) for n in names)
+        if not any(
+            (n, param) in keywords or (at is not None and n != "replace" and positions[n] > at)
+            for n in names
+        )
     )
 
 
@@ -381,6 +437,27 @@ def test_scan_flags_an_unset_default():
         "m.f: c",
         "m.f: d",
         "m.g: p",
+    ]
+
+
+def test_scan_flags_an_unset_dataclass_field():
+    defining = {
+        "m": ast.parse(
+            "from dataclasses import dataclass, field as dc_field\n"
+            "@dataclass(frozen=True)\nclass P:\n a: int\n b: int = 1\n c: int = 2\n"
+            " d: list = dc_field(default_factory=list)\n e: int = dc_field(init=False)\n"
+            "@dataclass\nclass Q(P):\n f: float = 0.0\n g: float = 0.0\n"
+            "class R:\n x: int = 0\n"
+        )
+    }
+    calling = [ast.parse("P(0, 1)\nQ(0, 1, 2, [], 5.0)\nreplace(q, d=[])\nR(x=1)\n")]
+    assert _unset_defaults(defining, calling) == ["m.Q: g"]
+    calling = [ast.parse("P(0)\nQ(0, c=1)\n")]
+    assert _unset_defaults(defining, calling) == [
+        "m.P: b",
+        "m.P: d",
+        "m.Q: f",
+        "m.Q: g",
     ]
 
 
